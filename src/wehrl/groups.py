@@ -411,24 +411,55 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
 
     Deterministic: the result is sorted by (order, element coordinate list).
     Intended for desk-scale groups; the lattice is enumerated in full.
+    Closures run on sets of element indices (the mixed-radix integers of
+    `element_by_index`); one `Subgroup` is built per subgroup at the end.
+    Each subgroup keeps the generators of the path that first reached it.
     """
-    trivial = subgroup_closure(group, ())
-    found = {trivial._coord_set: trivial}
+    coords = [g.coords for g in group.elements()]
+    orders, strides = group.orders, group._strides
+
+    def translate(indices, x: int) -> frozenset:
+        shift = coords[x]
+        return frozenset(
+            sum(
+                ((c + t) % n) * s
+                for c, t, n, s in zip(coords[i], shift, orders, strides)
+            )
+            for i in indices
+        )
+
+    def close(H: frozenset, x: int) -> frozenset:
+        # H + <x> is the union of the cosets H + k*x up to the first k*x in H
+        closure = set(H)
+        coset = translate(H, x)
+        while coset.isdisjoint(H):
+            closure |= coset
+            coset = translate(coset, x)
+        return frozenset(closure)
+
+    trivial = frozenset({0})
+    found = {trivial: ()}
     frontier = [trivial]
     while frontier:
         current = frontier.pop()
-        for g in group.elements():
-            if g in current:
+        gens = found[current]
+        for x in range(group.order):
+            if x in current:
                 continue
-            bigger = subgroup_closure(group, current.generators + (g,))
-            if bigger._coord_set not in found:
-                found[bigger._coord_set] = bigger
+            bigger = close(current, x)
+            if bigger not in found:
+                found[bigger] = gens + (x,)
                 frontier.append(bigger)
-    return tuple(
-        sorted(
-            found.values(),
-            key=lambda H: (H.order, [e.coords for e in H.elements]),
+    subgroups = (
+        Subgroup(
+            group,
+            tuple(group.element_by_index(i) for i in sorted(H)),
+            tuple(group.element_by_index(i) for i in gens),
         )
+        for H, gens in found.items()
+    )
+    return tuple(
+        sorted(subgroups, key=lambda H: (H.order, [e.coords for e in H.elements]))
     )
 
 
@@ -450,7 +481,8 @@ def annihilator(subgroup: Subgroup) -> DualSubgroup:
     mask = np.all(phases == 0, axis=1)
     chars = tuple(group.character_by_index(int(i)) for i in np.nonzero(mask)[0])
     result = DualSubgroup(group, chars)
-    assert result.order * subgroup.order == group.order, "annihilator duality failed"
+    if result.order * subgroup.order != group.order:
+        raise RuntimeError(f"annihilator duality failed for {subgroup}")
     return result
 
 
@@ -465,7 +497,8 @@ def dual_annihilator(dual: DualSubgroup) -> Subgroup:
     mask = np.all(phases == 0, axis=1)
     elements = tuple(group.element_by_index(int(i)) for i in np.nonzero(mask)[0])
     result = Subgroup(group, elements, ())
-    assert result.order * dual.order == group.order, "annihilator duality failed"
+    if result.order * dual.order != group.order:
+        raise RuntimeError("annihilator duality failed for a dual subgroup")
     return result
 
 
@@ -481,7 +514,8 @@ def maximal_compact(subgroup: Subgroup) -> PhaseSpaceSubgroup:
         PhaseSpacePoint(h, chi) for h in subgroup.elements for chi in ann.characters
     )
     K = PhaseSpaceSubgroup(group, points, subgroup=subgroup, dual_part=ann)
-    assert K.order == group.order, "maximal compact subgroup must have order |G|"
+    if K.order != group.order:
+        raise RuntimeError("maximal compact subgroup must have order |G|")
     if group.order <= 64:
         for g in group.elements():
             if g in subgroup:
@@ -510,7 +544,8 @@ def coset_representatives(K: PhaseSpaceSubgroup) -> tuple[PhaseSpacePoint, ...]:
         reps.append(z)
         for u in K.points:
             seen[(z + u).index] = 1
-    assert len(reps) * K.order == total
+    if len(reps) * K.order != total:
+        raise RuntimeError("cosets of K do not partition phase space")
     return tuple(reps)
 
 

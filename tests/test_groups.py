@@ -1,11 +1,14 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wehrl
 from wehrl import (
     FiniteAbelianGroup,
     GroupMismatchError,
@@ -218,6 +221,32 @@ def test_subgroup_lattice_counts(spec, count):
         assert g.order % H.order == 0
 
 
+def _lattice_oracle(group):
+    """all_subgroups by closing each subgroup's generators with every element."""
+    found = {frozenset([group.zero().coords]): subgroup_closure(group, ())}
+    frontier = list(found.values())
+    while frontier:
+        current = frontier.pop()
+        for g in group.elements():
+            if g in current:
+                continue
+            bigger = subgroup_closure(group, current.generators + (g,))
+            if bigger._coord_set not in found:
+                found[bigger._coord_set] = bigger
+                frontier.append(bigger)
+    return sorted(found.values(), key=lambda H: (H.order, coords_of(H.elements)))
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z12", "Z2xZ2xZ2", "Z4xZ2", "Z3xZ1xZ6", "Z2xZ6"])
+def test_subgroup_lattice_matches_closure_oracle(spec):
+    g = parse_group(spec)
+    got = all_subgroups(g)
+    want = _lattice_oracle(g)
+    assert [coords_of(H.elements) for H in got] == [coords_of(H.elements) for H in want]
+    # generators are kept too: annihilator tests characters against them
+    assert [coords_of(H.generators) for H in got] == [coords_of(H.generators) for H in want]
+
+
 @settings(max_examples=25, deadline=None)
 @given(group_descriptors, st.data())
 def test_subgroup_closure_is_group(orders, data):
@@ -353,3 +382,14 @@ def test_direct_product():
     g = direct_product(parse_group("Z2"), parse_group("Z3"))
     assert g.orders == (2, 3)
     assert str(g) == "Z2xZ3"
+
+
+def test_library_invariants_are_not_asserts():
+    # `python -O` strips assert statements; invariants must raise explicitly
+    package = Path(wehrl.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert at lines {found}"

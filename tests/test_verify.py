@@ -2,16 +2,20 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from wehrl import (
     CoherentFrame,
+    PhaseSpacePoint,
     cocycle_phase,
     parse_group,
     phase_space,
     random_state_vector,
     subgroup_closure,
 )
+from wehrl import verify
 from wehrl.verify import (
+    check_cocycle_bilinearity,
     check_overlap_dichotomy,
     cocycle_phase_matrix,
     coset_ids,
@@ -91,3 +95,40 @@ def test_coset_ids_partition():
     assert ids.max() == len(reps) - 1
     counts = np.bincount(ids)
     assert (counts == K.order).all()
+
+
+def _bilinearity_oracle(group, rng, samples=1000):
+    """Scalar route of check_cocycle_bilinearity: exact Fractions per triple."""
+    total = group.order ** 2
+    bad = 0
+    for i, j, k in rng.integers(0, total, size=(samples, 3)):
+        z, w, v = (PhaseSpacePoint.by_index(group, int(x)) for x in (i, j, k))
+        if cocycle_phase(z + w, v) != (cocycle_phase(z, v) + cocycle_phase(w, v)) % 1:
+            bad += 1
+        if cocycle_phase(v, z + w) != (cocycle_phase(v, z) + cocycle_phase(v, w)) % 1:
+            bad += 1
+    return bad
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z2", "Z6", "Z3xZ3", "Z2xZ2xZ2", "Z4xZ8", "Z1xZ3"])
+def test_cocycle_bilinearity_matches_fraction_oracle(spec):
+    g = parse_group(spec)
+    batched_rng, scalar_rng = np.random.default_rng(11), np.random.default_rng(11)
+    result = check_cocycle_bilinearity(g, batched_rng)
+    assert result.residual == _bilinearity_oracle(g, scalar_rng)
+    assert result.passed
+    # the random stream is consumed the same way, so later checks see the same draws
+    assert batched_rng.random() == scalar_rng.random()
+
+
+def test_cocycle_bilinearity_catches_a_nonbilinear_cocycle(monkeypatch):
+    g = parse_group("Z4xZ2")
+    exact = verify.cocycle_numerators
+
+    def squared(group, *args):
+        return exact(group, *args) ** 2 % math.lcm(*group.orders)
+
+    monkeypatch.setattr(verify, "cocycle_numerators", squared)
+    result = check_cocycle_bilinearity(g, np.random.default_rng(0))
+    assert not result.passed
+    assert result.residual > 0

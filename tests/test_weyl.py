@@ -24,6 +24,8 @@ from wehrl import (
     weyl_apply,
     weyl_matrix,
 )
+from wehrl import weyl
+from wehrl.groups import character_row
 
 group_descriptors = st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(
     lambda orders: math.prod(orders) <= 36
@@ -210,6 +212,69 @@ def test_verify_ccr_deterministic():
     a = verify_ccr(g, seed=5)
     b = verify_ccr(g, seed=5)
     assert a == b
+
+
+def _roll_apply(z, mat):
+    """W(z) on the columns of a (|G|, m) array: np.roll, then character values."""
+    group = z.group
+    axes = tuple(range(len(group.orders)))
+    shifted = np.roll(mat.reshape(group.orders + (-1,)), z.g.coords, axis=axes)
+    return character_row(group, z.chi.coords)[:, None] * shifted.reshape(group.order, -1)
+
+
+def _ccr_oracle(group, *, seed=0, tolerance=1e-12, exhaustive_limit=256, samples=10_000):
+    """Scalar route of verify_ccr: one pair at a time, Fraction cocycle."""
+    rng = np.random.default_rng(seed)
+    d = group.order
+    probes = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    probes /= np.linalg.norm(probes, axis=0)
+    total = d * d
+    if total <= exhaustive_limit:
+        points = list(phase_space(group))
+        pairs = [(a, b) for a in points for b in points]
+        mode = "exhaustive"
+    else:
+        idx = rng.integers(0, total, size=(samples, 2))
+        pairs = [
+            (PhaseSpacePoint.by_index(group, int(i)), PhaseSpacePoint.by_index(group, int(j)))
+            for i, j in idx
+        ]
+        mode = "randomized"
+    worst = 0.0
+    for a, b in pairs:
+        left = _roll_apply(a, _roll_apply(b, probes))
+        right = cocycle(a, b) * _roll_apply(b, _roll_apply(a, probes))
+        worst = max(worst, float(np.abs(left - right).max()))
+    return CcrReport(str(group), mode, len(pairs), worst, tolerance, worst <= tolerance)
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z4", "Z3xZ3", "Z2xZ2xZ2", "Z1xZ3"])
+def test_verify_ccr_matches_scalar_oracle_exhaustive(spec):
+    g = parse_group(spec)
+    report = verify_ccr(g, seed=3)
+    assert report.mode == "exhaustive"
+    assert report == _ccr_oracle(g, seed=3)  # max_residual equal to the bit
+
+
+@pytest.mark.parametrize("spec", ["Z32", "Z4xZ8"])
+def test_verify_ccr_matches_scalar_oracle_randomized(spec):
+    g = parse_group(spec)
+    report = verify_ccr(g, seed=2, samples=500)
+    assert report.mode == "randomized"
+    assert report == _ccr_oracle(g, seed=2, samples=500)
+
+
+def test_verify_ccr_catches_a_sign_flipped_cocycle(monkeypatch):
+    g = parse_group("Z3")
+    exact = weyl.cocycle_numerators
+
+    def flipped(group, *args):
+        return (-exact(group, *args)) % math.lcm(*group.orders)
+
+    monkeypatch.setattr(weyl, "cocycle_numerators", flipped)
+    report = verify_ccr(g)
+    assert not report.passed
+    assert report.max_residual > 0.1
 
 
 # ---------------------------------------------------------------------------
