@@ -29,7 +29,6 @@ from .weyl import (
     cocycle,
     cocycle_phase,
     compose_phase,
-    heis_mul,
     verify_ccr,
     weyl_apply,
     weyl_matrix,
@@ -49,7 +48,6 @@ from .frames import (
     CoherentFrame,
     CosetBasis,
     NotVacuumError,
-    coherent_state,
     coset_basis,
     detect_vacuum_subgroup,
     invariant_subspace_dim,
@@ -71,7 +69,6 @@ from .entropy import (
     pure_amplitudes,
     pure_state_entropy,
     subadditivity_gap,
-    tensor,
     von_neumann_entropy,
     wehrl_entropy,
     wehrl_entropy_coset,

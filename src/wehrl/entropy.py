@@ -5,6 +5,10 @@ Wehrl entropy is -sum_z w Q log Q with Haar weight w = 1/|G|. With this
 normalisation the compact subgroup K has volume 1, the frame resolves the
 identity with constant 1, and the entropy lower bound for vacuum frames is
 exactly 0, attained precisely on coherent states.
+
+The density-matrix functions take one state (d, d) or a stack (..., d, d)
+and work along the last axes: one state gives a Python float or a (d, d)
+array, a stack gives an array of them.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import CoherentFrame, NotVacuumError
+from .frames import CoherentFrame, NotVacuumError, coset_ids
 from .groups import difference_index_table, product_subgroup
 from .groups import direct_product as _direct_product
 from .states import check_density_matrix, check_state_vector
@@ -34,7 +38,6 @@ __all__ = [
     "entropy_report",
     "measurement_channel",
     "product_frame",
-    "tensor",
     "partial_trace",
     "husimi_marginal",
     "subadditivity_gap",
@@ -42,6 +45,11 @@ __all__ = [
 
 # below this, Q log Q is taken as 0
 ZERO_LOG_THRESHOLD = 1e-15
+
+
+def _scalar(x):
+    """A Python float for one state, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _log_divisor(log_base: str) -> float:
@@ -54,7 +62,10 @@ def _log_divisor(log_base: str) -> float:
 
 @dataclass(eq=False)
 class HusimiTable:
-    """Q(z) over all of F in lex point order, with the 1/|G| Haar weight."""
+    """Q(z) over all of F in lex point order, with the 1/|G| Haar weight.
+
+    `values` is (|F|,) for one state and (..., |F|) for a stack.
+    """
 
     frame: CoherentFrame
     values: np.ndarray
@@ -63,9 +74,9 @@ class HusimiTable:
     def haar_weight(self) -> float:
         return self.frame.haar_weight
 
-    def mass(self) -> float:
+    def mass(self):
         """sum_z w Q(z); equals tr rho = 1 for any unit fiducial."""
-        return float(self.values.sum() * self.haar_weight)
+        return _scalar(self.values.sum(axis=-1) * self.haar_weight)
 
 
 def husimi(frame: CoherentFrame, rho) -> HusimiTable:
@@ -74,7 +85,7 @@ def husimi(frame: CoherentFrame, rho) -> HusimiTable:
     rho = check_density_matrix(rho, d)
     S = frame.state_matrix()
     tmp = S.conj() @ rho
-    values = np.einsum("zk,zk->z", tmp, S).real
+    values = np.einsum("...zk,zk->...z", tmp, S).real
     return HusimiTable(frame, values)
 
 
@@ -103,14 +114,13 @@ def husimi_fast(frame: CoherentFrame, psi) -> HusimiTable:
     return HusimiTable(frame, np.abs(amps) ** 2)
 
 
-def _entropy_sum(values: np.ndarray, weight: float) -> float:
-    v = values[values > ZERO_LOG_THRESHOLD]
-    if v.size == 0:
-        return 0.0
-    return float(-(weight * v * np.log(v)).sum())
+def _entropy_sum(values: np.ndarray, weight: float):
+    """-sum w v log v along the last axis, with v log v := 0 below the threshold."""
+    safe = np.where(values > ZERO_LOG_THRESHOLD, values, 1.0)
+    return _scalar(-(weight * values * np.log(safe)).sum(axis=-1))
 
 
-def wehrl_entropy(table: HusimiTable, log_base: str = "e") -> float:
+def wehrl_entropy(table: HusimiTable, log_base: str = "e"):
     """-sum_z w Q log Q, with Q log Q := 0 below the zero threshold."""
     return _entropy_sum(table.values, table.haar_weight) / _log_divisor(log_base)
 
@@ -121,7 +131,7 @@ def pure_state_entropy(frame: CoherentFrame, psi: np.ndarray) -> float:
     return _entropy_sum(np.abs(amps) ** 2, frame.haar_weight)
 
 
-def wehrl_entropy_coset(frame: CoherentFrame, rho, log_base: str = "e") -> float:
+def wehrl_entropy_coset(frame: CoherentFrame, rho, log_base: str = "e"):
     """Wehrl entropy from one Husimi value per coset of K.
 
     Valid for vacuum frames only, where Q is constant on K-cosets:
@@ -136,29 +146,25 @@ def wehrl_entropy_coset(frame: CoherentFrame, rho, log_base: str = "e") -> float
     rho = check_density_matrix(rho, d)
     R = np.stack([frame.state(z) for z in reps])
     tmp = R.conj() @ rho
-    values = np.einsum("ak,ak->a", tmp, R).real
+    values = np.einsum("...ak,ak->...a", tmp, R).real
     vol = K.order / d
     return vol * _entropy_sum(values, 1.0) / _log_divisor(log_base)
 
 
-def husimi_coset_spread(table: HusimiTable) -> float:
+def husimi_coset_spread(table: HusimiTable):
     """Largest within-coset variation of Q; ~0 for vacuum frames."""
-    K, reps = table.frame.cosets()
-    worst = 0.0
-    for rep in reps:
-        vals = table.values[[(rep + u).index for u in K.points]]
-        spread = float(vals.max() - vals.min())
-        if spread > worst:
-            worst = spread
-    return worst
+    by_coset = np.argsort(coset_ids(table.frame), kind="stable")
+    d = table.frame.group.order  # |F| / |K| cosets of |K| = |G| points each
+    vals = table.values[..., by_coset].reshape(table.values.shape[:-1] + (d, d))
+    return _scalar((vals.max(axis=-1) - vals.min(axis=-1)).max(axis=-1))
 
 
-def von_neumann_entropy(rho, log_base: str = "e") -> float:
+def von_neumann_entropy(rho, log_base: str = "e"):
     """-tr rho log rho; eigenvalues below 1e-12 are clamped to zero."""
     rho = check_density_matrix(rho)
     eig = np.linalg.eigvalsh(rho)
-    eig = eig[eig > 1e-12]
-    return float(-(eig * np.log(eig)).sum()) / _log_divisor(log_base)
+    safe = np.where(eig > 1e-12, eig, 1.0)
+    return _scalar(-(eig * np.log(safe)).sum(axis=-1)) / _log_divisor(log_base)
 
 
 @dataclass(frozen=True)
@@ -181,8 +187,8 @@ def measurement_channel(frame: CoherentFrame, rho) -> np.ndarray:
     table = husimi(frame, rho)
     S = frame.state_matrix()
     weights = frame.haar_weight * table.values
-    out = (S.T * weights) @ S.conj()
-    return 0.5 * (out + out.conj().T)
+    out = (S.T * weights[..., None, :]) @ S.conj()
+    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
 def product_frame(a: CoherentFrame, b: CoherentFrame) -> CoherentFrame:
@@ -194,19 +200,14 @@ def product_frame(a: CoherentFrame, b: CoherentFrame) -> CoherentFrame:
     return CoherentFrame(group, np.kron(a.fiducial, b.fiducial), subgroup=sub)
 
 
-def tensor(rho_a, rho_b) -> np.ndarray:
-    return np.kron(
-        np.asarray(rho_a, dtype=np.complex128), np.asarray(rho_b, dtype=np.complex128)
-    )
-
-
 def partial_trace(rho, dims: tuple[int, int], trace_out: int = 2) -> np.ndarray:
     d1, d2 = dims
-    r = np.asarray(rho, dtype=np.complex128).reshape(d1, d2, d1, d2)
+    r = np.asarray(rho, dtype=np.complex128)
+    r = r.reshape(r.shape[:-2] + (d1, d2, d1, d2))
     if trace_out == 2:
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     if trace_out == 1:
-        return np.einsum("ijil->jl", r)
+        return np.einsum("...ijil->...jl", r)
     raise ValueError(f"trace_out must be 1 or 2, got {trace_out}")
 
 
@@ -219,11 +220,12 @@ def husimi_marginal(
     the Husimi table of the corresponding reduced density matrix.
     """
     d1, d2 = dims
-    v = table.values.reshape(d1, d2, d1, d2)  # axes (g1, g2, a1, a2)
+    lead = table.values.shape[:-1]
+    v = table.values.reshape(lead + (d1, d2, d1, d2))  # last axes (g1, g2, a1, a2)
     if keep == 1:
-        return v.sum(axis=(1, 3)).reshape(d1 * d1) / d2
+        return v.sum(axis=(-3, -1)).reshape(lead + (d1 * d1,)) / d2
     if keep == 2:
-        return v.sum(axis=(0, 2)).reshape(d2 * d2) / d1
+        return v.sum(axis=(-4, -2)).reshape(lead + (d2 * d2,)) / d1
     raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 

@@ -30,7 +30,7 @@ __all__ = [
     "STATE_MATRIX_CAP",
     "vacuum_vector",
     "CoherentFrame",
-    "coherent_state",
+    "coset_ids",
     "overlap_matrix",
     "CosetBasis",
     "coset_basis",
@@ -114,20 +114,12 @@ class CoherentFrame:
     def state_matrix(self) -> np.ndarray:
         """(|F|, |G|) array; row z.index is the state |z>. Cached."""
         if self._matrix is None:
-            d = self.group.order
             if self.point_count > STATE_MATRIX_CAP:
                 raise DenseLimitError(
                     f"|F| = {self.point_count} exceeds the state-matrix cap "
                     f"{STATE_MATRIX_CAP}"
                 )
-            table = character_table(self.group)
-            axes = tuple(range(len(self.group.orders)))
-            fid_grid = self.fiducial.reshape(self.group.orders)
-            blocks = []
-            for g in self.group.elements():
-                rolled = np.roll(fid_grid, g.coords, axis=axes).reshape(d)
-                blocks.append(table * rolled[None, :])
-            mat = np.vstack(blocks)
+            mat = np.vstack(list(_translate_blocks(self)))
             mat.flags.writeable = False
             self._matrix = mat
         return self._matrix
@@ -151,8 +143,24 @@ class CoherentFrame:
         return self._cosets
 
 
-def coherent_state(frame: CoherentFrame, z: PhaseSpacePoint) -> np.ndarray:
-    return frame.state(z)
+def _translate_blocks(frame: CoherentFrame):
+    """For each g in lex order, the (|G|, |G|) block of states |(g, chi)>, row chi."""
+    d = frame.group.order
+    table = character_table(frame.group)
+    axes = tuple(range(len(frame.group.orders)))
+    fid_grid = frame.fiducial.reshape(frame.group.orders)
+    for g in frame.group.elements():
+        rolled = np.roll(fid_grid, g.coords, axis=axes).reshape(d)
+        yield table * rolled[None, :]
+
+
+def coset_ids(frame: CoherentFrame) -> np.ndarray:
+    """(|F|,) array labelling each phase-space point by its K-coset ordinal."""
+    K, reps = frame.cosets()
+    ids = np.full(frame.point_count, -1, dtype=np.int64)
+    for ordinal, rep in enumerate(reps):
+        ids[[(rep + u).index for u in K.points]] = ordinal
+    return ids
 
 
 def overlap_matrix(frame: CoherentFrame) -> np.ndarray:
@@ -182,19 +190,24 @@ def coset_basis(frame: CoherentFrame) -> CosetBasis:
     return CosetBasis(reps, vectors)
 
 
+def _invariance_defect(K: PhaseSpaceSubgroup) -> np.ndarray:
+    """sum_u (I - W(u)) over u in K; its null space is the K-invariant subspace."""
+    d = K.group.order
+    acc = np.zeros((d, d), dtype=np.complex128)
+    eye = np.eye(d)
+    for u in K.points:
+        acc += eye - weyl_matrix(u)
+    return acc
+
+
 def invariant_subspace_dim(K: PhaseSpaceSubgroup) -> int:
     """dim of { v : W(u) v = v for all u in K }.
 
     Null-space dimension of sum_u (I - W(u)); singular values below
     1e-9 * |G| count as zero.
     """
-    d = K.group.order
-    acc = np.zeros((d, d), dtype=np.complex128)
-    eye = np.eye(d)
-    for u in K.points:
-        acc += eye - weyl_matrix(u)
-    singular = np.linalg.svd(acc, compute_uv=False)
-    return int(np.count_nonzero(singular < 1e-9 * d))
+    singular = np.linalg.svd(_invariance_defect(K), compute_uv=False)
+    return int(np.count_nonzero(singular < 1e-9 * K.group.order))
 
 
 def resolution_residual(frame: CoherentFrame) -> float:
@@ -204,12 +217,7 @@ def resolution_residual(frame: CoherentFrame) -> float:
         S = frame.state_matrix()
         acc = S.T @ S.conj()
     else:
-        table = character_table(frame.group)
-        axes = tuple(range(len(frame.group.orders)))
-        fid_grid = frame.fiducial.reshape(frame.group.orders)
         acc = np.zeros((d, d), dtype=np.complex128)
-        for g in frame.group.elements():
-            rolled = np.roll(fid_grid, g.coords, axis=axes).reshape(d)
-            block = table * rolled[None, :]
+        for block in _translate_blocks(frame):
             acc += block.T @ block.conj()
     return float(np.abs(acc * frame.haar_weight - np.eye(d)).max())

@@ -463,22 +463,31 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     )
 
 
+def _pairing_kernel(group: FiniteAbelianGroup, coords) -> np.ndarray:
+    """Mask over the lex-ordered coordinates x that pair to 1 with every row of coords.
+
+    Exact integer arithmetic: with L = lcm(n_j), the pairing of x and c is
+    exp(2*pi*i * m / L) with m = sum_j x_j c_j (L / n_j) mod L. It is
+    symmetric, so the same kernel gives the characters that kill a set of
+    elements and the elements that a set of characters kills.
+    """
+    L = math.lcm(*group.orders)
+    weights = np.array([L // n for n in group.orders], dtype=np.int64)
+    columns = np.array(coords, dtype=np.int64).reshape(-1, len(group.orders)).T
+    grid = _coords_grid(group.orders)  # (d, k)
+    return np.all(((grid * weights) @ columns) % L == 0, axis=1)
+
+
 def annihilator(subgroup: Subgroup) -> DualSubgroup:
     """Characters equal to 1 on all of H; always |A| * |H| = |G|.
 
-    Brute-force filter of all |G| characters in exact integer arithmetic:
-    with L = lcm(n_j), the character a kills h iff
-    sum_j a_j h_j (L / n_j) == 0 mod L. Testing against generators of H
-    suffices because characters are homomorphisms.
+    Brute-force filter of all |G| characters through `_pairing_kernel`.
+    Testing against generators of H suffices because characters are
+    homomorphisms.
     """
     group = subgroup.group
-    L = math.lcm(*group.orders)
-    weights = np.array([L // n for n in group.orders], dtype=np.int64)
     testers = subgroup.generators if subgroup.generators else subgroup.elements
-    tester_mat = np.array([h.coords for h in testers], dtype=np.int64).T  # (k, m)
-    grid = _coords_grid(group.orders)  # (d, k)
-    phases = ((grid * weights) @ tester_mat) % L
-    mask = np.all(phases == 0, axis=1)
+    mask = _pairing_kernel(group, [h.coords for h in testers])
     chars = tuple(group.character_by_index(int(i)) for i in np.nonzero(mask)[0])
     result = DualSubgroup(group, chars)
     if result.order * subgroup.order != group.order:
@@ -489,12 +498,7 @@ def annihilator(subgroup: Subgroup) -> DualSubgroup:
 def dual_annihilator(dual: DualSubgroup) -> Subgroup:
     """Group elements on which every character of the dual subgroup is 1."""
     group = dual.group
-    L = math.lcm(*group.orders)
-    weights = np.array([L // n for n in group.orders], dtype=np.int64)
-    char_mat = np.array([c.coords for c in dual.characters], dtype=np.int64).T
-    grid = _coords_grid(group.orders)
-    phases = ((grid * weights) @ char_mat) % L
-    mask = np.all(phases == 0, axis=1)
+    mask = _pairing_kernel(group, [c.coords for c in dual.characters])
     elements = tuple(group.element_by_index(int(i)) for i in np.nonzero(mask)[0])
     result = Subgroup(group, elements, ())
     if result.order * dual.order != group.order:
@@ -506,7 +510,8 @@ def maximal_compact(subgroup: Subgroup) -> PhaseSpaceSubgroup:
     """K = H x A(H) inside F; always |K| = |G|.
 
     For |G| <= 64 the separation property behind maximality is checked
-    exhaustively: every g outside H is detected by some character of A(H).
+    exhaustively: every g outside H is detected by some character of A(H),
+    i.e. no element outside H is in the kernel of all of A(H).
     """
     group = subgroup.group
     ann = annihilator(subgroup)
@@ -517,14 +522,20 @@ def maximal_compact(subgroup: Subgroup) -> PhaseSpaceSubgroup:
     if K.order != group.order:
         raise RuntimeError("maximal compact subgroup must have order |G|")
     if group.order <= 64:
-        for g in group.elements():
-            if g in subgroup:
-                continue
-            if all(chi.phase(g) == 0 for chi in ann.characters):
-                raise RuntimeError(
-                    f"annihilator of {subgroup} fails to separate {g} from H"
-                )
+        unseparated = _unseparated(subgroup, ann)
+        if unseparated.any():
+            g = group.element_by_index(int(np.argmax(unseparated)))
+            raise RuntimeError(
+                f"annihilator of {subgroup} fails to separate {g} from H"
+            )
     return K
+
+
+def _unseparated(subgroup: Subgroup, ann: DualSubgroup) -> np.ndarray:
+    """(|G|,) mask of the elements outside H on which every character of ann is 1."""
+    mask = _pairing_kernel(subgroup.group, [chi.coords for chi in ann.characters])
+    mask[[h.index for h in subgroup.elements]] = False
+    return mask
 
 
 def coset_representatives(K: PhaseSpaceSubgroup) -> tuple[PhaseSpacePoint, ...]:

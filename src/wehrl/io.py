@@ -36,6 +36,14 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in values]
 
 
+def _from_pairs(entries) -> np.ndarray:
+    """[[re, im], ...] -> complex array; ValueError for anything else."""
+    try:
+        return np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValueError("entries must be [re, im] pairs of numbers") from None
+
+
 def state_vector_to_json(vec: np.ndarray) -> str:
     return json.dumps(_pairs(np.asarray(vec)))
 
@@ -44,7 +52,7 @@ def state_vector_from_json(text: str) -> np.ndarray:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("state vector JSON must be a list of [re, im] pairs")
-    return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    return _from_pairs(data)
 
 
 def state_vector_to_csv(vec: np.ndarray) -> str:
@@ -79,11 +87,13 @@ def density_matrix_from_json(text: str) -> np.ndarray:
     data = json.loads(text)
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise ValueError("density matrix JSON must have 'dim' and 'entries'")
-    d = int(data["dim"])
-    entries = data["entries"]
-    if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+    flat = _from_pairs(data["entries"])
+    try:
+        d = int(data["dim"])
+    except (TypeError, ValueError):
+        raise ValueError("density matrix 'dim' must be an integer") from None
+    if flat.size != d * d:
+        raise ValueError(f"expected {d * d} entries, got {flat.size}")
     return flat.reshape(d, d)
 
 

@@ -61,18 +61,25 @@ def check_density_matrix(
     eig_tol: float = 1e-10,
     trace_tol: float = 1e-10,
 ) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD and trace one, within tolerance."""
+    """Validate a density matrix: Hermitian, PSD and trace one, within tolerance.
+
+    Takes one matrix (d, d) or a stack (..., d, d); every member of a stack
+    must pass, and a trace or eigenvalue message gives the worst member's value.
+    """
     arr = np.asarray(rho, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"density matrix has dimension {arr.shape[0]}, expected {dim}")
-    if np.abs(arr - arr.conj().T).max() > herm_tol:
+    if dim is not None and arr.shape[-1] != dim:
+        raise ValueError(
+            f"density matrix has dimension {arr.shape[-1]}, expected {dim}"
+        )
+    if np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max() > herm_tol:
         raise ValueError("density matrix is not Hermitian")
-    trace = complex(np.trace(arr))
+    traces = np.trace(arr, axis1=-2, axis2=-1).reshape(-1)
+    trace = complex(traces[np.argmax(np.abs(traces - 1.0))])
     if abs(trace - 1.0) > trace_tol:
         raise ValueError(f"density matrix trace {trace!r} is not 1")
-    smallest = float(np.linalg.eigvalsh(arr)[0])
+    smallest = float(np.linalg.eigvalsh(arr)[..., 0].min())
     if smallest < -eig_tol:
         raise ValueError(
             f"density matrix is not positive semidefinite (min eigenvalue {smallest})"

@@ -16,11 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import (
-    ZERO_LOG_THRESHOLD,
+    HusimiTable,
     husimi,
+    husimi_coset_spread,
     husimi_fast,
     husimi_marginal,
     measurement_channel,
+    partial_trace,
     product_frame,
     pure_state_entropy,
     von_neumann_entropy,
@@ -29,6 +31,8 @@ from .entropy import (
 )
 from .frames import (
     CoherentFrame,
+    _invariance_defect,
+    coset_ids,
     invariant_subspace_dim,
     overlap_matrix,
     coset_basis,
@@ -41,6 +45,7 @@ from .groups import (
     PhaseSpaceSubgroup,
     Subgroup,
     _coords_grid,
+    _unseparated,
     all_subgroups,
     annihilator,
     dual_annihilator,
@@ -49,7 +54,7 @@ from .groups import (
     phase_space,
 )
 from .minimize import entropy_gradient
-from .states import pure_density, random_state_vector
+from .states import pure_density, random_density_matrix, random_state_vector
 from .weyl import cocycle_numerators, verify_ccr, weyl_apply, weyl_matrix
 
 __all__ = [
@@ -85,42 +90,26 @@ def suite_pairs() -> list[tuple[FiniteAbelianGroup, Subgroup]]:
 
 
 # ---------------------------------------------------------------------------
-# shared numeric helpers (batched rho handling)
+# shared numeric helpers
 
 
 def random_density_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, d, d) Ginibre density matrices from one draw of all n."""
     a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
     rho = a @ np.conj(np.swapaxes(a, 1, 2))
     tr = np.trace(rho, axis1=1, axis2=2).real
     return rho / tr[:, None, None]
 
 
-def batch_husimi(frame: CoherentFrame, rhos: np.ndarray) -> np.ndarray:
-    """(n, |F|) Husimi values for a stack of density matrices."""
-    S = frame.state_matrix()
-    tmp = np.einsum("zh,nhk->nzk", S.conj(), rhos, optimize=True)
-    return np.einsum("nzk,zk->nz", tmp, S, optimize=True).real
+def _random_density_stack(
+    d: int, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(n, d, d) Ginibre density matrices drawn one matrix at a time.
 
-
-def batch_entropy(values: np.ndarray, weight: float) -> np.ndarray:
-    safe = np.where(values > ZERO_LOG_THRESHOLD, values, 1.0)
-    return -(weight * values * np.log(safe)).sum(axis=-1)
-
-
-def batch_von_neumann(rhos: np.ndarray) -> np.ndarray:
-    eig = np.linalg.eigvalsh(rhos)
-    safe = np.where(eig > 1e-12, eig, 1.0)
-    return -(eig * np.log(safe)).sum(axis=-1)
-
-
-def coset_ids(frame: CoherentFrame) -> np.ndarray:
-    """(|F|,) array labelling each phase-space point by its K-coset ordinal."""
-    K, reps = frame.cosets()
-    ids = np.full(frame.point_count, -1, dtype=np.int64)
-    for ordinal, rep in enumerate(reps):
-        for u in K.points:
-            ids[(rep + u).index] = ordinal
-    return ids
+    The same generator gives other matrices than `random_density_batch`;
+    each check keeps one draw order so its seeded results stay fixed.
+    """
+    return np.stack([random_density_matrix(d, rng) for _ in range(n)])
 
 
 def _point_coord_arrays(points: Sequence[PhaseSpacePoint]):
@@ -208,12 +197,7 @@ def check_compact_maximality(subgroup: Subgroup) -> CheckResult:
     group = subgroup.group
     K = maximal_compact(subgroup)
     bad = abs(K.order - group.order)
-    ann = K.dual_part
-    for g in group.elements():
-        if g in subgroup:
-            continue
-        if all(chi.phase(g) == 0 for chi in ann.characters):
-            bad += 1
+    bad += int(np.count_nonzero(_unseparated(subgroup, K.dual_part)))
     return _result("compact-maximality", bad, 0.0, f"|K| = {K.order}")
 
 
@@ -312,12 +296,7 @@ def check_vacuum_uniqueness(K: PhaseSpaceSubgroup) -> CheckResult:
 def check_vacuum_nullspace_match(subgroup: Subgroup) -> CheckResult:
     """Closed-form indicator vacuum vs the numerically computed null vector."""
     K = maximal_compact(subgroup)
-    d = subgroup.group.order
-    acc = np.zeros((d, d), dtype=np.complex128)
-    eye = np.eye(d)
-    for u in K.points:
-        acc += eye - weyl_matrix(u)
-    _, _, vh = np.linalg.svd(acc)
+    _, _, vh = np.linalg.svd(_invariance_defect(K))
     numeric = vh[-1].conj()
     closed = vacuum_vector(subgroup)
     residual = 1.0 - abs(np.vdot(closed, numeric))
@@ -386,10 +365,9 @@ def check_coset_basis(frame: CoherentFrame) -> CheckResult:
 def check_husimi_mass_and_range(
     frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
 ) -> list[CheckResult]:
-    d = frame.group.order
-    rhos = random_density_batch(d, samples, rng)
-    q = batch_husimi(frame, rhos)
-    mass = np.abs(q.sum(axis=1) * frame.haar_weight - 1.0).max()
+    table = husimi(frame, random_density_batch(frame.group.order, samples, rng))
+    q = table.values
+    mass = np.abs(table.mass() - 1.0).max()
     low = max(0.0, float(-q.min()))
     high = max(0.0, float(q.max() - 1.0))
     return [
@@ -401,27 +379,18 @@ def check_husimi_mass_and_range(
 def check_coset_constancy(
     frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
 ) -> CheckResult:
-    d = frame.group.order
-    rhos = random_density_batch(d, samples, rng)
-    q = batch_husimi(frame, rhos)
-    ids = coset_ids(frame)
-    worst = 0.0
-    for ordinal in range(ids.max() + 1):
-        cols = q[:, ids == ordinal]
-        worst = max(worst, float((cols.max(axis=1) - cols.min(axis=1)).max()))
+    table = husimi(frame, random_density_batch(frame.group.order, samples, rng))
+    worst = husimi_coset_spread(table).max()
     return _result("husimi-coset-spread", worst, 1e-12, f"{samples} random rho")
 
 
 def check_coset_formula(
     frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
 ) -> CheckResult:
-    d = frame.group.order
-    worst = 0.0
-    for _ in range(samples):
-        rho = random_density_batch(d, 1, rng)[0]
-        full = wehrl_entropy(husimi(frame, rho))
-        collapsed = wehrl_entropy_coset(frame, rho)
-        worst = max(worst, abs(full - collapsed))
+    rhos = _random_density_stack(frame.group.order, samples, rng)
+    full = wehrl_entropy(husimi(frame, rhos))
+    collapsed = wehrl_entropy_coset(frame, rhos)
+    worst = np.abs(full - collapsed).max()
     return _result("coset-formula-vs-full", worst, 1e-10, f"{samples} random rho")
 
 
@@ -429,22 +398,19 @@ def check_fast_vs_dense(
     frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
 ) -> CheckResult:
     d = frame.group.order
-    worst = 0.0
-    for _ in range(samples):
-        psi = random_state_vector(d, rng)
-        dense = husimi(frame, pure_density(psi)).values
-        fast = husimi_fast(frame, psi).values
-        worst = max(worst, float(np.abs(dense - fast).max()))
+    psis = [random_state_vector(d, rng) for _ in range(samples)]
+    dense = husimi(frame, np.stack([pure_density(psi) for psi in psis])).values
+    fast = np.stack([husimi_fast(frame, psi).values for psi in psis])
+    worst = np.abs(dense - fast).max()
     return _result("husimi-fast-vs-dense", worst, 1e-11, f"{samples} pure states")
 
 
 def check_wehrl_bounds(
     frame: CoherentFrame, rng: np.random.Generator, samples: int = 1000
 ) -> list[CheckResult]:
-    d = frame.group.order
-    rhos = random_density_batch(d, samples, rng)
-    q = batch_husimi(frame, rhos)
-    entropies = batch_entropy(q, frame.haar_weight)
+    table = husimi(frame, random_density_batch(frame.group.order, samples, rng))
+    q = table.values
+    entropies = wehrl_entropy(table)
     lower = max(0.0, float(-entropies.min()))
     out = [
         _result(
@@ -452,7 +418,7 @@ def check_wehrl_bounds(
         )
     ]
     O = overlap_matrix(frame)
-    coherent_entropies = batch_entropy((O ** 2).T, frame.haar_weight)
+    coherent_entropies = wehrl_entropy(HusimiTable(frame, (O ** 2).T))
     out.append(
         _result(
             "wehrl-coherent-zero",
@@ -477,9 +443,7 @@ def check_wehrl_vs_von_neumann(
 ) -> list[CheckResult]:
     d = frame.group.order
     rhos = random_density_batch(d, samples, rng)
-    gaps = batch_entropy(batch_husimi(frame, rhos), frame.haar_weight) - (
-        batch_von_neumann(rhos)
-    )
+    gaps = wehrl_entropy(husimi(frame, rhos)) - von_neumann_entropy(rhos)
     out = [
         _result(
             "wehrl-vs-von-neumann",
@@ -500,20 +464,13 @@ def check_channel(
     frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
 ) -> list[CheckResult]:
     d = frame.group.order
-    worst_trace = 0.0
-    for _ in range(samples):
-        rho = random_density_batch(d, 1, rng)[0]
-        out = measurement_channel(frame, rho)
-        worst_trace = max(worst_trace, abs(np.trace(out).real - 1.0))
+    out = measurement_channel(frame, _random_density_stack(d, samples, rng))
+    worst_trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0).max()
     flat = np.eye(d) / d
     flat_res = float(np.abs(measurement_channel(frame, flat) - flat).max())
     _, reps = frame.cosets()
-    worst_coherent = 0.0
-    for rep in reps[: min(3, len(reps))]:
-        proj = pure_density(frame.state(rep))
-        worst_coherent = max(
-            worst_coherent, float(np.abs(measurement_channel(frame, proj) - proj).max())
-        )
+    projs = np.stack([pure_density(frame.state(rep)) for rep in reps[:3]])
+    worst_coherent = np.abs(measurement_channel(frame, projs) - projs).max()
     return [
         _result("channel-trace", worst_trace, 1e-10, f"{samples} random rho"),
         _result("channel-flat-fixed-point", flat_res, 1e-12),
@@ -575,18 +532,13 @@ def check_product_structure(
     fr1 = CoherentFrame.vacuum(Subgroup.whole(g1))
     fr2 = CoherentFrame.vacuum(Subgroup.whole(g2))
     fr12 = product_frame(fr1, fr2)
-    d1, d2 = g1.order, g2.order
-    rhos = random_density_batch(d1 * d2, samples, rng)
-    worst_marginal = 0.0
-    worst_mono = 0.0
-    for rho in rhos:
-        table12 = husimi(fr12, rho)
-        rho1 = np.einsum("ijkj->ik", rho.reshape(d1, d2, d1, d2))
-        marginal = husimi_marginal(table12, (d1, d2), keep=1)
-        direct = husimi(fr1, rho1).values
-        worst_marginal = max(worst_marginal, float(np.abs(marginal - direct).max()))
-        drop = wehrl_entropy(husimi(fr1, rho1)) - wehrl_entropy(table12)
-        worst_mono = max(worst_mono, drop)
+    dims = (g1.order, g2.order)
+    rhos = random_density_batch(g1.order * g2.order, samples, rng)
+    table12 = husimi(fr12, rhos)
+    table1 = husimi(fr1, partial_trace(rhos, dims, trace_out=2))
+    marginal = husimi_marginal(table12, dims, keep=1)
+    worst_marginal = np.abs(marginal - table1.values).max()
+    worst_mono = (wehrl_entropy(table1) - wehrl_entropy(table12)).max()
     return [
         _result(
             "husimi-marginalisation", worst_marginal, 1e-10, f"{samples} random rho"

@@ -31,7 +31,6 @@ __all__ = [
     "cocycle_numerators",
     "compose_phase",
     "HeisenbergElement",
-    "heis_mul",
     "weyl_apply",
     "weyl_matrix",
     "CcrReport",
@@ -104,10 +103,6 @@ class HeisenbergElement:
     def inverse(self) -> "HeisenbergElement":
         # omega(z, -z) = 1 exactly, so only the central phase flips
         return HeisenbergElement(-self.z, -self.t_phase)
-
-
-def heis_mul(a: HeisenbergElement, b: HeisenbergElement) -> HeisenbergElement:
-    return a * b
 
 
 def weyl_apply(z: PhaseSpacePoint, vec) -> np.ndarray:

@@ -17,6 +17,7 @@ import pytest
 
 from wehrl import (
     CoherentFrame,
+    HusimiTable,
     Subgroup,
     invariant_subspace_dim,
     husimi,
@@ -39,12 +40,9 @@ from wehrl import (
 )
 from wehrl.cli import main as cli_main
 from wehrl.entropy import pure_amplitudes
+from wehrl.frames import coset_ids
 from wehrl.minimize import entropy_gradient
 from wehrl.verify import (
-    batch_entropy,
-    batch_husimi,
-    batch_von_neumann,
-    coset_ids,
     fd_tangent_gradient,
     random_density_batch,
     standard_suite,
@@ -110,12 +108,13 @@ def test_criterion_05_wehrl_lower_bound():
         frame = CoherentFrame.vacuum(H)
         rng = np.random.default_rng([5, pi])
         rhos = random_density_batch(g.order, 1000, rng)
-        q = batch_husimi(frame, rhos)
-        entropies = batch_entropy(q, frame.haar_weight)
+        table = husimi(frame, rhos)
+        q = table.values
+        entropies = wehrl_entropy(table)
         min_entropy = min(min_entropy, float(entropies.min()))
         assert entropies.min() >= -1e-9
         O = overlap_matrix(frame)
-        coherent = batch_entropy((O ** 2).T, frame.haar_weight)
+        coherent = wehrl_entropy(HusimiTable(frame, (O ** 2).T))
         assert coherent.max() <= 1e-12
         max_coherent = max(max_coherent, float(coherent.max()))
         noncoherent = q.max(axis=1) < 1.0 - 1e-6
@@ -134,7 +133,7 @@ def test_criterion_06_coset_structure():
         frame = CoherentFrame.vacuum(H)
         rng = np.random.default_rng([6, pi])
         rhos = random_density_batch(g.order, 100, rng)
-        q = batch_husimi(frame, rhos)
+        q = husimi(frame, rhos).values
         ids = coset_ids(frame)
         for ordinal in range(ids.max() + 1):
             block = q[:, ids == ordinal]
@@ -158,9 +157,7 @@ def test_criterion_07_wehrl_dominates_von_neumann():
         frame = CoherentFrame.vacuum(H)
         rng = np.random.default_rng([7, pi])
         rhos = random_density_batch(g.order, 1000, rng)
-        gaps = batch_entropy(batch_husimi(frame, rhos), frame.haar_weight) - (
-            batch_von_neumann(rhos)
-        )
+        gaps = wehrl_entropy(husimi(frame, rhos)) - von_neumann_entropy(rhos)
         assert gaps.min() >= -1e-9
         min_gap = min(min_gap, float(gaps.min()))
         flat = np.eye(g.order) / g.order

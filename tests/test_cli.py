@@ -216,6 +216,17 @@ def test_non_unit_state_file_rejected(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "content", ["[1,2]", '[[1.0, 0.0], [0.0]]', '{"dim": 2, "entries": [1, 0, 0, 1]}']
+)
+def test_malformed_state_file_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, _, err = run_cli(capsys, "entropy", "--group", "Z2", "--state", str(path))
+    assert code == 2
+    assert "[re, im] pairs" in err
+
+
 def test_dense_limit_env_gives_input_error(capsys, monkeypatch):
     monkeypatch.setenv("WEHRL_DENSE_LIMIT", "2")
     code, _, err = run_cli(capsys, "verify", "--group", "Z4", "--subgroup", "2")

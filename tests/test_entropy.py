@@ -28,7 +28,6 @@ from wehrl import (
     random_state_vector,
     subadditivity_gap,
     subgroup_closure,
-    tensor,
     vacuum_vector,
     von_neumann_entropy,
     wehrl_entropy,
@@ -179,6 +178,60 @@ def test_husimi_coset_spread(rng):
 
 
 # ---------------------------------------------------------------------------
+# one state or a stack
+
+
+@pytest.mark.parametrize(
+    "spec, gens",
+    [("Z1", ()), ("Z4", ((2,),)), ("Z6", ()), ("Z3xZ3", ((1, 1),)), ("Z2xZ2xZ2", ((1, 0, 0),))],
+)
+def test_stack_matches_loop_of_single_states(spec, gens, rng):
+    frame = vacuum_frame(spec, *gens)
+    d = frame.group.order
+    rhos = np.stack([random_density_matrix(d, rng) for _ in range(6)])
+    rhos[0] = pure_density(frame.fiducial)  # a coherent state: Q has exact zeros
+    table = husimi(frame, rhos)
+    singles = [husimi(frame, rho) for rho in rhos]
+    assert np.array_equal(table.values, np.stack([t.values for t in singles]))
+    pairs = [
+        (table.mass(), [t.mass() for t in singles]),
+        (wehrl_entropy(table), [wehrl_entropy(t) for t in singles]),
+        (wehrl_entropy(table, log_base="2"), [wehrl_entropy(t, log_base="2") for t in singles]),
+        (husimi_coset_spread(table), [husimi_coset_spread(t) for t in singles]),
+        (wehrl_entropy_coset(frame, rhos), [wehrl_entropy_coset(frame, r) for r in rhos]),
+        (von_neumann_entropy(rhos), [von_neumann_entropy(r) for r in rhos]),
+        (measurement_channel(frame, rhos), [measurement_channel(frame, r) for r in rhos]),
+    ]
+    for stacked, loop in pairs:
+        assert np.array_equal(stacked, np.stack(loop))
+    # one state keeps returning Python floats
+    for _, loop in pairs[:-1]:
+        assert all(type(x) is float for x in loop)
+    # any number of leading axes
+    grid = husimi(frame, rhos.reshape(2, 3, d, d))
+    assert np.array_equal(grid.values, table.values.reshape(2, 3, d * d))
+    assert np.array_equal(wehrl_entropy(grid), wehrl_entropy(table).reshape(2, 3))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (4, 2), (2, 3)])
+def test_product_stack_matches_loop_of_single_states(dims, rng):
+    d1, d2 = dims
+    f12 = product_frame(vacuum_frame(f"Z{d1}"), vacuum_frame(f"Z{d2}", (1,)))
+    rhos = np.stack([random_density_matrix(d1 * d2, rng) for _ in range(5)])
+    table = husimi(f12, rhos)
+    for trace_out in (1, 2):
+        assert np.array_equal(
+            partial_trace(rhos, dims, trace_out=trace_out),
+            np.stack([partial_trace(r, dims, trace_out=trace_out) for r in rhos]),
+        )
+    for keep in (1, 2):
+        assert np.array_equal(
+            husimi_marginal(table, dims, keep=keep),
+            np.stack([husimi_marginal(husimi(f12, r), dims, keep=keep) for r in rhos]),
+        )
+
+
+# ---------------------------------------------------------------------------
 # von Neumann entropy and the report
 
 
@@ -255,7 +308,7 @@ def test_channel_never_decreases_von_neumann(rng):
 def test_tensor_partial_trace_round_trip(rng):
     r1 = random_density_matrix(2, rng)
     r2 = random_density_matrix(3, rng)
-    r12 = tensor(r1, r2)
+    r12 = np.kron(r1, r2)
     assert np.abs(partial_trace(r12, (2, 3), trace_out=2) - r1).max() < 1e-12
     assert np.abs(partial_trace(r12, (2, 3), trace_out=1) - r2).max() < 1e-12
 
@@ -278,7 +331,7 @@ def test_husimi_factorises_on_product_states(rng):
     f12 = product_frame(f1, f2)
     r1 = random_density_matrix(2, rng)
     r2 = random_density_matrix(3, rng)
-    q12 = husimi(f12, tensor(r1, r2)).values.reshape(2, 3, 2, 3)
+    q12 = husimi(f12, np.kron(r1, r2)).values.reshape(2, 3, 2, 3)
     q1 = husimi(f1, r1).values.reshape(2, 2)
     q2 = husimi(f2, r2).values.reshape(3, 3)
     assert np.abs(q12 - np.einsum("ik,jl->ijkl", q1, q2)).max() < 1e-12
@@ -290,7 +343,7 @@ def test_wehrl_additive_on_product_states(rng):
     f12 = product_frame(f1, f2)
     r1 = random_density_matrix(2, rng)
     r2 = random_density_matrix(3, rng)
-    s12 = wehrl_entropy(husimi(f12, tensor(r1, r2)))
+    s12 = wehrl_entropy(husimi(f12, np.kron(r1, r2)))
     s1 = wehrl_entropy(husimi(f1, r1))
     s2 = wehrl_entropy(husimi(f2, r2))
     assert abs(s12 - s1 - s2) < 1e-10
@@ -326,7 +379,7 @@ def test_wehrl_monotone_under_marginals(rng):
 def test_subadditivity_gap_vanishes_on_product_states(rng):
     f1 = vacuum_frame("Z2", (1,))
     f2 = vacuum_frame("Z2")
-    gap = subadditivity_gap(f1, f2, tensor(
+    gap = subadditivity_gap(f1, f2, np.kron(
         random_density_matrix(2, rng), random_density_matrix(2, rng)
     ))
     assert abs(gap) < 1e-9

@@ -7,7 +7,6 @@ from wehrl import (
     PhaseSpacePoint,
     Subgroup,
     all_subgroups,
-    coherent_state,
     coset_basis,
     detect_vacuum_subgroup,
     invariant_subspace_dim,
@@ -122,7 +121,6 @@ def test_coherent_state_frozen():
     frame = CoherentFrame.vacuum(sub(g, (1,)))
     z = parse_point(g, "0;1")
     expected = np.array([1.0, -1.0]) / np.sqrt(2)
-    assert np.allclose(coherent_state(frame, z), expected, atol=1e-15)
     assert np.allclose(frame.state(z), expected, atol=1e-15)
 
 

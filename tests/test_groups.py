@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import wehrl
 from wehrl import (
+    DualSubgroup,
     FiniteAbelianGroup,
     GroupMismatchError,
     PhaseSpacePoint,
@@ -27,7 +28,7 @@ from wehrl import (
     phase_space,
     subgroup_closure,
 )
-from wehrl.groups import character_table, difference_index_table
+from wehrl.groups import _unseparated, character_table, difference_index_table
 
 # groups up to order 36 with at most three factors; big enough to hit
 # non-cyclic and non-squarefree structure, small enough for exhaustion
@@ -327,6 +328,21 @@ def test_maximal_compact_separation():
                     continue
                 # some annihilator character must see x
                 assert any(chi.phase(x) != 0 for chi in A.characters)
+
+
+def test_unseparated_matches_fraction_oracle():
+    # integer kernel vs exact Fraction phases, on A(H) and on the trivial
+    # dual subgroup, which separates nothing outside H
+    for spec in ("Z1", "Z4", "Z6", "Z2xZ2", "Z3xZ3", "Z1xZ3", "Z4xZ2"):
+        g = parse_group(spec)
+        trivial = DualSubgroup(g, (g.trivial_character(),))
+        for H in all_subgroups(g):
+            for dual in (annihilator(H), trivial):
+                expected = [
+                    x not in H and all(chi.phase(x) == 0 for chi in dual.characters)
+                    for x in g.elements()
+                ]
+                assert _unseparated(H, dual).tolist() == expected
 
 
 def test_coset_representatives_partition():

@@ -77,6 +77,13 @@ def test_malformed_inputs_raise():
         density_matrix_from_json('{"dim": 2, "entries": [[1.0, 0.0]]}')
     with pytest.raises(ValueError):
         state_vector_from_json('{"not": "a list"}')
+    for entries in ("[1, 2]", '[[1.0, 0.0, 0.0]]', '[["a", "b"]]', "[[1.0, null]]"):
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+            state_vector_from_json(entries)
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+        density_matrix_from_json('{"dim": 1, "entries": [1]}')
+    with pytest.raises(ValueError, match="'dim' must be an integer"):
+        density_matrix_from_json('{"dim": null, "entries": []}')
     with pytest.raises(ValueError):
         state_vector_from_csv("index,re,im\n9,1.0,0.0\n")  # index out of range
 

@@ -14,11 +14,11 @@ from wehrl import (
     subgroup_closure,
 )
 from wehrl import verify
+from wehrl.frames import coset_ids
 from wehrl.verify import (
     check_cocycle_bilinearity,
     check_overlap_dichotomy,
     cocycle_phase_matrix,
-    coset_ids,
     run_checks,
     standard_suite,
     suite_pairs,
