@@ -1,8 +1,10 @@
-"""Time the FFT Husimi path against the dense reference on cyclic groups.
+"""Time the transform Husimi path against the dense reference on cyclic groups.
 
 The dense path materialises the |F| x |G| state matrix; the fast path
-computes <z|psi> for pure states with one FFT per translate.  Both are
-exact, so the interesting number is the wall-clock ratio as |G| grows.
+computes <z|psi> for pure states with one group Fourier transform per
+translate (`group_dft`: a character-table GEMM up to Z32, fftn on Z64).
+Both are exact, so the interesting number is the wall-clock ratio as |G|
+grows.
 """
 
 import argparse

@@ -59,6 +59,7 @@ from .entropy import (
     EntropyReport,
     HusimiTable,
     entropy_report,
+    group_dft,
     husimi,
     husimi_coset_spread,
     husimi_fast,

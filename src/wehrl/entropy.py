@@ -15,11 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .frames import CoherentFrame, NotVacuumError, coset_ids
-from .groups import difference_index_table, product_subgroup
+from .groups import (
+    CHARACTER_TABLE_CAP,
+    FiniteAbelianGroup,
+    character_table,
+    difference_index_table,
+    product_subgroup,
+)
 from .groups import direct_product as _direct_product
 from .states import check_density_matrix, check_state_vector
 
@@ -28,6 +35,7 @@ __all__ = [
     "HusimiTable",
     "husimi",
     "husimi_fast",
+    "group_dft",
     "pure_amplitudes",
     "wehrl_entropy",
     "pure_state_entropy",
@@ -45,6 +53,10 @@ __all__ = [
 
 # below this, Q log Q is taken as 0
 ZERO_LOG_THRESHOLD = 1e-15
+# group_dft multiplies by the character table when |G| is at most this many
+# times the number of cyclic factors (and the table is within its cap):
+# fftn's cost grows with the number of axes, the GEMM's with |G|^2
+_GEMM_ORDER_PER_FACTOR = 32
 
 
 def _scalar(x):
@@ -89,26 +101,60 @@ def husimi(frame: CoherentFrame, rho) -> HusimiTable:
     return HusimiTable(frame, values)
 
 
-def pure_amplitudes(frame: CoherentFrame, psi: np.ndarray) -> np.ndarray:
-    """<z|psi> for all z in lex order, via group Fourier transforms.
+@lru_cache(maxsize=8)
+def _dft_matrix(group: FiniteAbelianGroup, inverse: bool) -> np.ndarray:
+    table = character_table(group)
+    if inverse:
+        return table
+    conj = table.conj()
+    conj.flags.writeable = False
+    return conj
 
-    For fixed g the map chi -> <W(g,chi) phi | psi> is the Fourier
-    transform of h -> conj(phi(h-g)) psi(h); the multidimensional FFT
-    convention exp(-2*pi*i * sum_j a_j h_j / n_j) matches conj(chi_a)
-    exactly, so one FFT per translate fills the whole table in
-    O(|G|^2 log |G|) without materialising any |F|-by-|G| matrix.
+
+def group_dft(group: FiniteAbelianGroup, x, inverse: bool = False) -> np.ndarray:
+    """Fourier transform over G along the last axis of a (..., |G|) array.
+
+    Forward: y[..., a] = sum_h conj(chi_a(h)) x[..., h]. inverse=True gives
+    the adjoint, sum_a chi_a(h) x[..., a], which is |G| times the inverse
+    transform. Elements and characters are indexed in lex order.
+
+    The kernel is chosen from the factor orders: a GEMM with the exact-phase
+    character table when |G| <= 32 k for k cyclic factors (and the table is
+    within its cap), otherwise fftn over the factor axes. fftn pays per
+    axis, so it loses on many short factors (about 30x slower on Z2^6) and
+    wins on long cyclic ones (about 8x faster on Z256).
     """
+    x = np.asarray(x)
+    orders = group.orders
+    if group.order <= min(_GEMM_ORDER_PER_FACTOR * len(orders), CHARACTER_TABLE_CAP):
+        return x @ _dft_matrix(group, inverse)
+    lead = x.shape[:-1]
+    axes = tuple(range(len(lead), len(lead) + len(orders)))
+    grid = x.reshape(lead + orders)
+    if inverse:
+        out = np.fft.ifftn(grid, axes=axes, norm="forward")
+    else:
+        out = np.fft.fftn(grid, axes=axes)
+    return out.reshape(x.shape)
+
+
+def pure_amplitudes(frame: CoherentFrame, psi) -> np.ndarray:
+    """<z|psi> for all z in lex order, for one state (d,) or a stack (..., d).
+
+    For fixed g the map chi -> <W(g,chi) phi | psi> is the group Fourier
+    transform of h -> conj(phi(h-g)) psi(h), so one `group_dft` of the
+    (|G|, |G|) array of these products per state fills the whole table,
+    without materialising any |F|-by-|G| matrix.
+    """
+    psi = np.asarray(psi)
     group = frame.group
-    d = group.order
     idx = difference_index_table(group)  # [g, h] -> index of h - g
-    u = frame.fiducial.conj()[idx] * psi[None, :]
-    axes = tuple(range(1, len(group.orders) + 1))
-    spectra = np.fft.fftn(u.reshape((d,) + group.orders), axes=axes)
-    return spectra.reshape(d * d)
+    u = frame.fiducial.conj()[idx] * psi[..., None, :]
+    return group_dft(group, u).reshape(psi.shape[:-1] + (group.order**2,))
 
 
 def husimi_fast(frame: CoherentFrame, psi) -> HusimiTable:
-    """Husimi table of the pure state |psi><psi| (FFT path, pure states only)."""
+    """Husimi table of |psi><psi| for one state or a stack (transform path)."""
     psi = check_state_vector(psi, frame.group.order)
     amps = pure_amplitudes(frame, psi)
     return HusimiTable(frame, np.abs(amps) ** 2)
@@ -116,8 +162,13 @@ def husimi_fast(frame: CoherentFrame, psi) -> HusimiTable:
 
 def _entropy_sum(values: np.ndarray, weight: float):
     """-sum w v log v along the last axis, with v log v := 0 below the threshold."""
-    safe = np.where(values > ZERO_LOG_THRESHOLD, values, 1.0)
-    return _scalar(-(weight * values * np.log(safe)).sum(axis=-1))
+    # in place where the bits allow: on stacks each temporary is |F| floats
+    # per state, and fresh heap pages cost more than the arithmetic
+    logs = np.where(values > ZERO_LOG_THRESHOLD, values, 1.0)
+    np.log(logs, out=logs)
+    terms = weight * values
+    terms *= logs
+    return _scalar(-terms.sum(axis=-1))
 
 
 def wehrl_entropy(table: HusimiTable, log_base: str = "e"):
@@ -125,10 +176,14 @@ def wehrl_entropy(table: HusimiTable, log_base: str = "e"):
     return _entropy_sum(table.values, table.haar_weight) / _log_divisor(log_base)
 
 
-def pure_state_entropy(frame: CoherentFrame, psi: np.ndarray) -> float:
-    """Wehrl entropy of |psi><psi| without building the dense table."""
-    amps = pure_amplitudes(frame, psi)
-    return _entropy_sum(np.abs(amps) ** 2, frame.haar_weight)
+def pure_state_entropy(frame: CoherentFrame, psi):
+    """Wehrl entropy of |psi><psi| without building the dense table.
+
+    One state (d,) gives a float, a stack (..., d) an array.
+    """
+    q = np.abs(pure_amplitudes(frame, psi))
+    q *= q
+    return _entropy_sum(q, frame.haar_weight)
 
 
 def wehrl_entropy_coset(frame: CoherentFrame, rho, log_base: str = "e"):

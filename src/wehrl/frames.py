@@ -87,6 +87,8 @@ class CoherentFrame:
     ) -> None:
         self.group = group
         fid = check_state_vector(fiducial, group.order).copy()
+        if fid.ndim != 1:
+            raise ValueError(f"fiducial must be one vector, got shape {fid.shape}")
         fid.flags.writeable = False
         self.fiducial = fid
         self.subgroup = subgroup

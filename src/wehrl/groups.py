@@ -51,6 +51,7 @@ __all__ = [
     "format_coords",
     "format_generators",
     "character_row",
+    "CHARACTER_TABLE_CAP",
     "character_table",
     "difference_index_table",
 ]
@@ -678,10 +679,14 @@ def character_row(
     return row
 
 
+# |G| above this never gets a full (|G|, |G|) character table (16 MiB)
+CHARACTER_TABLE_CAP = 1024
+
+
 @lru_cache(maxsize=8)
 def character_table(group: FiniteAbelianGroup) -> np.ndarray:
     """Full (|G|, |G|) table of character values: row a-index, column h-index."""
-    if group.order > 1024:
+    if group.order > CHARACTER_TABLE_CAP:
         raise ValueError(
             f"character table for |G| = {group.order} too large; use character_row"
         )

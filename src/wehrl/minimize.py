@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import pure_amplitudes, pure_state_entropy
+from .entropy import group_dft, pure_amplitudes, pure_state_entropy
 from .frames import CoherentFrame
 from .groups import PhaseSpacePoint, Subgroup, difference_index_table
-from .states import random_state_vector
+from .states import _BLOCK_BYTES, random_state_vector
 
 __all__ = [
     "MinimizerConfig",
@@ -61,16 +61,20 @@ class MinimizerResult:
     iterations: int
     converged: bool
     restart_index: int
+    # one entry per restart, in restart order
+    restart_entropies: np.ndarray
+    restart_iterations: np.ndarray
+    restart_converged: np.ndarray
 
 
 def _synthesis(frame: CoherentFrame, coeffs: np.ndarray) -> np.ndarray:
-    """sum_z coeffs_z |z>, via inverse FFTs (adjoint of pure_amplitudes)."""
+    """sum_z coeffs_z |z> along the last axis; the adjoint of pure_amplitudes."""
     group = frame.group
     d = group.order
-    axes = tuple(range(1, len(group.orders) + 1))
-    spectra = np.fft.ifftn(coeffs.reshape((d,) + group.orders), axes=axes) * d
+    spectra = group_dft(group, coeffs.reshape(coeffs.shape[:-1] + (d, d)), inverse=True)
     idx = difference_index_table(group)
-    return (frame.fiducial[idx] * spectra.reshape(d, d)).sum(axis=0)
+    spectra *= frame.fiducial[idx]
+    return spectra.sum(axis=-2)
 
 
 def entropy_gradient(frame: CoherentFrame, psi: np.ndarray) -> np.ndarray:
@@ -78,53 +82,100 @@ def entropy_gradient(frame: CoherentFrame, psi: np.ndarray) -> np.ndarray:
 
     Euclidean gradient -sum_z w (log Q + 1) <z|psi> |z> (conjugate-gradient
     convention), projected onto the sphere tangent at psi. Points with
-    Q < 1e-12 are skipped.
+    Q < 1e-12 are skipped. Takes one state (d,) or a stack (..., d).
     """
+    psi = np.asarray(psi)
+    # coefficients w (log Q + 1) <z|psi>, built in place in the fresh
+    # amplitude arrays (see entropy._entropy_sum)
     c = pure_amplitudes(frame, psi)
-    q = np.abs(c) ** 2
-    m = np.zeros_like(q)
-    mask = q >= GRAD_SKIP
-    m[mask] = np.log(q[mask]) + 1.0
-    grad = -_synthesis(frame, frame.haar_weight * m * c)
-    return grad - np.real(np.vdot(psi, grad)) * psi
+    m = np.abs(c)
+    m *= m
+    keep = m >= GRAD_SKIP
+    np.log(m, out=m, where=keep)
+    m += 1.0
+    m[~keep] = 0.0
+    m *= frame.haar_weight
+    c *= m
+    grad = -_synthesis(frame, c)
+    radial = (psi.conj() * grad).sum(axis=-1).real
+    return grad - radial[..., None] * psi
+
+
+def _descend_rows(
+    frame: CoherentFrame, starts: np.ndarray, config: MinimizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`descend` on each row of an (R, d) stack of starts, all rows at once.
+
+    Every row follows descend's rules on its own: its own step size and
+    halvings, plateau count, max_iters budget and convergence flag. Each
+    tick takes one gradient for the rows starting an iteration and one
+    trial energy for the rows searching along their gradient. Row-wise
+    arithmetic does not depend on the other rows, so a row ends where it
+    would end alone. Returns (states, entropies, iterations, converged).
+    """
+    psi = np.asarray(starts, dtype=np.complex128)
+    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    rows = psi.shape[0]
+    energy = pure_state_entropy(frame, psi)
+    step = np.full(rows, config.step_size)
+    plateau = np.zeros(rows, dtype=np.int64)
+    iterations = np.zeros(rows, dtype=np.int64)
+    converged = np.zeros(rows, dtype=bool)
+    grad = np.zeros_like(psi)
+    starting = np.ones(rows, dtype=bool)  # at the top of an iteration
+    searching = np.zeros(rows, dtype=bool)  # in the step-halving line search
+    while starting.any() or searching.any():
+        top = np.flatnonzero(starting & (iterations < config.max_iters))
+        starting[:] = False
+        if top.size:
+            grad[top] = entropy_gradient(frame, psi[top])
+            flat = np.linalg.norm(grad[top], axis=-1) <= config.tol_grad
+            # no step left above MIN_STEP: no descent at machine resolution
+            stationary = flat | (step[top] <= MIN_STEP)
+            converged[top[stationary]] = True
+            searching[top[~stationary]] = True
+        ask = np.flatnonzero(searching)
+        if not ask.size:
+            continue
+        trial = psi[ask] - step[ask, None] * grad[ask]
+        trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
+        trial_energy = pure_state_entropy(frame, trial)
+        better = trial_energy < energy[ask]
+        worse = ask[~better]
+        step[worse] *= 0.5
+        stalled = worse[step[worse] <= MIN_STEP]
+        converged[stalled] = True
+        searching[stalled] = False
+        moved = ask[better]
+        drop = energy[moved] - trial_energy[better]
+        psi[moved] = trial[better]
+        energy[moved] = trial_energy[better]
+        iterations[moved] += 1
+        searching[moved] = False
+        plateau[moved] = np.where(drop < config.tol_entropy, plateau[moved] + 1, 0)
+        done = plateau[moved] >= PLATEAU_STEPS
+        converged[moved[done]] = True
+        starting[moved[~done]] = True
+    return psi, energy, iterations, converged
 
 
 def descend(
     frame: CoherentFrame, start: np.ndarray, config: MinimizerConfig
 ) -> tuple[np.ndarray, float, int, bool]:
-    """One gradient-descent run from `start`; (state, entropy, iters, converged)."""
-    psi = np.asarray(start, dtype=np.complex128)
-    psi = psi / np.linalg.norm(psi)
-    energy = pure_state_entropy(frame, psi)
-    step = config.step_size
-    plateau = 0
-    iterations = 0
-    for _ in range(config.max_iters):
-        grad = entropy_gradient(frame, psi)
-        if np.linalg.norm(grad) <= config.tol_grad:
-            return psi, energy, iterations, True
-        candidate = None
-        while step > MIN_STEP:
-            trial = psi - step * grad
-            trial = trial / np.linalg.norm(trial)
-            trial_energy = pure_state_entropy(frame, trial)
-            if trial_energy < energy:
-                candidate = (trial, trial_energy)
-                break
-            step *= 0.5
-        if candidate is None:
-            # no descent direction at machine resolution: stationary
-            return psi, energy, iterations, True
-        drop = energy - candidate[1]
-        psi, energy = candidate
-        iterations += 1
-        if drop < config.tol_entropy:
-            plateau += 1
-            if plateau >= PLATEAU_STEPS:
-                return psi, energy, iterations, True
-        else:
-            plateau = 0
-    return psi, energy, iterations, False
+    """One gradient-descent run from `start`; (state, entropy, iters, converged).
+
+    Walks the sphere from the normalised start: each iteration takes the
+    tangent gradient, stops (converged) if its norm is at most tol_grad,
+    and otherwise halves the step from its last value until the retracted
+    trial point lowers the entropy. No such step above MIN_STEP means a
+    stationary point (converged); PLATEAU_STEPS accepted steps in a row
+    that each drop the entropy by less than tol_entropy also count as
+    converged. After max_iters accepted steps the run stops unconverged.
+    """
+    states, energies, iterations, converged = _descend_rows(
+        frame, np.asarray(start)[None, :], config
+    )
+    return states[0], float(energies[0]), int(iterations[0]), bool(converged[0])
 
 
 def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> MinimizerResult:
@@ -132,29 +183,33 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
 
     The result is the minimum over restart indices (ties broken by the
     lowest index). Non-convergence returns the best iterate found, it does
-    not raise.
+    not raise. The restarts run as stacks of rows through descend's rules,
+    in blocks sized so that each (rows, |G|, |G|) complex temporary stays
+    near the shared block budget.
     """
     config = config or MinimizerConfig()
     rng = np.random.default_rng(config.seed)
     d = frame.group.order
-    starts = [random_state_vector(d, rng) for _ in range(config.restarts)]
-    best: tuple[np.ndarray, float, bool, int] | None = None
-    total_iterations = 0
-    for index, start in enumerate(starts):
-        state, energy, iters, converged = descend(frame, start, config)
-        total_iterations += iters
-        if best is None or energy < best[1]:
-            best = (state, energy, converged, index)
-    state, energy, converged, index = best
-    point, overlap = nearest_coherent(frame, state)
+    starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
+    block = max(1, _BLOCK_BYTES // (16 * d * d))
+    runs = [
+        _descend_rows(frame, starts[i : i + block], config)
+        for i in range(0, config.restarts, block)
+    ]
+    states, energies, iterations, converged = (np.concatenate(part) for part in zip(*runs))
+    index = int(np.argmin(energies))
+    point, overlap = nearest_coherent(frame, states[index])
     return MinimizerResult(
-        best_state=state,
-        best_entropy=energy,
+        best_state=states[index],
+        best_entropy=float(energies[index]),
         nearest_point=point,
         nearest_overlap=overlap,
-        iterations=total_iterations,
-        converged=converged,
+        iterations=int(iterations.sum()),
+        converged=bool(converged[index]),
         restart_index=index,
+        restart_entropies=energies,
+        restart_iterations=iterations,
+        restart_converged=converged,
     )
 
 

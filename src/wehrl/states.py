@@ -20,6 +20,9 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_LIMIT = 256
+# Target size in bytes of one complex temporary in the loops that work in
+# blocks: verify_ccr's (pairs, |G|, probes) and minimize's (rows, |G|, |G|)
+_BLOCK_BYTES = 1 << 18
 
 
 class DenseLimitError(ValueError):
@@ -41,13 +44,21 @@ def dense_limit() -> int:
 
 
 def check_state_vector(vec, dim: int | None = None, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a unit vector as complex128."""
+    """Validate unit vectors and return them as complex128.
+
+    Takes one vector (d,) or a stack (..., d); every member of a stack must
+    have finite entries and unit norm, and a norm message gives the worst
+    member's norm.
+    """
     arr = np.asarray(vec, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"state vector must be one-dimensional, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"state vector has dimension {arr.shape[0]}, expected {dim}")
-    norm = float(np.linalg.norm(arr))
+    if arr.ndim < 1:
+        raise ValueError(f"state vector must be at least one-dimensional, got shape {arr.shape}")
+    if dim is not None and arr.shape[-1] != dim:
+        raise ValueError(f"state vector has dimension {arr.shape[-1]}, expected {dim}")
+    if not np.isfinite(arr).all():
+        raise ValueError("state vector has non-finite entries")
+    norms = np.linalg.norm(arr, axis=-1).reshape(-1)
+    norm = float(norms[np.argmax(np.abs(norms - 1.0))])
     if abs(norm - 1.0) > tol:
         raise ValueError(f"state vector norm {norm!r} is not 1 within {tol}")
     return arr
@@ -73,6 +84,8 @@ def check_density_matrix(
         raise ValueError(
             f"density matrix has dimension {arr.shape[-1]}, expected {dim}"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError("density matrix has non-finite entries")
     if np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max() > herm_tol:
         raise ValueError("density matrix is not Hermitian")
     traces = np.trace(arr, axis1=-2, axis2=-1).reshape(-1)

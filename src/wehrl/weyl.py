@@ -23,7 +23,7 @@ from .groups import (
     difference_index_table,
     phase_to_complex,
 )
-from .states import DenseLimitError, dense_limit
+from .states import _BLOCK_BYTES, DenseLimitError, dense_limit
 
 __all__ = [
     "cocycle_phase",
@@ -131,11 +131,6 @@ def weyl_matrix(z: PhaseSpacePoint, limit: int | None = None) -> np.ndarray:
     return mat
 
 
-# Target size in bytes of one (pairs, |G|, probes) complex temporary in
-# verify_ccr.
-_CCR_BLOCK_BYTES = 1 << 18
-
-
 @dataclass(frozen=True)
 class CcrReport:
     group: str
@@ -180,7 +175,7 @@ def verify_ccr(
         drawn = rng.integers(0, total, size=(samples, 2))
         n_pairs = samples
         mode = "randomized"
-    block = max(1, _CCR_BLOCK_BYTES // probes.nbytes)
+    block = max(1, _BLOCK_BYTES // probes.nbytes)
     worst = 0.0
     for start in range(0, n_pairs, block):
         stop = min(start + block, n_pairs)

@@ -227,6 +227,18 @@ def test_malformed_state_file_exits_2(capsys, tmp_path, content):
     assert "[re, im] pairs" in err
 
 
+@pytest.mark.parametrize(
+    "content", ["[[NaN, 0], [0, 0]]", '{"dim": 2, "entries": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}']
+)
+def test_non_finite_state_file_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "nan.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "entropy", "--group", "Z2", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
 def test_dense_limit_env_gives_input_error(capsys, monkeypatch):
     monkeypatch.setenv("WEHRL_DENSE_LIMIT", "2")
     code, _, err = run_cli(capsys, "verify", "--group", "Z4", "--subgroup", "2")

@@ -10,6 +10,7 @@ from wehrl import (
     all_subgroups,
     basis_state,
     entropy_report,
+    group_dft,
     husimi,
     husimi_coset_spread,
     husimi_fast,
@@ -229,6 +230,61 @@ def test_product_stack_matches_loop_of_single_states(dims, rng):
             husimi_marginal(table, dims, keep=keep),
             np.stack([husimi_marginal(husimi(f12, r), dims, keep=keep) for r in rhos]),
         )
+
+
+# the pure-state paths on one state or a stack (both group_dft kernels:
+# Z9, Z4xZ8 and Z2^6 multiply by the character table, Z64 and Z16xZ16 use fftn)
+
+
+@pytest.mark.parametrize(
+    "spec, gens",
+    [("Z1", ()), ("Z9", ((3,),)), ("Z4xZ8", ((2, 0),)), ("Z64", ()), ("Z2xZ2xZ2xZ2xZ2xZ2", ()),
+     ("Z16xZ16", ())],
+)
+def test_pure_state_stack_matches_loop_of_single_states(spec, gens, rng):
+    frame = vacuum_frame(spec, *gens)
+    d = frame.group.order
+    psis = np.stack([random_state_vector(d, rng) for _ in range(5)])
+    psis[0] = frame.fiducial  # a coherent state: Q has exact zeros
+    for fn in (pure_amplitudes, pure_state_entropy):
+        assert np.array_equal(fn(frame, psis), np.stack([fn(frame, psi) for psi in psis]))
+    assert type(pure_state_entropy(frame, psis[1])) is float
+    assert np.array_equal(
+        husimi_fast(frame, psis).values, np.stack([husimi_fast(frame, p).values for p in psis])
+    )
+    grid = pure_amplitudes(frame, psis[1:].reshape(2, 2, d))
+    assert np.array_equal(grid, pure_amplitudes(frame, psis[1:]).reshape(2, 2, d * d))
+
+
+# ---------------------------------------------------------------------------
+# the group transform
+
+
+def _character_sum(orders, x, inverse):
+    """sum_h conj(chi_a(h)) x[h] (or sum_a chi_a(h) x[a]) with float phases."""
+    coords = np.indices(orders).reshape(len(orders), -1).T
+    phase = sum(np.outer(coords[:, j], coords[:, j]) / n for j, n in enumerate(orders))
+    table = np.exp(2j * np.pi * phase)  # symmetric: [a, h] = chi_a(h)
+    return x @ (table if inverse else table.conj())
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z1", "Z2", "Z9", "Z4xZ8", "Z64", "Z8xZ8", "Z2xZ2xZ2xZ2xZ2xZ2", "Z16xZ16"]
+)
+@pytest.mark.parametrize("kernel", ["gemm", "fftn"])
+def test_group_dft_matches_character_sum(spec, kernel, monkeypatch, rng):
+    import wehrl.entropy as entropy_module
+
+    # the rule picks GEMM when |G| <= _GEMM_ORDER_PER_FACTOR * k; move the
+    # threshold to force each kernel on every group
+    monkeypatch.setattr(entropy_module, "_GEMM_ORDER_PER_FACTOR", 10**6 if kernel == "gemm" else 0)
+    g = parse_group(spec)
+    x = rng.standard_normal((3, g.order)) + 1j * rng.standard_normal((3, g.order))
+    for inverse in (False, True):
+        expected = _character_sum(g.orders, x, inverse)
+        got = group_dft(g, x, inverse=inverse)
+        assert got.shape == x.shape
+        assert np.abs(got - expected).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------

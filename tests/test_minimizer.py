@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from wehrl import (
     CoherentFrame,
     MinimizerConfig,
+    Subgroup,
     coset_basis,
     descend,
     entropy_gradient,
@@ -56,6 +59,16 @@ def test_gradient_matches_finite_differences(rng):
             numeric = fd_tangent_gradient(frame, psi)
             rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
             assert rel < 1e-4
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z6", "Z3xZ3", "Z64", "Z8xZ8", "Z2xZ2xZ2xZ2xZ2xZ2"])
+def test_gradient_stack_matches_loop_of_single_states(spec, rng):
+    frame = vacuum_frame(spec)
+    d = frame.group.order
+    psis = np.stack([random_state_vector(d, rng) for _ in range(5)])
+    psis[0] = frame.fiducial  # a coherent state: Q has exact zeros
+    stacked = entropy_gradient(frame, psis)
+    assert np.array_equal(stacked, np.stack([entropy_gradient(frame, psi) for psi in psis]))
 
 
 def test_gradient_is_tangent(rng):
@@ -159,6 +172,61 @@ def test_minimize_result_is_reproducible_entropy():
     frame = vacuum_frame("Z6", (3,))
     result = minimize(frame, MinimizerConfig(seed=1))
     assert abs(pure_state_entropy(frame, result.best_state) - result.best_entropy) < 1e-12
+
+
+# the restarts run as stacks of rows; each must end exactly where descend
+# ends on its start alone, whatever the block height
+@pytest.mark.parametrize(
+    "spec, gens, max_iters",
+    [("Z4", ((2,),), 5000), ("Z3xZ3", (), 5000), ("Z2xZ2xZ2", ((1, 1, 0),), 5000),
+     ("Z6", ((3,),), 7), ("Z8xZ8", (), 40)],
+)
+@pytest.mark.parametrize("block_bytes", [None, 1, 10**9])
+def test_minimize_restarts_equal_descend(spec, gens, max_iters, block_bytes, monkeypatch):
+    minimize_module = sys.modules["wehrl.minimize"]
+    if block_bytes is not None:  # one row per block, or all rows in one
+        monkeypatch.setattr(minimize_module, "_BLOCK_BYTES", block_bytes)
+    frame = vacuum_frame(spec, *gens)
+    config = MinimizerConfig(seed=3, restarts=6, max_iters=max_iters)
+    result = minimize(frame, config)
+    rng = np.random.default_rng(config.seed)
+    runs = [descend(frame, random_state_vector(frame.group.order, rng), config)
+            for _ in range(config.restarts)]
+    assert np.array_equal(result.restart_entropies, [r[1] for r in runs])
+    assert np.array_equal(result.restart_iterations, [r[2] for r in runs])
+    assert np.array_equal(result.restart_converged, [r[3] for r in runs])
+    energies = [r[1] for r in runs]
+    index = energies.index(min(energies))
+    assert result.restart_index == index
+    assert np.array_equal(result.best_state, runs[index][0])
+    assert result.best_entropy == runs[index][1]
+    assert result.converged == runs[index][3]
+    assert result.iterations == sum(r[2] for r in runs)
+    if max_iters < 100:  # the budget binds: some rows stop unconverged
+        assert not result.restart_converged.all()
+
+
+def test_descend_stops_on_exhausted_step(rng):
+    frame = vacuum_frame("Z4", (2,))
+    start = random_state_vector(4, rng)
+    state, energy, iterations, converged = descend(
+        frame, start, MinimizerConfig(step_size=1e-15)
+    )
+    assert converged and iterations == 0
+    assert np.array_equal(state, start / np.linalg.norm(start))
+
+
+# criterion 10's gates on the H = G frames of order 64: one cyclic group, a
+# square, a cube and an elementary 2-group, on both sides of the group_dft
+# kernel rule
+@pytest.mark.parametrize("spec", ["Z64", "Z8xZ8", "Z4xZ4xZ4", "Z2xZ2xZ2xZ2xZ2xZ2"])
+def test_minimize_gates_on_order_64_frames(spec):
+    frame = CoherentFrame.vacuum(Subgroup.whole(parse_group(spec)))
+    result = minimize(frame)
+    assert result.best_entropy <= 1e-6
+    assert result.nearest_overlap >= 1 - 1e-4
+    assert result.restart_entropies.shape == (16,)
+    assert result.restart_entropies[result.restart_index] == result.best_entropy
 
 
 def test_nearest_coherent_exact_point():

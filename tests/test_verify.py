@@ -37,6 +37,26 @@ def test_run_checks_all_pass_on_z4():
     assert "wehrl-lower-bound" in names
 
 
+@pytest.mark.parametrize("spec", ["Z1", "Z1xZ1"])
+def test_run_checks_all_pass_on_trivial_groups(spec):
+    # the tangent gradient on a one-dimensional sphere is exactly 0 and the
+    # FD oracle returns only roundoff; the metric's floor keeps that a pass
+    g = parse_group(spec)
+    H = subgroup_closure(g, ())
+    for seed in range(10):
+        failed = [r for r in run_checks(g, H, seed=seed, rho_samples=50) if not r.passed]
+        assert not failed, (seed, failed)
+
+
+def test_gradient_check_floor_still_catches_a_wrong_gradient(monkeypatch):
+    g = parse_group("Z1")
+    frame = CoherentFrame.vacuum(subgroup_closure(g, ()))
+    exact = verify.entropy_gradient
+    monkeypatch.setattr(verify, "entropy_gradient", lambda fr, psi: exact(fr, psi) + 1e-8j * psi)
+    result = verify.check_gradient_oracle(frame, np.random.default_rng(0))
+    assert not result.passed and result.residual > 1e-3
+
+
 def test_run_checks_deterministic():
     g = parse_group("Z3")
     H = subgroup_closure(g, (g.element((1,)),))
