@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,8 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse has already written its message

@@ -28,7 +28,7 @@ from .groups import (
     product_subgroup,
 )
 from .groups import direct_product as _direct_product
-from .states import check_density_matrix, check_state_vector
+from .states import _checked_eigvalsh, check_density_matrix, check_state_vector
 
 __all__ = [
     "ZERO_LOG_THRESHOLD",
@@ -216,8 +216,7 @@ def husimi_coset_spread(table: HusimiTable):
 
 def von_neumann_entropy(rho, log_base: str = "e"):
     """-tr rho log rho; eigenvalues below 1e-12 are clamped to zero."""
-    rho = check_density_matrix(rho)
-    eig = np.linalg.eigvalsh(rho)
+    _, eig = _checked_eigvalsh(rho)
     safe = np.where(eig > 1e-12, eig, 1.0)
     return _scalar(-(eig * np.log(safe)).sum(axis=-1)) / _log_divisor(log_base)
 

@@ -19,6 +19,7 @@ from .groups import (
     Subgroup,
     character_table,
     coset_representatives,
+    difference_index_table,
     maximal_compact,
     phase_space,
 )
@@ -121,7 +122,10 @@ class CoherentFrame:
                     f"|F| = {self.point_count} exceeds the state-matrix cap "
                     f"{STATE_MATRIX_CAP}"
                 )
-            mat = np.vstack(list(_translate_blocks(self)))
+            # row g * |G| + chi is chi(h) * fiducial[h - g] over h
+            d = self.group.order
+            shifted = self.fiducial[difference_index_table(self.group)]
+            mat = (character_table(self.group)[None] * shifted[:, None]).reshape(d * d, d)
             mat.flags.writeable = False
             self._matrix = mat
         return self._matrix
@@ -165,13 +169,16 @@ def coset_ids(frame: CoherentFrame) -> np.ndarray:
     return ids
 
 
+def _require_dense_points(point_count: int) -> None:
+    """DenseLimitError unless an (|F|, |F|) matrix fits the dense-matrix limit."""
+    cap = dense_limit()
+    if point_count > cap:
+        raise DenseLimitError(f"|F| = {point_count} exceeds the dense-matrix limit {cap}")
+
+
 def overlap_matrix(frame: CoherentFrame) -> np.ndarray:
     """|<z|z'>| for all pairs of frame points; requires |F| <= dense limit."""
-    cap = dense_limit()
-    if frame.point_count > cap:
-        raise DenseLimitError(
-            f"|F| = {frame.point_count} exceeds the dense-matrix limit {cap}"
-        )
+    _require_dense_points(frame.point_count)
     S = frame.state_matrix()
     return np.abs(S.conj() @ S.T)
 

@@ -24,6 +24,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .states import _BLOCK_BYTES
+
 __all__ = [
     "FiniteAbelianGroup",
     "GroupElement",
@@ -279,9 +281,8 @@ class Subgroup:
             raise ValueError("subgroup size must divide the group order")
         for a in self.elements:
             _require_same_group(a.group, self.group)
-            for b in self.elements:
-                if (a + b).coords not in coords:
-                    raise ValueError("element set is not closed under addition")
+        if not _sums_stay_inside(self.group, [e.coords for e in self.elements]):
+            raise ValueError("element set is not closed under addition")
         ordered = tuple(sorted(self.elements, key=lambda e: e.coords))
         object.__setattr__(self, "elements", ordered)
 
@@ -327,9 +328,9 @@ class DualSubgroup:
         if (0,) * len(self.group.orders) not in coords:
             raise ValueError("dual subgroup must contain the trivial character")
         for a in self.characters:
-            for b in self.characters:
-                if (a * b).coords not in coords:
-                    raise ValueError("character set is not closed under product")
+            _require_same_group(a.group, self.group)
+        if not _sums_stay_inside(self.group, [c.coords for c in self.characters]):
+            raise ValueError("character set is not closed under product")
         ordered = tuple(sorted(self.characters, key=lambda c: c.coords))
         object.__setattr__(self, "characters", ordered)
 
@@ -391,20 +392,33 @@ class PhaseSpaceSubgroup:
 def subgroup_closure(
     group: FiniteAbelianGroup, generators: Iterable[GroupElement]
 ) -> Subgroup:
-    """Smallest subgroup containing the generators (worklist closure)."""
+    """Smallest subgroup containing the generators.
+
+    Closes on element indices: H + <x> is the union of the cosets H + k*x
+    for k below the first k >= 1 with k*x in H, so each generator adds
+    whole cosets of the subgroup built so far.
+    """
     generators = tuple(generators)
     for g in generators:
         _require_same_group(g.group, group)
-    known = {group.zero()}
-    frontier = [group.zero()]
-    while frontier:
-        x = frontier.pop()
-        for gen in generators:
-            y = x + gen
-            if y not in known:
-                known.add(y)
-                frontier.append(y)
-    return Subgroup(group, tuple(known), generators)
+    orders = np.array(group.orders, dtype=np.int64)
+    strides = np.array(group._strides, dtype=np.int64)
+    grid = _coords_grid(group.orders)
+    exponent = math.lcm(*group.orders)
+    members = np.zeros(1, dtype=np.int64)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[0] = True
+    for gen in generators:
+        multiples = (np.arange(exponent)[:, None] * np.array(gen.coords)) % orders
+        back_in_H = np.nonzero(inside[multiples[1:] @ strides])[0]
+        cut = int(back_in_H[0]) + 1 if back_in_H.size else exponent
+        members = ((grid[members][:, None, :] + multiples[None, :cut]) % orders) @ strides
+        members = members.reshape(-1)
+        inside[members] = True
+    elements = tuple(
+        GroupElement(group, coords) for coords in map(tuple, grid[np.sort(members)].tolist())
+    )
+    return Subgroup(group, elements, generators)
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
@@ -652,6 +666,28 @@ def _coords_grid(orders: tuple[int, ...]) -> np.ndarray:
     grid = np.ascontiguousarray(grid, dtype=np.int64)
     grid.flags.writeable = False
     return grid
+
+
+def _sums_stay_inside(group: FiniteAbelianGroup, coords) -> bool:
+    """Whether a + b is again a row of coords for every pair of rows a, b.
+
+    Runs on element indices: each sum is reduced mod the factor orders and
+    looked up in a membership mask. The (|S|, |S|) table of sums goes in row
+    blocks sized by the block budget. A row that is not reduced is never
+    matched, since every sum is reduced.
+    """
+    orders = np.array(group.orders, dtype=np.int64)
+    strides = np.array(group._strides, dtype=np.int64)
+    rows = np.array(coords, dtype=np.int64).reshape(-1, len(group.orders))
+    reduced = rows % orders
+    inside = np.zeros(group.order, dtype=bool)
+    inside[(reduced @ strides)[(rows == reduced).all(axis=1)]] = True
+    block = max(1, _BLOCK_BYTES // (8 * rows.size))
+    for start in range(0, len(rows), block):
+        sums = (reduced[start:start + block, None, :] + reduced[None, :, :]) % orders
+        if not inside[sums @ strides].all():
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

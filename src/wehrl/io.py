@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .entropy import EntropyReport, HusimiTable
-from .groups import format_coords
+from .groups import _coords_grid, format_coords
 
 __all__ = [
     "state_vector_to_json",
@@ -33,7 +33,8 @@ _VECTOR_CSV_HEADER = ["index", "re", "im"]
 
 
 def _pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in values]
+    values = np.asarray(values, dtype=np.complex128)
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _from_pairs(entries) -> np.ndarray:
@@ -115,14 +116,18 @@ def load_state_file(path: str | Path) -> tuple[str, np.ndarray]:
 
 
 def husimi_to_csv(table: HusimiTable) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["g", "lambda", "Q"])
-    for z, q in zip(table.frame.points(), table.values):
-        writer.writerow(
-            [format_coords(z.g.coords), format_coords(z.chi.coords), repr(float(q))]
-        )
-    return buf.getvalue()
+    """CSV rows g, lambda, Q in lex order (g major), as `csv.writer` writes them.
+
+    Labels hold only digits and commas, so `csv`'s minimal quoting quotes
+    exactly the multi-coordinate ones.
+    """
+    orders = table.frame.group.orders
+    labels = [format_coords(c) for c in _coords_grid(orders).tolist()]
+    if len(orders) > 1:
+        labels = [f'"{label}"' for label in labels]
+    rows = (f"{g},{chi}," for g in labels for chi in labels)
+    body = "".join(f"{row}{q!r}\n" for row, q in zip(rows, table.values.tolist()))
+    return "g,lambda,Q\n" + body
 
 
 def entropy_report_to_json(report: EntropyReport) -> str:

@@ -23,6 +23,8 @@ DEFAULT_DENSE_LIMIT = 256
 # Target size in bytes of one complex temporary in the loops that work in
 # blocks: verify_ccr's (pairs, |G|, probes) and minimize's (rows, |G|, |G|)
 _BLOCK_BYTES = 1 << 18
+# default tolerances of check_density_matrix
+_HERM_TOL, _EIG_TOL, _TRACE_TOL = 1e-12, 1e-10, 1e-10
 
 
 class DenseLimitError(ValueError):
@@ -68,15 +70,30 @@ def check_density_matrix(
     rho,
     dim: int | None = None,
     *,
-    herm_tol: float = 1e-12,
-    eig_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
+    herm_tol: float = _HERM_TOL,
+    eig_tol: float = _EIG_TOL,
+    trace_tol: float = _TRACE_TOL,
 ) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and trace one, within tolerance.
 
     Takes one matrix (d, d) or a stack (..., d, d); every member of a stack
     must pass, and a trace or eigenvalue message gives the worst member's value.
     """
+    arr, _ = _checked_eigvalsh(
+        rho, dim, herm_tol=herm_tol, eig_tol=eig_tol, trace_tol=trace_tol
+    )
+    return arr
+
+
+def _checked_eigvalsh(
+    rho,
+    dim: int | None = None,
+    *,
+    herm_tol: float = _HERM_TOL,
+    eig_tol: float = _EIG_TOL,
+    trace_tol: float = _TRACE_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`check_density_matrix`, also returning the ascending eigenvalues it tested."""
     arr = np.asarray(rho, dtype=np.complex128)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
@@ -92,12 +109,13 @@ def check_density_matrix(
     trace = complex(traces[np.argmax(np.abs(traces - 1.0))])
     if abs(trace - 1.0) > trace_tol:
         raise ValueError(f"density matrix trace {trace!r} is not 1")
-    smallest = float(np.linalg.eigvalsh(arr)[..., 0].min())
+    eig = np.linalg.eigvalsh(arr)
+    smallest = float(eig[..., 0].min())
     if smallest < -eig_tol:
         raise ValueError(
             f"density matrix is not positive semidefinite (min eigenvalue {smallest})"
         )
-    return arr
+    return arr, eig
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

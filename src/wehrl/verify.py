@@ -32,6 +32,7 @@ from .entropy import (
 from .frames import (
     CoherentFrame,
     _invariance_defect,
+    _require_dense_points,
     coset_ids,
     invariant_subspace_dim,
     overlap_matrix,
@@ -576,7 +577,12 @@ def run_checks(
     rho_samples: int = 1000,
     state_samples: int = 100,
 ) -> list[CheckResult]:
-    """The full invariant suite for one (G, H); deterministic in the seed."""
+    """The full invariant suite for one (G, H); deterministic in the seed.
+
+    Raises DenseLimitError before any check runs when |F| = |G|^2 exceeds the
+    dense-matrix limit, which the overlap checks' `overlap_matrix` needs.
+    """
+    _require_dense_points(group.order ** 2)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     results.append(check_group_laws(group, rng))

@@ -183,6 +183,31 @@ def test_cli_byte_identical_subprocess():
     assert a.stdout.startswith(b'{"best_entropy"')
 
 
+REPEATED_CALLS = [
+    ("group-info", "--group", "Z2xZ2", "--output", "csv"),
+    ("husimi", "--group", "Z4xZ2", "--subgroup", "2,0;0,1", "--state", "random:3"),
+    ("entropy", "--group", "Z4", "--output", "xml"),  # parse error, exit 2
+    ("--help",),
+    ("channel", "--group", "Z4", "--subgroup", "2", "--state", "coherent:1;3"),
+    ("husimi", "--help"),
+    ("entropy", "--group", "Z2xZ3", "--state", "maximally_mixed", "--log-base", "2"),
+    ("husimi", "--group", "Z4", "--state", "coherent:1"),  # input error, exit 2
+]
+
+
+def test_repeated_main_matches_fresh_processes(capsys, monkeypatch):
+    """One process serving many calls prints what a fresh process per call prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    fresh = [
+        subprocess.run([sys.executable, "-m", "wehrl", *argv], capture_output=True, text=True)
+        for argv in REPEATED_CALLS
+    ]
+    for _ in range(2):
+        for argv, proc in zip(REPEATED_CALLS, fresh):
+            assert run_cli(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+    assert [proc.returncode for proc in fresh] == [0, 0, 2, 0, 0, 0, 0, 2]
+
+
 # ---------------------------------------------------------------------------
 # error handling
 

@@ -306,6 +306,32 @@ def test_von_neumann_frozen():
     )
 
 
+def test_von_neumann_diagonalises_once(rng, monkeypatch):
+    rhos = np.stack([random_density_matrix(5, rng) for _ in range(3)])
+    eig = np.linalg.eigvalsh(rhos)
+    want = -(eig * np.log(np.where(eig > 1e-12, eig, 1.0))).sum(axis=-1)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    got = von_neumann_entropy(rhos)
+    assert calls == [(3, 5, 5)]
+    assert np.array_equal(got, want)
+    assert von_neumann_entropy(rhos[1]) == want[1]
+    bad = np.diag([1.5, -0.5 + 1e-11, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match=r"positive semidefinite \(min eigenvalue -0\.49"):
+        von_neumann_entropy(bad)
+    von_neumann_entropy(np.diag([1.0 + 5e-11, -5e-11, 0.0]))  # within eig_tol 1e-10
+    with pytest.raises(ValueError, match="not Hermitian"):
+        von_neumann_entropy(np.array([[0.5, 1e-11], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="trace"):
+        von_neumann_entropy(np.diag([0.5, 0.5 + 1e-9]))
+
+
 def test_wehrl_dominates_von_neumann(rng):
     frame = vacuum_frame("Z6", (3,))
     for _ in range(50):

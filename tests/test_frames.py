@@ -22,6 +22,7 @@ from wehrl import (
     weyl_apply,
     weyl_matrix,
 )
+from wehrl.groups import character_table
 
 
 def sub(group, *gen_coords):
@@ -131,6 +132,42 @@ def test_state_matrix_rows_match_states():
     assert S.shape == (g.order ** 2, g.order)
     for z in phase_space(g):
         assert np.abs(S[z.index] - frame.state(z)).max() < 1e-14
+
+
+def _rolled_state_matrix(frame):
+    """One (|G|, |G|) block per translate g, from `np.roll` of the fiducial grid."""
+    g = frame.group
+    table = character_table(g)
+    grid = frame.fiducial.reshape(g.orders)
+    axes = tuple(range(len(g.orders)))
+    blocks = [
+        table * np.roll(grid, x.coords, axis=axes).reshape(g.order)[None, :]
+        for x in g.elements()
+    ]
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize(
+    "spec,gens,vacuum",
+    [
+        ("Z1", (), True),
+        ("Z4", ((2,),), True),
+        ("Z2xZ2", ((1, 0),), True),
+        ("Z4xZ8", ((0, 2), (2, 0)), True),
+        ("Z64", ((8,),), True),
+        ("Z3xZ1xZ6", (), False),
+    ],
+)
+def test_state_matrix_matches_rolled_blocks_bitwise(spec, gens, vacuum, rng):
+    g = parse_group(spec)
+    if vacuum:
+        frame = CoherentFrame.vacuum(sub(g, *gens))
+    else:
+        frame = CoherentFrame(g, random_state_vector(g.order, rng))
+    got = frame.state_matrix()
+    want = _rolled_state_matrix(frame)
+    assert got.shape == want.shape == (g.order ** 2, g.order)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_overlap_dichotomy_and_coset_relation():

@@ -12,6 +12,7 @@ import wehrl
 from wehrl import (
     DualSubgroup,
     FiniteAbelianGroup,
+    GroupElement,
     GroupMismatchError,
     PhaseSpacePoint,
     Subgroup,
@@ -258,6 +259,113 @@ def test_subgroup_closure_is_group(orders, data):
         assert (-a).coords in members
         for b in H.elements:
             assert (a + b).coords in members
+
+
+def _worklist_closure(group, generators):
+    """The frontier closure over `GroupElement` sums, as an oracle."""
+    known = {group.zero()}
+    frontier = [group.zero()]
+    while frontier:
+        x = frontier.pop()
+        for gen in generators:
+            y = x + gen
+            if y not in known:
+                known.add(y)
+                frontier.append(y)
+    return sorted(e.coords for e in known)
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z1", "Z1xZ3", "Z4", "Z12", "Z2xZ2xZ2", "Z4xZ8", "Z6xZ6", "Z3xZ1xZ6", "Z64"]
+)
+def test_subgroup_closure_matches_worklist_oracle(spec):
+    g = parse_group(spec)
+    rng = np.random.default_rng(5)
+    gen_sets = [()] + [(x,) for x in g.elements()]
+    for size in (2, 3):
+        for _ in range(12):
+            picks = rng.integers(0, g.order, size=size)
+            gen_sets.append(tuple(g.element_by_index(int(i)) for i in picks))
+    for gens in gen_sets:
+        H = subgroup_closure(g, gens)
+        assert coords_of(H.elements) == _worklist_closure(g, gens)
+        assert H.generators == gens
+
+
+def _closed_under_sums(coords_set, orders):
+    return all(
+        tuple((x + y) % n for x, y, n in zip(a, b, orders)) in coords_set
+        for a in coords_set
+        for b in coords_set
+    )
+
+
+@pytest.mark.parametrize("budget", ["default", "one row"])
+@pytest.mark.parametrize("spec", ["Z1", "Z4", "Z6", "Z2xZ2", "Z1xZ3", "Z2xZ2xZ2"])
+def test_subgroup_checks_every_subset(spec, budget, monkeypatch):
+    """Subgroup and DualSubgroup accept exactly the closed subsets with zero."""
+    if budget == "one row":
+        monkeypatch.setattr(wehrl.groups, "_BLOCK_BYTES", 1)
+    g = parse_group(spec)
+    elements = list(g.elements())
+    zero = g.zero().coords
+    for mask in range(1, 2 ** g.order):
+        subset = [e for i, e in enumerate(elements) if mask >> i & 1]
+        members = {e.coords for e in subset}
+        if zero not in members:
+            message = "neutral element"
+        elif g.order % len(subset):
+            message = "divide"
+        elif not _closed_under_sums(members, g.orders):
+            message = "not closed under addition"
+        else:
+            message = None
+        chars = tuple(g.character(c) for c in members)
+        if message is None:
+            assert coords_of(Subgroup(g, tuple(subset)).elements) == sorted(members)
+            assert coords_of(DualSubgroup(g, chars).characters) == sorted(members)
+            continue
+        with pytest.raises(ValueError, match=message):
+            Subgroup(g, tuple(subset))
+        dual_message = {
+            "neutral element": "trivial character",
+            "not closed under addition": "not closed under product",
+        }.get(message)
+        if dual_message is not None:
+            with pytest.raises(ValueError, match=dual_message):
+                DualSubgroup(g, chars)
+
+
+@pytest.mark.parametrize("budget", ["default", "one row"])
+def test_subgroup_rejections_at_larger_orders(budget, monkeypatch):
+    if budget == "one row":
+        monkeypatch.setattr(wehrl.groups, "_BLOCK_BYTES", 1)
+    g = parse_group("Z4xZ8")
+    even = [e for e in g.elements() if e.coords[1] % 2 == 0]  # a subgroup of order 16
+    assert Subgroup(g, tuple(even)).order == 16
+    chars = tuple(g.character(e.coords) for e in even)
+    assert DualSubgroup(g, chars).order == 16
+    # swap the last member for an element outside: only sums with it leave the set
+    broken = even[:-1] + [g.element((3, 7))]
+    with pytest.raises(ValueError, match="not closed under addition"):
+        Subgroup(g, tuple(broken))
+    with pytest.raises(ValueError, match="not closed under product"):
+        DualSubgroup(g, tuple(g.character(e.coords) for e in broken))
+    with pytest.raises(ValueError, match="duplicate elements"):
+        Subgroup(g, tuple(even + [even[-1]]))
+    with pytest.raises(ValueError, match="duplicate characters"):
+        DualSubgroup(g, chars + chars[-1:])
+    with pytest.raises(ValueError, match="neutral element"):
+        Subgroup(g, tuple(even[1:]))
+    with pytest.raises(ValueError, match="trivial character"):
+        DualSubgroup(g, chars[1:])
+    # a member with unreduced coordinates is never matched by a (reduced) sum
+    z4 = parse_group("Z4")
+    unreduced = tuple(GroupElement(z4, (c,)) for c in (0, 1, 2, 7))
+    with pytest.raises(ValueError, match="not closed under addition"):
+        Subgroup(z4, unreduced)
+    whole = Subgroup.whole(parse_group("Z64"))
+    assert whole.order == 64 and coords_of(whole.generators) == [(1,)]
 
 
 # ---------------------------------------------------------------------------

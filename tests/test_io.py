@@ -1,3 +1,7 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,8 @@ from wehrl import (
     random_state_vector,
     subgroup_closure,
 )
+from wehrl.entropy import HusimiTable
+from wehrl.groups import format_coords, parse_generators
 from wehrl.io import (
     density_matrix_from_json,
     density_matrix_to_json,
@@ -110,6 +116,75 @@ def test_husimi_csv_quotes_multi_coordinate_labels():
     lines = husimi_to_csv(table).splitlines()
     assert lines[1].startswith('"0,0","0,0",')
     assert len(lines) == 1 + 16
+
+
+def _husimi_csv_oracle(table):
+    """One `csv.writer` row per phase-space point, labels from `frame.points()`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["g", "lambda", "Q"])
+    for z, q in zip(table.frame.points(), table.values):
+        writer.writerow(
+            [format_coords(z.g.coords), format_coords(z.chi.coords), repr(float(q))]
+        )
+    return buf.getvalue()
+
+
+def _pairs_oracle(values):
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
+WRITER_FRAMES = [
+    ("Z1", None),
+    ("Z4", "2"),
+    ("Z2xZ2", "1,0"),
+    ("Z1xZ3", None),
+    ("Z4xZ8", "0,2;2,0"),
+    ("Z6xZ6", "2,3"),
+]
+
+
+def _frame(spec, gens):
+    g = parse_group(spec)
+    return CoherentFrame.vacuum(subgroup_closure(g, parse_generators(g, gens)))
+
+
+@pytest.mark.parametrize("spec,gens", WRITER_FRAMES)
+def test_writers_match_per_entry_oracles(spec, gens, rng):
+    frame = _frame(spec, gens)
+    d = frame.group.order
+    vec = random_state_vector(d, rng)
+    rho = random_density_matrix(d, rng)
+    for table in (husimi(frame, pure_density(vec)), husimi(frame, rho)):
+        assert husimi_to_csv(table) == _husimi_csv_oracle(table)
+    assert state_vector_to_json(vec) == json.dumps(_pairs_oracle(vec))
+    assert density_matrix_to_json(rho) == json.dumps(
+        {"dim": d, "entries": _pairs_oracle(rho.reshape(-1))}, sort_keys=True
+    )
+
+
+def test_writers_keep_signed_zero_and_extreme_floats():
+    rho = np.array(
+        [
+            [complex(-0.0, 5e-324), complex(1e-300, -0.0)],
+            [complex(-5e-324, 1e-300), complex(1.0, -1e-300)],
+        ]
+    )
+    assert density_matrix_to_json(rho) == json.dumps(
+        {"dim": 2, "entries": _pairs_oracle(rho.reshape(-1))}, sort_keys=True
+    )
+    text = state_vector_to_json(rho.reshape(-1))
+    assert text == json.dumps(_pairs_oracle(rho.reshape(-1)))
+    assert "-0.0" in text and "5e-324" in text and "1e-300" in text
+    # real and integer input are written as floats, as the per-entry loop did
+    assert state_vector_to_json(np.array([1, -0.0])) == "[[1.0, 0.0], [-0.0, 0.0]]"
+    assert state_vector_to_json(np.array([1, 0])) == "[[1.0, 0.0], [0.0, 0.0]]"
+
+
+def test_husimi_csv_keeps_extreme_floats():
+    odd = HusimiTable(_frame("Z1xZ2", None), np.array([-0.0, 5e-324, 1e-300, 1.0 - 1e-16]))
+    assert husimi_to_csv(odd) == _husimi_csv_oracle(odd)
+    assert husimi_to_csv(odd).splitlines()[1:3] == ['"0,0","0,0",-0.0', '"0,0","0,1",5e-324']
 
 
 def test_entropy_report_json_keys(rng):

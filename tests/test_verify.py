@@ -14,6 +14,7 @@ from wehrl import (
     subgroup_closure,
 )
 from wehrl import verify
+from wehrl.states import DenseLimitError
 from wehrl.frames import coset_ids
 from wehrl.verify import (
     check_cocycle_bilinearity,
@@ -35,6 +36,21 @@ def test_run_checks_all_pass_on_z4():
     assert len(names) == len(set(names))  # stable unique check names
     assert "ccr-commutation" in names
     assert "wehrl-lower-bound" in names
+
+
+def test_run_checks_refuses_oversized_group_before_any_check(monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("a check ran before the dense-limit guard")
+
+    monkeypatch.setattr(verify, "check_group_laws", not_called)
+    g = parse_group("Z16xZ16")
+    message = r"^\|F\| = 65536 exceeds the dense-matrix limit 256$"
+    with pytest.raises(DenseLimitError, match=message):
+        run_checks(g, subgroup_closure(g, ()))
+    monkeypatch.setenv("WEHRL_DENSE_LIMIT", "15")
+    g = parse_group("Z4")
+    with pytest.raises(DenseLimitError, match=r"^\|F\| = 16 exceeds the dense-matrix limit 15$"):
+        run_checks(g, subgroup_closure(g, ()))
 
 
 @pytest.mark.parametrize("spec", ["Z1", "Z1xZ1"])
