@@ -25,10 +25,7 @@ from .groups import (
 )
 from .weyl import (
     CcrReport,
-    HeisenbergElement,
-    cocycle,
     cocycle_phase,
-    compose_phase,
     verify_ccr,
     weyl_apply,
     weyl_matrix,

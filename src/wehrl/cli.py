@@ -31,7 +31,7 @@ from .groups import (
 )
 from .io import density_matrix_to_json, entropy_report_to_json, husimi_to_csv, load_state_file
 from .minimize import MinimizerConfig, minimize, scan_fiducials
-from .states import check_density_matrix, check_state_vector, pure_density, random_state_vector
+from .states import check_state_vector, pure_density, random_state_vector
 from .verify import run_checks
 
 __all__ = ["build_parser", "main"]
@@ -60,8 +60,7 @@ def _resolve_state(frame: CoherentFrame, text: str | None):
     kind, arr = load_state_file(text)
     if kind == "vector":
         check_state_vector(arr, dim=group.order, tol=1e-8)
-    else:
-        check_density_matrix(arr, dim=group.order)
+    # a density matrix is validated where it is used, by `husimi`
     return kind, arr
 
 

@@ -17,6 +17,7 @@ from .groups import (
     PhaseSpacePoint,
     PhaseSpaceSubgroup,
     Subgroup,
+    _coset_partition,
     character_table,
     coset_representatives,
     difference_index_table,
@@ -162,10 +163,8 @@ def _translate_blocks(frame: CoherentFrame):
 
 def coset_ids(frame: CoherentFrame) -> np.ndarray:
     """(|F|,) array labelling each phase-space point by its K-coset ordinal."""
-    K, reps = frame.cosets()
-    ids = np.full(frame.point_count, -1, dtype=np.int64)
-    for ordinal, rep in enumerate(reps):
-        ids[[(rep + u).index for u in K.points]] = ordinal
+    K, _ = frame.cosets()
+    _, ids = _coset_partition(K)
     return ids
 
 

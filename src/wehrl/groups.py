@@ -3,9 +3,11 @@
 A group is a direct product of cyclic factors Z_{n_1} x ... x Z_{n_k}.
 Elements and characters are coordinate tuples reduced modulo the factor
 orders; the character with coordinates a evaluates on g as
-exp(2*pi*i * sum_j a_j g_j / n_j). Every root-of-unity phase is carried as
-an exact `fractions.Fraction` and exponentiated once, so equal phases give
-bit-identical complex values.
+exp(2*pi*i * sum_j a_j g_j / n_j). Every such phase is a root of unity of
+order dividing L = lcm(n_j), so it is carried as an exact integer numerator
+m mod L (`_phase_weights`) and exponentiated once per (m, L) by
+`_unit_roots`; equal phases give bit-identical complex values.
+`Character.phase` keeps an exact `fractions.Fraction` route as a test oracle.
 
 Presentations are not canonicalised (no Smith normal form): Z4 and Z2xZ2
 are distinct descriptors even though both have order 4.
@@ -35,7 +37,6 @@ __all__ = [
     "DualSubgroup",
     "PhaseSpaceSubgroup",
     "GroupMismatchError",
-    "phase_to_complex",
     "phase_space",
     "subgroup_closure",
     "all_subgroups",
@@ -61,11 +62,6 @@ __all__ = [
 
 class GroupMismatchError(ValueError):
     """Objects from different group descriptors were combined."""
-
-
-def phase_to_complex(phase: Fraction) -> complex:
-    """exp(2*pi*i*phase), reducing the exact phase mod 1 before exponentiating."""
-    return cmath.exp(2j * math.pi * float(phase % 1))
 
 
 def _require_same_group(a: "FiniteAbelianGroup", b: "FiniteAbelianGroup") -> None:
@@ -185,7 +181,11 @@ class Character:
     coords: tuple[int, ...]
 
     def phase(self, g: GroupElement) -> Fraction:
-        """Exact evaluation phase in [0, 1); the value is exp(2*pi*i*phase)."""
+        """Exact evaluation phase in [0, 1) as a `Fraction`: a test oracle.
+
+        The value is exp(2*pi*i*phase). No library path calls this; the
+        library works on the integer numerators of `_phase_weights`.
+        """
         _require_same_group(self.group, g.group)
         total = Fraction(0)
         for a, h, n in zip(self.coords, g.coords, self.group.orders):
@@ -193,7 +193,10 @@ class Character:
         return total % 1
 
     def __call__(self, g: GroupElement) -> complex:
-        return phase_to_complex(self.phase(g))
+        _require_same_group(self.group, g.group)
+        L, weights = _phase_weights(self.group)
+        m = sum(a * h * w for a, h, w in zip(self.coords, g.coords, weights.tolist())) % L
+        return complex(_unit_roots(L)[m])
 
     def __mul__(self, other: "Character") -> "Character":
         _require_same_group(self.group, other.group)
@@ -404,7 +407,7 @@ def subgroup_closure(
     orders = np.array(group.orders, dtype=np.int64)
     strides = np.array(group._strides, dtype=np.int64)
     grid = _coords_grid(group.orders)
-    exponent = math.lcm(*group.orders)
+    exponent, _ = _phase_weights(group)
     members = np.zeros(1, dtype=np.int64)
     inside = np.zeros(group.order, dtype=bool)
     inside[0] = True
@@ -481,13 +484,12 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
 def _pairing_kernel(group: FiniteAbelianGroup, coords) -> np.ndarray:
     """Mask over the lex-ordered coordinates x that pair to 1 with every row of coords.
 
-    Exact integer arithmetic: with L = lcm(n_j), the pairing of x and c is
+    Exact integer arithmetic (`_phase_weights`): the pairing of x and c is
     exp(2*pi*i * m / L) with m = sum_j x_j c_j (L / n_j) mod L. It is
     symmetric, so the same kernel gives the characters that kill a set of
     elements and the elements that a set of characters kills.
     """
-    L = math.lcm(*group.orders)
-    weights = np.array([L // n for n in group.orders], dtype=np.int64)
+    L, weights = _phase_weights(group)
     columns = np.array(coords, dtype=np.int64).reshape(-1, len(group.orders)).T
     grid = _coords_grid(group.orders)  # (d, k)
     return np.all(((grid * weights) @ columns) % L == 0, axis=1)
@@ -553,26 +555,43 @@ def _unseparated(subgroup: Subgroup, ann: DualSubgroup) -> np.ndarray:
     return mask
 
 
+def _coset_partition(K: PhaseSpaceSubgroup) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, ids): the cosets of K in F as point indices.
+
+    One (|F|, |K|) table holds the index of z + u for every point z and
+    every u in K; it is built in row blocks sized by the block budget. The
+    least index in row z is the lex-least member of the coset z + K, which
+    represents it. `representatives` lists those indices in ascending (lex)
+    order, and ids[z] is the rank of row z's representative among them.
+    """
+    group = K.group
+    d = group.order
+    orders = np.array(group.orders, dtype=np.int64)
+    strides = np.array(group._strides, dtype=np.int64)
+    grid = _coords_grid(group.orders)
+    u = np.array([p.g.coords + p.chi.coords for p in K.points], dtype=np.int64)
+    k = len(group.orders)
+    # index of g + g_u and of chi + chi_u, for every g (or chi) and every u
+    g_sum = ((grid[:, None, :] + u[None, :, :k]) % orders) @ strides
+    chi_sum = ((grid[:, None, :] + u[None, :, k:]) % orders) @ strides
+    block = max(1, _BLOCK_BYTES // (8 * d * K.order))
+    least = np.concatenate([
+        (g_sum[start:start + block, None, :] * d + chi_sum[None]).min(axis=-1).reshape(-1)
+        for start in range(0, d, block)
+    ])
+    representatives, ids = np.unique(least, return_inverse=True)
+    if len(representatives) * K.order != d * d:
+        raise RuntimeError("cosets of K do not partition phase space")
+    return representatives, ids
+
+
 def coset_representatives(K: PhaseSpaceSubgroup) -> tuple[PhaseSpacePoint, ...]:
     """Lexicographically least representative of each coset of K in F.
 
     Returned in lex order; there are exactly |F| / |K| of them.
     """
-    group = K.group
-    d = group.order
-    total = d * d
-    seen = bytearray(total)
-    reps = []
-    for idx in range(total):
-        if seen[idx]:
-            continue
-        z = PhaseSpacePoint.by_index(group, idx)
-        reps.append(z)
-        for u in K.points:
-            seen[(z + u).index] = 1
-    if len(reps) * K.order != total:
-        raise RuntimeError("cosets of K do not partition phase space")
-    return tuple(reps)
+    representatives, _ = _coset_partition(K)
+    return tuple(PhaseSpacePoint.by_index(K.group, int(i)) for i in representatives)
 
 
 def is_corwin(subgroup: Subgroup) -> bool:
@@ -691,10 +710,24 @@ def _sums_stay_inside(group: FiniteAbelianGroup, coords) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _unit_roots(denominator: int) -> np.ndarray:
+def _phase_weights(group: FiniteAbelianGroup) -> tuple[int, np.ndarray]:
+    """(L, weights) with L = lcm(n_j) and weights_j = L / n_j.
+
+    The one integer phase arithmetic of the library: the character with
+    coordinates a takes g to exp(2*pi*i * m / L), m = sum_j a_j g_j weights_j
+    mod L, and `_unit_roots(L)[m]` is that value.
+    """
+    L = math.lcm(*group.orders)
+    weights = np.array([L // n for n in group.orders], dtype=np.int64)
+    weights.flags.writeable = False
+    return L, weights
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(L: int) -> np.ndarray:
+    """exp(2*pi*i * m / L) for m = 0, ..., L - 1."""
     roots = np.array(
-        [phase_to_complex(Fraction(m, denominator)) for m in range(denominator)],
-        dtype=np.complex128,
+        [cmath.exp(2j * math.pi * (m / L)) for m in range(L)], dtype=np.complex128
     )
     roots.flags.writeable = False
     return roots
@@ -705,11 +738,8 @@ def character_row(
     group: FiniteAbelianGroup, coords: tuple[int, ...]
 ) -> np.ndarray:
     """Values of one character over all elements (lex order), phases exact."""
-    L = math.lcm(*group.orders)
-    weights = np.array(
-        [c * (L // n) for c, n in zip(coords, group.orders)], dtype=np.int64
-    )
-    m = (_coords_grid(group.orders) @ weights) % L
+    L, weights = _phase_weights(group)
+    m = (_coords_grid(group.orders) @ (np.array(coords, dtype=np.int64) * weights)) % L
     row = _unit_roots(L)[m]
     row.flags.writeable = False
     return row
@@ -726,8 +756,7 @@ def character_table(group: FiniteAbelianGroup) -> np.ndarray:
         raise ValueError(
             f"character table for |G| = {group.order} too large; use character_row"
         )
-    L = math.lcm(*group.orders)
-    weights = np.array([L // n for n in group.orders], dtype=np.int64)
+    L, weights = _phase_weights(group)
     grid = _coords_grid(group.orders)
     m = ((grid * weights) @ grid.T) % L
     table = _unit_roots(L)[m]

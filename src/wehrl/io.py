@@ -41,7 +41,7 @@ def _from_pairs(entries) -> np.ndarray:
     """[[re, im], ...] -> complex array; ValueError for anything else."""
     try:
         return np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("entries must be [re, im] pairs of numbers") from None
 
 
@@ -66,14 +66,21 @@ def state_vector_to_csv(vec: np.ndarray) -> str:
 
 
 def state_vector_from_csv(text: str) -> np.ndarray:
+    """Rows index,re,im after the header; each index 0..n-1 exactly once."""
     rows = list(csv.reader(_io.StringIO(text)))
     if not rows or rows[0] != _VECTOR_CSV_HEADER:
         raise ValueError("state vector CSV must start with 'index,re,im'")
     values = np.zeros(len(rows) - 1, dtype=np.complex128)
-    for row in rows[1:]:
+    seen = np.zeros(len(values), dtype=bool)
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != 3:
+            raise ValueError(f"row {line} has {len(row)} fields, expected 3 (index,re,im)")
         idx = int(row[0])
         if not 0 <= idx < len(values):
             raise ValueError(f"row index {idx} out of range")
+        if seen[idx]:
+            raise ValueError(f"row {line}: index {idx} repeated")
+        seen[idx] = True
         values[idx] = complex(float(row[1]), float(row[2]))
     return values
 
@@ -91,7 +98,7 @@ def density_matrix_from_json(text: str) -> np.ndarray:
     flat = _from_pairs(data["entries"])
     try:
         d = int(data["dim"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("density matrix 'dim' must be an integer") from None
     if flat.size != d * d:
         raise ValueError(f"expected {d * d} entries, got {flat.size}")

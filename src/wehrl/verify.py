@@ -46,6 +46,7 @@ from .groups import (
     PhaseSpaceSubgroup,
     Subgroup,
     _coords_grid,
+    _phase_weights,
     _unseparated,
     all_subgroups,
     annihilator,
@@ -216,7 +217,7 @@ def check_cocycle_bilinearity(
     once for each side on which the exact phases disagree.
     """
     d = group.order
-    L = math.lcm(*group.orders)
+    L, _ = _phase_weights(group)
     orders = np.array(group.orders, dtype=np.int64)
     grid = _coords_grid(group.orders)
     idx = rng.integers(0, d * d, size=(samples, 3))

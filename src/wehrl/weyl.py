@@ -2,13 +2,13 @@
 
 The natural action is (W(g, chi) f)(h) = chi(h) f(h - g): a cyclic
 translation followed by a diagonal of character values, O(|G|) per apply.
-Dense matrices exist only as oracles behind a size cap. Central phases of
-the Heisenberg extension are exact rationals mod 1.
+Dense matrices exist only as oracles behind a size cap. Cocycle phases are
+exact integer numerators mod L = lcm(n_j) (`cocycle_numerators`);
+`cocycle_phase` keeps an exact `Fraction` route as a test oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,19 +18,16 @@ from .groups import (
     FiniteAbelianGroup,
     PhaseSpacePoint,
     _coords_grid,
+    _phase_weights,
     _unit_roots,
     character_row,
     difference_index_table,
-    phase_to_complex,
 )
 from .states import _BLOCK_BYTES, DenseLimitError, dense_limit
 
 __all__ = [
     "cocycle_phase",
-    "cocycle",
     "cocycle_numerators",
-    "compose_phase",
-    "HeisenbergElement",
     "weyl_apply",
     "weyl_matrix",
     "CcrReport",
@@ -39,12 +36,11 @@ __all__ = [
 
 
 def cocycle_phase(z: PhaseSpacePoint, w: PhaseSpacePoint) -> Fraction:
-    """Exact phase of omega(z, w) = chi_z(g_w) * conj(chi_w(g_z))."""
+    """Exact phase of omega(z, w) = chi_z(g_w) * conj(chi_w(g_z)): a test oracle.
+
+    No library path calls this; the library uses `cocycle_numerators`.
+    """
     return (z.chi.phase(w.g) - w.chi.phase(z.g)) % 1
-
-
-def cocycle(z: PhaseSpacePoint, w: PhaseSpacePoint) -> complex:
-    return phase_to_complex(cocycle_phase(z, w))
 
 
 def cocycle_numerators(
@@ -61,48 +57,10 @@ def cocycle_numerators(
     paired points and all-against-all tables use the same exact formula
     m = sum_j (chi_z,j g_w,j - chi_w,j g_z,j) L / n_j mod L.
     """
-    L = math.lcm(*group.orders)
-    weights = np.array([L // n for n in group.orders], dtype=np.int64)
+    L, weights = _phase_weights(group)
     m = np.einsum("...k,...k->...", z_chi * weights, w_g)
     m -= np.einsum("...k,...k->...", z_g, w_chi * weights)
     return m % L
-
-
-def compose_phase(z: PhaseSpacePoint, w: PhaseSpacePoint) -> Fraction:
-    """W(z) W(w) = exp(2*pi*i * compose_phase(z, w)) * W(z + w)."""
-    return (-w.chi.phase(z.g)) % 1
-
-
-@dataclass(frozen=True)
-class HeisenbergElement:
-    """(z, t) with t = exp(2*pi*i*t_phase) on the central circle.
-
-    Multiplication: (z, t)(w, s) = (z + w, t s omega(z, w)).
-    """
-
-    z: PhaseSpacePoint
-    t_phase: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t_phase", Fraction(self.t_phase) % 1)
-
-    @property
-    def t(self) -> complex:
-        return phase_to_complex(self.t_phase)
-
-    @classmethod
-    def identity(cls, group: FiniteAbelianGroup) -> "HeisenbergElement":
-        return cls(PhaseSpacePoint(group.zero(), group.trivial_character()))
-
-    def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        return HeisenbergElement(
-            self.z + other.z,
-            self.t_phase + other.t_phase + cocycle_phase(self.z, other.z),
-        )
-
-    def inverse(self) -> "HeisenbergElement":
-        # omega(z, -z) = 1 exactly, so only the central phase flips
-        return HeisenbergElement(-self.z, -self.t_phase)
 
 
 def weyl_apply(z: PhaseSpacePoint, vec) -> np.ndarray:
@@ -192,8 +150,7 @@ def _ccr_block_residual(
 ) -> float:
     """max |W(z)W(w)f - omega(z,w) W(w)W(z)f| over a block of point indices."""
     d = group.order
-    L = math.lcm(*group.orders)
-    weights = np.array([L // n for n in group.orders], dtype=np.int64)
+    L, weights = _phase_weights(group)
     grid = _coords_grid(group.orders)
     roots = _unit_roots(L)
     z_g, z_chi = grid[z // d], grid[z % d]

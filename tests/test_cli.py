@@ -13,7 +13,7 @@ from wehrl.io import (
     density_matrix_to_json,
     state_vector_to_json,
 )
-from wehrl.states import maximally_mixed
+from wehrl.states import check_density_matrix, maximally_mixed
 
 
 def run_cli(capsys, *argv):
@@ -241,8 +241,21 @@ def test_non_unit_state_file_rejected(capsys, tmp_path):
     assert "error" in err
 
 
+_HUGE = "1" + "0" * 400  # an integer no float holds
+
+
 @pytest.mark.parametrize(
-    "content", ["[1,2]", '[[1.0, 0.0], [0.0]]', '{"dim": 2, "entries": [1, 0, 0, 1]}']
+    "content",
+    [
+        "[1,2]",
+        '[[1.0, 0.0], [0.0]]',
+        '{"dim": 2, "entries": [1, 0, 0, 1]}',
+        pytest.param(f"[[{_HUGE}, 0], [0, 0]]", id="huge-vector-entry"),
+        pytest.param(
+            f'{{"dim": 2, "entries": [[{_HUGE}, 0], [0, 0], [0, 0], [0, 0]]}}',
+            id="huge-density-entry",
+        ),
+    ],
 )
 def test_malformed_state_file_exits_2(capsys, tmp_path, content):
     path = tmp_path / "bad.json"
@@ -250,6 +263,64 @@ def test_malformed_state_file_exits_2(capsys, tmp_path, content):
     code, _, err = run_cli(capsys, "entropy", "--group", "Z2", "--state", str(path))
     assert code == 2
     assert "[re, im] pairs" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("index,re,im\n0,1.0,0.0\n1,0.0,0.0\n\n", "row 4 has 0 fields"),
+        ("index,re,im\n0,1\n1,0.0,0.0\n", "row 2 has 2 fields"),
+        ("index,re,im\n0,1.0,0.0\n0,0.0,0.0\n", "row 3: index 0 repeated"),
+        ("index,re,im\n0,1.0,0.0\n1,0.0,0.0,7\n", "row 3 has 4 fields"),
+        ('{"dim": 1e400, "entries": [[1, 0]]}', "'dim' must be an integer"),
+    ],
+    ids=["trailing-blank-line", "two-fields", "repeated-index", "four-fields", "huge-dim"],
+)
+def test_malformed_state_csv_or_dim_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "entropy", "--group", "Z2", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+_BAD_DENSITIES = {
+    "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+    "non-psd": np.array([[1.5, 0.0], [0.0, -0.5]]),
+    "wrong-trace": np.array([[0.7, 0.0], [0.0, 0.7]]),
+    "wrong-dimension": np.eye(3) / 3,
+    "nan": np.array([[np.nan, 0.0], [0.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("command", ["entropy", "husimi", "channel"])
+@pytest.mark.parametrize("name", sorted(_BAD_DENSITIES))
+def test_bad_density_file_message(capsys, tmp_path, command, name):
+    # the command's own validation gives check_density_matrix's message
+    rho = _BAD_DENSITIES[name]
+    path = tmp_path / "rho.json"
+    path.write_text(density_matrix_to_json(rho))
+    with pytest.raises(ValueError) as exc:
+        check_density_matrix(rho, dim=2)
+    code, out, err = run_cli(capsys, command, "--group", "Z2", "--state", str(path))
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
+@pytest.mark.parametrize("command, calls", [("entropy", 2), ("husimi", 1), ("channel", 1)])
+def test_density_file_diagonalised_once_per_use(capsys, tmp_path, monkeypatch, command, calls):
+    path = tmp_path / "rho.json"
+    path.write_text(density_matrix_to_json(maximally_mixed(4)))
+    eigvalsh = np.linalg.eigvalsh
+    seen = []
+
+    def counting(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    code, _, _ = run_cli(capsys, command, "--group", "Z4", "--subgroup", "2", "--state", str(path))
+    assert code == 0
+    assert seen == [(4, 4)] * calls
 
 
 @pytest.mark.parametrize(

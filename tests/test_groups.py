@@ -29,7 +29,16 @@ from wehrl import (
     phase_space,
     subgroup_closure,
 )
-from wehrl.groups import _unseparated, character_table, difference_index_table
+from wehrl.groups import (
+    _phase_weights,
+    _unit_roots,
+    _unseparated,
+    character_table,
+    difference_index_table,
+)
+from wehrl.verify import standard_suite
+
+from phase_oracle import phase_to_complex, unit_roots
 
 # groups up to order 36 with at most three factors; big enough to hit
 # non-cyclic and non-squarefree structure, small enough for exhaustion
@@ -154,6 +163,60 @@ def test_character_multiplicative_exact():
             for a in g.elements():
                 for b in g.elements():
                     assert chi.phase(a + b) == (chi.phase(a) + chi.phase(b)) % 1
+
+
+def test_unit_roots_match_fraction_oracle():
+    # every exponent L = lcm(n_j) the tests and the suite use is at most 256
+    assert max(_phase_weights(g)[0] for g in standard_suite()) <= 256
+    assert _phase_weights(parse_group("Z64"))[0] == 64
+    for L in range(1, 257):
+        assert _unit_roots(L).tobytes() == unit_roots(L).tobytes(), L
+
+
+def test_phase_weights():
+    L, weights = _phase_weights(parse_group("Z4xZ6xZ1"))
+    assert L == 12
+    assert weights.tolist() == [3, 2, 12]
+    assert not weights.flags.writeable
+
+
+def test_character_call_matches_fraction_oracle():
+    # integer numerator and root table: the same bits as the exact phase
+    for spec in ("Z1", "Z6", "Z4xZ2", "Z3xZ3", "Z2xZ2xZ2", "Z5xZ6", "Z64"):
+        g = parse_group(spec)
+        for chi in g.characters():
+            for x in g.elements():
+                value = chi(x)
+                assert type(value) is complex
+                expected = phase_to_complex(chi.phase(x))
+                assert (value.real, value.imag) == (expected.real, expected.imag)
+                assert value == chi.values()[x.index]
+
+
+def test_fraction_only_in_scalar_oracles():
+    # integer numerators mod L are the library's one phase representation;
+    # Fraction stays in the two exact scalar oracles the tests call
+    package = Path(wehrl.__file__).parent
+    allowed = {("groups.py", "Character.phase"), ("weyl.py", "cocycle_phase")}
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    visit(child, f"{scope}.{child.name}" if scope else child.name)
+                    continue
+                if isinstance(child, (ast.Import, ast.ImportFrom)):
+                    continue  # an import alone computes nothing
+                if isinstance(child, ast.Name) and child.id == "Fraction":
+                    found.add((path.name, scope))
+                if isinstance(child, ast.Attribute) and child.attr == "Fraction":
+                    found.add((path.name, scope))
+                visit(child, scope)
+
+        visit(tree, "")
+    assert found == allowed
 
 
 def test_character_group_structure():
@@ -467,6 +530,24 @@ def test_coset_representatives_partition():
             seen |= block
             assert rep.index == min(block)  # lex-least member represents
         assert len(seen) == g.order ** 2
+
+
+def test_coset_partition_matches_object_walk():
+    from phase_oracle import coset_partition_walk
+    from wehrl.groups import _coset_partition
+
+    pairs = [(g, H) for g in standard_suite() for H in all_subgroups(g)]
+    for spec in ("Z64", "Z8xZ8", "Z4xZ4xZ4"):
+        g = parse_group(spec)
+        pairs += [(g, Subgroup.whole(g)), (g, Subgroup.trivial(g))]
+    assert len(pairs) == 53 + 6
+    for g, H in pairs:
+        K = maximal_compact(H)
+        reps, ids = coset_partition_walk(K)
+        assert coset_representatives(K) == reps
+        indices, labels = _coset_partition(K)
+        assert indices.tolist() == [z.index for z in reps]
+        assert np.array_equal(labels, ids)
 
 
 def test_coset_representatives_trivial_cases():

@@ -92,6 +92,24 @@ def test_malformed_inputs_raise():
         density_matrix_from_json('{"dim": null, "entries": []}')
     with pytest.raises(ValueError):
         state_vector_from_csv("index,re,im\n9,1.0,0.0\n")  # index out of range
+    with pytest.raises(ValueError, match="'dim' must be an integer"):
+        density_matrix_from_json('{"dim": 1e400, "entries": []}')
+    huge = "1" + "0" * 400
+    for text in (f"[[{huge}, 0]]", f'{{"dim": 1, "entries": [[0, {huge}]]}}'):
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+            load_state_text(text)
+    for csv_text, row in MALFORMED_VECTOR_CSV:
+        with pytest.raises(ValueError, match=f"row {row}"):
+            state_vector_from_csv(csv_text)
+
+
+# vector CSVs that name no state, each with the line its error names
+MALFORMED_VECTOR_CSV = [
+    ("index,re,im\n0,1.0,0.0\n1,0.0,0.0\n\n", 4),  # trailing blank line
+    ("index,re,im\n0,1\n1,0.0,0.0\n", 2),  # two fields
+    ("index,re,im\n0,1.0,0.0\n1,0.0,0.0,7\n", 3),  # four fields
+    ("index,re,im\n0,1.0,0.0\n0,0.0,0.0\n", 3),  # index 0 twice, 1 missing
+]
 
 
 def test_husimi_csv_golden():
