@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import CoherentFrame, NotVacuumError, coset_ids
+from .frames import CoherentFrame, NotVacuumError, coset_basis, coset_ids
 from .groups import (
     CHARACTER_TABLE_CAP,
     FiniteAbelianGroup,
@@ -194,12 +194,12 @@ def wehrl_entropy_coset(frame: CoherentFrame, rho, log_base: str = "e"):
     with this normalisation. |G| evaluations instead of |G|^2.
     """
     try:
-        K, reps = frame.cosets()
+        K, _ = frame.cosets()
     except NotVacuumError:
         raise NotVacuumError("coset formula requires vacuum frame") from None
     d = frame.group.order
     rho = check_density_matrix(rho, d)
-    R = np.stack([frame.state(z) for z in reps])
+    R = coset_basis(frame).vectors
     tmp = R.conj() @ rho
     values = np.einsum("...ak,ak->...a", tmp, R).real
     vol = K.order / d

@@ -24,8 +24,8 @@ from .groups import (
     maximal_compact,
     phase_space,
 )
-from .states import DenseLimitError, check_state_vector, dense_limit
-from .weyl import weyl_apply, weyl_matrix
+from .states import DenseLimitError, _blocks, check_state_vector, dense_limit
+from .weyl import _apply_points, _matrix_points, weyl_apply
 
 __all__ = [
     "NotVacuumError",
@@ -182,6 +182,11 @@ def overlap_matrix(frame: CoherentFrame) -> np.ndarray:
     return np.abs(S.conj() @ S.T)
 
 
+def _point_indices(points) -> np.ndarray:
+    """Phase-space indices g_index * |G| + chi_index of a sequence of points."""
+    return np.array([z.index for z in points], dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class CosetBasis:
     representatives: tuple[PhaseSpacePoint, ...]
@@ -194,8 +199,7 @@ def coset_basis(frame: CoherentFrame) -> CosetBasis:
         _, reps = frame.cosets()
     except NotVacuumError:
         raise NotVacuumError("not a vacuum frame") from None
-    vectors = np.stack([frame.state(z) for z in reps])
-    return CosetBasis(reps, vectors)
+    return CosetBasis(reps, _apply_points(frame.group, _point_indices(reps), frame.fiducial))
 
 
 def _invariance_defect(K: PhaseSpaceSubgroup) -> np.ndarray:
@@ -203,8 +207,10 @@ def _invariance_defect(K: PhaseSpaceSubgroup) -> np.ndarray:
     d = K.group.order
     acc = np.zeros((d, d), dtype=np.complex128)
     eye = np.eye(d)
-    for u in K.points:
-        acc += eye - weyl_matrix(u)
+    u = _point_indices(K.points)
+    for part in _blocks(len(u), 16 * d * d):
+        for W in _matrix_points(K.group, u[part]):
+            acc += eye - W
     return acc
 
 

@@ -20,8 +20,9 @@ __all__ = [
 ]
 
 DEFAULT_DENSE_LIMIT = 256
-# Target size in bytes of one complex temporary in the loops that work in
-# blocks: verify_ccr's (pairs, |G|, probes) and minimize's (rows, |G|, |G|)
+# Target size in bytes of one temporary in the loops that work in blocks:
+# minimize's (rows, |G|, |G|), the coset and closure tables of `groups`, and,
+# through `_blocks`, verify_ccr's (pairs, |G|, probes) and the Weyl stacks
 _BLOCK_BYTES = 1 << 18
 # default tolerances of check_density_matrix
 _HERM_TOL, _EIG_TOL, _TRACE_TOL = 1e-12, 1e-10, 1e-10
@@ -116,6 +117,12 @@ def _checked_eigvalsh(
             f"density matrix is not positive semidefinite (min eigenvalue {smallest})"
         )
     return arr, eig
+
+
+def _blocks(n: int, row_bytes: int):
+    """Slices covering range(n), each of about _BLOCK_BYTES at row_bytes a row."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -32,6 +32,7 @@ from .entropy import (
 from .frames import (
     CoherentFrame,
     _invariance_defect,
+    _point_indices,
     _require_dense_points,
     coset_ids,
     invariant_subspace_dim,
@@ -47,6 +48,7 @@ from .groups import (
     Subgroup,
     _coords_grid,
     _phase_weights,
+    _unit_roots,
     _unseparated,
     all_subgroups,
     annihilator,
@@ -56,8 +58,8 @@ from .groups import (
     phase_space,
 )
 from .minimize import entropy_gradient
-from .states import pure_density, random_density_matrix, random_state_vector
-from .weyl import cocycle_numerators, verify_ccr, weyl_apply, weyl_matrix
+from .states import _blocks, pure_density, random_state_vector
+from .weyl import _apply_points, _matrix_points, cocycle_numerators, verify_ccr
 
 __all__ = [
     "CheckResult",
@@ -106,12 +108,18 @@ def random_density_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray
 def _random_density_stack(
     d: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(n, d, d) Ginibre density matrices drawn one matrix at a time.
+    """(n, d, d) Ginibre density matrices in the draw order of one matrix at a time.
 
-    The same generator gives other matrices than `random_density_batch`;
-    each check keeps one draw order so its seeded results stay fixed.
+    Each matrix takes its real then its imaginary part from the generator,
+    as `random_density_matrix` does, so this is the same stack, to the bit,
+    as n calls of it. The same generator gives other matrices than
+    `random_density_batch`; each check keeps one draw order so its seeded
+    results stay fixed.
     """
-    return np.stack([random_density_matrix(d, rng) for _ in range(n)])
+    draws = rng.standard_normal((n, 2, d, d))
+    a = draws[:, 0] + 1j * draws[:, 1]
+    rho = a @ np.conj(np.swapaxes(a, 1, 2))
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
 def _point_coord_arrays(points: Sequence[PhaseSpacePoint]):
@@ -135,26 +143,38 @@ def cocycle_phase_matrix(
 # group-level checks
 
 
+def _sum_table(group: FiniteAbelianGroup) -> np.ndarray:
+    """(|G|, |G|) table of the index of a + b over element indices a, b.
+
+    The library's index arithmetic: (a_j + b_j) mod n_j in each cyclic
+    factor, weighted by the mixed-radix strides.
+    """
+    grid = _coords_grid(group.orders)
+    table = np.zeros((group.order, group.order), dtype=np.int64)
+    for j, (n, stride) in enumerate(zip(group.orders, group._strides)):
+        table += ((grid[:, None, j] + grid[None, :, j]) % n) * stride
+    return table
+
+
 def check_group_laws(group: FiniteAbelianGroup, rng: np.random.Generator) -> CheckResult:
-    els = list(group.elements())
-    bad = 0
-    for a in els:
-        if not (a + (-a)).is_zero():
-            bad += 1
-        for b in els:
-            if (a + b).coords != (b + a).coords:
-                bad += 1
-    if group.order <= 16:
-        triples = [(a, b, c) for a in els for b in els for c in els]
+    """Inverses, commutativity and associativity on the table of index sums.
+
+    Counts each element whose sum with its negation is not 0, each ordered
+    pair whose two sums differ, and each triple that does not associate.
+    """
+    d = group.order
+    orders = np.array(group.orders, dtype=np.int64)
+    strides = np.array(group._strides, dtype=np.int64)
+    sums = _sum_table(group)
+    negation = ((-_coords_grid(group.orders)) % orders) @ strides
+    bad = np.count_nonzero(sums[np.arange(d), negation])
+    bad += np.count_nonzero(sums != sums.T)
+    if d <= 16:
+        a, b, c = np.indices((d, d, d)).reshape(3, -1)
     else:
-        pick = rng.integers(0, group.order, size=(1000, 3))
-        triples = [
-            (els[int(i)], els[int(j)], els[int(k)]) for i, j, k in pick
-        ]
-    for a, b, c in triples:
-        if ((a + b) + c).coords != (a + (b + c)).coords:
-            bad += 1
-    return _result("group-laws", bad, 0.0, f"{len(triples)} associativity triples")
+        a, b, c = rng.integers(0, d, size=(1000, 3)).T
+    bad += np.count_nonzero(sums[sums[a, b], c] != sums[a, sums[b, c]])
+    return _result("group-laws", int(bad), 0.0, f"{len(a)} associativity triples")
 
 
 def check_character_values(group: FiniteAbelianGroup) -> CheckResult:
@@ -165,21 +185,35 @@ def check_character_values(group: FiniteAbelianGroup) -> CheckResult:
     return _result("character-unit-modulus", worst, 1e-14)
 
 
+def _character_numerators(
+    group: FiniteAbelianGroup, chi: np.ndarray, coords: np.ndarray
+) -> np.ndarray:
+    """Integer phases m of chi_i(x_i) = exp(2*pi*i * m / L), for character indices chi."""
+    L, weights = _phase_weights(group)
+    return np.einsum("nk,nk->n", _coords_grid(group.orders)[chi] * weights, coords) % L
+
+
 def check_character_multiplicativity(
     group: FiniteAbelianGroup, rng: np.random.Generator
 ) -> CheckResult:
-    els = list(group.elements())
-    chars = list(group.characters())
-    if group.order <= 16:
-        triples = [(chi, g, h) for chi in chars for g in els for h in els]
+    """chi(g + h) = chi(g) chi(h) on the integer numerators of each triple."""
+    d = group.order
+    if d <= 16:
+        chi, g, h = np.indices((d, d, d)).reshape(3, -1)
     else:
-        pick = rng.integers(0, group.order, size=(1000, 3))
-        triples = [(chars[int(i)], els[int(j)], els[int(k)]) for i, j, k in pick]
-    worst = 0.0
-    for chi, g, h in triples:
-        worst = max(worst, abs(chi(g + h) - chi(g) * chi(h)))
+        chi, g, h = rng.integers(0, d, size=(1000, 3)).T
+    L, _ = _phase_weights(group)
+    roots = _unit_roots(L)
+    grid = _coords_grid(group.orders)
+    g_plus_h = (grid[g] + grid[h]) % np.array(group.orders, dtype=np.int64)
+    values = roots[_character_numerators(group, chi, g_plus_h)]
+    products = (
+        roots[_character_numerators(group, chi, grid[g])]
+        * roots[_character_numerators(group, chi, grid[h])]
+    )
+    worst = float(np.abs(values - products).max())
     return _result(
-        "character-multiplicativity", worst, 1e-12, f"{len(triples)} triples"
+        "character-multiplicativity", worst, 1e-12, f"{len(chi)} triples"
     )
 
 
@@ -250,29 +284,32 @@ def check_weyl_unitarity(
 ) -> CheckResult:
     d = group.order
     eye = np.eye(d)
-    if d <= 16:
-        points = list(phase_space(group))
-    else:
-        points = [
-            PhaseSpacePoint.by_index(group, int(i))
-            for i in rng.integers(0, d * d, size=100)
-        ]
+    points = np.arange(d * d) if d <= 16 else rng.integers(0, d * d, size=100)
     worst = 0.0
-    for z in points:
-        W = weyl_matrix(z)
-        worst = max(worst, float(np.abs(W.conj().T @ W - eye).max()))
+    for part in _blocks(len(points), 16 * d * d):
+        W = _matrix_points(group, points[part])
+        worst = max(worst, float(np.abs(np.conj(np.swapaxes(W, 1, 2)) @ W - eye).max()))
     return _result("weyl-unitarity", worst, 1e-12, f"{len(points)} points")
 
 
 def check_weyl_dense_vs_apply(
     group: FiniteAbelianGroup, rng: np.random.Generator, samples: int = 1000
 ) -> CheckResult:
+    """Dense W(z) f (scattered matrices, matmul) against the gathered W(z) f.
+
+    The unit vectors come from one draw, in the order of one
+    `random_state_vector` call per sample.
+    """
     d = group.order
+    points = rng.integers(0, d * d, size=samples)
+    draws = rng.standard_normal((samples, 2, d))
+    states = draws[:, 0] + 1j * draws[:, 1]
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
     worst = 0.0
-    for i in rng.integers(0, d * d, size=samples):
-        z = PhaseSpacePoint.by_index(group, int(i))
-        f = random_state_vector(d, rng)
-        worst = max(worst, float(np.abs(weyl_matrix(z) @ f - weyl_apply(z, f)).max()))
+    for part in _blocks(samples, 16 * d * d):
+        dense = (_matrix_points(group, points[part]) @ states[part, :, None])[..., 0]
+        gathered = _apply_points(group, points[part], states[part])
+        worst = max(worst, float(np.abs(dense - gathered).max()))
     return _result("weyl-dense-vs-apply", worst, 1e-13, f"{samples} random (z, f)")
 
 
@@ -282,11 +319,11 @@ def check_weyl_dense_vs_apply(
 
 def check_vacuum_invariance(frame: CoherentFrame) -> CheckResult:
     K, _ = frame.cosets()
+    u = _point_indices(K.points)
     worst = 0.0
-    for u in K.points:
-        worst = max(
-            worst, float(np.abs(weyl_apply(u, frame.fiducial) - frame.fiducial).max())
-        )
+    for part in _blocks(len(u), 16 * frame.group.order):
+        moved = _apply_points(frame.group, u[part], frame.fiducial)
+        worst = max(worst, float(np.abs(moved - frame.fiducial).max()))
     return _result("vacuum-invariance", worst, 1e-13)
 
 
@@ -338,11 +375,14 @@ def check_overlap_coset_match(frame: CoherentFrame) -> CheckResult:
 def check_offcoset_vanishing(frame: CoherentFrame) -> CheckResult:
     """eq-mechanism part 1: <0|W(z)|0> = 0 for z outside K."""
     K, _ = frame.cosets()
+    d = frame.group.order
+    inside = np.zeros(d * d, dtype=bool)
+    inside[_point_indices(K.points)] = True
+    outside = np.flatnonzero(~inside)
     worst = 0.0
-    for z in phase_space(frame.group):
-        if z in K:
-            continue
-        worst = max(worst, abs(np.vdot(frame.fiducial, weyl_apply(z, frame.fiducial))))
+    for part in _blocks(len(outside), 16 * d):
+        states = _apply_points(frame.group, outside[part], frame.fiducial)
+        worst = max(worst, float(np.abs(states @ frame.fiducial.conj()).max()))
     return _result("offcoset-vanishing", worst, 1e-13)
 
 

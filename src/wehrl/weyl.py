@@ -5,6 +5,20 @@ translation followed by a diagonal of character values, O(|G|) per apply.
 Dense matrices exist only as oracles behind a size cap. Cocycle phases are
 exact integer numerators mod L = lcm(n_j) (`cocycle_numerators`);
 `cocycle_phase` keeps an exact `Fraction` route as a test oracle.
+
+Two stacked cores take phase-space indices z = g_index * |G| + chi_index:
+`_apply_points` gathers f(h - g) by per-factor modular arithmetic on the
+coordinate grid, and `_matrix_points` scatters dense monomial matrices from
+`difference_index_table`. `weyl_apply` and `weyl_matrix` are their one-row
+cases. The check battery uses them as follows:
+- weyl-dense-vs-apply: scattered matrices times f against the gather, so
+  the two translation routes stay independent;
+- weyl-unitarity and the invariance defect behind vacuum uniqueness: the
+  scattered matrices;
+- vacuum-invariance, offcoset-vanishing, and the coset bases of
+  `coset_basis` and `wehrl_entropy_coset`: the gather;
+- ccr-commutation (`verify_ccr`): its own gathered blocks, against the
+  closed-form cocycle.
 """
 
 from __future__ import annotations
@@ -20,10 +34,9 @@ from .groups import (
     _coords_grid,
     _phase_weights,
     _unit_roots,
-    character_row,
     difference_index_table,
 )
-from .states import _BLOCK_BYTES, DenseLimitError, dense_limit
+from .states import DenseLimitError, _blocks, dense_limit
 
 __all__ = [
     "cocycle_phase",
@@ -63,30 +76,67 @@ def cocycle_numerators(
     return m % L
 
 
-def weyl_apply(z: PhaseSpacePoint, vec) -> np.ndarray:
-    """Apply W(z) in O(|G|): translate by g, then multiply character values."""
-    group = z.group
+def _character_rows(group: FiniteAbelianGroup, chi: np.ndarray) -> np.ndarray:
+    """(n, |G|) values chi_i(h) over all h for character indices chi_i, phases exact."""
+    L, weights = _phase_weights(group)
+    grid = _coords_grid(group.orders)
+    return _unit_roots(L)[((grid[chi] * weights) @ grid.T) % L]
+
+
+def _apply_points(group: FiniteAbelianGroup, z: np.ndarray, vecs) -> np.ndarray:
+    """(n, |G|) rows W(z_i) vecs_i for phase-space indices z_i = g_i * |G| + chi_i.
+
+    vecs is one (|G|,) vector applied at every point, or an (n, |G|) stack.
+    The translation f(h - g) is a gathered index, reduced one cyclic factor
+    at a time on the coordinate grid; each entry is one product of a
+    character value and a gathered entry, as in `weyl_apply`.
+    """
     d = group.order
-    vec = np.asarray(vec, dtype=np.complex128)
-    if vec.shape != (d,):
-        raise ValueError(f"state has shape {vec.shape}, expected ({d},)")
-    axes = tuple(range(len(group.orders)))
-    shifted = np.roll(vec.reshape(group.orders), z.g.coords, axis=axes)
-    return character_row(group, z.chi.coords) * shifted.reshape(d)
+    z = np.asarray(z, dtype=np.int64).reshape(-1)
+    grid = _coords_grid(group.orders)
+    g = grid[z // d]
+    source = np.zeros((len(z), d), dtype=np.int64)
+    for j, (n, stride) in enumerate(zip(group.orders, group._strides)):
+        source += ((grid[:, j] - g[:, j : j + 1]) % n) * stride
+    vecs = np.asarray(vecs, dtype=np.complex128)
+    if vecs.ndim == 1:
+        shifted = vecs[source]
+    else:
+        shifted = np.take_along_axis(vecs, source, axis=1)
+    return _character_rows(group, z % d) * shifted
 
 
-def weyl_matrix(z: PhaseSpacePoint, limit: int | None = None) -> np.ndarray:
-    """Dense monomial matrix of W(z); oracle path, capped at the dense limit."""
-    group = z.group
+def _matrix_points(
+    group: FiniteAbelianGroup, z: np.ndarray, limit: int | None = None
+) -> np.ndarray:
+    """(n, |G|, |G|) dense monomial matrices W(z_i) for phase-space indices z_i.
+
+    Row h of W(z) holds chi(h) in the column of h - g, scattered from
+    `difference_index_table`. The dense limit is checked once per stack.
+    """
     d = group.order
     cap = dense_limit() if limit is None else limit
     if d > cap:
         raise DenseLimitError(f"|G| = {d} exceeds the dense-matrix limit {cap}")
-    row = character_row(group, z.chi.coords)
-    cols = difference_index_table(group)[z.g.index]
-    mat = np.zeros((d, d), dtype=np.complex128)
-    mat[np.arange(d), cols] = row
-    return mat
+    z = np.asarray(z, dtype=np.int64).reshape(-1)
+    mats = np.zeros((len(z), d, d), dtype=np.complex128)
+    cols = difference_index_table(group)[z // d]
+    mats[np.arange(len(z))[:, None], np.arange(d), cols] = _character_rows(group, z % d)
+    return mats
+
+
+def weyl_apply(z: PhaseSpacePoint, vec) -> np.ndarray:
+    """Apply W(z) in O(|G|): translate by g, then multiply character values."""
+    d = z.group.order
+    vec = np.asarray(vec, dtype=np.complex128)
+    if vec.shape != (d,):
+        raise ValueError(f"state has shape {vec.shape}, expected ({d},)")
+    return _apply_points(z.group, z.index, vec)[0]
+
+
+def weyl_matrix(z: PhaseSpacePoint, limit: int | None = None) -> np.ndarray:
+    """Dense monomial matrix of W(z); oracle path, capped at the dense limit."""
+    return _matrix_points(z.group, z.index, limit)[0]
 
 
 @dataclass(frozen=True)
@@ -133,14 +183,12 @@ def verify_ccr(
         drawn = rng.integers(0, total, size=(samples, 2))
         n_pairs = samples
         mode = "randomized"
-    block = max(1, _BLOCK_BYTES // probes.nbytes)
     worst = 0.0
-    for start in range(0, n_pairs, block):
-        stop = min(start + block, n_pairs)
+    for part in _blocks(n_pairs, probes.nbytes):
         if drawn is None:
-            z, w = np.divmod(np.arange(start, stop), total)
+            z, w = np.divmod(np.arange(part.start, part.stop), total)
         else:
-            z, w = drawn[start:stop, 0], drawn[start:stop, 1]
+            z, w = drawn[part, 0], drawn[part, 1]
         worst = max(worst, _ccr_block_residual(group, probes, z, w))
     return CcrReport(str(group), mode, n_pairs, worst, tolerance, worst <= tolerance)
 

@@ -246,6 +246,32 @@ def test_coset_basis_gram_identity():
             assert np.abs(gram - np.eye(n)).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec, gens", [("Z64", None), ("Z4xZ8", ((0, 2), (2, 0))), ("Z6xZ6", None), ("Z1", None)]
+)
+def test_coset_basis_equals_one_state_per_representative_bitwise(spec, gens):
+    g = parse_group(spec)
+    H = Subgroup.whole(g) if gens is None else sub(g, *gens)
+    frame = CoherentFrame.vacuum(H)
+    basis = coset_basis(frame)
+    _, reps = frame.cosets()
+    assert basis.representatives == reps
+    assert np.array_equal(basis.vectors, np.stack([frame.state(z) for z in reps]))
+
+
+def test_invariance_defect_equals_the_pointwise_sum_bitwise():
+    from wehrl.frames import _invariance_defect
+
+    for spec in ("Z4", "Z2xZ2xZ2", "Z6"):
+        g = parse_group(spec)
+        for H in all_subgroups(g):
+            K = maximal_compact(H)
+            want = np.zeros((g.order, g.order), dtype=np.complex128)
+            for u in K.points:
+                want += np.eye(g.order) - weyl_matrix(u)
+            assert np.array_equal(_invariance_defect(K), want)
+
+
 def test_coset_basis_requires_vacuum(rng):
     g = parse_group("Z4")
     frame = CoherentFrame(g, random_state_vector(4, rng))

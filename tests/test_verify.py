@@ -7,6 +7,7 @@ import pytest
 from wehrl import (
     CoherentFrame,
     PhaseSpacePoint,
+    Subgroup,
     cocycle_phase,
     parse_group,
     phase_space,
@@ -16,6 +17,10 @@ from wehrl import (
 from wehrl import verify
 from wehrl.states import DenseLimitError
 from wehrl.frames import coset_ids
+from wehrl.groups import _phase_weights, _unit_roots
+from wehrl.states import random_density_matrix
+
+from weyl_oracle import pointwise_weyl_matrix, roll_weyl_apply
 from wehrl.verify import (
     check_cocycle_bilinearity,
     check_overlap_dichotomy,
@@ -168,3 +173,177 @@ def test_cocycle_bilinearity_catches_a_nonbilinear_cocycle(monkeypatch):
     result = check_cocycle_bilinearity(g, np.random.default_rng(0))
     assert not result.passed
     assert result.residual > 0
+
+
+# ---------------------------------------------------------------------------
+# stacked checks: negative controls, object routes, draw order, sampled branches
+
+
+def test_dense_vs_apply_catches_a_translation_shifted_by_one(monkeypatch):
+    g = parse_group("Z4xZ2")
+    exact = verify._apply_points
+    monkeypatch.setattr(
+        verify, "_apply_points", lambda *args: np.roll(exact(*args), 1, axis=-1)
+    )
+    result = verify.check_weyl_dense_vs_apply(g, np.random.default_rng(0))
+    assert not result.passed and result.residual > 1e-3
+
+
+def test_group_laws_catch_a_sum_table_with_two_entries_swapped(monkeypatch):
+    exact = verify._sum_table
+
+    def swapped(group):
+        table = exact(group).copy()
+        table[1, [2, 3]] = table[1, [3, 2]]
+        return table
+
+    monkeypatch.setattr(verify, "_sum_table", swapped)
+    for spec in ("Z4", "Z32"):
+        result = verify.check_group_laws(parse_group(spec), np.random.default_rng(0))
+        assert not result.passed and result.residual >= 2
+
+
+def test_character_multiplicativity_catches_a_numerator_off_by_one(monkeypatch):
+    exact = verify._character_numerators
+
+    def off_by_one(group, chi, coords):
+        m = exact(group, chi, coords).copy()
+        m[0] += 1
+        return m
+
+    monkeypatch.setattr(verify, "_character_numerators", off_by_one)
+    for spec in ("Z2", "Z3xZ3"):
+        result = verify.check_character_multiplicativity(
+            parse_group(spec), np.random.default_rng(0)
+        )
+        assert not result.passed and result.residual > 1e-3
+
+
+@pytest.mark.parametrize("group", standard_suite(), ids=str)
+def test_object_routes_agree_with_the_index_arithmetic(group):
+    d = group.order
+    sums = verify._sum_table(group)
+    L, _ = _phase_weights(group)
+    els = list(group.elements())
+    assert [a.index for a in els] == list(range(d))
+    for a in els:
+        assert sums[a.index, (-a).index] == 0
+        for b in els:
+            assert (a + b).index == sums[a.index, b.index]
+            assert (a - b).index == sums[a.index, (-b).index]
+    chi_idx, g_idx = np.indices((d, d)).reshape(2, -1)
+    grid = np.array([g.coords for g in els])
+    m = verify._character_numerators(group, chi_idx, grid[g_idx])
+    values = _unit_roots(L)[m].reshape(d, d)
+    for chi in group.characters():
+        assert [chi(g) for g in els] == values[chi.index].tolist()
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_random_density_stack_equals_one_matrix_at_a_time(d):
+    stacked_rng, scalar_rng = np.random.default_rng(d), np.random.default_rng(d)
+    stacked = verify._random_density_stack(d, 5, stacked_rng)
+    scalar = np.stack([random_density_matrix(d, scalar_rng) for _ in range(5)])
+    assert np.array_equal(stacked, scalar)
+    assert stacked_rng.random() == scalar_rng.random()
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z6", "Z4xZ8"])
+def test_dense_vs_apply_draws_like_one_state_per_sample(spec):
+    g = parse_group(spec)
+    stacked_rng, scalar_rng = np.random.default_rng(3), np.random.default_rng(3)
+    assert verify.check_weyl_dense_vs_apply(g, stacked_rng, samples=50).passed
+    scalar_rng.integers(0, g.order ** 2, size=50)
+    for _ in range(50):
+        random_state_vector(g.order, scalar_rng)
+    assert stacked_rng.random() == scalar_rng.random()
+
+
+@pytest.mark.parametrize("spec", ["Z32", "Z4xZ8", "Z2xZ2xZ2xZ2xZ2"])
+@pytest.mark.parametrize("whole", [True, False], ids=["H=G", "H=0"])
+def test_run_checks_sampled_branches_above_order_16(spec, whole, monkeypatch):
+    monkeypatch.setenv("WEHRL_DENSE_LIMIT", "1024")
+    g = parse_group(spec)
+    H = Subgroup.whole(g) if whole else Subgroup.trivial(g)
+    results = {r.name: r for r in run_checks(g, H, seed=0, rho_samples=200)}
+    failed = [r for r in results.values() if not r.passed]
+    assert not failed, failed
+    assert results["group-laws"].note == "1000 associativity triples"
+    assert results["character-multiplicativity"].note == "1000 triples"
+    assert results["weyl-unitarity"].note == "100 points"
+
+
+def _per_point_checks(group, frame, rng):
+    """The per-point routes of the six stacked checks, drawing from rng in run_checks order."""
+    d = group.order
+    els = list(group.elements())
+    chars = list(group.characters())
+    bad = sum(not (a + (-a)).is_zero() for a in els)
+    bad += sum((a + b).coords != (b + a).coords for a in els for b in els)
+    if d <= 16:
+        triples = [(a, b, c) for a in els for b in els for c in els]
+    else:
+        triples = [tuple(els[int(i)] for i in t) for t in rng.integers(0, d, size=(1000, 3))]
+    bad += sum(((a + b) + c).coords != (a + (b + c)).coords for a, b, c in triples)
+    if d <= 16:
+        char_triples = [(chi, g, h) for chi in chars for g in els for h in els]
+    else:
+        pick = rng.integers(0, d, size=(1000, 3))
+        char_triples = [(chars[int(i)], els[int(j)], els[int(k)]) for i, j, k in pick]
+    mult = max(abs(chi(g + h) - chi(g) * chi(h)) for chi, g, h in char_triples)
+    if d <= 16:
+        points = list(phase_space(group))
+    else:
+        points = [PhaseSpacePoint.by_index(group, int(i)) for i in rng.integers(0, d * d, size=100)]
+    unitarity = 0.0
+    for z in points:
+        W = pointwise_weyl_matrix(z)
+        unitarity = max(unitarity, float(np.abs(W.conj().T @ W - np.eye(d)).max()))
+    dense = 0.0
+    for i in rng.integers(0, d * d, size=200):
+        z = PhaseSpacePoint.by_index(group, int(i))
+        f = random_state_vector(d, rng)
+        dense = max(dense, float(np.abs(pointwise_weyl_matrix(z) @ f - roll_weyl_apply(z, f)).max()))
+    K, _ = frame.cosets()
+    fid = frame.fiducial
+    invariance = max(float(np.abs(roll_weyl_apply(u, fid) - fid).max()) for u in K.points)
+    offcoset = max(
+        (abs(np.vdot(fid, roll_weyl_apply(z, fid))) for z in phase_space(group) if z not in K),
+        default=0.0,
+    )
+    return {
+        "group-laws": bad,
+        "character-multiplicativity": mult,
+        "weyl-unitarity": unitarity,
+        "weyl-dense-vs-apply": dense,
+        "vacuum-invariance": invariance,
+        "offcoset-vanishing": offcoset,
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, gens",
+    [("Z1", ()), ("Z4", ((2,),)), ("Z6", ((1,),)), ("Z3xZ3", ()), ("Z2xZ2xZ2", ((1, 0, 0),)),
+     ("Z32", ((8,),))],
+)
+def test_stacked_checks_match_their_per_point_routes(spec, gens, monkeypatch):
+    monkeypatch.setenv("WEHRL_DENSE_LIMIT", "1024")
+    g = parse_group(spec)
+    frame = CoherentFrame.vacuum(subgroup_closure(g, tuple(g.element(c) for c in gens)))
+    stacked_rng, scalar_rng = np.random.default_rng(7), np.random.default_rng(7)
+    stacked = {
+        "group-laws": verify.check_group_laws(g, stacked_rng),
+        "character-multiplicativity": verify.check_character_multiplicativity(g, stacked_rng),
+        "weyl-unitarity": verify.check_weyl_unitarity(g, stacked_rng),
+        "weyl-dense-vs-apply": verify.check_weyl_dense_vs_apply(g, stacked_rng, samples=200),
+        "vacuum-invariance": verify.check_vacuum_invariance(frame),
+        "offcoset-vanishing": verify.check_offcoset_vanishing(frame),
+    }
+    scalar = _per_point_checks(g, frame, scalar_rng)
+    assert stacked_rng.random() == scalar_rng.random()
+    for name in ("group-laws", "weyl-unitarity", "vacuum-invariance"):
+        assert stacked[name].residual == scalar[name], name  # same arithmetic, same bits
+    for name in ("character-multiplicativity", "weyl-dense-vs-apply", "offcoset-vanishing"):
+        # products summed or multiplied in another order: a few ulps of 1
+        assert abs(stacked[name].residual - scalar[name]) <= 4 * np.finfo(float).eps, name
+    assert all(r.passed for r in stacked.values())

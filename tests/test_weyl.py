@@ -24,6 +24,7 @@ from wehrl import weyl
 from wehrl.groups import character_row
 
 from phase_oracle import HeisenbergElement, cocycle, compose_phase, phase_to_complex
+from weyl_oracle import pointwise_weyl_matrix, roll_weyl_apply
 
 group_descriptors = st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(
     lambda orders: math.prod(orders) <= 36
@@ -271,6 +272,57 @@ def test_verify_ccr_catches_a_sign_flipped_cocycle(monkeypatch):
     report = verify_ccr(g)
     assert not report.passed
     assert report.max_residual > 0.1
+
+
+# ---------------------------------------------------------------------------
+# stacked cores against the per-point routes
+
+
+ORACLE_GROUPS = ["Z1", "Z4", "Z1xZ3", "Z2xZ2xZ2", "Z4xZ8"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS + ["Z64"])
+def test_apply_points_equals_roll_oracle_bitwise(spec, rng):
+    g = parse_group(spec)
+    d = g.order
+    z = np.arange(d * d)
+    vecs = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
+    stacked = weyl._apply_points(g, z, vecs)
+    shared = weyl._apply_points(g, z, vecs[0])
+    for i in z:
+        point = PhaseSpacePoint.by_index(g, int(i))
+        assert np.array_equal(stacked[i], roll_weyl_apply(point, vecs[i]))
+        assert np.array_equal(shared[i], roll_weyl_apply(point, vecs[0]))
+        if i % 97 == 0:
+            assert np.array_equal(weyl_apply(point, vecs[i]), stacked[i])
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_matrix_points_equals_pointwise_oracle_bitwise(spec):
+    g = parse_group(spec)
+    z = np.arange(g.order ** 2)
+    stacked = weyl._matrix_points(g, z)
+    assert stacked.shape == (len(z), g.order, g.order)
+    for i in z:
+        point = PhaseSpacePoint.by_index(g, int(i))
+        assert np.array_equal(stacked[i], pointwise_weyl_matrix(point))
+        if i % 97 == 0:
+            assert np.array_equal(weyl_matrix(point), stacked[i])
+
+
+def test_matrix_points_checks_the_dense_limit_once_per_stack(monkeypatch):
+    g = parse_group("Z8")
+    with pytest.raises(DenseLimitError, match=r"^\|G\| = 8 exceeds the dense-matrix limit 4$"):
+        weyl._matrix_points(g, np.arange(3), limit=4)
+    monkeypatch.setenv("WEHRL_DENSE_LIMIT", "4")
+    with pytest.raises(DenseLimitError):
+        weyl._matrix_points(g, np.arange(0))
+
+
+def test_weyl_apply_keeps_its_shape_error():
+    g = parse_group("Z4")
+    with pytest.raises(ValueError, match=r"^state has shape \(3,\), expected \(4,\)$"):
+        weyl_apply(parse_point(g, "1;1"), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
