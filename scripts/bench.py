@@ -1,6 +1,6 @@
 """Record the benchmark's numbers for one or more commits as BENCH_<label>.json.
 
-    python scripts/bench.py baseline=8b10e78 new=. [--seeds 8101 8102 8103] [--seconds 30]
+    python scripts/bench.py baseline=<rev> new=. [--seeds 8101 ... 8110] [--seconds 30]
 
 Each argument is label=rev; rev "." is the working tree, anything else is a
 git revision, exported with `git archive` into a temporary directory. For
@@ -145,7 +145,7 @@ def main() -> int:
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", metavar="label=rev")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[8101, 8102, 8103])
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(8101, 8111)))
     parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args()
     targets = [t.split("=", 1) for t in args.targets]
