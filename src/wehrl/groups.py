@@ -367,6 +367,10 @@ class PhaseSpaceSubgroup:
             raise ValueError("phase-space subgroup must contain the identity")
         if (self.group.order ** 2) % len(self.points) != 0:
             raise ValueError("phase-space subgroup size must divide |F|")
+        # F = G x dual(G) is the group with the factor orders of G twice
+        F = direct_product(self.group, self.group)
+        if not _sums_stay_inside(F, [p.g.coords + p.chi.coords for p in self.points]):
+            raise ValueError("point set is not closed under addition")
         ordered = tuple(
             sorted(self.points, key=lambda p: (p.g.coords, p.chi.coords))
         )

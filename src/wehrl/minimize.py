@@ -5,16 +5,26 @@ minimum over the (compact, convex) state space is attained at an extreme
 point. The iteration walks the unit sphere: Euclidean gradient, tangent
 projection, renormalisation retraction, monotone line search with step
 halving.
+
+The walk (`_descend_rows`) takes an energy/gradient pair over rows, chosen
+from the frame alone once per `minimize` or `descend` call:
+- the coset pair, for vacuum frames: all |K| = |G| points of a K-coset are
+  one ray up to phase, so S^W(psi) = -vol * sum_a q_a log q_a with
+  q_a = |<r_a|psi>|^2 over the |G| coset states r_a of `coset_basis` and
+  vol = |K|/|G|. One (|G|, |G|) product per row and step;
+- the transform pair (`pure_state_entropy`, `entropy_gradient`), for any
+  fiducial: all |G|^2 amplitudes through `group_dft`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .entropy import group_dft, pure_amplitudes, pure_state_entropy
-from .frames import CoherentFrame
+from .entropy import _entropy_sum, group_dft, pure_amplitudes, pure_state_entropy
+from .frames import CoherentFrame, NotVacuumError, coset_basis
 from .groups import PhaseSpacePoint, Subgroup, difference_index_table
 from .states import _BLOCK_BYTES, random_state_vector
 
@@ -85,38 +95,94 @@ def entropy_gradient(frame: CoherentFrame, psi: np.ndarray) -> np.ndarray:
     Q < 1e-12 are skipped. Takes one state (d,) or a stack (..., d).
     """
     psi = np.asarray(psi)
-    # coefficients w (log Q + 1) <z|psi>, built in place in the fresh
-    # amplitude arrays (see entropy._entropy_sum)
     c = pure_amplitudes(frame, psi)
+    _weigh_amplitudes(c, frame.haar_weight)
+    return _tangent(psi, -_synthesis(frame, c))
+
+
+def _weigh_amplitudes(c: np.ndarray, weight: float) -> None:
+    """c -> weight * (log Q + 1) * c in place, Q = |c|^2; 0 where Q < GRAD_SKIP.
+
+    Built in the caller's fresh amplitude array (see entropy._entropy_sum).
+    """
     m = np.abs(c)
     m *= m
     keep = m >= GRAD_SKIP
     np.log(m, out=m, where=keep)
     m += 1.0
     m[~keep] = 0.0
-    m *= frame.haar_weight
+    m *= weight
     c *= m
-    grad = -_synthesis(frame, c)
+
+
+def _tangent(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """grad projected onto the sphere tangent at the unit psi."""
     radial = (psi.conj() * grad).sum(axis=-1).real
     return grad - radial[..., None] * psi
 
 
+# a map over an (R, d) stack of unit rows, one row independent of the others
+_RowMap = Callable[[np.ndarray], np.ndarray]
+
+
+def _objective(frame: CoherentFrame) -> tuple[_RowMap, _RowMap, int]:
+    """(energy, tangent gradient, bytes per row of the largest complex temporary).
+
+    The coset pair for a vacuum frame, the transform pair for any other;
+    both give the same entropy and gradient up to rounding. Each row of the
+    coset pair is its own (1, d) @ (d, d) product, so a row rounds the same
+    in a stack of any height.
+    """
+    d = frame.group.order
+    try:
+        vectors = coset_basis(frame).vectors
+    except NotVacuumError:
+        return (
+            lambda psi: pure_state_entropy(frame, psi),
+            lambda psi: entropy_gradient(frame, psi),
+            16 * d * d,
+        )
+    K, _ = frame.cosets()
+    vol = K.order / d
+    # psi @ adjoint holds the coset amplitudes <r_a|psi>
+    adjoint = np.ascontiguousarray(vectors.conj().T)
+
+    def amplitudes(psi: np.ndarray) -> np.ndarray:
+        return (psi[:, None, :] @ adjoint)[:, 0, :]
+
+    def energy(psi: np.ndarray) -> np.ndarray:
+        q = np.abs(amplitudes(psi))
+        q *= q
+        return vol * _entropy_sum(q, 1.0)
+
+    def gradient(psi: np.ndarray) -> np.ndarray:
+        c = amplitudes(psi)
+        _weigh_amplitudes(c, vol)
+        return _tangent(psi, -(c[:, None, :] @ vectors)[:, 0, :])
+
+    return energy, gradient, 16 * d
+
+
 def _descend_rows(
-    frame: CoherentFrame, starts: np.ndarray, config: MinimizerConfig
+    energy_of: _RowMap,
+    gradient_of: _RowMap,
+    starts: np.ndarray,
+    config: MinimizerConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`descend` on each row of an (R, d) stack of starts, all rows at once.
 
-    Every row follows descend's rules on its own: its own step size and
-    halvings, plateau count, max_iters budget and convergence flag. Each
-    tick takes one gradient for the rows starting an iteration and one
-    trial energy for the rows searching along their gradient. Row-wise
-    arithmetic does not depend on the other rows, so a row ends where it
-    would end alone. Returns (states, entropies, iterations, converged).
+    energy_of and gradient_of map an (R, d) stack of unit rows to its (R,)
+    entropies and (R, d) tangent gradients (see `_objective`). Every row follows descend's rules on its
+    own: its own step size and halvings, plateau count, max_iters budget
+    and convergence flag. Each tick takes one gradient for the rows
+    starting an iteration and one trial energy for the rows searching
+    along their gradient, so a row ends where it would end alone. Returns
+    (states, entropies, iterations, converged).
     """
     psi = np.asarray(starts, dtype=np.complex128)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
     rows = psi.shape[0]
-    energy = pure_state_entropy(frame, psi)
+    energy = energy_of(psi)
     step = np.full(rows, config.step_size)
     plateau = np.zeros(rows, dtype=np.int64)
     iterations = np.zeros(rows, dtype=np.int64)
@@ -128,7 +194,7 @@ def _descend_rows(
         top = np.flatnonzero(starting & (iterations < config.max_iters))
         starting[:] = False
         if top.size:
-            grad[top] = entropy_gradient(frame, psi[top])
+            grad[top] = gradient_of(psi[top])
             flat = np.linalg.norm(grad[top], axis=-1) <= config.tol_grad
             # no step left above MIN_STEP: no descent at machine resolution
             stationary = flat | (step[top] <= MIN_STEP)
@@ -139,7 +205,7 @@ def _descend_rows(
             continue
         trial = psi[ask] - step[ask, None] * grad[ask]
         trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-        trial_energy = pure_state_entropy(frame, trial)
+        trial_energy = energy_of(trial)
         better = trial_energy < energy[ask]
         worse = ask[~better]
         step[worse] *= 0.5
@@ -172,8 +238,9 @@ def descend(
     that each drop the entropy by less than tol_entropy also count as
     converged. After max_iters accepted steps the run stops unconverged.
     """
+    energy_of, gradient_of, _ = _objective(frame)
     states, energies, iterations, converged = _descend_rows(
-        frame, np.asarray(start)[None, :], config
+        energy_of, gradient_of, np.asarray(start)[None, :], config
     )
     return states[0], float(energies[0]), int(iterations[0]), bool(converged[0])
 
@@ -184,16 +251,18 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     The result is the minimum over restart indices (ties broken by the
     lowest index). Non-convergence returns the best iterate found, it does
     not raise. The restarts run as stacks of rows through descend's rules,
-    in blocks sized so that each (rows, |G|, |G|) complex temporary stays
-    near the shared block budget.
+    in blocks sized so that each complex temporary of the frame's
+    energy/gradient pair stays near the shared block budget: (rows, |G|)
+    for the coset pair, (rows, |G|, |G|) for the transform pair.
     """
     config = config or MinimizerConfig()
     rng = np.random.default_rng(config.seed)
     d = frame.group.order
     starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
-    block = max(1, _BLOCK_BYTES // (16 * d * d))
+    energy_of, gradient_of, row_bytes = _objective(frame)
+    block = max(1, _BLOCK_BYTES // row_bytes)
     runs = [
-        _descend_rows(frame, starts[i : i + block], config)
+        _descend_rows(energy_of, gradient_of, starts[i : i + block], config)
         for i in range(0, config.restarts, block)
     ]
     states, energies, iterations, converged = (np.concatenate(part) for part in zip(*runs))

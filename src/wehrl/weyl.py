@@ -7,18 +7,19 @@ exact integer numerators mod L = lcm(n_j) (`cocycle_numerators`);
 `cocycle_phase` keeps an exact `Fraction` route as a test oracle.
 
 Two stacked cores take phase-space indices z = g_index * |G| + chi_index:
-`_apply_points` gathers f(h - g) by per-factor modular arithmetic on the
-coordinate grid, and `_matrix_points` scatters dense monomial matrices from
-`difference_index_table`. `weyl_apply` and `weyl_matrix` are their one-row
-cases. The check battery uses them as follows:
+`_apply_points` gathers f(h - g) through `_translation_index` (per-factor
+modular arithmetic on the coordinate grid), and `_matrix_points` scatters
+dense monomial matrices from `difference_index_table`. `weyl_apply` and
+`weyl_matrix` are their one-row cases. The check battery uses them as
+follows:
 - weyl-dense-vs-apply: scattered matrices times f against the gather, so
   the two translation routes stay independent;
 - weyl-unitarity and the invariance defect behind vacuum uniqueness: the
   scattered matrices;
 - vacuum-invariance, offcoset-vanishing, and the coset bases of
   `coset_basis` and `wehrl_entropy_coset`: the gather;
-- ccr-commutation (`verify_ccr`): its own gathered blocks, against the
-  closed-form cocycle.
+- ccr-commutation (`verify_ccr`): blocks gathered through
+  `_translation_index`, against the closed-form cocycle.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .groups import (
     _coords_grid,
     _phase_weights,
     _unit_roots,
+    character_row,
     difference_index_table,
 )
 from .states import DenseLimitError, _blocks, dense_limit
@@ -83,21 +85,30 @@ def _character_rows(group: FiniteAbelianGroup, chi: np.ndarray) -> np.ndarray:
     return _unit_roots(L)[((grid[chi] * weights) @ grid.T) % L]
 
 
+def _translation_index(group: FiniteAbelianGroup, g: np.ndarray) -> np.ndarray:
+    """(n, |G|) indices of h - g_i over all h, for coordinate rows g (n, k).
+
+    The one translation gather: reduced one cyclic factor at a time on the
+    coordinate grid, so the rows of g need not be reduced.
+    """
+    grid = _coords_grid(group.orders)
+    source = np.zeros((len(g), group.order), dtype=np.int64)
+    for j, (n, stride) in enumerate(zip(group.orders, group._strides)):
+        source += ((grid[:, j] - g[:, j : j + 1]) % n) * stride
+    return source
+
+
 def _apply_points(group: FiniteAbelianGroup, z: np.ndarray, vecs) -> np.ndarray:
     """(n, |G|) rows W(z_i) vecs_i for phase-space indices z_i = g_i * |G| + chi_i.
 
     vecs is one (|G|,) vector applied at every point, or an (n, |G|) stack.
-    The translation f(h - g) is a gathered index, reduced one cyclic factor
-    at a time on the coordinate grid; each entry is one product of a
-    character value and a gathered entry, as in `weyl_apply`.
+    The translation f(h - g) is gathered through `_translation_index`; each
+    entry is one product of a character value and a gathered entry, as in
+    `weyl_apply`.
     """
     d = group.order
     z = np.asarray(z, dtype=np.int64).reshape(-1)
-    grid = _coords_grid(group.orders)
-    g = grid[z // d]
-    source = np.zeros((len(z), d), dtype=np.int64)
-    for j, (n, stride) in enumerate(zip(group.orders, group._strides)):
-        source += ((grid[:, j] - g[:, j : j + 1]) % n) * stride
+    source = _translation_index(group, _coords_grid(group.orders)[z // d])
     vecs = np.asarray(vecs, dtype=np.complex128)
     if vecs.ndim == 1:
         shifted = vecs[source]
@@ -127,11 +138,14 @@ def _matrix_points(
 
 def weyl_apply(z: PhaseSpacePoint, vec) -> np.ndarray:
     """Apply W(z) in O(|G|): translate by g, then multiply character values."""
-    d = z.group.order
+    group = z.group
+    d = group.order
     vec = np.asarray(vec, dtype=np.complex128)
     if vec.shape != (d,):
         raise ValueError(f"state has shape {vec.shape}, expected ({d},)")
-    return _apply_points(z.group, z.index, vec)[0]
+    # the one-row case of _apply_points, with the cached character row
+    source = _translation_index(group, np.array([z.g.coords], dtype=np.int64))[0]
+    return character_row(group, z.chi.coords) * vec[source]
 
 
 def weyl_matrix(z: PhaseSpacePoint, limit: int | None = None) -> np.ndarray:
@@ -208,11 +222,8 @@ def _ccr_block_residual(
     w_row = (w_chi * weights) @ grid.T
     z_at_wg = np.einsum("bk,bk->b", z_chi * weights, w_g)[:, None]
     w_at_zg = np.einsum("bk,bk->b", w_chi * weights, z_g)[:, None]
-    # f(h - g_z - g_w): the translation as a gathered index, one factor at a time
-    source = np.zeros(z_row.shape, dtype=np.int64)
-    for j, (n, stride) in enumerate(zip(group.orders, group._strides)):
-        source += ((grid[:, j] - z_g[:, j : j + 1] - w_g[:, j : j + 1]) % n) * stride
-    shifted = probes[source]
+    # f(h - g_z - g_w): the translation as a gathered index
+    shifted = probes[_translation_index(group, z_g + w_g)]
     left = roots[z_row % L][..., None] * (
         roots[(w_row - w_at_zg) % L][..., None] * shifted
     )

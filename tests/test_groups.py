@@ -15,6 +15,7 @@ from wehrl import (
     GroupElement,
     GroupMismatchError,
     PhaseSpacePoint,
+    PhaseSpaceSubgroup,
     Subgroup,
     all_subgroups,
     annihilator,
@@ -486,6 +487,36 @@ def test_maximal_compact_structure():
     assert K.order == g.order
     expected = {((0,), (0,)), ((0,), (2,)), ((2,), (0,)), ((2,), (2,))}
     assert {(z.g.coords, z.chi.coords) for z in K.points} == expected
+
+
+def test_phase_space_subgroup_rejects_non_closed_points():
+    g = parse_group("Z4")
+
+    def point(a, b):
+        return PhaseSpacePoint(g.element((a,)), g.character((b,)))
+
+    with pytest.raises(ValueError, match="not closed under addition"):
+        PhaseSpaceSubgroup(g, (point(0, 0), point(1, 0)))
+    with pytest.raises(ValueError, match="not closed under addition"):
+        PhaseSpaceSubgroup(g, (point(0, 0), point(2, 0), point(0, 1), point(2, 1)))
+    assert PhaseSpaceSubgroup(g, (point(0, 0), point(2, 2))).order == 2
+    # the earlier messages are unchanged and come first
+    with pytest.raises(ValueError, match="duplicate points"):
+        PhaseSpaceSubgroup(g, (point(0, 0), point(1, 0), point(1, 0)))
+    with pytest.raises(ValueError, match="must contain the identity"):
+        PhaseSpaceSubgroup(g, (point(1, 0), point(3, 0)))
+    with pytest.raises(ValueError, match="size must divide"):
+        PhaseSpaceSubgroup(g, (point(0, 0), point(1, 0), point(2, 0)))
+
+
+def test_maximal_compact_builds_on_suite_and_order_64_frames():
+    subgroups = [H for g in standard_suite() for H in all_subgroups(g)]
+    assert len(subgroups) == 53
+    for spec in ("Z64", "Z8xZ8", "Z4xZ4xZ4", "Z2xZ2xZ2xZ2xZ2xZ2"):
+        subgroups.append(Subgroup.whole(parse_group(spec)))
+    for H in subgroups:
+        K = maximal_compact(H)
+        assert K.order == H.group.order
 
 
 def test_maximal_compact_separation():

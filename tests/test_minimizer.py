@@ -17,8 +17,9 @@ from wehrl import (
     random_state_vector,
     scan_fiducials,
     subgroup_closure,
+    vacuum_vector,
 )
-from wehrl.verify import fd_tangent_gradient
+from wehrl.verify import fd_tangent_gradient, suite_pairs
 
 
 def vacuum_frame(spec, *gen_coords):
@@ -204,6 +205,73 @@ def test_minimize_restarts_equal_descend(spec, gens, max_iters, block_bytes, mon
     assert result.iterations == sum(r[2] for r in runs)
     if max_iters < 100:  # the budget binds: some rows stop unconverged
         assert not result.restart_converged.all()
+
+
+# ---------------------------------------------------------------------------
+# the energy/gradient pairs of the walk
+
+
+ORDER_64 = ("Z64", "Z8xZ8", "Z4xZ4xZ4", "Z2xZ2xZ2xZ2xZ2xZ2")
+
+
+def workload_frames():
+    """The 53 suite vacuum frames and the four H = G frames of order 64."""
+    subgroups = [H for _, H in suite_pairs()]
+    subgroups += [Subgroup.whole(parse_group(s)) for s in ORDER_64]
+    return [CoherentFrame.vacuum(H) for H in subgroups]
+
+
+def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
+    minimize_module = sys.modules["wehrl.minimize"]
+    frames = workload_frames()
+    assert len(frames) == 57
+    for frame in frames:
+        d = frame.group.order
+        energy_of, gradient_of, row_bytes = minimize_module._objective(frame)
+        assert row_bytes == 16 * d  # the coset pair, not the transform pair
+        psis = np.stack([frame.fiducial] + [random_state_vector(d, rng) for _ in range(4)])
+        energy = energy_of(psis)
+        assert np.abs(energy - pure_state_entropy(frame, psis)).max() <= 1e-14
+        gradient = gradient_of(psis)
+        assert np.abs(gradient - entropy_gradient(frame, psis)).max() <= 1e-13
+        assert energy[0] <= 1e-14 and np.abs(gradient[0]).max() <= 1e-13
+
+
+# random fiducials are not vacuum vectors, so minimize and descend walk on
+# the transform pair; each restart must still end where descend ends alone
+@pytest.mark.parametrize("spec", ["Z4", "Z6", "Z3xZ3"])
+@pytest.mark.parametrize("block_bytes", [None, 1, 10**9])
+def test_minimize_restarts_equal_descend_on_random_fiducials(spec, block_bytes, monkeypatch):
+    minimize_module = sys.modules["wehrl.minimize"]
+    if block_bytes is not None:  # one row per block, or all rows in one
+        monkeypatch.setattr(minimize_module, "_BLOCK_BYTES", block_bytes)
+    group = parse_group(spec)
+    d = group.order
+    frame = CoherentFrame(group, random_state_vector(d, np.random.default_rng(11)))
+    assert minimize_module._objective(frame)[2] == 16 * d * d
+    config = MinimizerConfig(seed=3, restarts=6, max_iters=200)
+    result = minimize(frame, config)
+    rng = np.random.default_rng(config.seed)
+    runs = [descend(frame, random_state_vector(d, rng), config)
+            for _ in range(config.restarts)]
+    assert np.array_equal(result.restart_entropies, [r[1] for r in runs])
+    assert np.array_equal(result.restart_iterations, [r[2] for r in runs])
+    assert np.array_equal(result.restart_converged, [r[3] for r in runs])
+    assert np.array_equal(result.best_state, runs[result.restart_index][0])
+
+
+# the pair comes from the frame alone: a vacuum fiducial without subgroup=
+# is detected and walks on the same coset pair
+@pytest.mark.parametrize("spec, gens", [("Z6", ((3,),)), ("Z4xZ2", ((0, 1),)), ("Z8", ())])
+def test_detected_vacuum_frame_minimizes_like_vacuum(spec, gens):
+    H = vacuum_frame(spec, *gens).subgroup
+    a = minimize(CoherentFrame.vacuum(H))
+    b = minimize(CoherentFrame(H.group, vacuum_vector(H)))
+    for field in ("best_state", "restart_entropies", "restart_iterations", "restart_converged"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    for field in ("best_entropy", "nearest_point", "nearest_overlap", "iterations",
+                  "converged", "restart_index"):
+        assert getattr(a, field) == getattr(b, field)
 
 
 def test_descend_stops_on_exhausted_step(rng):

@@ -21,7 +21,7 @@ from wehrl import (
     weyl_matrix,
 )
 from wehrl import weyl
-from wehrl.groups import character_row
+from wehrl.groups import character_row, difference_index_table
 
 from phase_oracle import HeisenbergElement, cocycle, compose_phase, phase_to_complex
 from weyl_oracle import pointwise_weyl_matrix, roll_weyl_apply
@@ -295,6 +295,30 @@ def test_apply_points_equals_roll_oracle_bitwise(spec, rng):
         assert np.array_equal(shared[i], roll_weyl_apply(point, vecs[0]))
         if i % 97 == 0:
             assert np.array_equal(weyl_apply(point, vecs[i]), stacked[i])
+
+
+# the one-row weyl_apply reads the cached character row; it must still equal
+# the roll oracle (and so _apply_points) at every point
+@pytest.mark.parametrize("spec", ORACLE_GROUPS + ["Z64"])
+def test_weyl_apply_equals_roll_oracle_bitwise_at_every_point(spec, rng):
+    g = parse_group(spec)
+    vec = random_state_vector(g.order, rng)
+    for i in range(g.order ** 2):
+        point = PhaseSpacePoint.by_index(g, i)
+        assert np.array_equal(weyl_apply(point, vec), roll_weyl_apply(point, vec))
+
+
+# the gather shared by _apply_points and verify_ccr against the scatter table
+# of _matrix_points, on reduced rows and on unreduced sums of two rows
+@pytest.mark.parametrize("spec", ORACLE_GROUPS + ["Z64", "Z6xZ6"])
+def test_translation_index_equals_difference_table(spec):
+    g = parse_group(spec)
+    grid = np.indices(g.orders).reshape(len(g.orders), -1).T
+    table = difference_index_table(g)
+    assert np.array_equal(weyl._translation_index(g, grid), table)
+    shift = np.roll(np.arange(g.order), 1)
+    summed = table[(grid + grid[shift]) % np.array(g.orders) @ np.array(g._strides)]
+    assert np.array_equal(weyl._translation_index(g, grid + grid[shift]), summed)
 
 
 @pytest.mark.parametrize("spec", ORACLE_GROUPS)
