@@ -17,7 +17,6 @@ from .groups import (
     PhaseSpacePoint,
     PhaseSpaceSubgroup,
     Subgroup,
-    _coset_partition,
     character_table,
     coset_representatives,
     difference_index_table,
@@ -52,8 +51,7 @@ class NotVacuumError(ValueError):
 def vacuum_vector(subgroup: Subgroup) -> np.ndarray:
     """Normalised indicator of H."""
     vec = np.zeros(subgroup.group.order, dtype=np.complex128)
-    for h in subgroup.elements:
-        vec[h.index] = 1.0
+    vec[subgroup.indices] = 1.0
     return vec / np.sqrt(subgroup.order)
 
 
@@ -71,9 +69,8 @@ def detect_vacuum_subgroup(
     values = fiducial[support]
     if np.abs(values - values[0]).max() > 1e-12:
         return None
-    elements = tuple(group.element_by_index(int(i)) for i in support)
     try:
-        return Subgroup(group, elements, ())
+        return Subgroup(group, support)
     except ValueError:
         return None
 
@@ -150,22 +147,10 @@ class CoherentFrame:
         return self._cosets
 
 
-def _translate_blocks(frame: CoherentFrame):
-    """For each g in lex order, the (|G|, |G|) block of states |(g, chi)>, row chi."""
-    d = frame.group.order
-    table = character_table(frame.group)
-    axes = tuple(range(len(frame.group.orders)))
-    fid_grid = frame.fiducial.reshape(frame.group.orders)
-    for g in frame.group.elements():
-        rolled = np.roll(fid_grid, g.coords, axis=axes).reshape(d)
-        yield table * rolled[None, :]
-
-
 def coset_ids(frame: CoherentFrame) -> np.ndarray:
     """(|F|,) array labelling each phase-space point by its K-coset ordinal."""
     K, _ = frame.cosets()
-    _, ids = _coset_partition(K)
-    return ids
+    return K._partition[1]
 
 
 def _require_dense_points(point_count: int) -> None:
@@ -182,11 +167,6 @@ def overlap_matrix(frame: CoherentFrame) -> np.ndarray:
     return np.abs(S.conj() @ S.T)
 
 
-def _point_indices(points) -> np.ndarray:
-    """Phase-space indices g_index * |G| + chi_index of a sequence of points."""
-    return np.array([z.index for z in points], dtype=np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class CosetBasis:
     representatives: tuple[PhaseSpacePoint, ...]
@@ -196,10 +176,10 @@ class CosetBasis:
 def coset_basis(frame: CoherentFrame) -> CosetBasis:
     """One coherent state per coset of K: an orthonormal basis (vacuum frames)."""
     try:
-        _, reps = frame.cosets()
+        K, reps = frame.cosets()
     except NotVacuumError:
         raise NotVacuumError("not a vacuum frame") from None
-    return CosetBasis(reps, _apply_points(frame.group, _point_indices(reps), frame.fiducial))
+    return CosetBasis(reps, _apply_points(frame.group, K._partition[0], frame.fiducial))
 
 
 def _invariance_defect(K: PhaseSpaceSubgroup) -> np.ndarray:
@@ -207,7 +187,7 @@ def _invariance_defect(K: PhaseSpaceSubgroup) -> np.ndarray:
     d = K.group.order
     acc = np.zeros((d, d), dtype=np.complex128)
     eye = np.eye(d)
-    u = _point_indices(K.points)
+    u = K.indices
     for part in _blocks(len(u), 16 * d * d):
         for W in _matrix_points(K.group, u[part]):
             acc += eye - W
@@ -232,6 +212,7 @@ def resolution_residual(frame: CoherentFrame) -> float:
         acc = S.T @ S.conj()
     else:
         acc = np.zeros((d, d), dtype=np.complex128)
-        for block in _translate_blocks(frame):
+        for g in range(d):  # the states |(g, chi)> of one translate, row chi
+            block = _apply_points(frame.group, g * d + np.arange(d), frame.fiducial)
             acc += block.T @ block.conj()
     return float(np.abs(acc * frame.haar_weight - np.eye(d)).max())

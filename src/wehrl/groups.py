@@ -9,6 +9,15 @@ m mod L (`_phase_weights`) and exponentiated once per (m, L) by
 `_unit_roots`; equal phases give bit-identical complex values.
 `Character.phase` keeps an exact `fractions.Fraction` route as a test oracle.
 
+Elements and characters are numbered by mixed-radix indices, so index
+order is lex coordinate order, and the phase-space point (g, chi) has
+index g * |G| + chi. A subgroup of G, of the dual or of phase space is one
+sorted, read-only int64 array of such indices (`H.indices`); `_index_sum`
+is their one addition, and `_closures` the one closure kernel behind
+`subgroup_closure` and `all_subgroups`. The object tuples `.elements`,
+`.characters`, `.points` and `.generators` are views built on first use,
+for the API edge.
+
 Presentations are not canonicalised (no Smith normal form): Z4 and Z2xZ2
 are distinct descriptors even though both have order 4.
 """
@@ -18,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
@@ -26,7 +35,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .states import _BLOCK_BYTES
+from .states import _BLOCK_BYTES, _blocks
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -46,13 +55,11 @@ __all__ = [
     "coset_representatives",
     "is_corwin",
     "direct_product",
-    "product_point",
     "product_subgroup",
     "parse_group",
     "parse_generators",
     "parse_point",
     "format_coords",
-    "format_generators",
     "character_row",
     "CHARACTER_TABLE_CAP",
     "character_table",
@@ -266,134 +273,191 @@ def phase_space(group: FiniteAbelianGroup) -> Iterator[PhaseSpacePoint]:
             yield PhaseSpacePoint(g, chi)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of G, stored by full element enumeration (lex sorted)."""
+def _index_array(values, size: int) -> np.ndarray:
+    """values as an int64 array; ValueError unless each is an integer in range(size)."""
+    arr = np.asarray(values)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= size:
+        raise ValueError(f"indices must be integers in range({size})")
+    return arr.astype(np.int64)
 
-    group: FiniteAbelianGroup
-    elements: tuple[GroupElement, ...]
-    generators: tuple[GroupElement, ...] = field(default=(), compare=False)
+
+def _objects(cls, group: FiniteAbelianGroup, indices) -> tuple:
+    """`GroupElement` (or `Character`) objects of element (or character) indices."""
+    return tuple(cls(group, c) for c in map(tuple, _coords_grid(group.orders)[indices].tolist()))
+
+
+class _IndexSet:
+    """A subgroup stored as sorted, read-only indices: checks, equality, hash, membership.
+
+    Each subclass names its `_messages`: duplicate indices, no identity
+    (index 0), a size that does not divide the order (None: not checked),
+    and a set not closed under addition. The checks run in that order,
+    after the one that every index is an integer in range.
+    """
+
+    def _ambient(self) -> FiniteAbelianGroup:
+        """The group the indices number: G, its dual, or F."""
+        return self.group
 
     def __post_init__(self) -> None:
-        coords = frozenset(e.coords for e in self.elements)
-        if len(coords) != len(self.elements):
-            raise ValueError("duplicate elements in subgroup")
-        if (0,) * len(self.group.orders) not in coords:
-            raise ValueError("subgroup must contain the neutral element")
-        if self.group.order % len(self.elements) != 0:
-            raise ValueError("subgroup size must divide the group order")
-        for a in self.elements:
-            _require_same_group(a.group, self.group)
-        if not _sums_stay_inside(self.group, [e.coords for e in self.elements]):
-            raise ValueError("element set is not closed under addition")
-        ordered = tuple(sorted(self.elements, key=lambda e: e.coords))
-        object.__setattr__(self, "elements", ordered)
+        duplicate, identity, divide, closure = self._messages
+        ambient = self._ambient()
+        indices = np.sort(_index_array(self.indices, ambient.order))
+        if (indices[1:] == indices[:-1]).any():
+            raise ValueError(duplicate)
+        if indices.size == 0 or indices[0] != 0:
+            raise ValueError(identity)
+        if divide is not None and ambient.order % indices.size:
+            raise ValueError(divide)
+        if not _sums_stay_inside(ambient, indices):
+            raise ValueError(closure)
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
 
-    @cached_property
-    def _coord_set(self) -> frozenset:
-        return frozenset(e.coords for e in self.elements)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other.group == self.group and np.array_equal(other.indices, self.indices)
 
-    def __contains__(self, g: GroupElement) -> bool:
-        return g.group == self.group and g.coords in self._coord_set
+    def __hash__(self) -> int:
+        return hash((self.group, self.indices.tobytes()))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
+
+    def __contains__(self, item) -> bool:
+        """Whether an element, character or point (by its .group and .index) is a member."""
+        if item.group != self.group:
+            return False
+        pos = int(np.searchsorted(self.indices, item.index))
+        return pos < len(self.indices) and int(self.indices[pos]) == item.index
+
+
+@dataclass(frozen=True, eq=False)
+class Subgroup(_IndexSet):
+    """A subgroup of G: its sorted element indices, so index order is lex order."""
+
+    group: FiniteAbelianGroup
+    indices: np.ndarray
+    generator_indices: np.ndarray = ()
+
+    _messages = (
+        "duplicate elements in subgroup",
+        "subgroup must contain the neutral element",
+        "subgroup size must divide the group order",
+        "element set is not closed under addition",
+    )
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        gens = _index_array(self.generator_indices, self.group.order)
+        gens.flags.writeable = False
+        object.__setattr__(self, "generator_indices", gens)
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        return _objects(GroupElement, self.group, self.indices)
+
+    @cached_property
+    def generators(self) -> tuple[GroupElement, ...]:
+        return _objects(GroupElement, self.group, self.generator_indices)
 
     @classmethod
     def whole(cls, group: FiniteAbelianGroup) -> "Subgroup":
-        gens = tuple(
-            group.element(tuple(int(i == j) for i in range(len(group.orders))))
-            for j, n in enumerate(group.orders)
-            if n > 1
-        )
-        return cls(group, tuple(group.elements()), gens)
+        gens = [s for n, s in zip(group.orders, group._strides) if n > 1]
+        return cls(group, np.arange(group.order), gens)
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "Subgroup":
-        return cls(group, (group.zero(),), ())
+        return cls(group, [0])
 
     def __str__(self) -> str:
-        return format_generators(self.elements)
+        rows = _coords_grid(self.group.orders)[self.indices].tolist()
+        return ";".join(format_coords(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class DualSubgroup:
-    """A subgroup of the dual group, stored as explicit characters."""
-
-    group: FiniteAbelianGroup
-    characters: tuple[Character, ...]
-
-    def __post_init__(self) -> None:
-        coords = frozenset(c.coords for c in self.characters)
-        if len(coords) != len(self.characters):
-            raise ValueError("duplicate characters in dual subgroup")
-        if (0,) * len(self.group.orders) not in coords:
-            raise ValueError("dual subgroup must contain the trivial character")
-        for a in self.characters:
-            _require_same_group(a.group, self.group)
-        if not _sums_stay_inside(self.group, [c.coords for c in self.characters]):
-            raise ValueError("character set is not closed under product")
-        ordered = tuple(sorted(self.characters, key=lambda c: c.coords))
-        object.__setattr__(self, "characters", ordered)
-
-    @cached_property
-    def _coord_set(self) -> frozenset:
-        return frozenset(c.coords for c in self.characters)
-
-    def __contains__(self, chi: Character) -> bool:
-        return chi.group == self.group and chi.coords in self._coord_set
-
-    @property
-    def order(self) -> int:
-        return len(self.characters)
-
-
-@dataclass(frozen=True)
-class PhaseSpaceSubgroup:
-    """A subgroup of phase space F = G x dual(G)."""
+@dataclass(frozen=True, eq=False)
+class DualSubgroup(_IndexSet):
+    """A subgroup of the dual group: its sorted character indices."""
 
     group: FiniteAbelianGroup
-    points: tuple[PhaseSpacePoint, ...]
-    subgroup: Subgroup | None = field(default=None, compare=False)
-    dual_part: DualSubgroup | None = field(default=None, compare=False)
+    indices: np.ndarray
 
-    def __post_init__(self) -> None:
-        keys = frozenset((p.g.coords, p.chi.coords) for p in self.points)
-        if len(keys) != len(self.points):
-            raise ValueError("duplicate points in phase-space subgroup")
-        zero = (0,) * len(self.group.orders)
-        if (zero, zero) not in keys:
-            raise ValueError("phase-space subgroup must contain the identity")
-        if (self.group.order ** 2) % len(self.points) != 0:
-            raise ValueError("phase-space subgroup size must divide |F|")
-        # F = G x dual(G) is the group with the factor orders of G twice
-        F = direct_product(self.group, self.group)
-        if not _sums_stay_inside(F, [p.g.coords + p.chi.coords for p in self.points]):
-            raise ValueError("point set is not closed under addition")
-        ordered = tuple(
-            sorted(self.points, key=lambda p: (p.g.coords, p.chi.coords))
-        )
-        object.__setattr__(self, "points", ordered)
+    _messages = (
+        "duplicate characters in dual subgroup",
+        "dual subgroup must contain the trivial character",
+        None,
+        "character set is not closed under product",
+    )
 
     @cached_property
-    def _key_set(self) -> frozenset:
-        return frozenset((p.g.coords, p.chi.coords) for p in self.points)
+    def characters(self) -> tuple[Character, ...]:
+        return _objects(Character, self.group, self.indices)
 
-    def __contains__(self, z: PhaseSpacePoint) -> bool:
-        return z.group == self.group and (z.g.coords, z.chi.coords) in self._key_set
 
-    @property
-    def order(self) -> int:
-        return len(self.points)
+@dataclass(frozen=True, eq=False)
+class PhaseSpaceSubgroup(_IndexSet):
+    """A subgroup of phase space F = G x dual(G): sorted indices g * |G| + chi."""
 
-    @classmethod
-    def full(cls, group: FiniteAbelianGroup) -> "PhaseSpaceSubgroup":
-        return cls(group, tuple(phase_space(group)))
+    group: FiniteAbelianGroup
+    indices: np.ndarray
+    subgroup: Subgroup | None = None
+    dual_part: DualSubgroup | None = None
+
+    _messages = (
+        "duplicate points in phase-space subgroup",
+        "phase-space subgroup must contain the identity",
+        "phase-space subgroup size must divide |F|",
+        "point set is not closed under addition",
+    )
+
+    def _ambient(self) -> FiniteAbelianGroup:
+        # F has the factor orders of G twice, and g * |G| + chi is its index
+        return direct_product(self.group, self.group)
+
+    @cached_property
+    def points(self) -> tuple[PhaseSpacePoint, ...]:
+        g, chi = np.divmod(self.indices, self.group.order)
+        elements = _objects(GroupElement, self.group, g)
+        return tuple(map(PhaseSpacePoint, elements, _objects(Character, self.group, chi)))
+
+    @cached_property
+    def _partition(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_coset_partition` of this subgroup, computed once, read-only."""
+        representatives, ids = _coset_partition(self)
+        representatives.flags.writeable = False
+        ids.flags.writeable = False
+        return representatives, ids
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "PhaseSpaceSubgroup":
-        return cls(group, (PhaseSpacePoint(group.zero(), group.trivial_character()),))
+        return cls(group, [0])
+
+
+def _closures(group: FiniteAbelianGroup, H: np.ndarray, x) -> np.ndarray:
+    """(len(x), |G|) membership masks of H + <x_i>, for subgroup indices H.
+
+    H + <x> is the union of the translates H + k x over k below the
+    exponent of G. The multiples k x come from the coordinate grid; all
+    their sums with H are one gather through `_index_sum`, in blocks of x
+    sized by the block budget.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    exponent, _ = _phase_weights(group)
+    orders = np.array(group.orders, dtype=np.int64)
+    strides = np.array(group._strides, dtype=np.int64)
+    grid = _coords_grid(group.orders)
+    masks = np.zeros((len(x), group.order), dtype=bool)
+    for part in _blocks(len(x), 8 * exponent * len(H)):
+        steps = np.arange(exponent)[None, :, None] * grid[x[part]][:, None, :]
+        multiples = (steps % orders) @ strides  # (block, exponent)
+        sums = _index_sum(group, multiples[:, :, None], H[None, None, :])
+        rows = np.arange(part.start, part.stop)[:, None]
+        masks[rows, sums.reshape(len(sums), -1)] = True
+    return masks
 
 
 def subgroup_closure(
@@ -401,92 +465,52 @@ def subgroup_closure(
 ) -> Subgroup:
     """Smallest subgroup containing the generators.
 
-    Closes on element indices: H + <x> is the union of the cosets H + k*x
-    for k below the first k >= 1 with k*x in H, so each generator adds
-    whole cosets of the subgroup built so far.
+    Adds one generator at a time through `_closures`; a generator already
+    inside the subgroup built so far adds nothing and is skipped.
     """
     generators = tuple(generators)
     for g in generators:
         _require_same_group(g.group, group)
-    orders = np.array(group.orders, dtype=np.int64)
-    strides = np.array(group._strides, dtype=np.int64)
-    grid = _coords_grid(group.orders)
-    exponent, _ = _phase_weights(group)
-    members = np.zeros(1, dtype=np.int64)
+    gens = [group.element(g.coords).index for g in generators]
     inside = np.zeros(group.order, dtype=bool)
     inside[0] = True
-    for gen in generators:
-        multiples = (np.arange(exponent)[:, None] * np.array(gen.coords)) % orders
-        back_in_H = np.nonzero(inside[multiples[1:] @ strides])[0]
-        cut = int(back_in_H[0]) + 1 if back_in_H.size else exponent
-        members = ((grid[members][:, None, :] + multiples[None, :cut]) % orders) @ strides
-        members = members.reshape(-1)
-        inside[members] = True
-    elements = tuple(
-        GroupElement(group, coords) for coords in map(tuple, grid[np.sort(members)].tolist())
-    )
-    return Subgroup(group, elements, generators)
+    for x in gens:
+        if not inside[x]:
+            inside = _closures(group, np.flatnonzero(inside), [x])[0]
+    return Subgroup(group, np.flatnonzero(inside), gens)
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     """Every subgroup of G, found by breadth-first closure over generators.
 
-    Deterministic: the result is sorted by (order, element coordinate list).
-    Intended for desk-scale groups; the lattice is enumerated in full.
-    Closures run on sets of element indices (the mixed-radix integers of
-    `element_by_index`); one `Subgroup` is built per subgroup at the end.
-    Each subgroup keeps the generators of the path that first reached it.
+    Deterministic: the result is sorted by (order, element index list),
+    which is (order, element coordinate list). Intended for desk-scale
+    groups; the lattice is enumerated in full. The frontier is a stack;
+    each subgroup taken from it is closed with every element outside it,
+    in ascending order, by one `_closures` call, and the masks are
+    deduplicated on their bytes. Each subgroup keeps the generators of the
+    path that first reached it.
     """
-    coords = [g.coords for g in group.elements()]
-    orders, strides = group.orders, group._strides
-
-    def translate(indices, x: int) -> frozenset:
-        shift = coords[x]
-        return frozenset(
-            sum(
-                ((c + t) % n) * s
-                for c, t, n, s in zip(coords[i], shift, orders, strides)
-            )
-            for i in indices
-        )
-
-    def close(H: frozenset, x: int) -> frozenset:
-        # H + <x> is the union of the cosets H + k*x up to the first k*x in H
-        closure = set(H)
-        coset = translate(H, x)
-        while coset.isdisjoint(H):
-            closure |= coset
-            coset = translate(coset, x)
-        return frozenset(closure)
-
-    trivial = frozenset({0})
-    found = {trivial: ()}
-    frontier = [trivial]
+    trivial = np.zeros(group.order, dtype=bool)
+    trivial[0] = True
+    found = {trivial.tobytes(): (np.flatnonzero(trivial), ())}
+    frontier = list(found.values())
     while frontier:
-        current = frontier.pop()
-        gens = found[current]
-        for x in range(group.order):
-            if x in current:
-                continue
-            bigger = close(current, x)
-            if bigger not in found:
-                found[bigger] = gens + (x,)
-                frontier.append(bigger)
-    subgroups = (
-        Subgroup(
-            group,
-            tuple(group.element_by_index(i) for i in sorted(H)),
-            tuple(group.element_by_index(i) for i in gens),
-        )
-        for H, gens in found.items()
-    )
-    return tuple(
-        sorted(subgroups, key=lambda H: (H.order, [e.coords for e in H.elements]))
-    )
+        current, gens = frontier.pop()
+        outside = np.ones(group.order, dtype=bool)
+        outside[current] = False
+        x = np.flatnonzero(outside)
+        for xi, mask in zip(x.tolist(), _closures(group, current, x)):
+            key = mask.tobytes()
+            if key not in found:
+                found[key] = (np.flatnonzero(mask), gens + (xi,))
+                frontier.append(found[key])
+    ordered = sorted(found.values(), key=lambda entry: (len(entry[0]), entry[0].tolist()))
+    return tuple(Subgroup(group, H, gens) for H, gens in ordered)
 
 
-def _pairing_kernel(group: FiniteAbelianGroup, coords) -> np.ndarray:
-    """Mask over the lex-ordered coordinates x that pair to 1 with every row of coords.
+def _pairing_kernel(group: FiniteAbelianGroup, indices) -> np.ndarray:
+    """Mask over the indices x that pair to 1 with every element (or character) index given.
 
     Exact integer arithmetic (`_phase_weights`): the pairing of x and c is
     exp(2*pi*i * m / L) with m = sum_j x_j c_j (L / n_j) mod L. It is
@@ -494,9 +518,8 @@ def _pairing_kernel(group: FiniteAbelianGroup, coords) -> np.ndarray:
     elements and the elements that a set of characters kills.
     """
     L, weights = _phase_weights(group)
-    columns = np.array(coords, dtype=np.int64).reshape(-1, len(group.orders)).T
     grid = _coords_grid(group.orders)  # (d, k)
-    return np.all(((grid * weights) @ columns) % L == 0, axis=1)
+    return np.all(((grid * weights) @ grid[indices].T) % L == 0, axis=1)
 
 
 def annihilator(subgroup: Subgroup) -> DualSubgroup:
@@ -507,10 +530,8 @@ def annihilator(subgroup: Subgroup) -> DualSubgroup:
     homomorphisms.
     """
     group = subgroup.group
-    testers = subgroup.generators if subgroup.generators else subgroup.elements
-    mask = _pairing_kernel(group, [h.coords for h in testers])
-    chars = tuple(group.character_by_index(int(i)) for i in np.nonzero(mask)[0])
-    result = DualSubgroup(group, chars)
+    testers = subgroup.generator_indices if subgroup.generator_indices.size else subgroup.indices
+    result = DualSubgroup(group, np.flatnonzero(_pairing_kernel(group, testers)))
     if result.order * subgroup.order != group.order:
         raise RuntimeError(f"annihilator duality failed for {subgroup}")
     return result
@@ -519,9 +540,7 @@ def annihilator(subgroup: Subgroup) -> DualSubgroup:
 def dual_annihilator(dual: DualSubgroup) -> Subgroup:
     """Group elements on which every character of the dual subgroup is 1."""
     group = dual.group
-    mask = _pairing_kernel(group, [c.coords for c in dual.characters])
-    elements = tuple(group.element_by_index(int(i)) for i in np.nonzero(mask)[0])
-    result = Subgroup(group, elements, ())
+    result = Subgroup(group, np.flatnonzero(_pairing_kernel(group, dual.indices)))
     if result.order * dual.order != group.order:
         raise RuntimeError("annihilator duality failed for a dual subgroup")
     return result
@@ -530,15 +549,14 @@ def dual_annihilator(dual: DualSubgroup) -> Subgroup:
 def maximal_compact(subgroup: Subgroup) -> PhaseSpaceSubgroup:
     """K = H x A(H) inside F; always |K| = |G|.
 
+    Its indices h * |G| + chi come out sorted, since both factors are.
     For |G| <= 64 the separation property behind maximality is checked
     exhaustively: every g outside H is detected by some character of A(H),
     i.e. no element outside H is in the kernel of all of A(H).
     """
     group = subgroup.group
     ann = annihilator(subgroup)
-    points = tuple(
-        PhaseSpacePoint(h, chi) for h in subgroup.elements for chi in ann.characters
-    )
+    points = (subgroup.indices[:, None] * group.order + ann.indices[None, :]).ravel()
     K = PhaseSpaceSubgroup(group, points, subgroup=subgroup, dual_part=ann)
     if K.order != group.order:
         raise RuntimeError("maximal compact subgroup must have order |G|")
@@ -554,8 +572,8 @@ def maximal_compact(subgroup: Subgroup) -> PhaseSpaceSubgroup:
 
 def _unseparated(subgroup: Subgroup, ann: DualSubgroup) -> np.ndarray:
     """(|G|,) mask of the elements outside H on which every character of ann is 1."""
-    mask = _pairing_kernel(subgroup.group, [chi.coords for chi in ann.characters])
-    mask[[h.index for h in subgroup.elements]] = False
+    mask = _pairing_kernel(subgroup.group, ann.indices)
+    mask[subgroup.indices] = False
     return mask
 
 
@@ -563,21 +581,17 @@ def _coset_partition(K: PhaseSpaceSubgroup) -> tuple[np.ndarray, np.ndarray]:
     """(representatives, ids): the cosets of K in F as point indices.
 
     One (|F|, |K|) table holds the index of z + u for every point z and
-    every u in K; it is built in row blocks sized by the block budget. The
-    least index in row z is the lex-least member of the coset z + K, which
-    represents it. `representatives` lists those indices in ascending (lex)
-    order, and ids[z] is the rank of row z's representative among them.
+    every u in K; it is built in row blocks sized by the block budget from
+    the index sums g + g_u and chi + chi_u. The least index in row z is
+    the lex-least member of the coset z + K, which represents it.
+    `representatives` lists those indices in ascending (lex) order, and
+    ids[z] is the rank of row z's representative among them.
     """
     group = K.group
     d = group.order
-    orders = np.array(group.orders, dtype=np.int64)
-    strides = np.array(group._strides, dtype=np.int64)
-    grid = _coords_grid(group.orders)
-    u = np.array([p.g.coords + p.chi.coords for p in K.points], dtype=np.int64)
-    k = len(group.orders)
-    # index of g + g_u and of chi + chi_u, for every g (or chi) and every u
-    g_sum = ((grid[:, None, :] + u[None, :, :k]) % orders) @ strides
-    chi_sum = ((grid[:, None, :] + u[None, :, k:]) % orders) @ strides
+    every = np.arange(d)[:, None]
+    g_sum = _index_sum(group, every, K.indices // d)  # (d, |K|)
+    chi_sum = _index_sum(group, every, K.indices % d)
     block = max(1, _BLOCK_BYTES // (8 * d * K.order))
     least = np.concatenate([
         (g_sum[start:start + block, None, :] * d + chi_sum[None]).min(axis=-1).reshape(-1)
@@ -594,14 +608,13 @@ def coset_representatives(K: PhaseSpaceSubgroup) -> tuple[PhaseSpacePoint, ...]:
 
     Returned in lex order; there are exactly |F| / |K| of them.
     """
-    representatives, _ = _coset_partition(K)
-    return tuple(PhaseSpacePoint.by_index(K.group, int(i)) for i in representatives)
+    return tuple(PhaseSpacePoint.by_index(K.group, int(i)) for i in K._partition[0])
 
 
 def is_corwin(subgroup: Subgroup) -> bool:
     """Whether doubling is surjective on H, i.e. 2H = H."""
-    doubled = {(h + h).coords for h in subgroup.elements}
-    return doubled == set(subgroup._coord_set)
+    doubled = _index_sum(subgroup.group, subgroup.indices, subgroup.indices)
+    return np.array_equal(np.unique(doubled), subgroup.indices)
 
 
 def direct_product(
@@ -610,26 +623,12 @@ def direct_product(
     return FiniteAbelianGroup(a.orders + b.orders)
 
 
-def product_point(z1: PhaseSpacePoint, z2: PhaseSpacePoint) -> PhaseSpacePoint:
-    """The point (g1 + g2, chi1 x chi2) of the product group's phase space."""
-    group = direct_product(z1.group, z2.group)
-    return PhaseSpacePoint(
-        group.element(z1.g.coords + z2.g.coords),
-        group.character(z1.chi.coords + z2.chi.coords),
-    )
-
-
 def product_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
-    group = direct_product(a.group, b.group)
-    elements = tuple(
-        group.element(x.coords + y.coords) for x in a.elements for y in b.elements
-    )
-    zeros_a = (0,) * len(a.group.orders)
-    zeros_b = (0,) * len(b.group.orders)
-    gens = tuple(group.element(x.coords + zeros_b) for x in a.generators) + tuple(
-        group.element(zeros_a + y.coords) for y in b.generators
-    )
-    return Subgroup(group, elements, gens)
+    """H_a x H_b in G_a x G_b, whose element (x, y) has index x * |G_b| + y."""
+    n = b.group.order
+    indices = (a.indices[:, None] * n + b.indices[None, :]).ravel()
+    gens = np.concatenate([a.generator_indices * n, b.generator_indices])
+    return Subgroup(direct_product(a.group, b.group), indices, gens)
 
 
 _FACTOR_RE = re.compile(r"[Zz](\d+)")
@@ -650,10 +649,6 @@ def parse_group(text: str) -> FiniteAbelianGroup:
 
 def format_coords(coords: Iterable[int]) -> str:
     return ",".join(str(c) for c in coords)
-
-
-def format_generators(elements: Iterable[GroupElement]) -> str:
-    return ";".join(format_coords(e.coords) for e in elements)
 
 
 def _parse_coords(chunk: str) -> tuple[int, ...]:
@@ -691,24 +686,34 @@ def _coords_grid(orders: tuple[int, ...]) -> np.ndarray:
     return grid
 
 
-def _sums_stay_inside(group: FiniteAbelianGroup, coords) -> bool:
-    """Whether a + b is again a row of coords for every pair of rows a, b.
+def _index_sum(group: FiniteAbelianGroup, a, b) -> np.ndarray:
+    """Index of a + b for broadcast arrays of element indices a and b.
 
-    Runs on element indices: each sum is reduced mod the factor orders and
-    looked up in a membership mask. The (|S|, |S|) table of sums goes in row
-    blocks sized by the block budget. A row that is not reduced is never
-    matched, since every sum is reduced.
+    The library's one index addition. With digits a_j, b_j (the coordinate
+    grid's columns) and strides s_j, the index of a + b is
+    sum_j ((a_j + b_j) mod n_j) s_j = a + b - sum_j n_j s_j [a_j + b_j >= n_j].
     """
-    orders = np.array(group.orders, dtype=np.int64)
-    strides = np.array(group._strides, dtype=np.int64)
-    rows = np.array(coords, dtype=np.int64).reshape(-1, len(group.orders))
-    reduced = rows % orders
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    out = a + b
+    grid = _coords_grid(group.orders)
+    for j, (n, stride) in enumerate(zip(group.orders, group._strides)):
+        if n > 1:
+            out -= (grid[a, j] + grid[b, j] >= n) * (n * stride)
+    return out
+
+
+def _sums_stay_inside(group: FiniteAbelianGroup, indices: np.ndarray) -> bool:
+    """Whether a + b is again in the index set for every pair a, b of it.
+
+    Each sum is looked up in a membership mask; the (|S|, |S|) table of
+    sums goes in row blocks sized by the block budget.
+    """
     inside = np.zeros(group.order, dtype=bool)
-    inside[(reduced @ strides)[(rows == reduced).all(axis=1)]] = True
-    block = max(1, _BLOCK_BYTES // (8 * rows.size))
-    for start in range(0, len(rows), block):
-        sums = (reduced[start:start + block, None, :] + reduced[None, :, :]) % orders
-        if not inside[sums @ strides].all():
+    inside[indices] = True
+    block = max(1, _BLOCK_BYTES // (8 * len(indices)))
+    for start in range(0, len(indices), block):
+        if not inside[_index_sum(group, indices[start:start + block, None], indices)].all():
             return False
     return True
 

@@ -285,10 +285,20 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
 def nearest_coherent(
     frame: CoherentFrame, psi: np.ndarray
 ) -> tuple[PhaseSpacePoint, float]:
-    """Frame point with the largest |<z|psi>|, and that overlap."""
+    """Frame point with the largest |<z|psi>|, and that overlap.
+
+    On a vacuum frame all members of a K-coset share one overlap up to
+    rounding; the point is then the coset's lex-least member.
+    """
     c = np.abs(pure_amplitudes(frame, psi))
     idx = int(np.argmax(c))
-    return PhaseSpacePoint.by_index(frame.group, idx), float(c[idx])
+    overlap = float(c[idx])
+    try:
+        K, _ = frame.cosets()
+    except NotVacuumError:
+        return PhaseSpacePoint.by_index(frame.group, idx), overlap
+    representatives, ids = K._partition
+    return PhaseSpacePoint.by_index(frame.group, int(representatives[ids[idx]])), overlap
 
 
 def scan_fiducials(

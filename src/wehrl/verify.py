@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .entropy import (
 from .frames import (
     CoherentFrame,
     _invariance_defect,
-    _point_indices,
     _require_dense_points,
     coset_ids,
     invariant_subspace_dim,
@@ -43,19 +41,17 @@ from .frames import (
 )
 from .groups import (
     FiniteAbelianGroup,
-    PhaseSpacePoint,
     PhaseSpaceSubgroup,
     Subgroup,
     _coords_grid,
+    _index_sum,
     _phase_weights,
     _unit_roots,
     _unseparated,
     all_subgroups,
     annihilator,
     dual_annihilator,
-    maximal_compact,
     parse_group,
-    phase_space,
 )
 from .minimize import entropy_gradient
 from .states import _blocks, pure_density, random_state_vector
@@ -122,21 +118,15 @@ def _random_density_stack(
     return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
-def _point_coord_arrays(points: Sequence[PhaseSpacePoint]):
-    g = np.array([p.g.coords for p in points], dtype=np.int64)
-    a = np.array([p.chi.coords for p in points], dtype=np.int64)
-    return g, a
+def cocycle_phase_matrix(group: FiniteAbelianGroup, left, right) -> np.ndarray:
+    """Integer cocycle phases M (numerators mod L): omega = exp(2 pi i M / L).
 
-
-def cocycle_phase_matrix(
-    group: FiniteAbelianGroup,
-    left: Sequence[PhaseSpacePoint],
-    right: Sequence[PhaseSpacePoint],
-) -> np.ndarray:
-    """Integer cocycle phases (numerators mod L): omega = exp(2 pi i M / L)."""
-    g1, a1 = _point_coord_arrays(left)
-    g2, a2 = _point_coord_arrays(right)
-    return cocycle_numerators(group, g1[:, None], a1[:, None], g2[None], a2[None])
+    M[i, j] pairs the phase-space indices left[i] and right[j].
+    """
+    d = group.order
+    grid = _coords_grid(group.orders)
+    z, w = np.asarray(left)[:, None], np.asarray(right)[None]
+    return cocycle_numerators(group, grid[z // d], grid[z % d], grid[w // d], grid[w % d])
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +136,10 @@ def cocycle_phase_matrix(
 def _sum_table(group: FiniteAbelianGroup) -> np.ndarray:
     """(|G|, |G|) table of the index of a + b over element indices a, b.
 
-    The library's index arithmetic: (a_j + b_j) mod n_j in each cyclic
-    factor, weighted by the mixed-radix strides.
+    The library's index arithmetic, `groups._index_sum`.
     """
-    grid = _coords_grid(group.orders)
-    table = np.zeros((group.order, group.order), dtype=np.int64)
-    for j, (n, stride) in enumerate(zip(group.orders, group._strides)):
-        table += ((grid[:, None, j] + grid[None, :, j]) % n) * stride
-    return table
+    every = np.arange(group.order)
+    return _index_sum(group, every[:, None], every[None, :])
 
 
 def check_group_laws(group: FiniteAbelianGroup, rng: np.random.Generator) -> CheckResult:
@@ -225,20 +211,19 @@ def check_annihilator_duality(subgroup: Subgroup) -> CheckResult:
 
 def check_double_annihilator(subgroup: Subgroup) -> CheckResult:
     double = dual_annihilator(annihilator(subgroup))
-    mismatch = len(set(double._coord_set) ^ set(subgroup._coord_set))
+    mismatch = int(not np.array_equal(double.indices, subgroup.indices))
     return _result("double-annihilator", mismatch, 0.0)
 
 
-def check_compact_maximality(subgroup: Subgroup) -> CheckResult:
-    group = subgroup.group
-    K = maximal_compact(subgroup)
-    bad = abs(K.order - group.order)
-    bad += int(np.count_nonzero(_unseparated(subgroup, K.dual_part)))
+def check_compact_maximality(K: PhaseSpaceSubgroup) -> CheckResult:
+    """|K| = |G|, and A(H) separates every element outside H, for K = H x A(H)."""
+    bad = abs(K.order - K.group.order)
+    bad += int(np.count_nonzero(_unseparated(K.subgroup, K.dual_part)))
     return _result("compact-maximality", bad, 0.0, f"|K| = {K.order}")
 
 
 def check_cocycle_trivial_on_K(K: PhaseSpaceSubgroup) -> CheckResult:
-    phases = cocycle_phase_matrix(K.group, K.points, K.points)
+    phases = cocycle_phase_matrix(K.group, K.indices, K.indices)
     return _result("cocycle-trivial-on-K", int(np.count_nonzero(phases)), 0.0)
 
 
@@ -317,9 +302,17 @@ def check_weyl_dense_vs_apply(
 # frame-level checks (vacuum frame of a given subgroup)
 
 
+def _outside_points(frame: CoherentFrame) -> np.ndarray:
+    """Ascending phase-space indices of the points outside K, through a mask complement."""
+    K, _ = frame.cosets()
+    inside = np.zeros(frame.point_count, dtype=bool)
+    inside[K.indices] = True
+    return np.flatnonzero(~inside)
+
+
 def check_vacuum_invariance(frame: CoherentFrame) -> CheckResult:
     K, _ = frame.cosets()
-    u = _point_indices(K.points)
+    u = K.indices
     worst = 0.0
     for part in _blocks(len(u), 16 * frame.group.order):
         moved = _apply_points(frame.group, u[part], frame.fiducial)
@@ -332,12 +325,11 @@ def check_vacuum_uniqueness(K: PhaseSpaceSubgroup) -> CheckResult:
     return _result("vacuum-uniqueness-dim", abs(dim - 1), 0.0, f"dim = {dim}")
 
 
-def check_vacuum_nullspace_match(subgroup: Subgroup) -> CheckResult:
-    """Closed-form indicator vacuum vs the numerically computed null vector."""
-    K = maximal_compact(subgroup)
+def check_vacuum_nullspace_match(K: PhaseSpaceSubgroup) -> CheckResult:
+    """Closed-form indicator vacuum of H vs the numerical null vector of K = H x A(H)."""
     _, _, vh = np.linalg.svd(_invariance_defect(K))
     numeric = vh[-1].conj()
-    closed = vacuum_vector(subgroup)
+    closed = vacuum_vector(K.subgroup)
     residual = 1.0 - abs(np.vdot(closed, numeric))
     return _result("vacuum-closed-form-vs-nullspace", residual, 1e-10)
 
@@ -374,11 +366,8 @@ def check_overlap_coset_match(frame: CoherentFrame) -> CheckResult:
 
 def check_offcoset_vanishing(frame: CoherentFrame) -> CheckResult:
     """eq-mechanism part 1: <0|W(z)|0> = 0 for z outside K."""
-    K, _ = frame.cosets()
     d = frame.group.order
-    inside = np.zeros(d * d, dtype=bool)
-    inside[_point_indices(K.points)] = True
-    outside = np.flatnonzero(~inside)
+    outside = _outside_points(frame)
     worst = 0.0
     for part in _blocks(len(outside), 16 * d):
         states = _apply_points(frame.group, outside[part], frame.fiducial)
@@ -389,10 +378,10 @@ def check_offcoset_vanishing(frame: CoherentFrame) -> CheckResult:
 def check_offcoset_witness(frame: CoherentFrame) -> CheckResult:
     """eq-mechanism part 2: every z outside K has u in K with omega(z, u) != 1."""
     K, _ = frame.cosets()
-    outside = [z for z in phase_space(frame.group) if z not in K]
-    if not outside:
+    outside = _outside_points(frame)
+    if not outside.size:
         return _result("offcoset-witness", 0, 0.0, "K = F")
-    phases = cocycle_phase_matrix(frame.group, outside, list(K.points))
+    phases = cocycle_phase_matrix(frame.group, outside, K.indices)
     missing = int(np.count_nonzero(~np.any(phases != 0, axis=1)))
     return _result("offcoset-witness", missing, 0.0, f"{len(outside)} points")
 
@@ -631,16 +620,16 @@ def run_checks(
     results.append(check_character_multiplicativity(group, rng))
     results.append(check_annihilator_duality(subgroup))
     results.append(check_double_annihilator(subgroup))
-    results.append(check_compact_maximality(subgroup))
-    K = maximal_compact(subgroup)
+    frame = CoherentFrame.vacuum(subgroup)
+    K, _ = frame.cosets()  # the one maximal compact subgroup of this pair
+    results.append(check_compact_maximality(K))
     results.append(check_cocycle_trivial_on_K(K))
     results.append(check_cocycle_bilinearity(group, rng))
     results.append(check_ccr(group, seed))
     results.append(check_weyl_unitarity(group, rng))
     results.append(check_weyl_dense_vs_apply(group, rng))
     results.append(check_vacuum_uniqueness(K))
-    results.append(check_vacuum_nullspace_match(subgroup))
-    frame = CoherentFrame.vacuum(subgroup)
+    results.append(check_vacuum_nullspace_match(K))
     results.append(check_vacuum_invariance(frame))
     results.append(check_resolution_vacuum(frame))
     results.append(check_resolution_random(group, rng))

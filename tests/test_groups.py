@@ -12,7 +12,6 @@ import wehrl
 from wehrl import (
     DualSubgroup,
     FiniteAbelianGroup,
-    GroupElement,
     GroupMismatchError,
     PhaseSpacePoint,
     PhaseSpaceSubgroup,
@@ -31,6 +30,7 @@ from wehrl import (
     subgroup_closure,
 )
 from wehrl.groups import (
+    _index_sum,
     _phase_weights,
     _unit_roots,
     _unseparated,
@@ -240,6 +240,24 @@ def test_character_table_matches_rows():
     assert np.abs(gram - np.eye(g.order)).max() < 1e-13
 
 
+@pytest.mark.parametrize("spec", ["Z1", "Z1xZ3", "Z4xZ2", "Z3xZ1xZ6", "Z2xZ3", "Z64"])
+def test_index_sum_matches_object_sums(spec):
+    g = parse_group(spec)
+    els = list(g.elements())
+    every = np.arange(g.order)
+    table = _index_sum(g, every[:, None], every[None, :])
+    assert table.dtype == np.int64
+    assert table.tolist() == [[(x + y).index for y in els] for x in els]
+    # on F = G x G^, whose mixed-radix index is g * |G| + chi
+    if g.order <= 8:
+        pts = list(phase_space(g))
+        F = direct_product(g, g)
+        z = np.arange(len(pts))
+        assert _index_sum(F, z[:, None], z).tolist() == [
+            [(p + q).index for q in pts] for p in pts
+        ]
+
+
 def test_difference_index_table():
     g = parse_group("Z2xZ3")
     idx = difference_index_table(g)
@@ -255,11 +273,11 @@ def test_difference_index_table():
 def test_subgroup_validation():
     g = parse_group("Z4")
     with pytest.raises(ValueError):
-        Subgroup(g, (g.element((1,)),))  # missing zero
+        Subgroup(g, [1])  # missing zero
     with pytest.raises(ValueError):
-        Subgroup(g, (g.element((0,)), g.element((1,))))  # not closed
+        Subgroup(g, [0, 1])  # not closed
     with pytest.raises(ValueError):
-        Subgroup(g, (g.element((0,)), g.element((2,)), g.element((2,))))
+        Subgroup(g, [0, 2, 2])
 
 
 def test_subgroup_closure_frozen():
@@ -289,7 +307,8 @@ def test_subgroup_lattice_counts(spec, count):
 
 def _lattice_oracle(group):
     """all_subgroups by closing each subgroup's generators with every element."""
-    found = {frozenset([group.zero().coords]): subgroup_closure(group, ())}
+    trivial = subgroup_closure(group, ())
+    found = {trivial: trivial}  # subgroups hash and compare by their indices
     frontier = list(found.values())
     while frontier:
         current = frontier.pop()
@@ -297,10 +316,86 @@ def _lattice_oracle(group):
             if g in current:
                 continue
             bigger = subgroup_closure(group, current.generators + (g,))
-            if bigger._coord_set not in found:
-                found[bigger._coord_set] = bigger
+            if bigger not in found:
+                found[bigger] = bigger
                 frontier.append(bigger)
     return sorted(found.values(), key=lambda H: (H.order, coords_of(H.elements)))
+
+
+def _frozenset_bfs(group):
+    """The frozenset closure BFS that all_subgroups ran before its batched kernel.
+
+    Returns (element indices, generator indices) per subgroup, sorted by
+    (order, element coordinate list).
+    """
+    coords = [g.coords for g in group.elements()]
+    orders, strides = group.orders, group._strides
+
+    def translate(indices, x: int) -> frozenset:
+        shift = coords[x]
+        return frozenset(
+            sum(
+                ((c + t) % n) * s
+                for c, t, n, s in zip(coords[i], shift, orders, strides)
+            )
+            for i in indices
+        )
+
+    def close(H: frozenset, x: int) -> frozenset:
+        # H + <x> is the union of the cosets H + k*x up to the first k*x in H
+        closure = set(H)
+        coset = translate(H, x)
+        while coset.isdisjoint(H):
+            closure |= coset
+            coset = translate(coset, x)
+        return frozenset(closure)
+
+    trivial = frozenset({0})
+    found = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        current = frontier.pop()
+        gens = found[current]
+        for x in range(group.order):
+            if x in current:
+                continue
+            bigger = close(current, x)
+            if bigger not in found:
+                found[bigger] = gens + (x,)
+                frontier.append(bigger)
+    lattice = [(sorted(H), list(gens)) for H, gens in found.items()]
+    return sorted(lattice, key=lambda entry: (len(entry[0]), [coords[i] for i in entry[0]]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [g for g in ("Z2", "Z3", "Z4", "Z6", "Z8", "Z2xZ2", "Z4xZ2", "Z3xZ3", "Z9", "Z2xZ2xZ2")]
+    + ["Z64", "Z4xZ8", "Z6xZ6", "Z2xZ2xZ2xZ2xZ2"],
+)
+def test_subgroup_lattice_matches_frozenset_bfs(spec):
+    """Suite groups, the CLI groups and Z2^5: same subgroups, order and generators."""
+    g = parse_group(spec)
+    got = [(H.indices.tolist(), H.generator_indices.tolist()) for H in all_subgroups(g)]
+    assert got == _frozenset_bfs(g)
+
+
+@pytest.mark.parametrize(
+    "spec,count",
+    [("Z2", 2), ("Z2xZ2", 5), ("Z2xZ2xZ2", 16), ("Z2xZ2xZ2xZ2", 67),
+     ("Z2xZ2xZ2xZ2xZ2", 374), ("Z2xZ2xZ2xZ2xZ2xZ2", 2825),
+     ("Z3", 2), ("Z3xZ3", 6), ("Z3xZ3xZ3", 28), ("Z5xZ5", 8)],
+)
+def test_subgroup_counts_of_elementary_groups(spec, count):
+    """|subgroups of Z_p^n| = sum_k of the Gaussian binomials [n choose k]_p."""
+    g = parse_group(spec)
+    p, n = g.orders[0], len(g.orders)
+
+    def gaussian_binomial(k):
+        top = math.prod(p ** (n - i) - 1 for i in range(k))
+        return top // math.prod(p ** (i + 1) - 1 for i in range(k))
+
+    assert sum(gaussian_binomial(k) for k in range(n + 1)) == count
+    assert len(all_subgroups(g)) == count
 
 
 @pytest.mark.parametrize("spec", ["Z1", "Z12", "Z2xZ2xZ2", "Z4xZ2", "Z3xZ1xZ6", "Z2xZ6"])
@@ -374,8 +469,8 @@ def test_subgroup_checks_every_subset(spec, budget, monkeypatch):
     elements = list(g.elements())
     zero = g.zero().coords
     for mask in range(1, 2 ** g.order):
-        subset = [e for i, e in enumerate(elements) if mask >> i & 1]
-        members = {e.coords for e in subset}
+        subset = [i for i in range(g.order) if mask >> i & 1]
+        members = {elements[i].coords for i in subset}
         if zero not in members:
             message = "neutral element"
         elif g.order % len(subset):
@@ -384,13 +479,13 @@ def test_subgroup_checks_every_subset(spec, budget, monkeypatch):
             message = "not closed under addition"
         else:
             message = None
-        chars = tuple(g.character(c) for c in members)
+        chars = subset[::-1]  # any order; the indices are sorted on construction
         if message is None:
-            assert coords_of(Subgroup(g, tuple(subset)).elements) == sorted(members)
+            assert coords_of(Subgroup(g, subset).elements) == sorted(members)
             assert coords_of(DualSubgroup(g, chars).characters) == sorted(members)
             continue
         with pytest.raises(ValueError, match=message):
-            Subgroup(g, tuple(subset))
+            Subgroup(g, subset)
         dual_message = {
             "neutral element": "trivial character",
             "not closed under addition": "not closed under product",
@@ -405,31 +500,73 @@ def test_subgroup_rejections_at_larger_orders(budget, monkeypatch):
     if budget == "one row":
         monkeypatch.setattr(wehrl.groups, "_BLOCK_BYTES", 1)
     g = parse_group("Z4xZ8")
-    even = [e for e in g.elements() if e.coords[1] % 2 == 0]  # a subgroup of order 16
-    assert Subgroup(g, tuple(even)).order == 16
-    chars = tuple(g.character(e.coords) for e in even)
-    assert DualSubgroup(g, chars).order == 16
+    even = [e.index for e in g.elements() if e.coords[1] % 2 == 0]  # a subgroup of order 16
+    assert Subgroup(g, even).order == 16
+    assert DualSubgroup(g, even).order == 16
     # swap the last member for an element outside: only sums with it leave the set
-    broken = even[:-1] + [g.element((3, 7))]
+    broken = even[:-1] + [g.element((3, 7)).index]
     with pytest.raises(ValueError, match="not closed under addition"):
-        Subgroup(g, tuple(broken))
+        Subgroup(g, broken)
     with pytest.raises(ValueError, match="not closed under product"):
-        DualSubgroup(g, tuple(g.character(e.coords) for e in broken))
+        DualSubgroup(g, broken)
     with pytest.raises(ValueError, match="duplicate elements"):
-        Subgroup(g, tuple(even + [even[-1]]))
+        Subgroup(g, even + [even[-1]])
     with pytest.raises(ValueError, match="duplicate characters"):
-        DualSubgroup(g, chars + chars[-1:])
+        DualSubgroup(g, even + [even[-1]])
     with pytest.raises(ValueError, match="neutral element"):
-        Subgroup(g, tuple(even[1:]))
+        Subgroup(g, even[1:])
     with pytest.raises(ValueError, match="trivial character"):
-        DualSubgroup(g, chars[1:])
-    # a member with unreduced coordinates is never matched by a (reduced) sum
-    z4 = parse_group("Z4")
-    unreduced = tuple(GroupElement(z4, (c,)) for c in (0, 1, 2, 7))
-    with pytest.raises(ValueError, match="not closed under addition"):
-        Subgroup(z4, unreduced)
+        DualSubgroup(g, even[1:])
     whole = Subgroup.whole(parse_group("Z64"))
     assert whole.order == 64 and coords_of(whole.generators) == [(1,)]
+
+
+def test_subgroup_indices_must_be_integers_in_range():
+    z4 = parse_group("Z4")
+    # the index of the unreduced coordinate 7 is out of range, never reduced
+    with pytest.raises(ValueError, match=r"integers in range\(4\)"):
+        Subgroup(z4, [0, 1, 2, 7])
+    for bad in ([0, -2], [0, 2.0], [0, 1.5], [[0, 2]],
+                (z4.zero(), z4.element((2,)))):
+        with pytest.raises(ValueError, match="integers in range"):
+            Subgroup(z4, bad)
+        with pytest.raises(ValueError, match="integers in range"):
+            DualSubgroup(z4, bad)
+    with pytest.raises(ValueError, match=r"integers in range\(16\)"):
+        PhaseSpaceSubgroup(z4, [0, 16])
+    with pytest.raises(ValueError, match="integers in range"):
+        PhaseSpaceSubgroup(z4, [0, 10.0])
+    with pytest.raises(ValueError, match="integers in range"):
+        Subgroup(z4, [0, 2], [5])  # generators too
+    with pytest.raises(ValueError, match="neutral element"):
+        Subgroup(z4, [])
+
+
+def test_subgroup_storage_views_equality_and_membership():
+    g = parse_group("Z4xZ2")
+    H = Subgroup(g, np.array([6, 0, 2, 4]), [2])
+    assert H.indices.dtype == np.int64 and H.indices.tolist() == [0, 2, 4, 6]
+    assert not H.indices.flags.writeable and not H.generator_indices.flags.writeable
+    assert coords_of(H.elements) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert coords_of(H.generators) == [(1, 0)]
+    assert str(H) == "0,0;1,0;2,0;3,0"
+    assert g.element((3, 0)) in H and g.element((3, 1)) not in H
+    assert parse_group("Z8").element((2,)) not in H
+    # equality and hash by (group, indices); generators do not count
+    same = subgroup_closure(g, (g.element((3, 0)),))
+    assert same == H and hash(same) == hash(H) and same.generators != H.generators
+    assert Subgroup(parse_group("Z8"), [0, 2, 4, 6]) != H
+    assert DualSubgroup(g, [0, 2, 4, 6]) != H
+    assert len({H, same, Subgroup.whole(g)}) == 2
+    A = annihilator(H)
+    assert A.indices.tolist() == [0, 1] and coords_of(A.characters) == [(0, 0), (0, 1)]
+    assert g.character((0, 1)) in A and g.character((1, 0)) not in A
+    K = maximal_compact(H)
+    d = g.order
+    assert K.indices.tolist() == [h * d + a for h in (0, 2, 4, 6) for a in (0, 1)]
+    assert [z.index for z in K.points] == K.indices.tolist()
+    assert all(z in K for z in K.points)
+    assert sum(z in K for z in phase_space(g)) == K.order
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +630,7 @@ def test_phase_space_subgroup_rejects_non_closed_points():
     g = parse_group("Z4")
 
     def point(a, b):
-        return PhaseSpacePoint(g.element((a,)), g.character((b,)))
+        return PhaseSpacePoint(g.element((a,)), g.character((b,))).index
 
     with pytest.raises(ValueError, match="not closed under addition"):
         PhaseSpaceSubgroup(g, (point(0, 0), point(1, 0)))
@@ -537,7 +674,7 @@ def test_unseparated_matches_fraction_oracle():
     # dual subgroup, which separates nothing outside H
     for spec in ("Z1", "Z4", "Z6", "Z2xZ2", "Z3xZ3", "Z1xZ3", "Z4xZ2"):
         g = parse_group(spec)
-        trivial = DualSubgroup(g, (g.trivial_character(),))
+        trivial = DualSubgroup(g, [0])
         for H in all_subgroups(g):
             for dual in (annihilator(H), trivial):
                 expected = [

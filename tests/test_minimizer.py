@@ -7,12 +7,14 @@ from wehrl import (
     CoherentFrame,
     MinimizerConfig,
     Subgroup,
+    all_subgroups,
     coset_basis,
     descend,
     entropy_gradient,
     minimize,
     nearest_coherent,
     parse_group,
+    pure_amplitudes,
     pure_state_entropy,
     random_state_vector,
     scan_fiducials,
@@ -30,8 +32,6 @@ def vacuum_frame(spec, *gen_coords):
 
 def smooth_state(frame, rng, floor=1e-6):
     # keep log Q well defined across the finite-difference stencil
-    from wehrl import pure_amplitudes
-
     d = frame.group.order
     while True:
         psi = random_state_vector(d, rng)
@@ -304,6 +304,45 @@ def test_nearest_coherent_exact_point():
     point, overlap = nearest_coherent(frame, frame.state(z))
     assert overlap == pytest.approx(1.0, abs=1e-12)
     assert (point - z) in K  # any member of the coset is a valid answer
+
+
+def test_nearest_coherent_returns_the_coset_representative():
+    """The lex-least member of the coset, whichever member rounding favours.
+
+    All members of a K-coset give the same overlap up to rounding, so the
+    argmax alone picks one by the last bits of the state: a global phase or
+    a random state is enough to move it off the least member.
+    """
+    g = parse_group("Z4xZ2")
+    rng = np.random.default_rng(11)
+    for H in all_subgroups(g):
+        frame = CoherentFrame.vacuum(H)
+        K, _ = frame.cosets()
+
+        def representative(z):
+            return min((z + u).index for u in K.points)
+
+        for z in frame.points():
+            psi = frame.state(z)
+            noise = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+            phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+            for state in (psi, psi + 1e-16 * noise, phase * psi):
+                point, overlap = nearest_coherent(frame, state)
+                assert point.index == representative(z)
+                assert overlap == pytest.approx(1.0, abs=1e-12)
+        for _ in range(20):
+            psi = random_state_vector(g.order, rng)
+            point, overlap = nearest_coherent(frame, psi)
+            assert point.index == representative(point)
+            assert overlap == np.abs(pure_amplitudes(frame, psi)).max()
+
+
+def test_nearest_coherent_on_a_random_fiducial_is_the_argmax(rng):
+    frame = CoherentFrame(parse_group("Z4xZ2"), random_state_vector(8, rng))
+    psi = random_state_vector(8, rng)
+    point, overlap = nearest_coherent(frame, psi)
+    overlaps = np.abs(pure_amplitudes(frame, psi))
+    assert point.index == int(np.argmax(overlaps)) and overlap == overlaps.max()
 
 
 # ---------------------------------------------------------------------------

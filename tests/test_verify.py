@@ -43,6 +43,25 @@ def test_run_checks_all_pass_on_z4():
     assert "wehrl-lower-bound" in names
 
 
+def test_run_checks_builds_one_maximal_compact_per_pair(monkeypatch):
+    import wehrl.frames
+
+    built = []
+    exact = wehrl.frames.maximal_compact
+    for module in (wehrl.frames, verify):  # every binding a check could call
+        monkeypatch.setattr(
+            module, "maximal_compact", lambda H: built.append(H) or exact(H), raising=False
+        )
+    g = parse_group("Z4xZ2")
+    H = subgroup_closure(g, (g.element((2, 1)),))
+    results = run_checks(g, H, seed=0, rho_samples=50)
+    assert built == [H]
+    assert all(r.passed for r in results)
+    by_name = {r.name: r for r in results}
+    assert by_name["compact-maximality"].note == "|K| = 8"
+    assert by_name["vacuum-closed-form-vs-nullspace"].residual < 1e-10
+
+
 def test_run_checks_refuses_oversized_group_before_any_check(monkeypatch):
     def not_called(*args, **kwargs):
         raise AssertionError("a check ran before the dense-limit guard")
@@ -119,7 +138,7 @@ def test_dichotomy_check_rejects_generic_fiducial(rng):
 def test_cocycle_phase_matrix_matches_exact_fractions():
     g = parse_group("Z2xZ3")
     pts = list(phase_space(g))[:12]
-    M = cocycle_phase_matrix(g, pts, pts)
+    M = cocycle_phase_matrix(g, [z.index for z in pts], [z.index for z in pts])
     L = math.lcm(*g.orders)
     for i, z in enumerate(pts):
         for j, w in enumerate(pts):
