@@ -437,26 +437,25 @@ class PhaseSpaceSubgroup(_IndexSet):
         return cls(group, [0])
 
 
-def _closures(group: FiniteAbelianGroup, H: np.ndarray, x) -> np.ndarray:
-    """(len(x), |G|) membership masks of H + <x_i>, for subgroup indices H.
-
-    H + <x> is the union of the translates H + k x over k below the
-    exponent of G. The multiples k x come from the coordinate grid; all
-    their sums with H are one gather through `_index_sum`, in blocks of x
-    sized by the block budget.
-    """
-    x = np.asarray(x, dtype=np.int64)
+def _multiples(group: FiniteAbelianGroup, x) -> np.ndarray:
+    """(len(x), exponent of G) indices of k x_i for k = 0, 1, ..., from the coordinate grid."""
     exponent, _ = _phase_weights(group)
+    steps = np.arange(exponent)[:, None] * _coords_grid(group.orders)[x][:, None, :]
     orders = np.array(group.orders, dtype=np.int64)
-    strides = np.array(group._strides, dtype=np.int64)
-    grid = _coords_grid(group.orders)
-    masks = np.zeros((len(x), group.order), dtype=bool)
-    for part in _blocks(len(x), 8 * exponent * len(H)):
-        steps = np.arange(exponent)[None, :, None] * grid[x[part]][:, None, :]
-        multiples = (steps % orders) @ strides  # (block, exponent)
-        sums = _index_sum(group, multiples[:, :, None], H[None, None, :])
-        rows = np.arange(part.start, part.stop)[:, None]
-        masks[rows, sums.reshape(len(sums), -1)] = True
+    return (steps % orders) @ np.array(group._strides, dtype=np.int64)
+
+
+def _closures(group: FiniteAbelianGroup, H: np.ndarray, multiples: np.ndarray) -> np.ndarray:
+    """(len(multiples), |G|) membership masks of H + <x_i>, for subgroup indices H.
+
+    Row i of multiples holds the multiples k x_i of `_multiples`; H + <x>
+    is the union of the translates H + k x. All the sums are one gather
+    through `_index_sum`, in blocks of rows sized by the block budget.
+    """
+    masks = np.zeros((len(multiples), group.order), dtype=bool)
+    for part in _blocks(len(multiples), 8 * multiples.shape[1] * len(H)):
+        sums = _index_sum(group, multiples[part, :, None], H)
+        masks[np.arange(part.start, part.stop)[:, None], sums.reshape(len(sums), -1)] = True
     return masks
 
 
@@ -476,7 +475,7 @@ def subgroup_closure(
     inside[0] = True
     for x in gens:
         if not inside[x]:
-            inside = _closures(group, np.flatnonzero(inside), [x])[0]
+            inside = _closures(group, np.flatnonzero(inside), _multiples(group, [x]))[0]
     return Subgroup(group, np.flatnonzero(inside), gens)
 
 
@@ -485,28 +484,27 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
 
     Deterministic: the result is sorted by (order, element index list),
     which is (order, element coordinate list). Intended for desk-scale
-    groups; the lattice is enumerated in full. The frontier is a stack;
-    each subgroup taken from it is closed with every element outside it,
-    in ascending order, by one `_closures` call, and the masks are
-    deduplicated on their bytes. Each subgroup keeps the generators of the
-    path that first reached it.
+    groups; the lattice is enumerated in full. The multiples of every
+    element are computed once. The frontier is a stack; each subgroup taken
+    from it is closed with every element outside it, in ascending order, by
+    one `_closures` call, and the masks are deduplicated on their bytes.
+    Each subgroup keeps the generators of the path that first reached it.
     """
+    multiples = _multiples(group, np.arange(group.order))
     trivial = np.zeros(group.order, dtype=bool)
     trivial[0] = True
-    found = {trivial.tobytes(): (np.flatnonzero(trivial), ())}
+    found = {trivial.tobytes(): (np.flatnonzero(trivial), (), trivial)}
     frontier = list(found.values())
     while frontier:
-        current, gens = frontier.pop()
-        outside = np.ones(group.order, dtype=bool)
-        outside[current] = False
-        x = np.flatnonzero(outside)
-        for xi, mask in zip(x.tolist(), _closures(group, current, x)):
+        current, gens, inside = frontier.pop()
+        x = np.flatnonzero(~inside)
+        for xi, mask in zip(x.tolist(), _closures(group, current, multiples[x])):
             key = mask.tobytes()
             if key not in found:
-                found[key] = (np.flatnonzero(mask), gens + (xi,))
+                found[key] = (np.flatnonzero(mask), gens + (xi,), mask)
                 frontier.append(found[key])
     ordered = sorted(found.values(), key=lambda entry: (len(entry[0]), entry[0].tolist()))
-    return tuple(Subgroup(group, H, gens) for H, gens in ordered)
+    return tuple(Subgroup(group, H, gens) for H, gens, _ in ordered)
 
 
 def _pairing_kernel(group: FiniteAbelianGroup, indices) -> np.ndarray:
@@ -696,10 +694,10 @@ def _index_sum(group: FiniteAbelianGroup, a, b) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     out = a + b
-    grid = _coords_grid(group.orders)
-    for j, (n, stride) in enumerate(zip(group.orders, group._strides)):
+    columns = _coords_grid(group.orders).T
+    for digit, n, stride in zip(columns, group.orders, group._strides):
         if n > 1:
-            out -= (grid[a, j] + grid[b, j] >= n) * (n * stride)
+            out -= (digit[a] + digit[b] >= n) * (n * stride)
     return out
 
 
