@@ -297,21 +297,25 @@ class _IndexSet:
     after the one that every index is an integer in range.
     """
 
-    def _ambient(self) -> FiniteAbelianGroup:
-        """The group the indices number: G, its dual, or F."""
-        return self.group
+    def _space_order(self) -> int:
+        """How many indices there are: |G| for G and its dual, |G|^2 for F."""
+        return self.group.order
+
+    def _add(self, a, b) -> np.ndarray:
+        """Index of a + b for broadcast index arrays."""
+        return _index_sum(self.group, a, b)
 
     def __post_init__(self) -> None:
         duplicate, identity, divide, closure = self._messages
-        ambient = self._ambient()
-        indices = np.sort(_index_array(self.indices, ambient.order))
+        size = self._space_order()
+        indices = np.sort(_index_array(self.indices, size))
         if (indices[1:] == indices[:-1]).any():
             raise ValueError(duplicate)
         if indices.size == 0 or indices[0] != 0:
             raise ValueError(identity)
-        if divide is not None and ambient.order % indices.size:
+        if divide is not None and size % indices.size:
             raise ValueError(divide)
-        if not _sums_stay_inside(ambient, indices):
+        if not _sums_stay_inside(self._add, indices, size):
             raise ValueError(closure)
         indices.flags.writeable = False
         object.__setattr__(self, "indices", indices)
@@ -414,9 +418,13 @@ class PhaseSpaceSubgroup(_IndexSet):
         "point set is not closed under addition",
     )
 
-    def _ambient(self) -> FiniteAbelianGroup:
-        # F has the factor orders of G twice, and g * |G| + chi is its index
-        return direct_product(self.group, self.group)
+    def _space_order(self) -> int:
+        return self.group.order ** 2
+
+    def _add(self, a, b) -> np.ndarray:
+        # (g, chi) has index g * |G| + chi, and each half adds in G
+        d = self.group.order
+        return _index_sum(self.group, a // d, b // d) * d + _index_sum(self.group, a % d, b % d)
 
     @cached_property
     def points(self) -> tuple[PhaseSpacePoint, ...]:
@@ -701,17 +709,18 @@ def _index_sum(group: FiniteAbelianGroup, a, b) -> np.ndarray:
     return out
 
 
-def _sums_stay_inside(group: FiniteAbelianGroup, indices: np.ndarray) -> bool:
-    """Whether a + b is again in the index set for every pair a, b of it.
+def _sums_stay_inside(add, indices: np.ndarray, size: int) -> bool:
+    """Whether add(a, b) is again in the index set for every pair a, b of it.
 
-    Each sum is looked up in a membership mask; the (|S|, |S|) table of
-    sums goes in row blocks sized by the block budget.
+    Indices run over range(size). Each sum is looked up in a membership
+    mask; the (|S|, |S|) table of sums goes in row blocks sized by the
+    block budget.
     """
-    inside = np.zeros(group.order, dtype=bool)
+    inside = np.zeros(size, dtype=bool)
     inside[indices] = True
     block = max(1, _BLOCK_BYTES // (8 * len(indices)))
     for start in range(0, len(indices), block):
-        if not inside[_index_sum(group, indices[start:start + block, None], indices)].all():
+        if not inside[add(indices[start:start + block, None], indices)].all():
             return False
     return True
 

@@ -253,9 +253,10 @@ def test_index_sum_matches_object_sums(spec):
         pts = list(phase_space(g))
         F = direct_product(g, g)
         z = np.arange(len(pts))
-        assert _index_sum(F, z[:, None], z).tolist() == [
-            [(p + q).index for q in pts] for p in pts
-        ]
+        expected = [[(p + q).index for q in pts] for p in pts]
+        assert _index_sum(F, z[:, None], z).tolist() == expected
+        # phase-space subgroups add their points as two elements of G
+        assert PhaseSpaceSubgroup.trivial(g)._add(z[:, None], z).tolist() == expected
 
 
 def test_difference_index_table():
@@ -369,8 +370,9 @@ def _frozenset_bfs(group):
 
 @pytest.mark.parametrize(
     "spec",
-    [g for g in ("Z2", "Z3", "Z4", "Z6", "Z8", "Z2xZ2", "Z4xZ2", "Z3xZ3", "Z9", "Z2xZ2xZ2")]
-    + ["Z64", "Z4xZ8", "Z6xZ6", "Z2xZ2xZ2xZ2xZ2"],
+    # the suite groups, the groups of the CLI benchmark session, and Z2^5
+    ["Z2", "Z3", "Z4", "Z6", "Z8", "Z2xZ2", "Z4xZ2", "Z3xZ3", "Z9", "Z2xZ2xZ2",
+     "Z64", "Z4xZ8", "Z6xZ6", "Z2xZ2xZ2xZ2xZ2"],
 )
 def test_subgroup_lattice_matches_frozenset_bfs(spec):
     """Suite groups, the CLI groups and Z2^5: same subgroups, order and generators."""
