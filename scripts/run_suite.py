@@ -5,11 +5,19 @@ checks; exits 1 if anything fails.  The whole run stays well under the
 five-minute budget on a laptop.
 """
 
-import argparse
-import sys
-import time
+import os
 
-from wehrl.verify import run_checks, suite_pairs
+# One BLAS / OpenMP thread unless the caller sets one: at these matrix sizes
+# a second thread only adds hand-off cost and noise. This must happen before
+# numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+from wehrl.verify import run_checks, suite_pairs  # noqa: E402
 
 
 def main() -> int:

@@ -79,10 +79,12 @@ def check_density_matrix(
 
     Takes one matrix (d, d) or a stack (..., d, d); every member of a stack
     must pass, and a trace or eigenvalue message gives the worst member's value.
+    A stack that one Cholesky factorisation proves PSD is accepted without an
+    eigendecomposition; any other goes to `eigvalsh`, which decides.
     """
-    arr, _ = _checked_eigvalsh(
-        rho, dim, herm_tol=herm_tol, eig_tol=eig_tol, trace_tol=trace_tol
-    )
+    arr = _checked_hermitian_trace(rho, dim, herm_tol, trace_tol)
+    if not _cholesky_proves_psd(arr, eig_tol, trace_tol):
+        _checked_min_eigenvalue(arr, eig_tol)
     return arr
 
 
@@ -95,6 +97,12 @@ def _checked_eigvalsh(
     trace_tol: float = _TRACE_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`check_density_matrix`, also returning the ascending eigenvalues it tested."""
+    arr = _checked_hermitian_trace(rho, dim, herm_tol, trace_tol)
+    return arr, _checked_min_eigenvalue(arr, eig_tol)
+
+
+def _checked_hermitian_trace(rho, dim, herm_tol: float, trace_tol: float) -> np.ndarray:
+    """The shape, finite, Hermitian and trace checks of `check_density_matrix`."""
     arr = np.asarray(rho, dtype=np.complex128)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
@@ -110,13 +118,42 @@ def _checked_eigvalsh(
     trace = complex(traces[np.argmax(np.abs(traces - 1.0))])
     if abs(trace - 1.0) > trace_tol:
         raise ValueError(f"density matrix trace {trace!r} is not 1")
+    return arr
+
+
+def _checked_min_eigenvalue(arr: np.ndarray, eig_tol: float) -> np.ndarray:
+    """Ascending eigenvalues of every member; raises if the smallest is below -eig_tol."""
     eig = np.linalg.eigvalsh(arr)
     smallest = float(eig[..., 0].min())
     if smallest < -eig_tol:
         raise ValueError(
             f"density matrix is not positive semidefinite (min eigenvalue {smallest})"
         )
-    return arr, eig
+    return eig
+
+
+def _cholesky_proves_psd(arr: np.ndarray, eig_tol: float, trace_tol: float) -> bool:
+    """True if one Cholesky factorisation shows every smallest eigenvalue > -eig_tol.
+
+    Cholesky completing on A = rho + (eig_tol / 2) I makes A + E PSD for a
+    rounding error ||E|| <= d (d + 1) u ||A||, u = eps / 2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), so lambda_min(rho) >= -eig_tol / 2
+    - d (d + 1) u ||A||. A member that passed the trace check with lambda_min
+    near -eig_tol has ||A|| <= 1 + trace_tol + d eig_tol. The gate runs only
+    where four times that bound fits in eig_tol / 2, the rest being left for
+    eigvalsh's own rounding, so it accepts only what eigvalsh accepts; at the
+    default tolerances that is d <= 335. Both read only the lower triangle.
+    """
+    d = arr.shape[-1]
+    shift = eig_tol / 2
+    norm = 1.0 + trace_tol + d * eig_tol
+    if 2 * d * (d + 1) * np.finfo(np.float64).eps * norm >= shift:
+        return False
+    try:
+        np.linalg.cholesky(arr + shift * np.eye(d))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _blocks(n: int, row_bytes: int):

@@ -430,7 +430,7 @@ def check_fast_vs_dense(
 ) -> CheckResult:
     d = frame.group.order
     psis = np.stack([random_state_vector(d, rng) for _ in range(samples)])
-    dense = husimi(frame, np.stack([pure_density(psi) for psi in psis])).values
+    dense = husimi(frame, psis[:, :, None] * psis[:, None, :].conj()).values
     fast = husimi_fast(frame, psis).values
     worst = np.abs(dense - fast).max()
     return _result("husimi-fast-vs-dense", worst, 1e-11, f"{samples} pure states")

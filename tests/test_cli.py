@@ -306,21 +306,23 @@ def test_bad_density_file_message(capsys, tmp_path, command, name):
     assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
 
-@pytest.mark.parametrize("command, calls", [("entropy", 2), ("husimi", 1), ("channel", 1)])
-def test_density_file_diagonalised_once_per_use(capsys, tmp_path, monkeypatch, command, calls):
+@pytest.mark.parametrize("command, eigvalsh_calls", [("entropy", 1), ("husimi", 0), ("channel", 0)])
+def test_density_file_diagonalised_once_per_use(capsys, tmp_path, monkeypatch, command, eigvalsh_calls):
+    # one Cholesky validates the density; only the von Neumann entropy diagonalises
     path = tmp_path / "rho.json"
     path.write_text(density_matrix_to_json(maximally_mixed(4)))
-    eigvalsh = np.linalg.eigvalsh
-    seen = []
+    seen = {"eigvalsh": [], "cholesky": []}
+    for name, shapes in seen.items():
+        real = getattr(np.linalg, name)
 
-    def counting(a, *args, **kwargs):
-        seen.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+        def counting(a, *args, _real=real, _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     code, _, _ = run_cli(capsys, command, "--group", "Z4", "--subgroup", "2", "--state", str(path))
     assert code == 0
-    assert seen == [(4, 4)] * calls
+    assert seen == {"eigvalsh": [(4, 4)] * eigvalsh_calls, "cholesky": [(4, 4)]}
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from density_oracle import check_density_matrix_by_eigvalsh
 
 from wehrl import check_density_matrix, check_state_vector, random_density_matrix, random_state_vector
 
@@ -42,6 +43,75 @@ def test_check_density_matrix_rejects_non_finite_entries(rng):
         rhos[1, 0, 0] = bad
         with pytest.raises(ValueError, match="non-finite"):
             check_density_matrix(rhos)
+
+
+def _verdict(check, rho, **tols):
+    try:
+        check(rho, **tols)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _with_smallest_eigenvalue(d, smallest, rng):
+    """A Hermitian unit-trace matrix, randomly rotated, whose smallest eigenvalue is `smallest`."""
+    rest = rng.uniform(0.5, 1.0, d - 1)
+    eig = np.concatenate([[smallest], rest * (1.0 - smallest) / rest.sum()])
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rho = (u * eig) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+_SMALLEST = (0.0, -4e-11, -6e-11, -9.9e-11, -1.01e-10, -2e-10)
+
+
+def _boundary_cases(d, rng):
+    cases = [np.outer(psi, psi.conj()) for psi in (np.eye(d)[d - 1], random_state_vector(d, rng))]
+    if d == 1:
+        return cases + [np.array([[1.0 - 5e-11]])]
+    cases += [_with_smallest_eigenvalue(d, lam, rng) for lam in _SMALLEST]
+    return cases + [np.diag([1.0 + 5e-11, -5e-11] + [0.0] * (d - 2))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+@pytest.mark.parametrize("eig_tol", [1e-10, 0.0])
+def test_check_density_matrix_matches_eigvalsh_oracle(rng, d, eig_tol):
+    cases = _boundary_cases(d, rng)
+    verdicts = [_verdict(check_density_matrix, rho, eig_tol=eig_tol) for rho in cases]
+    assert verdicts == [
+        _verdict(check_density_matrix_by_eigvalsh, rho, eig_tol=eig_tol) for rho in cases
+    ]
+    if d > 1 and eig_tol:
+        # in order: two projectors, then _SMALLEST, then the shifted diagonal
+        assert [v == "accepted" for v in verdicts] == [True] * 6 + [False, False, True]
+    stack = np.stack(cases)
+    assert _verdict(check_density_matrix, stack, eig_tol=eig_tol) == _verdict(
+        check_density_matrix_by_eigvalsh, stack, eig_tol=eig_tol
+    )
+
+
+@pytest.mark.parametrize("d", [8, 64])
+def test_check_density_matrix_with_no_eig_tol_matches_eigvalsh_oracle(rng, d):
+    # with no room for rounding, Cholesky and eigvalsh disagree on some
+    # singular matrices, so eigvalsh alone must decide
+    for _ in range(20):
+        rho = _with_smallest_eigenvalue(d, 0.0, rng)
+        assert _verdict(check_density_matrix, rho, eig_tol=0.0) == _verdict(
+            check_density_matrix_by_eigvalsh, rho, eig_tol=0.0
+        )
+
+
+def test_check_density_matrix_names_the_worst_member(rng):
+    rhos = _stack(rng, n=6, d=8)
+    rhos[1] = _with_smallest_eigenvalue(8, -2e-10, rng)
+    rhos[4] = _with_smallest_eigenvalue(8, -3e-10, rng)
+    rhos[5] = _with_smallest_eigenvalue(8, -6e-11, rng)
+    want = _verdict(check_density_matrix_by_eigvalsh, rhos)
+    prefix = "density matrix is not positive semidefinite (min eigenvalue "
+    assert want.startswith(prefix)
+    assert float(want[len(prefix):-1]) == pytest.approx(-3e-10, abs=1e-15)
+    assert _verdict(check_density_matrix, rhos) == want
+    assert _verdict(check_density_matrix, np.delete(rhos, [1, 4], axis=0)) == "accepted"
 
 
 def test_check_state_vector_accepts_a_stack(rng):
