@@ -10,20 +10,26 @@ The walk (`_descend_rows`) takes an energy/gradient pair over rows, chosen
 from the frame alone once per `minimize` or `descend` call:
 - the coset pair, for vacuum frames: all |K| = |G| points of a K-coset are
   one ray up to phase, so S^W(psi) = -vol * sum_a q_a log q_a with
-  q_a = |<r_a|psi>|^2 over the |G| coset states r_a of `coset_basis` and
-  vol = |K|/|G|. One (|G|, |G|) product per row and step;
+  q_a = |x_a|^2, x = V^H psi the coordinates of psi in the orthonormal
+  coset basis V of `coset_basis`, and vol = |K|/|G|. The walk runs in x:
+  the starts are mapped in once and the results back once, and no step
+  does a basis product. V is unitary, so the sphere, the retraction and
+  every rule of `descend` read the same in x as in psi;
 - the transform pair (`pure_state_entropy`, `entropy_gradient`), for any
-  fiducial: all |G|^2 amplitudes through `group_dft`.
+  fiducial: all |G|^2 amplitudes through `group_dft`, in psi.
+Each trial point is evaluated once: its energy also returns what the next
+gradient needs (|x|^2 and its logs, or the amplitudes), and an accepted row
+keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .entropy import _entropy_sum, group_dft, pure_amplitudes, pure_state_entropy
+from .entropy import ZERO_LOG_THRESHOLD, _entropy_sum, group_dft, pure_amplitudes
 from .frames import CoherentFrame, NotVacuumError, coset_basis
 from .groups import PhaseSpacePoint, Subgroup, difference_index_table
 from .states import _BLOCK_BYTES, random_state_vector
@@ -75,6 +81,7 @@ class MinimizerResult:
     restart_entropies: np.ndarray
     restart_iterations: np.ndarray
     restart_converged: np.ndarray
+    restart_halvings: np.ndarray  # rejected trials, each of which halved the step
 
 
 def _synthesis(frame: CoherentFrame, coeffs: np.ndarray) -> np.ndarray:
@@ -95,7 +102,11 @@ def entropy_gradient(frame: CoherentFrame, psi: np.ndarray) -> np.ndarray:
     Q < 1e-12 are skipped. Takes one state (d,) or a stack (..., d).
     """
     psi = np.asarray(psi)
-    c = pure_amplitudes(frame, psi)
+    return _amplitude_gradient(frame, psi, pure_amplitudes(frame, psi))
+
+
+def _amplitude_gradient(frame: CoherentFrame, psi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """entropy_gradient from c = pure_amplitudes(frame, psi), which it overwrites."""
     _weigh_amplitudes(c, frame.haar_weight)
     return _tangent(psi, -_synthesis(frame, c))
 
@@ -117,112 +128,158 @@ def _weigh_amplitudes(c: np.ndarray, weight: float) -> None:
 
 def _tangent(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """grad projected onto the sphere tangent at the unit psi."""
-    radial = (psi.conj() * grad).sum(axis=-1).real
+    radial = np.add.reduce(psi.conj() * grad, axis=-1).real
     return grad - radial[..., None] * psi
 
 
-# a map over an (R, d) stack of unit rows, one row independent of the others
-_RowMap = Callable[[np.ndarray], np.ndarray]
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(z, axis=-1), the same arithmetic without its dispatch."""
+    return np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1))
 
 
-def _objective(frame: CoherentFrame) -> tuple[_RowMap, _RowMap, int]:
-    """(energy, tangent gradient, bytes per row of the largest complex temporary).
+class _Objective(NamedTuple):
+    """An energy/gradient pair over (R, d) stacks of unit rows.
 
-    The coset pair for a vacuum frame, the transform pair for any other;
-    both give the same entropy and gradient up to rounding. Each row of the
-    coset pair is its own (1, d) @ (d, d) product, so a row rounds the same
-    in a stack of any height.
+    energy(x) gives the (R,) entropies and an (R, k) cache; gradient(x,
+    cache) gives the (R, d) tangent gradients from the cache of the same
+    rows, and may overwrite it. Each row is independent of the others, so
+    a row rounds the same in a stack of any height. The rows are the
+    coordinates x of psi = x @ basis, or psi itself where basis is None.
+    row_bytes counts the largest complex temporary and the cache.
     """
+
+    energy: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    basis: np.ndarray | None
+    row_bytes: int
+
+
+def _transform_objective(frame: CoherentFrame) -> _Objective:
+    """pure_state_entropy and entropy_gradient in psi; the cache is the amplitudes."""
     d = frame.group.order
-    try:
-        vectors = coset_basis(frame).vectors
-    except NotVacuumError:
-        return (
-            lambda psi: pure_state_entropy(frame, psi),
-            lambda psi: entropy_gradient(frame, psi),
-            16 * d * d,
-        )
-    K, _ = frame.cosets()
-    vol = K.order / d
-    # psi @ adjoint holds the coset amplitudes <r_a|psi>
-    adjoint = np.ascontiguousarray(vectors.conj().T)
 
-    def amplitudes(psi: np.ndarray) -> np.ndarray:
-        return (psi[:, None, :] @ adjoint)[:, 0, :]
-
-    def energy(psi: np.ndarray) -> np.ndarray:
-        q = np.abs(amplitudes(psi))
+    def energy(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = pure_amplitudes(frame, psi)
+        q = np.abs(c)
         q *= q
-        return vol * _entropy_sum(q, 1.0)
+        return _entropy_sum(q, frame.haar_weight), c
 
-    def gradient(psi: np.ndarray) -> np.ndarray:
-        c = amplitudes(psi)
-        _weigh_amplitudes(c, vol)
-        return _tangent(psi, -(c[:, None, :] @ vectors)[:, 0, :])
+    def gradient(psi: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return _amplitude_gradient(frame, psi, c)
 
-    return energy, gradient, 16 * d
+    return _Objective(energy, gradient, None, 32 * d * d)
+
+
+def _coset_objective(frame: CoherentFrame) -> _Objective:
+    """The entropy in coset-basis coordinates; the cache is |x|^2 and its logs."""
+    vectors = coset_basis(frame).vectors  # raises NotVacuumError
+    K, _ = frame.cosets()
+    d = frame.group.order
+    vol = K.order / d
+
+    def energy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cache = np.zeros((len(x), 2 * d))
+        q, logs = cache[:, :d], cache[:, d:]
+        np.abs(x, out=q)
+        q *= q
+        # log q, and 0 where q log q := 0 (as in entropy._entropy_sum)
+        np.log(q, out=logs, where=q > ZERO_LOG_THRESHOLD)
+        return np.add.reduce(q * logs, axis=-1) * -vol, cache
+
+    def gradient(x: np.ndarray, cache: np.ndarray) -> np.ndarray:
+        q, logs = cache[:, :d], cache[:, d:]
+        weight = logs + 1.0
+        weight[q < GRAD_SKIP] = 0.0
+        weight *= -vol
+        return _tangent(x, weight * x)
+
+    return _Objective(energy, gradient, vectors, 32 * d)
+
+
+def _objective(frame: CoherentFrame) -> _Objective:
+    """The coset pair for a vacuum frame, the transform pair for any other.
+
+    Both give the same entropy and gradient up to rounding.
+    """
+    try:
+        return _coset_objective(frame)
+    except NotVacuumError:
+        return _transform_objective(frame)
 
 
 def _descend_rows(
-    energy_of: _RowMap,
-    gradient_of: _RowMap,
-    starts: np.ndarray,
-    config: MinimizerConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    objective: _Objective, starts: np.ndarray, config: MinimizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`descend` on each row of an (R, d) stack of starts, all rows at once.
 
-    energy_of and gradient_of map an (R, d) stack of unit rows to its (R,)
-    entropies and (R, d) tangent gradients (see `_objective`). Every row follows descend's rules on its
-    own: its own step size and halvings, plateau count, max_iters budget
-    and convergence flag. Each tick takes one gradient for the rows
-    starting an iteration and one trial energy for the rows searching
-    along their gradient, so a row ends where it would end alone. Returns
-    (states, entropies, iterations, converged).
+    Every row follows descend's rules on its own: its own step size and
+    halvings, plateau count, max_iters budget and convergence flag, so a
+    row ends where it would end alone. Each tick takes the gradient of the
+    rows that start an iteration, from the cache of the point they just
+    accepted, and one trial energy for every row. The rows still walking
+    are kept compact; the arrays are compressed only on ticks where a row
+    stops. Returns (states, entropies, iterations, converged, halvings); a
+    row that never moved returns its normalised start bit for bit.
     """
     psi = np.asarray(starts, dtype=np.complex128)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
-    rows = psi.shape[0]
-    energy = energy_of(psi)
+    basis = objective.basis
+    x = psi if basis is None else (psi[:, None, :] @ np.ascontiguousarray(basis.conj().T))[:, 0, :]
+    rows = len(x)
+    energy, cache = objective.energy(x)
     step = np.full(rows, config.step_size)
     plateau = np.zeros(rows, dtype=np.int64)
     iterations = np.zeros(rows, dtype=np.int64)
-    converged = np.zeros(rows, dtype=bool)
-    grad = np.zeros_like(psi)
-    starting = np.ones(rows, dtype=bool)  # at the top of an iteration
-    searching = np.zeros(rows, dtype=bool)  # in the step-halving line search
-    while starting.any() or searching.any():
-        top = np.flatnonzero(starting & (iterations < config.max_iters))
-        starting[:] = False
-        if top.size:
-            grad[top] = gradient_of(psi[top])
-            flat = np.linalg.norm(grad[top], axis=-1) <= config.tol_grad
-            # no step left above MIN_STEP: no descent at machine resolution
-            stationary = flat | (step[top] <= MIN_STEP)
-            converged[top[stationary]] = True
-            searching[top[~stationary]] = True
-        ask = np.flatnonzero(searching)
-        if not ask.size:
-            continue
-        trial = psi[ask] - step[ask, None] * grad[ask]
-        trial = trial / np.linalg.norm(trial, axis=-1, keepdims=True)
-        trial_energy = energy_of(trial)
-        better = trial_energy < energy[ask]
-        worse = ask[~better]
-        step[worse] *= 0.5
-        stalled = worse[step[worse] <= MIN_STEP]
-        converged[stalled] = True
-        searching[stalled] = False
-        moved = ask[better]
-        drop = energy[moved] - trial_energy[better]
-        psi[moved] = trial[better]
-        energy[moved] = trial_energy[better]
-        iterations[moved] += 1
-        searching[moved] = False
-        plateau[moved] = np.where(drop < config.tol_entropy, plateau[moved] + 1, 0)
-        done = plateau[moved] >= PLATEAU_STEPS
-        converged[moved[done]] = True
-        starting[moved[~done]] = True
-    return psi, energy, iterations, converged
+    halvings = np.zeros(rows, dtype=np.int64)
+    grad = np.zeros_like(x)
+    fresh = np.ones(rows, dtype=bool)  # at the top of an iteration
+    index = np.arange(rows)  # each walking row's place in the results
+    results = (np.empty_like(x), np.empty(rows), np.empty(rows, dtype=np.int64),
+               np.empty(rows, dtype=bool), np.empty(rows, dtype=np.int64))
+    while rows:
+        spent = fresh & (iterations >= config.max_iters)
+        top = fresh & ~spent
+        if top.all():
+            grad = objective.gradient(x, cache)
+        elif top.any():
+            grad[top] = objective.gradient(x[top], cache[top])
+        # flat, or no step left above MIN_STEP: no descent at machine resolution
+        stationary = top & ((_row_norms(grad) <= config.tol_grad) | (step <= MIN_STEP))
+        # a row that stops here has its trial evaluated and dropped (one
+        # spare evaluation per row), so that rows leave at one place per tick
+        trial = x - step[:, None] * grad
+        trial /= _row_norms(trial)[:, None]
+        trial_energy, trial_cache = objective.energy(trial)
+        searching = ~(spent | stationary)
+        better = searching & (trial_energy < energy)
+        worse = searching & ~better
+        halvings += worse
+        np.multiply(step, 0.5, out=step, where=worse)
+        drop = energy - trial_energy
+        np.copyto(x, trial, where=better[:, None])
+        np.copyto(energy, trial_energy, where=better)
+        np.copyto(cache, trial_cache, where=better[:, None])
+        iterations += better
+        plateau = np.where(better, np.where(drop < config.tol_entropy, plateau + 1, 0), plateau)
+        converged = (stationary | (worse & (step <= MIN_STEP))
+                     | (better & (plateau >= PLATEAU_STEPS)))
+        fresh = better & ~converged
+        stop = spent | converged
+        if stop.any():
+            walking = (x, energy, iterations, converged, halvings)
+            for out, value in zip(results, walking):
+                out[index[stop]] = value[stop]
+            keep = ~stop
+            x, energy, cache, grad, step, plateau, iterations, halvings, fresh, index = (
+                a[keep] for a in
+                (x, energy, cache, grad, step, plateau, iterations, halvings, fresh, index)
+            )
+            rows = len(x)
+    x, energies, iterations, converged, halvings = results
+    if basis is None:
+        return x, energies, iterations, converged, halvings
+    states = np.where((iterations == 0)[:, None], psi, (x[:, None, :] @ basis)[:, 0, :])
+    return states, energies, iterations, converged, halvings
 
 
 def descend(
@@ -238,9 +295,8 @@ def descend(
     that each drop the entropy by less than tol_entropy also count as
     converged. After max_iters accepted steps the run stops unconverged.
     """
-    energy_of, gradient_of, _ = _objective(frame)
-    states, energies, iterations, converged = _descend_rows(
-        energy_of, gradient_of, np.asarray(start)[None, :], config
+    states, energies, iterations, converged, _ = _descend_rows(
+        _objective(frame), np.asarray(start)[None, :], config
     )
     return states[0], float(energies[0]), int(iterations[0]), bool(converged[0])
 
@@ -252,20 +308,23 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     lowest index). Non-convergence returns the best iterate found, it does
     not raise. The restarts run as stacks of rows through descend's rules,
     in blocks sized so that each complex temporary of the frame's
-    energy/gradient pair stays near the shared block budget: (rows, |G|)
-    for the coset pair, (rows, |G|, |G|) for the transform pair.
+    energy/gradient pair, with its cache, stays near the shared block
+    budget: (rows, |G|) for the coset pair, (rows, |G|, |G|) for the
+    transform pair.
     """
     config = config or MinimizerConfig()
     rng = np.random.default_rng(config.seed)
     d = frame.group.order
     starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
-    energy_of, gradient_of, row_bytes = _objective(frame)
-    block = max(1, _BLOCK_BYTES // row_bytes)
+    objective = _objective(frame)
+    block = max(1, _BLOCK_BYTES // objective.row_bytes)
     runs = [
-        _descend_rows(energy_of, gradient_of, starts[i : i + block], config)
+        _descend_rows(objective, starts[i : i + block], config)
         for i in range(0, config.restarts, block)
     ]
-    states, energies, iterations, converged = (np.concatenate(part) for part in zip(*runs))
+    states, energies, iterations, converged, halvings = (
+        np.concatenate(part) for part in zip(*runs)
+    )
     index = int(np.argmin(energies))
     point, overlap = nearest_coherent(frame, states[index])
     return MinimizerResult(
@@ -279,6 +338,7 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
         restart_entropies=energies,
         restart_iterations=iterations,
         restart_converged=converged,
+        restart_halvings=halvings,
     )
 
 

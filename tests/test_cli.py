@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wehrl import random_state_vector
 from wehrl.cli import main
@@ -229,6 +231,36 @@ def test_bad_inputs_exit_2(capsys, argv):
     code = main(list(argv))
     capsys.readouterr()
     assert code == 2
+
+
+FUZZ_GROUPS = ("Z1", "Z2", "Z5", "Z6", "Z2xZ2", "Z8", "Z3xZ3", "Z4xZ2", "Z16", "Z4xZ4", "Z2xZ2xZ2xZ2")
+# digits, separators and junk, as typed or mistyped on a command line
+FUZZ_TEXT = st.text(alphabet="0123456789,;-+ x.e", max_size=12)
+FUZZ_STATES = st.one_of(
+    st.just("maximally_mixed"),
+    st.builds("random:{}".format, st.one_of(st.integers(-(10**20), 10**20), FUZZ_TEXT)),
+    st.builds("coherent:{}".format, FUZZ_TEXT),
+)
+
+
+# every input is a success or an input error (exit 2 with a message), never a crash
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(("entropy", "husimi", "channel", "minimize")),
+    group=st.sampled_from(FUZZ_GROUPS),
+    subgroup=st.one_of(st.none(), FUZZ_TEXT),
+    state=FUZZ_STATES,
+)
+def test_fuzzed_inputs_exit_0_or_2(capsys, command, group, subgroup, state):
+    argv = [command, "--group", group, f"--state={state}"]
+    if subgroup is not None:
+        argv.append(f"--subgroup={subgroup}")
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith(("error:", "usage:"))
 
 
 def test_non_unit_state_file_rejected(capsys, tmp_path):

@@ -227,14 +227,50 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
     assert len(frames) == 57
     for frame in frames:
         d = frame.group.order
-        energy_of, gradient_of, row_bytes = minimize_module._objective(frame)
-        assert row_bytes == 16 * d  # the coset pair, not the transform pair
+        objective = minimize_module._objective(frame)
+        # the coset pair, walking in the coordinates x = V^H psi of the coset basis
+        V = objective.basis
+        assert V is not None and objective.row_bytes == 32 * d
+        assert np.array_equal(V, coset_basis(frame).vectors)
         psis = np.stack([frame.fiducial] + [random_state_vector(d, rng) for _ in range(4)])
-        energy = energy_of(psis)
+        x = psis @ V.conj().T
+        energy, cache = objective.energy(x)
         assert np.abs(energy - pure_state_entropy(frame, psis)).max() <= 1e-14
-        gradient = gradient_of(psis)
+        gradient = objective.gradient(x, cache) @ V
         assert np.abs(gradient - entropy_gradient(frame, psis)).max() <= 1e-13
         assert energy[0] <= 1e-14 and np.abs(gradient[0]).max() <= 1e-13
+
+
+def route_frames():
+    """Every suite group's H = G and H = {0} frames, with Z9 <3> and Z3xZ3 <(1,0)>."""
+    groups = dict.fromkeys(g for g, _ in suite_pairs())
+    subgroups = [make(g) for g in groups for make in (Subgroup.whole, Subgroup.trivial)]
+    frames = [CoherentFrame.vacuum(H) for H in subgroups]
+    return frames + [vacuum_frame("Z9", (3,)), vacuum_frame("Z3xZ3", (1, 0))]
+
+
+# an independent route for the coset walk: from the same starts, the walk on
+# the transform pair (every |G|^2 amplitude, in psi) takes the same steps
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coset_walk_matches_transform_walk(seed):
+    minimize_module = sys.modules["wehrl.minimize"]
+    config = MinimizerConfig(seed=seed)
+    frames = route_frames()
+    assert len(frames) == 22
+    for frame in frames:
+        d = frame.group.order
+        rng = np.random.default_rng(seed)
+        starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
+        coset = minimize_module._objective(frame)
+        transform = minimize_module._transform_objective(frame)
+        assert coset.basis is not None and transform.basis is None
+        _, entropies, iterations, converged, _ = minimize_module._descend_rows(
+            coset, starts, config)
+        _, expected, expected_iterations, expected_converged, _ = (
+            minimize_module._descend_rows(transform, starts, config))
+        assert np.array_equal(iterations, expected_iterations)
+        assert np.array_equal(converged, expected_converged)
+        assert np.abs(entropies - expected).max() <= 1e-12
 
 
 # random fiducials are not vacuum vectors, so minimize and descend walk on
@@ -248,7 +284,8 @@ def test_minimize_restarts_equal_descend_on_random_fiducials(spec, block_bytes, 
     group = parse_group(spec)
     d = group.order
     frame = CoherentFrame(group, random_state_vector(d, np.random.default_rng(11)))
-    assert minimize_module._objective(frame)[2] == 16 * d * d
+    objective = minimize_module._objective(frame)
+    assert objective.basis is None and objective.row_bytes == 32 * d * d
     config = MinimizerConfig(seed=3, restarts=6, max_iters=200)
     result = minimize(frame, config)
     rng = np.random.default_rng(config.seed)
@@ -282,6 +319,41 @@ def test_descend_stops_on_exhausted_step(rng):
     )
     assert converged and iterations == 0
     assert np.array_equal(state, start / np.linalg.norm(start))
+
+
+def test_no_halvings_from_coherent_starts():
+    minimize_module = sys.modules["wehrl.minimize"]
+    frame = vacuum_frame("Z4", (2,))
+    starts = np.stack([frame.state(z) for z in frame.points()])
+    states, _, iterations, converged, halvings = minimize_module._descend_rows(
+        minimize_module._objective(frame), starts, MinimizerConfig())
+    assert converged.all() and not iterations.any() and not halvings.any()
+    assert np.array_equal(states, starts / np.linalg.norm(starts, axis=-1, keepdims=True))
+    # on Z1 every unit vector is coherent
+    result = minimize(vacuum_frame("Z1"))
+    assert np.array_equal(result.restart_halvings, np.zeros(16, dtype=np.int64))
+
+
+# one count per restart, in restart order, whatever the block height
+@pytest.mark.parametrize("fiducial", ["vacuum", "random"])
+@pytest.mark.parametrize("spec", ["Z6", "Z3xZ3", "Z8xZ8"])
+def test_restart_halvings_independent_of_blocks(spec, fiducial, monkeypatch):
+    minimize_module = sys.modules["wehrl.minimize"]
+    group = parse_group(spec)
+    d = group.order
+    if fiducial == "vacuum":
+        frame = CoherentFrame.vacuum(Subgroup.whole(group))
+    else:
+        frame = CoherentFrame(group, random_state_vector(d, np.random.default_rng(5)))
+    # a step of 2 overshoots from a random start, so every restart halves
+    config = MinimizerConfig(seed=2, restarts=5, step_size=2.0, max_iters=300 if d < 64 else 30)
+    halvings = []
+    for block_bytes in (1, 10**9):
+        monkeypatch.setattr(minimize_module, "_BLOCK_BYTES", block_bytes)
+        halvings.append(minimize(frame, config).restart_halvings)
+    assert halvings[0].shape == (5,) and halvings[0].dtype == np.int64
+    assert np.array_equal(halvings[0], halvings[1])
+    assert halvings[0].min() > 0
 
 
 # criterion 10's gates on the H = G frames of order 64: one cyclic group, a
