@@ -36,6 +36,10 @@ from .verify import run_checks
 
 __all__ = ["build_parser", "main"]
 
+# criterion 10's gate on the minimum entropy; `minimize --trace` reports each
+# restart's margin to it as log10(gate / entropy)
+_ENTROPY_GATE = 1e-6
+
 
 def _subgroup_from_args(group: FiniteAbelianGroup, text: str | None) -> Subgroup:
     if text is None:
@@ -165,7 +169,25 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         "seed": config.seed,
     }
     print(json.dumps(payload, sort_keys=True))
+    if args.trace:
+        _trace_restarts(result)
     return 0
+
+
+def _trace_restarts(result) -> None:
+    """One JSON line per restart on stderr, in restart order."""
+    for i, entropy in enumerate(result.restart_entropies.tolist()):
+        line = {
+            "restart": i,
+            "iterations": int(result.restart_iterations[i]),
+            "halvings": int(result.restart_halvings[i]),
+            "entropy": entropy,
+            # null where the entropy is 0: the margin is unbounded
+            "gate_margin_log10": float(np.log10(_ENTROPY_GATE / entropy)) if entropy > 0 else None,
+            "grad_norm": float(result.restart_grad_norms[i]),
+            "converged": bool(result.restart_converged[i]),
+        }
+        print(json.dumps(line, sort_keys=True), file=sys.stderr)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -210,6 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log-base", dest="log_base", choices=("e", "2"), default="e")
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
+        if name == "minimize":
+            p.add_argument("--trace", action="store_true",
+                           help="write one JSON line per restart to stderr")
         p.set_defaults(func=func)
     return parser
 
@@ -227,6 +252,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already written its message
         code = exc.code
         return code if isinstance(code, int) else 2
+    # argparse drops "--" from an attached value (--subgroup=--) and hands
+    # the option an empty list in place of its one string
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: argument --{name.replace('_', '-')}: expected one argument",
+                  file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

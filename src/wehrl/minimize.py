@@ -1,24 +1,31 @@
-"""Wehrl-entropy minimisation over pure states by projected gradient descent.
+"""Wehrl-entropy minimisation over pure states by descent on the unit sphere.
 
 Minimising over pure states suffices: the entropy is concave in rho, so its
 minimum over the (compact, convex) state space is attained at an extreme
-point. The iteration walks the unit sphere: Euclidean gradient, tangent
-projection, renormalisation retraction, monotone line search with step
+point. The iteration walks the unit sphere: a descent direction in the
+tangent space, renormalisation retraction, monotone line search with step
 halving.
 
-The walk (`_descend_rows`) takes an energy/gradient pair over rows, chosen
+The walk (`_descend_rows`) takes an energy/step pair over rows, chosen
 from the frame alone once per `minimize` or `descend` call:
 - the coset pair, for vacuum frames: all |K| = |G| points of a K-coset are
-  one ray up to phase, so S^W(psi) = -vol * sum_a q_a log q_a with
+  one ray up to phase, so S^W(psi) = S = -vol * sum_a q_a log q_a with
   q_a = |x_a|^2, x = V^H psi the coordinates of psi in the orthonormal
   coset basis V of `coset_basis`, and vol = |K|/|G|. The walk runs in x:
   the starts are mapped in once and the results back once, and no step
   does a basis product. V is unitary, so the sphere, the retraction and
-  every rule of `descend` read the same in x as in psi;
+  every rule of `descend` read the same in x as in psi. The tangent
+  gradient is g_a = -(vol log q_a + S) x_a, and the Hessian of the
+  Lagrangian is diagonal in |x_a|: halved, it is
+  h_a = -(vol log q_a + 2 vol + S). The walk takes the safeguarded Newton
+  step delta_a = g_a / max(h_a, CURVATURE_FLOOR * vol), whose full step
+  multiplies each minor coordinate of a near-coherent state by
+  2 / (log q_a + 2), and stops on a local-minimum certificate;
 - the transform pair (`pure_state_entropy`, `entropy_gradient`), for any
-  fiducial: all |G|^2 amplitudes through `group_dft`, in psi.
+  fiducial: all |G|^2 amplitudes through `group_dft`, in psi, with a
+  gradient step.
 Each trial point is evaluated once: its energy also returns what the next
-gradient needs (|x|^2 and its logs, or the amplitudes), and an accepted row
+step needs (|x|^2 and its logs, or the amplitudes), and an accepted row
 keeps it.
 """
 
@@ -44,18 +51,29 @@ __all__ = [
     "scan_fiducials",
 ]
 
-# Husimi values below this contribute no gradient (the Q -> 0 limit of
-# Q log Q is 0, but log Q blows up; such points are skipped)
+# Husimi values below this contribute no gradient to `entropy_gradient` and
+# the gradient walk (the Q -> 0 limit of Q log Q is 0, but log Q blows up;
+# such points are skipped)
 GRAD_SKIP = 1e-12
-# consecutive accepted steps with decrease < tol_entropy that count as converged
+# consecutive accepted steps with decrease < tol_entropy that end a walk:
+# converged on the gradient walk, a budget on the Newton walk
 PLATEAU_STEPS = 20
 MIN_STEP = 1e-14
+# the Newton walk's least curvature, in units of vol: coordinates where the
+# Lagrangian is flatter or concave (the major coordinate, or any coordinate
+# away from a coherent state) take a scaled gradient step g_a / (3 vol)
+CURVATURE_FLOOR = 3.0
+# the least normal float: q == 0 takes its log, so that the step reads a
+# finite log of every coordinate and no 0 * inf arises
+_LEAST_Q = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
 class MinimizerConfig:
     max_iters: int = 5000
-    step_size: float = 0.1  # halved on non-decrease
+    # the gradient walk's first trial step, halved on non-decrease; the
+    # Newton walk of vacuum frames starts at the full Newton step, 1
+    step_size: float = 0.1
     tol_grad: float = 1e-8
     tol_entropy: float = 1e-9
     restarts: int = 16
@@ -82,6 +100,7 @@ class MinimizerResult:
     restart_iterations: np.ndarray
     restart_converged: np.ndarray
     restart_halvings: np.ndarray  # rejected trials, each of which halved the step
+    restart_grad_norms: np.ndarray  # tangent-gradient norm at each restart's end
 
 
 def _synthesis(frame: CoherentFrame, coeffs: np.ndarray) -> np.ndarray:
@@ -138,20 +157,26 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
 
 
 class _Objective(NamedTuple):
-    """An energy/gradient pair over (R, d) stacks of unit rows.
+    """An energy/step pair over (R, d) stacks of unit rows.
 
-    energy(x) gives the (R,) entropies and an (R, k) cache; gradient(x,
-    cache) gives the (R, d) tangent gradients from the cache of the same
-    rows, and may overwrite it. Each row is independent of the others, so
-    a row rounds the same in a stack of any height. The rows are the
-    coordinates x of psi = x @ basis, or psi itself where basis is None.
-    row_bytes counts the largest complex temporary and the cache.
+    energy(x) gives the (R,) entropies S and an (R, k) cache. step(x, S,
+    cache) gives, from the entropies and cache of the same rows, the (R, d)
+    directions the walk steps against, the (R,) tangent-gradient norms and
+    the (R,) Newton decrements, inf on a row not shown to be in the basin of
+    a local minimum (every row, for a gradient step); it may overwrite the
+    cache. Each row is independent of the
+    others, so a row rounds the same in a stack of any height. The rows are
+    the coordinates x of psi = x @ basis, or psi itself where basis is None.
+    row_bytes counts the largest complex temporary and the cache. newton
+    tells the walk that the direction is a Newton step, taken first in full.
     """
 
     energy: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    step: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                   tuple[np.ndarray, np.ndarray, np.ndarray]]
     basis: np.ndarray | None
     row_bytes: int
+    newton: bool
 
 
 def _transform_objective(frame: CoherentFrame) -> _Objective:
@@ -164,42 +189,61 @@ def _transform_objective(frame: CoherentFrame) -> _Objective:
         q *= q
         return _entropy_sum(q, frame.haar_weight), c
 
-    def gradient(psi: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return _amplitude_gradient(frame, psi, c)
+    def step(psi: np.ndarray, entropies: np.ndarray, c: np.ndarray):
+        grad = _amplitude_gradient(frame, psi, c)
+        return grad, _row_norms(grad), np.full(len(psi), np.inf)
 
-    return _Objective(energy, gradient, None, 32 * d * d)
+    return _Objective(energy, step, None, 32 * d * d, newton=False)
 
 
 def _coset_objective(frame: CoherentFrame) -> _Objective:
-    """The entropy in coset-basis coordinates; the cache is |x|^2 and its logs."""
+    """The entropy and its Newton step in coset-basis coordinates.
+
+    The cache is q = |x|^2 and log q (of the least normal float where q is
+    0). With r_a = -(vol log q_a + S), the tangent gradient is g_a = r_a x_a
+    and the halved curvature h_a = r_a - 2 vol. The step is g_a over h_a
+    floored at CURVATURE_FLOOR * vol, and the decrement sum_a |g_a|^2 / h_a
+    counts only where every coordinate with q_a < 1/2 has h_a above the
+    floor: then the row is in the basin of one coherent state.
+    """
     vectors = coset_basis(frame).vectors  # raises NotVacuumError
     K, _ = frame.cosets()
     d = frame.group.order
     vol = K.order / d
+    floor = CURVATURE_FLOOR * vol
 
     def energy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cache = np.zeros((len(x), 2 * d))
+        cache = np.empty((len(x), 2 * d))
         q, logs = cache[:, :d], cache[:, d:]
         np.abs(x, out=q)
         q *= q
-        # log q, and 0 where q log q := 0 (as in entropy._entropy_sum)
-        np.log(q, out=logs, where=q > ZERO_LOG_THRESHOLD)
-        return np.add.reduce(q * logs, axis=-1) * -vol, cache
+        np.maximum(q, _LEAST_Q, out=logs)
+        np.log(logs, out=logs)
+        # q log q := 0 at and below the threshold, as in entropy._entropy_sum
+        terms = np.where(q > ZERO_LOG_THRESHOLD, q * logs, 0.0)
+        return np.add.reduce(terms, axis=-1) * -vol, cache
 
-    def gradient(x: np.ndarray, cache: np.ndarray) -> np.ndarray:
+    def step(x: np.ndarray, entropies: np.ndarray, cache: np.ndarray):
         q, logs = cache[:, :d], cache[:, d:]
-        weight = logs + 1.0
-        weight[q < GRAD_SKIP] = 0.0
-        weight *= -vol
-        return _tangent(x, weight * x)
+        rate = logs * -vol
+        rate -= entropies[:, None]
+        curvature = rate - 2.0 * vol
+        basin = ((curvature > floor) | (q >= 0.5)).all(axis=-1)
+        np.maximum(curvature, floor, out=curvature)
+        power = rate * rate
+        power *= q  # |g_a|^2
+        decrements = np.add.reduce(power / curvature, axis=-1)
+        decrements[~basin] = np.inf
+        rate /= curvature
+        return rate * x, np.sqrt(np.add.reduce(power, axis=-1)), decrements
 
-    return _Objective(energy, gradient, vectors, 32 * d)
+    return _Objective(energy, step, vectors, 32 * d, newton=True)
 
 
 def _objective(frame: CoherentFrame) -> _Objective:
     """The coset pair for a vacuum frame, the transform pair for any other.
 
-    Both give the same entropy and gradient up to rounding.
+    Both give the same entropy and tangent gradient up to rounding.
     """
     try:
         return _coset_objective(frame)
@@ -209,17 +253,18 @@ def _objective(frame: CoherentFrame) -> _Objective:
 
 def _descend_rows(
     objective: _Objective, starts: np.ndarray, config: MinimizerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`descend` on each row of an (R, d) stack of starts, all rows at once.
 
     Every row follows descend's rules on its own: its own step size and
     halvings, plateau count, max_iters budget and convergence flag, so a
-    row ends where it would end alone. Each tick takes the gradient of the
+    row ends where it would end alone. Each tick takes the step of the
     rows that start an iteration, from the cache of the point they just
     accepted, and one trial energy for every row. The rows still walking
     are kept compact; the arrays are compressed only on ticks where a row
-    stops. Returns (states, entropies, iterations, converged, halvings); a
-    row that never moved returns its normalised start bit for bit.
+    stops. Returns (states, entropies, iterations, converged, halvings,
+    gradient norms at the end); a row that never moved returns its
+    normalised start bit for bit.
     """
     psi = np.asarray(starts, dtype=np.complex128)
     psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
@@ -227,11 +272,11 @@ def _descend_rows(
     x = psi if basis is None else (psi[:, None, :] @ np.ascontiguousarray(basis.conj().T))[:, 0, :]
     rows = len(x)
     energy, cache = objective.energy(x)
-    step = np.full(rows, config.step_size)
+    step = np.full(rows, 1.0 if objective.newton else config.step_size)
     plateau = np.zeros(rows, dtype=np.int64)
     iterations = np.zeros(rows, dtype=np.int64)
     halvings = np.zeros(rows, dtype=np.int64)
-    grad = np.zeros_like(x)
+    direction = np.zeros_like(x)
     fresh = np.ones(rows, dtype=bool)  # at the top of an iteration
     index = np.arange(rows)  # each walking row's place in the results
     results = (np.empty_like(x), np.empty(rows), np.empty(rows, dtype=np.int64),
@@ -239,15 +284,17 @@ def _descend_rows(
     while rows:
         spent = fresh & (iterations >= config.max_iters)
         top = fresh & ~spent
-        if top.all():
-            grad = objective.gradient(x, cache)
-        elif top.any():
-            grad[top] = objective.gradient(x[top], cache[top])
-        # flat, or no step left above MIN_STEP: no descent at machine resolution
-        stationary = top & ((_row_norms(grad) <= config.tol_grad) | (step <= MIN_STEP))
+        # flat, or in a basin with a Newton decrement below tol_entropy
+        certified = np.zeros(rows, dtype=bool)
+        if top.any():
+            at = slice(None) if top.all() else top
+            direction[at], norms, decrements = objective.step(x[at], energy[at], cache[at])
+            certified[at] = (norms <= config.tol_grad) | (decrements < config.tol_entropy)
+        # or no step left above MIN_STEP: no descent at machine resolution
+        stationary = certified | (top & (step <= MIN_STEP))
         # a row that stops here has its trial evaluated and dropped (one
         # spare evaluation per row), so that rows leave at one place per tick
-        trial = x - step[:, None] * grad
+        trial = x - step[:, None] * direction
         trial /= _row_norms(trial)[:, None]
         trial_energy, trial_cache = objective.energy(trial)
         searching = ~(spent | stationary)
@@ -261,41 +308,54 @@ def _descend_rows(
         np.copyto(cache, trial_cache, where=better[:, None])
         iterations += better
         plateau = np.where(better, np.where(drop < config.tol_entropy, plateau + 1, 0), plateau)
-        converged = (stationary | (worse & (step <= MIN_STEP))
-                     | (better & (plateau >= PLATEAU_STEPS)))
-        fresh = better & ~converged
-        stop = spent | converged
+        # a certificate or a budget ends the row; the gradient walk counts an
+        # exhausted step or a plateau as converged, the Newton walk does not
+        ended = (stationary | (worse & (step <= MIN_STEP))
+                 | (better & (plateau >= PLATEAU_STEPS)))
+        converged = certified if objective.newton else ended
+        fresh = better & ~ended
+        stop = spent | ended
         if stop.any():
             walking = (x, energy, iterations, converged, halvings)
             for out, value in zip(results, walking):
                 out[index[stop]] = value[stop]
             keep = ~stop
-            x, energy, cache, grad, step, plateau, iterations, halvings, fresh, index = (
+            x, energy, cache, direction, step, plateau, iterations, halvings, fresh, index = (
                 a[keep] for a in
-                (x, energy, cache, grad, step, plateau, iterations, halvings, fresh, index)
+                (x, energy, cache, direction, step, plateau, iterations, halvings, fresh, index)
             )
             rows = len(x)
     x, energies, iterations, converged, halvings = results
+    _, grad_norms, _ = objective.step(x, *objective.energy(x))
     if basis is None:
-        return x, energies, iterations, converged, halvings
+        return x, energies, iterations, converged, halvings, grad_norms
     states = np.where((iterations == 0)[:, None], psi, (x[:, None, :] @ basis)[:, 0, :])
-    return states, energies, iterations, converged, halvings
+    return states, energies, iterations, converged, halvings, grad_norms
 
 
 def descend(
     frame: CoherentFrame, start: np.ndarray, config: MinimizerConfig
 ) -> tuple[np.ndarray, float, int, bool]:
-    """One gradient-descent run from `start`; (state, entropy, iters, converged).
+    """One descent run from `start`; (state, entropy, iters, converged).
 
-    Walks the sphere from the normalised start: each iteration takes the
-    tangent gradient, stops (converged) if its norm is at most tol_grad,
-    and otherwise halves the step from its last value until the retracted
-    trial point lowers the entropy. No such step above MIN_STEP means a
-    stationary point (converged); PLATEAU_STEPS accepted steps in a row
-    that each drop the entropy by less than tol_entropy also count as
-    converged. After max_iters accepted steps the run stops unconverged.
+    Walks the sphere from the normalised start. Each iteration takes a
+    direction at the current point and stops (converged) if the point is
+    certified, and otherwise halves the step from its last value until the
+    retracted trial point lowers the entropy. On a vacuum frame the
+    direction is the Newton step of the coset coordinates, the first trial
+    step is 1 (the full step), and a point is certified when its tangent
+    gradient norm is at most tol_grad, or when it is in the basin of a
+    coherent state with a Newton decrement below tol_entropy. On any other
+    frame the direction is the tangent gradient, the first trial step is
+    config.step_size, and a point is certified when its gradient norm is at
+    most tol_grad. Three budgets also end a run: max_iters accepted steps,
+    no step above MIN_STEP that lowers the entropy, and PLATEAU_STEPS
+    accepted steps in a row that each drop the entropy by less than
+    tol_entropy. On a vacuum frame a run they end is unconverged; the
+    gradient walk counts the last two as converged (a stationary point),
+    and max_iters as unconverged.
     """
-    states, energies, iterations, converged, _ = _descend_rows(
+    states, energies, iterations, converged, _, _ = _descend_rows(
         _objective(frame), np.asarray(start)[None, :], config
     )
     return states[0], float(energies[0]), int(iterations[0]), bool(converged[0])
@@ -322,7 +382,7 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
         _descend_rows(objective, starts[i : i + block], config)
         for i in range(0, config.restarts, block)
     ]
-    states, energies, iterations, converged, halvings = (
+    states, energies, iterations, converged, halvings, grad_norms = (
         np.concatenate(part) for part in zip(*runs)
     )
     index = int(np.argmin(energies))
@@ -339,6 +399,7 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
         restart_iterations=iterations,
         restart_converged=converged,
         restart_halvings=halvings,
+        restart_grad_norms=grad_norms,
     )
 
 

@@ -158,6 +158,44 @@ def test_vector_state_file(capsys, tmp_path):
     assert json.loads(out)["von_neumann"] == pytest.approx(0.0, abs=1e-9)
 
 
+# the walk used to stop on its plateau rule at 1.34e-6 here, above the gate
+def test_minimize_passes_the_gate_where_the_plateau_rule_stalled(capsys):
+    code, out, _ = run_cli(
+        capsys, "minimize", "--group", "Z4xZ8", "--subgroup", "0,2;2,0", "--seed", "1"
+    )
+    assert code == 0
+    assert json.loads(out)["best_entropy"] <= 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "Z4", "--subgroup", "2", "--seed", "7"),
+    ("--group", "Z1"),
+    ("--group", "Z8xZ8", "--seed", "3"),
+])
+def test_minimize_trace_lines_and_unchanged_stdout(capsys, argv):
+    code, plain, plain_err = run_cli(capsys, "minimize", *argv)
+    assert code == 0 and plain_err == ""
+    code, out, err = run_cli(capsys, "minimize", *argv, "--trace")
+    assert code == 0 and out == plain
+    lines = [json.loads(line) for line in err.splitlines()]
+    assert [line["restart"] for line in lines] == list(range(16))
+    for line in lines:
+        assert set(line) == {"restart", "iterations", "halvings", "entropy",
+                             "gate_margin_log10", "grad_norm", "converged"}
+        if line["entropy"] > 0:
+            assert line["gate_margin_log10"] == pytest.approx(math.log10(1e-6 / line["entropy"]))
+        else:
+            assert line["gate_margin_log10"] is None
+    best = min(line["entropy"] for line in lines)
+    assert best == json.loads(out)["best_entropy"]
+    assert sum(line["iterations"] for line in lines) == json.loads(out)["iterations"]
+
+
+def test_trace_is_a_minimize_option(capsys):
+    code, _, err = run_cli(capsys, "verify", "--group", "Z2", "--trace")
+    assert code == 2 and "--trace" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -223,6 +261,9 @@ def test_repeated_main_matches_fresh_processes(capsys, monkeypatch):
         ("entropy", "--group", "Z4", "--state", "no/such/file.json"),
         ("entropy", "--group", "Z4", "--state", "random:notanint"),
         ("husimi", "--group", "Z4", "--state", "coherent:1"),  # malformed point
+        ("entropy", "--group", "Z1", "--state=maximally_mixed", "--subgroup=--"),
+        ("minimize", "--group=--"),
+        ("minimize", "--group", "Z2", "--seed=--"),
         ("nosuchcommand",),
         (),
     ],

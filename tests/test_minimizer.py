@@ -22,6 +22,7 @@ from wehrl import (
     vacuum_vector,
 )
 from wehrl.verify import fd_tangent_gradient, suite_pairs
+from walk_oracle import newton_step, newton_walk
 
 
 def vacuum_frame(spec, *gen_coords):
@@ -180,7 +181,7 @@ def test_minimize_result_is_reproducible_entropy():
 @pytest.mark.parametrize(
     "spec, gens, max_iters",
     [("Z4", ((2,),), 5000), ("Z3xZ3", (), 5000), ("Z2xZ2xZ2", ((1, 1, 0),), 5000),
-     ("Z6", ((3,),), 7), ("Z8xZ8", (), 40)],
+     ("Z6", ((3,),), 7), ("Z8xZ8", (), 12)],
 )
 @pytest.mark.parametrize("block_bytes", [None, 1, 10**9])
 def test_minimize_restarts_equal_descend(spec, gens, max_iters, block_bytes, monkeypatch):
@@ -230,15 +231,28 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
         objective = minimize_module._objective(frame)
         # the coset pair, walking in the coordinates x = V^H psi of the coset basis
         V = objective.basis
-        assert V is not None and objective.row_bytes == 32 * d
+        assert V is not None and objective.row_bytes == 32 * d and objective.newton
         assert np.array_equal(V, coset_basis(frame).vectors)
-        psis = np.stack([frame.fiducial] + [random_state_vector(d, rng) for _ in range(4)])
+        # a coherent state, one near it (in the basin) and random states
+        near = frame.fiducial + 1e-3 * random_state_vector(d, rng)
+        psis = np.stack([frame.fiducial, near / np.linalg.norm(near)]
+                        + [random_state_vector(d, rng) for _ in range(4)])
         x = psis @ V.conj().T
         energy, cache = objective.energy(x)
         assert np.abs(energy - pure_state_entropy(frame, psis)).max() <= 1e-14
-        gradient = objective.gradient(x, cache) @ V
-        assert np.abs(gradient - entropy_gradient(frame, psis)).max() <= 1e-13
-        assert energy[0] <= 1e-14 and np.abs(gradient[0]).max() <= 1e-13
+        direction, norms, decrements = objective.step(x, energy, cache)
+        for row, psi in enumerate(psis):
+            want_direction, gradient, decrement = newton_step(frame, psi, energy[row])
+            assert np.abs(direction[row] @ V - want_direction).max() <= 1e-13
+            assert abs(norms[row] - np.linalg.norm(gradient)) <= 1e-13
+            if row >= 2:  # Q > GRAD_SKIP everywhere: the public gradient agrees
+                assert np.abs(gradient - entropy_gradient(frame, psi)).max() <= 1e-13
+            if row == 1:  # no decrement outside the basin
+                assert decrements[row] == pytest.approx(decrement, rel=1e-9)
+            else:
+                assert np.isinf(decrements[row]) == np.isinf(decrement)
+        assert energy[0] <= 1e-14 and norms[0] <= 1e-13
+        assert np.isfinite(decrements[:2]).all() and np.isinf(decrements[2:]).all()
 
 
 def route_frames():
@@ -249,8 +263,8 @@ def route_frames():
     return frames + [vacuum_frame("Z9", (3,)), vacuum_frame("Z3xZ3", (1, 0))]
 
 
-# an independent route for the coset walk: from the same starts, the walk on
-# the transform pair (every |G|^2 amplitude, in psi) takes the same steps
+# an independent route for the coset walk: from the same starts, the Newton
+# walk in psi on every |G|^2 amplitude (tests/walk_oracle.py) takes the same steps
 @pytest.mark.parametrize("seed", [0, 1])
 def test_coset_walk_matches_transform_walk(seed):
     minimize_module = sys.modules["wehrl.minimize"]
@@ -262,15 +276,14 @@ def test_coset_walk_matches_transform_walk(seed):
         rng = np.random.default_rng(seed)
         starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
         coset = minimize_module._objective(frame)
-        transform = minimize_module._transform_objective(frame)
-        assert coset.basis is not None and transform.basis is None
-        _, entropies, iterations, converged, _ = minimize_module._descend_rows(
+        assert coset.basis is not None and coset.newton
+        _, entropies, iterations, converged, halvings, _ = minimize_module._descend_rows(
             coset, starts, config)
-        _, expected, expected_iterations, expected_converged, _ = (
-            minimize_module._descend_rows(transform, starts, config))
-        assert np.array_equal(iterations, expected_iterations)
-        assert np.array_equal(converged, expected_converged)
-        assert np.abs(entropies - expected).max() <= 1e-12
+        walks = [newton_walk(frame, start, config) for start in starts]
+        assert np.array_equal(iterations, [w[2] for w in walks])
+        assert np.array_equal(converged, [w[3] for w in walks])
+        assert np.array_equal(halvings, [w[4] for w in walks])
+        assert np.abs(entropies - [w[1] for w in walks]).max() <= 1e-12
 
 
 # random fiducials are not vacuum vectors, so minimize and descend walk on
@@ -311,8 +324,9 @@ def test_detected_vacuum_frame_minimizes_like_vacuum(spec, gens):
         assert getattr(a, field) == getattr(b, field)
 
 
+# step_size is the first trial step of the gradient walk, so a random fiducial
 def test_descend_stops_on_exhausted_step(rng):
-    frame = vacuum_frame("Z4", (2,))
+    frame = CoherentFrame(parse_group("Z4"), random_state_vector(4, rng))
     start = random_state_vector(4, rng)
     state, energy, iterations, converged = descend(
         frame, start, MinimizerConfig(step_size=1e-15)
@@ -325,7 +339,7 @@ def test_no_halvings_from_coherent_starts():
     minimize_module = sys.modules["wehrl.minimize"]
     frame = vacuum_frame("Z4", (2,))
     starts = np.stack([frame.state(z) for z in frame.points()])
-    states, _, iterations, converged, halvings = minimize_module._descend_rows(
+    states, _, iterations, converged, halvings, _ = minimize_module._descend_rows(
         minimize_module._objective(frame), starts, MinimizerConfig())
     assert converged.all() and not iterations.any() and not halvings.any()
     assert np.array_equal(states, starts / np.linalg.norm(starts, axis=-1, keepdims=True))
@@ -334,17 +348,22 @@ def test_no_halvings_from_coherent_starts():
     assert np.array_equal(result.restart_halvings, np.zeros(16, dtype=np.int64))
 
 
-# one count per restart, in restart order, whatever the block height
-@pytest.mark.parametrize("fiducial", ["vacuum", "random"])
+# one count per restart, in restart order, whatever the block height; on the
+# gradient walk of non-vacuum fiducials, where step_size acts
+@pytest.mark.parametrize("fiducial", ["near-vacuum", "random"])
 @pytest.mark.parametrize("spec", ["Z6", "Z3xZ3", "Z8xZ8"])
 def test_restart_halvings_independent_of_blocks(spec, fiducial, monkeypatch):
     minimize_module = sys.modules["wehrl.minimize"]
     group = parse_group(spec)
     d = group.order
-    if fiducial == "vacuum":
-        frame = CoherentFrame.vacuum(Subgroup.whole(group))
+    rng = np.random.default_rng(5)
+    if fiducial == "near-vacuum":
+        vacuum = vacuum_vector(Subgroup.whole(group))
+        fiducial_vector = vacuum + 0.1 * random_state_vector(d, rng)
+        frame = CoherentFrame(group, fiducial_vector / np.linalg.norm(fiducial_vector))
     else:
-        frame = CoherentFrame(group, random_state_vector(d, np.random.default_rng(5)))
+        frame = CoherentFrame(group, random_state_vector(d, rng))
+    assert minimize_module._objective(frame).basis is None
     # a step of 2 overshoots from a random start, so every restart halves
     config = MinimizerConfig(seed=2, restarts=5, step_size=2.0, max_iters=300 if d < 64 else 30)
     halvings = []
@@ -367,6 +386,110 @@ def test_minimize_gates_on_order_64_frames(spec):
     assert result.nearest_overlap >= 1 - 1e-4
     assert result.restart_entropies.shape == (16,)
     assert result.restart_entropies[result.restart_index] == result.best_entropy
+
+
+# the walk used to stop on its plateau rule at 1.34e-6 here, above the gate
+def test_minimize_passes_the_gate_where_the_plateau_rule_stalled():
+    g = parse_group("Z4xZ8")
+    H = subgroup_closure(g, (g.element((0, 2)), g.element((2, 0))))
+    result = minimize(CoherentFrame.vacuum(H), MinimizerConfig(seed=1))
+    assert result.best_entropy <= 1e-8
+    assert result.converged
+
+
+# criterion 10's gate is 1e-6: the worst suite minimum keeps a 100x margin
+@pytest.mark.parametrize("seed", [0, 1])
+def test_worst_suite_minimum_within_a_hundredth_of_the_gate(seed):
+    config = MinimizerConfig(seed=seed)
+    worst = max(minimize(CoherentFrame.vacuum(H), config).best_entropy for _, H in suite_pairs())
+    assert worst <= 1e-8
+
+
+# every restart that lands on a coherent state is certified there, not
+# stopped on a budget above the gate
+@pytest.mark.parametrize("seed", [0, 1])
+def test_restarts_near_a_coherent_state_pass_the_gate(seed):
+    minimize_module = sys.modules["wehrl.minimize"]
+    config = MinimizerConfig(seed=seed)
+    near = 0
+    for frame in workload_frames():
+        rng = np.random.default_rng(seed)
+        d = frame.group.order
+        starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
+        states, entropies, _, converged, _, _ = minimize_module._descend_rows(
+            minimize_module._objective(frame), starts, config)
+        for state, entropy, flag in zip(states, entropies, converged):
+            if nearest_coherent(frame, state)[1] >= 1 - 1e-4:
+                near += 1
+                assert entropy < 1e-6 and flag
+    assert near == 57 * config.restarts
+
+
+# near a coherent state the full Newton step maps each minor q to about
+# 4 q / (log q + 2)^2: superlinear convergence
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-10])
+def test_newton_step_shrinks_minor_coordinates(eps):
+    minimize_module = sys.modules["wehrl.minimize"]
+    frame = vacuum_frame("Z4xZ2")
+    objective = minimize_module._objective(frame)
+    d = frame.group.order
+    phases = np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=d))
+    q = np.full(d, eps)
+    q[3] = 1.0 - (d - 1) * eps
+    x = (np.sqrt(q) * phases)[None, :]
+    energy, cache = objective.energy(x)
+    direction, _, decrement = objective.step(x, energy, cache)
+    assert np.isfinite(decrement).all()  # in the basin
+    trial = x - direction
+    trial /= np.linalg.norm(trial)
+    shrunk = np.abs(np.delete(trial[0], 3)) ** 2
+    assert shrunk.max() <= 4 * eps / (np.log(eps) + 2) ** 2 * (1 + 1e-12)
+
+
+# with tolerances no point can meet, the Newton walk runs to rounding level
+# and stops on its MIN_STEP budget (47 halvings from 1), unconverged
+def test_newton_walk_budgets_end_unconverged():
+    frame = vacuum_frame("Z8")
+    config = MinimizerConfig(tol_grad=1e-300, tol_entropy=1e-300, restarts=4, seed=1)
+    result = minimize(frame, config)
+    assert not result.restart_converged.any()
+    assert (result.restart_iterations > 0).all()
+    assert (result.restart_halvings == 47).all()
+    assert np.abs(result.restart_entropies).max() <= 1e-15
+
+
+def test_step_reads_no_nan_where_q_is_zero():
+    minimize_module = sys.modules["wehrl.minimize"]
+    frame = vacuum_frame("Z3xZ3", (1, 0))
+    objective = minimize_module._objective(frame)
+    x = np.zeros((2, 9), dtype=complex)
+    x[0, 4] = 1.0  # a coherent state: eight exact zeros
+    x[1, :2] = [0.6, 0.8j]
+    energy, cache = objective.energy(x)
+    direction, norms, decrements = objective.step(x, energy, cache)
+    assert np.isfinite(direction).all() and np.isfinite(norms).all()
+    assert energy[0] == 0.0 and norms[0] == 0.0 and decrements[0] == 0.0
+    assert not np.isnan(decrements[1])
+
+
+@pytest.mark.parametrize("fiducial", ["vacuum", "random"])
+def test_restart_grad_norms_are_the_final_gradient_norms(fiducial):
+    group = parse_group("Z3xZ3")
+    if fiducial == "vacuum":
+        frame = vacuum_frame("Z3xZ3", (1, 0))
+    else:
+        frame = CoherentFrame(group, random_state_vector(9, np.random.default_rng(4)))
+    result = minimize(frame, MinimizerConfig(seed=2, max_iters=300))
+    norms = result.restart_grad_norms
+    assert norms.shape == (16,) and norms.dtype == np.float64
+    best = result.best_state
+    if fiducial == "vacuum":
+        _, gradient, _ = newton_step(frame, best, result.best_entropy)
+        assert norms[result.restart_index] == pytest.approx(np.linalg.norm(gradient), rel=1e-6)
+        assert (norms[result.restart_converged] < 1e-3).all()
+    else:
+        want = np.linalg.norm(entropy_gradient(frame, best))
+        assert norms[result.restart_index] == pytest.approx(want, rel=1e-12)
 
 
 def test_nearest_coherent_exact_point():

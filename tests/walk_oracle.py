@@ -1,0 +1,72 @@
+"""The Newton walk of vacuum frames in psi: the oracle for `minimize._descend_rows`.
+
+The library walks in the coordinates x = V^H psi of the orthonormal coset
+basis V. Here no coset basis is built: every quantity is read off the
+|G|^2 amplitudes c_z = <z|psi> of `pure_amplitudes` and mapped back with
+`_synthesis`, their adjoint. Q is constant on each K-coset a, whose points
+are one ray v_a up to phase, so sum_{z in a} w |z><z| = vol |v_a><v_a| with
+vol = w |K|. Synthesising (w / vol) f(Q_z) c_z therefore gives
+sum_a f(q_a) x_a v_a: per-point weights reproduce the diagonal step. One
+row at a time, with plain control flow.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wehrl import pure_amplitudes, pure_state_entropy
+from wehrl.minimize import CURVATURE_FLOOR, MIN_STEP, PLATEAU_STEPS, _synthesis
+
+
+def newton_step(frame, psi, entropy):
+    """(direction, tangent gradient, Newton decrement) at a unit psi, in psi.
+
+    With r = -(vol log Q + S): gradient r c, curvature h = r - 2 vol,
+    direction r c / max(h, floor); the decrement sum_a |g_a|^2 / h_a is inf
+    unless every point with Q < 1/2 has h above the floor. Points with
+    Q == 0 add nothing and lie in the basin.
+    """
+    K, _ = frame.cosets()
+    w = frame.haar_weight
+    vol = w * K.order
+    c = pure_amplitudes(frame, psi)
+    q = np.abs(c) ** 2
+    positive = q > 0
+    rate = np.where(positive, -(vol * np.log(np.where(positive, q, 1.0)) + entropy), 0.0)
+    curvature = np.where(positive, rate - 2.0 * vol, np.inf)
+    floor = CURVATURE_FLOOR * vol
+    in_basin = bool(np.all((curvature > floor) | (q >= 0.5)))
+    h = np.maximum(curvature, floor)
+    gradient = _synthesis(frame, (w / vol) * rate * c)
+    direction = _synthesis(frame, (w / vol) * (rate / h) * c)
+    decrement = float(np.sum((w / vol) * rate**2 * q / h)) if in_basin else np.inf
+    return direction, gradient, decrement
+
+
+def newton_walk(frame, start, config):
+    """(state, entropy, iterations, converged, halvings) of descend on a vacuum frame."""
+    psi = start / np.linalg.norm(start)
+    entropy = pure_state_entropy(frame, psi)
+    step, plateau, iterations, halvings = 1.0, 0, 0, 0
+    while iterations < config.max_iters:
+        direction, gradient, decrement = newton_step(frame, psi, entropy)
+        if np.linalg.norm(gradient) <= config.tol_grad or decrement < config.tol_entropy:
+            return psi, entropy, iterations, True, halvings
+        if step <= MIN_STEP:
+            break
+        while True:
+            trial = psi - step * direction
+            trial /= np.linalg.norm(trial)
+            trial_entropy = pure_state_entropy(frame, trial)
+            if trial_entropy < entropy:
+                break
+            halvings += 1
+            step *= 0.5
+            if step <= MIN_STEP:
+                return psi, entropy, iterations, False, halvings
+        plateau = plateau + 1 if entropy - trial_entropy < config.tol_entropy else 0
+        psi, entropy = trial, trial_entropy
+        iterations += 1
+        if plateau >= PLATEAU_STEPS:
+            break
+    return psi, entropy, iterations, False, halvings
