@@ -164,11 +164,11 @@ class _Objective(NamedTuple):
     directions the walk steps against, the (R,) tangent-gradient norms and
     the (R,) Newton decrements, inf on a row not shown to be in the basin of
     a local minimum (every row, for a gradient step); it may overwrite the
-    cache. Each row is independent of the
-    others, so a row rounds the same in a stack of any height. The rows are
-    the coordinates x of psi = x @ basis, or psi itself where basis is None.
-    row_bytes counts the largest complex temporary and the cache. newton
-    tells the walk that the direction is a Newton step, taken first in full.
+    cache. Each row is independent of the others, so a row rounds the same
+    in a stack of any height. The rows are the coordinates x of
+    psi = x @ basis, or psi itself where basis is None. row_bytes counts
+    the largest complex temporary and the cache. newton tells the walk that
+    the direction is a Newton step, taken first in full.
     """
 
     energy: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]

@@ -247,9 +247,9 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
             assert abs(norms[row] - np.linalg.norm(gradient)) <= 1e-13
             if row >= 2:  # Q > GRAD_SKIP everywhere: the public gradient agrees
                 assert np.abs(gradient - entropy_gradient(frame, psi)).max() <= 1e-13
-            if row == 1:  # no decrement outside the basin
+            if row == 1:  # in the basin, with a decrement well above rounding
                 assert decrements[row] == pytest.approx(decrement, rel=1e-9)
-            else:
+            else:  # about 0 on the coherent row, inf outside the basin
                 assert np.isinf(decrements[row]) == np.isinf(decrement)
         assert energy[0] <= 1e-14 and norms[0] <= 1e-13
         assert np.isfinite(decrements[:2]).all() and np.isinf(decrements[2:]).all()
