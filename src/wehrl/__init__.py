@@ -44,9 +44,7 @@ from .states import (
 from .frames import (
     CoherentFrame,
     CosetBasis,
-    NotVacuumError,
     coset_basis,
-    detect_vacuum_subgroup,
     invariant_subspace_dim,
     overlap_matrix,
     resolution_residual,

@@ -3,8 +3,8 @@
 The Husimi function of rho is Q(z) = <z|rho|z> over phase space F, and the
 Wehrl entropy is -sum_z w Q log Q with Haar weight w = 1/|G|. With this
 normalisation the compact subgroup K has volume 1, the frame resolves the
-identity with constant 1, and the entropy lower bound for vacuum frames is
-exactly 0, attained precisely on coherent states.
+identity with constant 1, and the entropy lower bound for Lagrangian
+(stabiliser) frames is exactly 0, attained precisely on coherent states.
 
 The density-matrix functions take one state (d, d) or a stack (..., d, d)
 and work along the last axes: one state gives a Python float or a (d, d)
@@ -19,13 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .frames import CoherentFrame, NotVacuumError, coset_basis, coset_ids
+from .frames import CoherentFrame, coset_basis, coset_ids
 from .groups import (
     CHARACTER_TABLE_CAP,
     FiniteAbelianGroup,
     character_table,
     difference_index_table,
-    product_subgroup,
 )
 from .groups import direct_product as _direct_product
 from .states import _checked_eigvalsh, check_density_matrix, check_state_vector
@@ -187,30 +186,25 @@ def pure_state_entropy(frame: CoherentFrame, psi):
 
 
 def wehrl_entropy_coset(frame: CoherentFrame, rho, log_base: str = "e"):
-    """Wehrl entropy from one Husimi value per coset of K.
+    """Wehrl entropy from one Husimi value per coset of the stabiliser S.
 
-    Valid for vacuum frames only, where Q is constant on K-cosets:
-    S = -vol(K) * sum_{cosets} Q(rep) log Q(rep), and vol(K) = |K|/|G| = 1
-    with this normalisation. |G| evaluations instead of |G|^2.
+    Valid for Lagrangian (stabiliser) frames only, where Q is constant on
+    S-cosets: S^W = -vol(S) * sum_{cosets} Q(rep) log Q(rep), and
+    vol(S) = |S|/|G| = 1. |G| evaluations instead of |G|^2. ValueError
+    (from `coset_basis`) on any other frame.
     """
-    try:
-        K, _ = frame.cosets()
-    except NotVacuumError:
-        raise NotVacuumError("coset formula requires vacuum frame") from None
-    d = frame.group.order
-    rho = check_density_matrix(rho, d)
     R = coset_basis(frame).vectors
+    rho = check_density_matrix(rho, frame.group.order)
     tmp = R.conj() @ rho
     values = np.einsum("...ak,ak->...a", tmp, R).real
-    vol = K.order / d
-    return vol * _entropy_sum(values, 1.0) / _log_divisor(log_base)
+    return _entropy_sum(values, 1.0) / _log_divisor(log_base)
 
 
 def husimi_coset_spread(table: HusimiTable):
-    """Largest within-coset variation of Q; ~0 for vacuum frames."""
+    """Largest within-coset variation of Q over the stabiliser's cosets; ~0 on any frame."""
     by_coset = np.argsort(coset_ids(table.frame), kind="stable")
-    d = table.frame.group.order  # |F| / |K| cosets of |K| = |G| points each
-    vals = table.values[..., by_coset].reshape(table.values.shape[:-1] + (d, d))
+    size = table.frame.stabiliser.order  # |F| / |S| cosets of |S| points each
+    vals = table.values[..., by_coset].reshape(table.values.shape[:-1] + (-1, size))
     return _scalar((vals.max(axis=-1) - vals.min(axis=-1)).max(axis=-1))
 
 
@@ -247,11 +241,7 @@ def measurement_channel(frame: CoherentFrame, rho) -> np.ndarray:
 
 def product_frame(a: CoherentFrame, b: CoherentFrame) -> CoherentFrame:
     """Frame on G1 x G2 with fiducial phi1 (x) phi2; coherent states factorise."""
-    group = _direct_product(a.group, b.group)
-    sub = None
-    if a.subgroup is not None and b.subgroup is not None:
-        sub = product_subgroup(a.subgroup, b.subgroup)
-    return CoherentFrame(group, np.kron(a.fiducial, b.fiducial), subgroup=sub)
+    return CoherentFrame(_direct_product(a.group, b.group), np.kron(a.fiducial, b.fiducial))
 
 
 def partial_trace(rho, dims: tuple[int, int], trace_out: int = 2) -> np.ndarray:

@@ -1,14 +1,34 @@
-"""Coherent-state frames: vacuum fiducials, frame geometry, invariant vectors.
+"""Coherent-state frames: fiducials and their stabilisers, frame geometry, invariant vectors.
 
 A frame is the orbit |z> = W(z) phi of a unit fiducial phi over all of
-phase space, weighted by 1/|G| per point. The vacuum fiducial of a
-subgroup H is the normalised indicator of H; it is the unique unit vector
-(up to phase) fixed by every W(u) with u in K = H x A(H).
+phase space F = G x G^, weighted by 1/|G| per point. Its stabiliser is
+S = {z : |<phi|W(z) phi>| = 1}, the subgroup of points whose Weyl
+operators fix phi up to phase; each S-coset of F is one ray. The vacuum
+fiducial of a subgroup H is the normalised indicator of H; it is the
+unique unit vector (up to phase) fixed by every W(u) with u in
+K = H x A(H), and K is its stabiliser.
+
+S^W reaches 0 on a frame exactly when its stabiliser is Lagrangian
+(|S| = |G|):
+- the frame is tight, so sum_{z in F} |<phi|W(z) phi>|^2 = |G| (Moyal),
+  and Q_psi(z) = |<z|psi>|^2 <= 1 for a unit psi. So
+  S^W(psi) = -sum_z w Q log Q is 0 if and only if Q_psi takes only the
+  values 0 and 1;
+- then sum_z w Q_psi = 1 puts Q_psi = 1 on |G| points, so psi is a frame
+  point up to phase, and |<phi|W(z) phi>| is {0, 1}-valued with |G| ones:
+  S has order |G| and acts on phi by phases, so S is Lagrangian;
+- conversely, if |S| = |G|, Moyal's sum leaves no weight off S, so
+  Q_phi is {0, 1}-valued and S^W(phi) = 0.
+Hence min S^W_phi = 0 if and only if a Lagrangian subgroup stabilises phi
+up to phase. `CoherentFrame.lagrangian` is that test; on such frames the
+|G| coset states form an orthonormal basis (`coset_basis`), the entropy
+is a Shannon entropy over it, and the minimiser takes Newton steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +47,8 @@ from .states import DenseLimitError, _blocks, check_state_vector, dense_limit
 from .weyl import _apply_points, _matrix_points, weyl_apply
 
 __all__ = [
-    "NotVacuumError",
     "STATE_MATRIX_CAP",
+    "STABILISER_TOL",
     "vacuum_vector",
     "CoherentFrame",
     "coset_ids",
@@ -37,15 +57,15 @@ __all__ = [
     "coset_basis",
     "invariant_subspace_dim",
     "resolution_residual",
-    "detect_vacuum_subgroup",
 ]
 
 # |F| above this is never materialised as a (|F|, |G|) state matrix
 STATE_MATRIX_CAP = 4096
-
-
-class NotVacuumError(ValueError):
-    """Operation requires a vacuum (subgroup-indicator) fiducial."""
+# z stabilises the fiducial when |<phi|W(z) phi>| >= (1 - STABILISER_TOL) <phi|phi>.
+# 1 - |<phi|W(z) phi>| is quadratic in phi's distance from a stabilised
+# vector, so this admits vectors within about 1e-6 of one; on exactly
+# stabilised fiducials the rounding is below 1e-15
+STABILISER_TOL = 1e-12
 
 
 def vacuum_vector(subgroup: Subgroup) -> np.ndarray:
@@ -55,28 +75,12 @@ def vacuum_vector(subgroup: Subgroup) -> np.ndarray:
     return vec / np.sqrt(subgroup.order)
 
 
-def detect_vacuum_subgroup(
-    group: FiniteAbelianGroup, fiducial: np.ndarray
-) -> Subgroup | None:
-    """Recover H if the fiducial is e^{i theta} * indicator(H) / sqrt(|H|)."""
-    amp = np.abs(fiducial)
-    support = np.nonzero(amp > 1e-8)[0]
-    if len(support) == 0:
-        return None
-    rest = np.delete(amp, support)
-    if rest.size and rest.max() > 1e-12:
-        return None
-    values = fiducial[support]
-    if np.abs(values - values[0]).max() > 1e-12:
-        return None
-    try:
-        return Subgroup(group, support)
-    except ValueError:
-        return None
-
-
 class CoherentFrame:
-    """The family |z> = W(z) fiducial over z in F, Haar weight 1/|G|."""
+    """The family |z> = W(z) fiducial over z in F, Haar weight 1/|G|.
+
+    `subgroup` is H when the fiducial is the vacuum of H (`vacuum`): the
+    stabiliser is then K = H x A(H) in closed form.
+    """
 
     def __init__(
         self,
@@ -128,29 +132,42 @@ class CoherentFrame:
             self._matrix = mat
         return self._matrix
 
-    def vacuum_subgroup(self) -> Subgroup:
-        """H whose indicator the fiducial is; NotVacuumError otherwise."""
-        if self.subgroup is None:
-            detected = detect_vacuum_subgroup(self.group, self.fiducial)
-            if detected is None:
-                raise NotVacuumError(
-                    "fiducial is not a vacuum (subgroup indicator) vector"
-                )
-            self.subgroup = detected
-        return self.subgroup
+    @cached_property
+    def stabiliser(self) -> PhaseSpaceSubgroup:
+        """S = {z : W(z) phi = phase * phi}, computed once.
+
+        K = H x A(H) in closed form for a vacuum frame of H; otherwise the
+        points where the ambiguity function |<phi|W(z) phi>| is <phi|phi>
+        within STABILISER_TOL. The identity alone when nothing else fixes
+        phi, and when those points are no subgroup: phi is then stabilised
+        only approximately, by points on both sides of the tolerance.
+        """
+        if self.subgroup is not None:
+            return maximal_compact(self.subgroup)
+        from .entropy import pure_amplitudes  # entropy imports this module
+
+        ambiguity = np.abs(pure_amplitudes(self, self.fiducial))  # index 0 is <phi|phi>
+        near = np.flatnonzero(ambiguity >= (1.0 - STABILISER_TOL) * ambiguity[0])
+        try:
+            return PhaseSpaceSubgroup(self.group, near)
+        except ValueError:
+            return PhaseSpaceSubgroup.trivial(self.group)
+
+    @property
+    def lagrangian(self) -> bool:
+        """|S| = |G|: the frame points are the minimisers of S^W, at 0."""
+        return self.stabiliser.order == self.group.order
 
     def cosets(self) -> tuple[PhaseSpaceSubgroup, tuple[PhaseSpacePoint, ...]]:
-        """(K, coset representatives of K in F) for the vacuum subgroup."""
+        """(S, the lex-least representative of each coset of S in F)."""
         if self._cosets is None:
-            K = maximal_compact(self.vacuum_subgroup())
-            self._cosets = (K, coset_representatives(K))
+            self._cosets = (self.stabiliser, coset_representatives(self.stabiliser))
         return self._cosets
 
 
 def coset_ids(frame: CoherentFrame) -> np.ndarray:
-    """(|F|,) array labelling each phase-space point by its K-coset ordinal."""
-    K, _ = frame.cosets()
-    return K._partition[1]
+    """(|F|,) array labelling each phase-space point by its S-coset ordinal."""
+    return frame.stabiliser._partition[1]
 
 
 def _require_dense_points(point_count: int) -> None:
@@ -174,12 +191,17 @@ class CosetBasis:
 
 
 def coset_basis(frame: CoherentFrame) -> CosetBasis:
-    """One coherent state per coset of K: an orthonormal basis (vacuum frames)."""
-    try:
-        K, reps = frame.cosets()
-    except NotVacuumError:
-        raise NotVacuumError("not a vacuum frame") from None
-    return CosetBasis(reps, _apply_points(frame.group, K._partition[0], frame.fiducial))
+    """One coherent state per coset of S: an orthonormal basis of a Lagrangian frame.
+
+    ValueError on any other frame, whose coset states overlap.
+    """
+    if not frame.lagrangian:
+        raise ValueError(
+            f"not a Lagrangian (stabiliser) frame: |S| = {frame.stabiliser.order}, "
+            f"|G| = {frame.group.order}"
+        )
+    S, reps = frame.cosets()
+    return CosetBasis(reps, _apply_points(frame.group, S._partition[0], frame.fiducial))
 
 
 def _invariance_defect(K: PhaseSpaceSubgroup) -> np.ndarray:

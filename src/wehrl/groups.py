@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .states import _BLOCK_BYTES, _blocks
+from .states import _BLOCK_BYTES, DenseLimitError, _blocks
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -55,13 +55,13 @@ __all__ = [
     "coset_representatives",
     "is_corwin",
     "direct_product",
-    "product_subgroup",
     "parse_group",
     "parse_generators",
     "parse_point",
     "format_coords",
     "character_row",
     "CHARACTER_TABLE_CAP",
+    "SUBGROUP_CAP",
     "character_table",
     "difference_index_table",
 ]
@@ -497,6 +497,7 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     from it is closed with every element outside it, in ascending order, by
     one `_closures` call, and the masks are deduplicated on their bytes.
     Each subgroup keeps the generators of the path that first reached it.
+    DenseLimitError as soon as more than SUBGROUP_CAP subgroups are found.
     """
     multiples = _multiples(group, np.arange(group.order))
     trivial = np.zeros(group.order, dtype=bool)
@@ -511,6 +512,10 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
             if key not in found:
                 found[key] = (np.flatnonzero(mask), gens + (xi,), mask)
                 frontier.append(found[key])
+        if len(found) > SUBGROUP_CAP:
+            raise DenseLimitError(
+                f"{group} has more than {SUBGROUP_CAP} subgroups (the subgroup-lattice cap)"
+            )
     ordered = sorted(found.values(), key=lambda entry: (len(entry[0]), entry[0].tolist()))
     return tuple(Subgroup(group, H, gens) for H, gens, _ in ordered)
 
@@ -627,14 +632,6 @@ def direct_product(
     a: FiniteAbelianGroup, b: FiniteAbelianGroup
 ) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(a.orders + b.orders)
-
-
-def product_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
-    """H_a x H_b in G_a x G_b, whose element (x, y) has index x * |G_b| + y."""
-    n = b.group.order
-    indices = (a.indices[:, None] * n + b.indices[None, :]).ravel()
-    gens = np.concatenate([a.generator_indices * n, b.generator_indices])
-    return Subgroup(direct_product(a.group, b.group), indices, gens)
 
 
 _FACTOR_RE = re.compile(r"[Zz](\d+)")
@@ -763,6 +760,9 @@ def character_row(
 
 # |G| above this never gets a full (|G|, |G|) character table (16 MiB)
 CHARACTER_TABLE_CAP = 1024
+# `all_subgroups` stops once the lattice has more subgroups than this
+# (Z2^6 has 2,825; Z2^7 has 29,212)
+SUBGROUP_CAP = 4096
 
 
 @lru_cache(maxsize=8)

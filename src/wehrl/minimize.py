@@ -8,22 +8,23 @@ halving.
 
 The walk (`_descend_rows`) takes an energy/step pair over rows, chosen
 from the frame alone once per `minimize` or `descend` call:
-- the coset pair, for vacuum frames: all |K| = |G| points of a K-coset are
-  one ray up to phase, so S^W(psi) = S = -vol * sum_a q_a log q_a with
-  q_a = |x_a|^2, x = V^H psi the coordinates of psi in the orthonormal
-  coset basis V of `coset_basis`, and vol = |K|/|G|. The walk runs in x:
-  the starts are mapped in once and the results back once, and no step
-  does a basis product. V is unitary, so the sphere, the retraction and
-  every rule of `descend` read the same in x as in psi. The tangent
-  gradient is g_a = -(vol log q_a + S) x_a, and the Hessian of the
-  Lagrangian is diagonal in |x_a|: halved, it is
-  h_a = -(vol log q_a + 2 vol + S). The walk takes the safeguarded Newton
-  step delta_a = g_a / max(h_a, CURVATURE_FLOOR * vol), whose full step
-  multiplies each minor coordinate of a near-coherent state by
-  2 / (log q_a + 2), and stops on a local-minimum certificate;
+- the coset pair, for Lagrangian (stabiliser) frames: all |S| = |G|
+  points of a coset of the stabiliser S are one ray up to phase, so
+  S^W(psi) = -sum_a q_a log q_a with q_a = |x_a|^2, x = V^H psi the
+  coordinates of psi in the orthonormal coset basis V of `coset_basis`
+  (the coset volume |S|/|G| is 1). The walk runs in x: the starts are
+  mapped in once and the results back once, and no step does a basis
+  product. V is unitary, so the sphere, the retraction and every rule of
+  `descend` read the same in x as in psi. The tangent gradient is
+  g_a = -(log q_a + S^W) x_a, and the Hessian of the Lagrangian is
+  diagonal in |x_a|: halved, it is h_a = -(log q_a + 2 + S^W). The walk
+  takes the safeguarded Newton step delta_a = g_a / max(h_a,
+  CURVATURE_FLOOR), whose full step multiplies each minor coordinate of a
+  near-coherent state by 2 / (log q_a + 2), and stops on a local-minimum
+  certificate;
 - the transform pair (`pure_state_entropy`, `entropy_gradient`), for any
-  fiducial: all |G|^2 amplitudes through `group_dft`, in psi, with a
-  gradient step.
+  other fiducial: all |G|^2 amplitudes through `group_dft`, in psi, with
+  a gradient step.
 Each trial point is evaluated once: its energy also returns what the next
 step needs (|x|^2 and its logs, or the amplitudes), and an accepted row
 keeps it.
@@ -37,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import ZERO_LOG_THRESHOLD, _entropy_sum, group_dft, pure_amplitudes
-from .frames import CoherentFrame, NotVacuumError, coset_basis
+from .frames import CoherentFrame, coset_basis
 from .groups import PhaseSpacePoint, Subgroup, difference_index_table
 from .states import _BLOCK_BYTES, random_state_vector
 
@@ -59,9 +60,9 @@ GRAD_SKIP = 1e-12
 # converged on the gradient walk, a budget on the Newton walk
 PLATEAU_STEPS = 20
 MIN_STEP = 1e-14
-# the Newton walk's least curvature, in units of vol: coordinates where the
-# Lagrangian is flatter or concave (the major coordinate, or any coordinate
-# away from a coherent state) take a scaled gradient step g_a / (3 vol)
+# the Newton walk's least curvature: coordinates where the Lagrangian is
+# flatter or concave (the major coordinate, or any coordinate away from a
+# coherent state) take a scaled gradient step g_a / 3
 CURVATURE_FLOOR = 3.0
 # the least normal float: q == 0 takes its log, so that the step reads a
 # finite log of every coordinate and no 0 * inf arises
@@ -72,7 +73,7 @@ _LEAST_Q = np.finfo(np.float64).tiny
 class MinimizerConfig:
     max_iters: int = 5000
     # the gradient walk's first trial step, halved on non-decrease; the
-    # Newton walk of vacuum frames starts at the full Newton step, 1
+    # Newton walk of Lagrangian frames starts at the full Newton step, 1
     step_size: float = 0.1
     tol_grad: float = 1e-8
     tol_entropy: float = 1e-9
@@ -200,17 +201,14 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
     """The entropy and its Newton step in coset-basis coordinates.
 
     The cache is q = |x|^2 and log q (of the least normal float where q is
-    0). With r_a = -(vol log q_a + S), the tangent gradient is g_a = r_a x_a
-    and the halved curvature h_a = r_a - 2 vol. The step is g_a over h_a
-    floored at CURVATURE_FLOOR * vol, and the decrement sum_a |g_a|^2 / h_a
+    0). With r_a = -(log q_a + S^W), the tangent gradient is g_a = r_a x_a
+    and the halved curvature h_a = r_a - 2. The step is g_a over h_a
+    floored at CURVATURE_FLOOR, and the decrement sum_a |g_a|^2 / h_a
     counts only where every coordinate with q_a < 1/2 has h_a above the
     floor: then the row is in the basin of one coherent state.
     """
-    vectors = coset_basis(frame).vectors  # raises NotVacuumError
-    K, _ = frame.cosets()
+    vectors = coset_basis(frame).vectors
     d = frame.group.order
-    vol = K.order / d
-    floor = CURVATURE_FLOOR * vol
 
     def energy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cache = np.empty((len(x), 2 * d))
@@ -221,15 +219,15 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
         np.log(logs, out=logs)
         # q log q := 0 at and below the threshold, as in entropy._entropy_sum
         terms = np.where(q > ZERO_LOG_THRESHOLD, q * logs, 0.0)
-        return np.add.reduce(terms, axis=-1) * -vol, cache
+        return -np.add.reduce(terms, axis=-1), cache
 
     def step(x: np.ndarray, entropies: np.ndarray, cache: np.ndarray):
         q, logs = cache[:, :d], cache[:, d:]
-        rate = logs * -vol
+        rate = -logs
         rate -= entropies[:, None]
-        curvature = rate - 2.0 * vol
-        basin = ((curvature > floor) | (q >= 0.5)).all(axis=-1)
-        np.maximum(curvature, floor, out=curvature)
+        curvature = rate - 2.0
+        basin = ((curvature > CURVATURE_FLOOR) | (q >= 0.5)).all(axis=-1)
+        np.maximum(curvature, CURVATURE_FLOOR, out=curvature)
         power = rate * rate
         power *= q  # |g_a|^2
         decrements = np.add.reduce(power / curvature, axis=-1)
@@ -241,14 +239,11 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
 
 
 def _objective(frame: CoherentFrame) -> _Objective:
-    """The coset pair for a vacuum frame, the transform pair for any other.
+    """The coset pair for a Lagrangian (stabiliser) frame, the transform pair otherwise.
 
     Both give the same entropy and tangent gradient up to rounding.
     """
-    try:
-        return _coset_objective(frame)
-    except NotVacuumError:
-        return _transform_objective(frame)
+    return _coset_objective(frame) if frame.lagrangian else _transform_objective(frame)
 
 
 def _descend_rows(
@@ -341,19 +336,19 @@ def descend(
     Walks the sphere from the normalised start. Each iteration takes a
     direction at the current point and stops (converged) if the point is
     certified, and otherwise halves the step from its last value until the
-    retracted trial point lowers the entropy. On a vacuum frame the
-    direction is the Newton step of the coset coordinates, the first trial
-    step is 1 (the full step), and a point is certified when its tangent
-    gradient norm is at most tol_grad, or when it is in the basin of a
-    coherent state with a Newton decrement below tol_entropy. On any other
-    frame the direction is the tangent gradient, the first trial step is
-    config.step_size, and a point is certified when its gradient norm is at
-    most tol_grad. Three budgets also end a run: max_iters accepted steps,
-    no step above MIN_STEP that lowers the entropy, and PLATEAU_STEPS
-    accepted steps in a row that each drop the entropy by less than
-    tol_entropy. On a vacuum frame a run they end is unconverged; the
-    gradient walk counts the last two as converged (a stationary point),
-    and max_iters as unconverged.
+    retracted trial point lowers the entropy. On a Lagrangian (stabiliser)
+    frame the direction is the Newton step of the coset coordinates, the
+    first trial step is 1 (the full step), and a point is certified when
+    its tangent gradient norm is at most tol_grad, or when it is in the
+    basin of a coherent state with a Newton decrement below tol_entropy.
+    On any other frame the direction is the tangent gradient, the first
+    trial step is config.step_size, and a point is certified when its
+    gradient norm is at most tol_grad. Three budgets also end a run:
+    max_iters accepted steps, no step above MIN_STEP that lowers the
+    entropy, and PLATEAU_STEPS accepted steps in a row that each drop the
+    entropy by less than tol_entropy. On a Lagrangian frame a run they end
+    is unconverged; the gradient walk counts the last two as converged (a
+    stationary point), and max_iters as unconverged.
     """
     states, energies, iterations, converged, _, _ = _descend_rows(
         _objective(frame), np.asarray(start)[None, :], config
@@ -408,18 +403,14 @@ def nearest_coherent(
 ) -> tuple[PhaseSpacePoint, float]:
     """Frame point with the largest |<z|psi>|, and that overlap.
 
-    On a vacuum frame all members of a K-coset share one overlap up to
-    rounding; the point is then the coset's lex-least member.
+    All members of a coset of the stabiliser S share one overlap up to
+    rounding; the point is the coset's lex-least member (the argmax itself
+    when S is trivial).
     """
     c = np.abs(pure_amplitudes(frame, psi))
     idx = int(np.argmax(c))
-    overlap = float(c[idx])
-    try:
-        K, _ = frame.cosets()
-    except NotVacuumError:
-        return PhaseSpacePoint.by_index(frame.group, idx), overlap
-    representatives, ids = K._partition
-    return PhaseSpacePoint.by_index(frame.group, int(representatives[ids[idx]])), overlap
+    representatives, ids = frame.stabiliser._partition
+    return PhaseSpacePoint.by_index(frame.group, int(representatives[ids[idx]])), float(c[idx])
 
 
 def scan_fiducials(

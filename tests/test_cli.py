@@ -415,3 +415,13 @@ def test_dense_limit_env_gives_input_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--group", "Z4", "--subgroup", "2")
     assert code == 2
     assert "dense" in err
+
+
+# Z2^7 has 29,212 subgroups: group-info stops at the lattice cap with an
+# input error instead of enumerating them all
+def test_group_info_refuses_a_lattice_over_the_cap(capsys):
+    code, out, err = run_cli(capsys, "group-info", "--group", "Z2xZ2xZ2xZ2xZ2xZ2xZ2")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: Z2xZ2xZ2xZ2xZ2xZ2xZ2 has more than 4096 subgroups (the subgroup-lattice cap)\n"
+    )

@@ -5,7 +5,6 @@ import pytest
 
 from wehrl import (
     CoherentFrame,
-    NotVacuumError,
     Subgroup,
     all_subgroups,
     basis_state,
@@ -34,6 +33,7 @@ from wehrl import (
     wehrl_entropy,
     wehrl_entropy_coset,
 )
+from stabiliser_frames import chirp_frames
 
 
 def sub(group, *gen_coords):
@@ -125,6 +125,10 @@ def test_wehrl_zero_on_coherent_states():
         rho = pure_density(frame.state(z))
         assert wehrl_entropy(husimi(frame, rho)) <= 1e-12
         assert pure_state_entropy(frame, frame.state(z)) <= 1e-12
+    # the theorem's other frames: a Lagrangian stabiliser, and S^W(phi) = 0
+    for frame in chirp_frames():
+        assert frame.stabiliser.order == frame.group.order
+        assert pure_state_entropy(frame, frame.fiducial) <= 1e-15
 
 
 def test_wehrl_basis_state_frozen():
@@ -141,15 +145,14 @@ def test_wehrl_log_base_validation():
 
 
 def test_coset_formula_matches_full_sum(rng):
-    for spec in ("Z4", "Z6", "Z2xZ2"):
-        g = parse_group(spec)
-        for H in all_subgroups(g):
-            frame = CoherentFrame.vacuum(H)
-            for _ in range(5):
-                rho = random_density_matrix(g.order, rng)
-                full = wehrl_entropy(husimi(frame, rho))
-                fast = wehrl_entropy_coset(frame, rho)
-                assert abs(full - fast) < 1e-10
+    frames = [CoherentFrame.vacuum(H) for spec in ("Z4", "Z6", "Z2xZ2")
+              for H in all_subgroups(parse_group(spec))]
+    for frame in frames + chirp_frames():
+        for _ in range(5):
+            rho = random_density_matrix(frame.group.order, rng)
+            full = wehrl_entropy(husimi(frame, rho))
+            fast = wehrl_entropy_coset(frame, rho)
+            assert abs(full - fast) < 1e-10
 
 
 def test_coset_formula_log_base(rng):
@@ -161,10 +164,10 @@ def test_coset_formula_log_base(rng):
     ) < 1e-10
 
 
-def test_coset_formula_requires_vacuum(rng):
+def test_coset_formula_requires_a_lagrangian_frame(rng):
     g = parse_group("Z4")
     frame = CoherentFrame(g, random_state_vector(4, rng))
-    with pytest.raises(NotVacuumError, match="coset formula requires vacuum frame"):
+    with pytest.raises(ValueError, match=r"not a Lagrangian \(stabiliser\) frame: \|S\| = 1,"):
         wehrl_entropy_coset(frame, random_density_matrix(4, rng))
 
 
@@ -172,10 +175,16 @@ def test_husimi_coset_spread(rng):
     frame = vacuum_frame("Z6", (2,))
     rho = random_density_matrix(6, rng)
     assert husimi_coset_spread(husimi(frame, rho)) < 1e-12
-    # a generic fiducial has no coset structure, so the spread is visible
+    # Q is constant on the cosets of any frame's stabiliser: on a generic
+    # fiducial the stabiliser is trivial and every coset one point
     generic = CoherentFrame(frame.group, random_state_vector(6, rng))
-    with pytest.raises(NotVacuumError):
-        husimi_coset_spread(husimi(generic, rho))
+    assert generic.stabiliser.order == 1
+    assert husimi_coset_spread(husimi(generic, rho)) == 0.0
+    # and on a proper stabiliser that is not Lagrangian, |S| = 3 points each
+    v = np.tile(random_state_vector(2, rng), 3) / np.sqrt(3)
+    periodic = CoherentFrame(frame.group, v)
+    assert periodic.stabiliser.order == 3 and not periodic.lagrangian
+    assert husimi_coset_spread(husimi(periodic, rho)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +410,14 @@ def test_product_frame_fiducial_and_subgroup():
     f12 = product_frame(f1, f2)
     assert str(f12.group) == "Z2xZ2"
     assert np.allclose(f12.fiducial, np.kron(f1.fiducial, f2.fiducial))
-    assert (
-        f12.vacuum_subgroup().order
-        == f1.vacuum_subgroup().order * f2.vacuum_subgroup().order
-    )
+    # the product's stabiliser is read off its own ambiguity function: K1 x K2
+    assert f12.subgroup is None and f12.lagrangian
+    K1, K2 = f1.stabiliser, f2.stabiliser
+    g1, a1 = np.divmod(K1.indices, 2)
+    g2, a2 = np.divmod(K2.indices, 2)
+    # (g1, g2; a1, a2) has index (2 g1 + g2) * 4 + 2 a1 + a2
+    product = ((2 * g1[:, None] + g2) * 4 + 2 * a1[:, None] + a2).ravel()
+    assert np.array_equal(f12.stabiliser.indices, np.sort(product))
 
 
 def test_husimi_factorises_on_product_states(rng):

@@ -3,12 +3,11 @@ import pytest
 
 from wehrl import (
     CoherentFrame,
-    NotVacuumError,
     PhaseSpacePoint,
+    PhaseSpaceSubgroup,
     Subgroup,
     all_subgroups,
     coset_basis,
-    detect_vacuum_subgroup,
     invariant_subspace_dim,
     maximal_compact,
     overlap_matrix,
@@ -22,7 +21,9 @@ from wehrl import (
     weyl_apply,
     weyl_matrix,
 )
+from wehrl.frames import STABILISER_TOL
 from wehrl.groups import character_table
+from stabiliser_frames import chirp_frames
 
 
 def sub(group, *gen_coords):
@@ -94,17 +95,21 @@ def test_vacuum_closed_form_matches_nullspace():
 
 
 def test_detect_vacuum_subgroup():
+    # a bare vacuum vector, at any global phase and at the edge of the unit
+    # norm check, is stabilised by K = H x A(H)
     g = parse_group("Z4")
     H = sub(g, (2,))
     v = vacuum_vector(H)
-    found = detect_vacuum_subgroup(g, v)
-    assert found is not None
-    assert found.elements == H.elements
-    # a global phase does not matter
-    found2 = detect_vacuum_subgroup(g, np.exp(0.7j) * v)
-    assert found2 is not None and found2.elements == H.elements
+    for fiducial in (v, np.exp(0.7j) * v, (1 - 9e-13) * v):
+        frame = CoherentFrame(g, fiducial)
+        assert frame.subgroup is None
+        assert frame.stabiliser == maximal_compact(H) and frame.lagrangian
     rng = np.random.default_rng(3)
-    assert detect_vacuum_subgroup(g, random_state_vector(4, rng)) is None
+    # 1e-5 from the vacuum, |<phi|W(u) phi>| misses 1 by about 1e-10 on K:
+    # not stabilised, so the minimiser does not treat it as a vacuum
+    for fiducial in (random_state_vector(4, rng), v + 1e-5 * random_state_vector(4, rng)):
+        frame = CoherentFrame(g, fiducial / np.linalg.norm(fiducial))
+        assert frame.stabiliser == PhaseSpaceSubgroup.trivial(g) and not frame.lagrangian
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +241,14 @@ def test_coset_basis_frozen():
 
 
 def test_coset_basis_gram_identity():
-    for spec in ("Z4", "Z6", "Z2xZ2"):
-        g = parse_group(spec)
-        for H in all_subgroups(g):
-            basis = coset_basis(CoherentFrame.vacuum(H))
-            n = len(basis.representatives)
-            assert n == g.order  # |F|/|K| cosets, one per dimension
-            gram = basis.vectors.conj() @ basis.vectors.T
-            assert np.abs(gram - np.eye(n)).max() < 1e-12
+    frames = [CoherentFrame.vacuum(H) for spec in ("Z4", "Z6", "Z2xZ2")
+              for H in all_subgroups(parse_group(spec))]
+    for frame in frames + chirp_frames():
+        basis = coset_basis(frame)
+        n = len(basis.representatives)
+        assert n == frame.group.order  # |F|/|S| cosets, one per dimension
+        gram = basis.vectors.conj() @ basis.vectors.T
+        assert np.abs(gram - np.eye(n)).max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -272,19 +277,42 @@ def test_invariance_defect_equals_the_pointwise_sum_bitwise():
             assert np.array_equal(_invariance_defect(K), want)
 
 
-def test_coset_basis_requires_vacuum(rng):
+def half_period_fiducial(rng):
+    """(a, b, a, b) on Z4 with |a| != |b|: stabilised by {0, (2, 0)} alone, not Lagrangian."""
+    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v = np.array([a, 2 * b, a, 2 * b])
+    return v / np.linalg.norm(v)
+
+
+def test_coset_basis_requires_a_lagrangian_frame(rng):
     g = parse_group("Z4")
-    frame = CoherentFrame(g, random_state_vector(4, rng))
-    with pytest.raises(NotVacuumError, match="not a vacuum frame"):
-        coset_basis(frame)
+    for fiducial in (random_state_vector(4, rng), half_period_fiducial(rng)):
+        with pytest.raises(ValueError, match=r"not a Lagrangian \(stabiliser\) frame: \|S\| = [12],"):
+            coset_basis(CoherentFrame(g, fiducial))
 
 
-def test_vacuum_subgroup_accessor(rng):
+def test_stabiliser_accessor(rng, monkeypatch):
+    import wehrl.frames
+
+    built = []
+    exact = wehrl.frames.maximal_compact
+    monkeypatch.setattr(wehrl.frames, "maximal_compact", lambda H: built.append(H) or exact(H))
     g = parse_group("Z4")
     H = sub(g, (2,))
-    assert CoherentFrame.vacuum(H).vacuum_subgroup().elements == H.elements
-    # detection also works when the frame was built from a raw vector
-    frame = CoherentFrame(g, vacuum_vector(H))
-    assert frame.vacuum_subgroup().elements == H.elements
-    with pytest.raises(NotVacuumError):
-        CoherentFrame(g, random_state_vector(4, rng)).vacuum_subgroup()
+    frame = CoherentFrame.vacuum(H)
+    assert frame.subgroup is H and built == []  # the closed form waits for first use
+    K = frame.stabiliser
+    assert built == [H] and K.subgroup is H and K.dual_part is not None
+    assert frame.stabiliser is K and frame.cosets()[0] is K and built == [H]
+    # a stabiliser read off the ambiguity function: a proper, non-Lagrangian one
+    frame = CoherentFrame(g, half_period_fiducial(rng))
+    assert frame.stabiliser.indices.tolist() == [0, 2 * g.order] and not frame.lagrangian
+    S, reps = frame.cosets()
+    assert S is frame.stabiliser and len(reps) == g.order ** 2 // 2
+    # Fourier weight p on one mode: 1 - |<phi|W(g, 0) phi>| is about p at
+    # g = 1, 3 and 2p at g = 2, so the points within the tolerance, 0, (1, 0)
+    # and (3, 0), are no subgroup, and phi counts as stabilised by 0 alone
+    p = 0.7 * STABILISER_TOL
+    modes = np.exp(0.5j * np.pi * np.outer([0, 1], np.arange(4))) / 2
+    frame = CoherentFrame(g, np.sqrt([1 - p, p]) @ modes)
+    assert frame.stabiliser == PhaseSpaceSubgroup.trivial(g)

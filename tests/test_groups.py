@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import wehrl
 from wehrl import (
+    DenseLimitError,
     DualSubgroup,
     FiniteAbelianGroup,
     GroupMismatchError,
@@ -398,6 +399,15 @@ def test_subgroup_counts_of_elementary_groups(spec, count):
 
     assert sum(gaussian_binomial(k) for k in range(n + 1)) == count
     assert len(all_subgroups(g)) == count
+
+
+def test_all_subgroups_stops_past_the_lattice_cap(monkeypatch):
+    g = parse_group("Z2xZ2")  # five subgroups
+    monkeypatch.setattr(wehrl.groups, "SUBGROUP_CAP", 5)
+    assert len(all_subgroups(g)) == 5
+    monkeypatch.setattr(wehrl.groups, "SUBGROUP_CAP", 4)
+    with pytest.raises(DenseLimitError, match=r"^Z2xZ2 has more than 4 subgroups \(the subgroup-lattice cap\)$"):
+        all_subgroups(g)
 
 
 @pytest.mark.parametrize("spec", ["Z1", "Z12", "Z2xZ2xZ2", "Z4xZ2", "Z3xZ1xZ6", "Z2xZ6"])

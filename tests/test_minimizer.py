@@ -22,6 +22,7 @@ from wehrl import (
     vacuum_vector,
 )
 from wehrl.verify import fd_tangent_gradient, suite_pairs
+from stabiliser_frames import chirp_frames
 from walk_oracle import newton_step, newton_walk
 
 
@@ -228,6 +229,9 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
     assert len(frames) == 57
     for frame in frames:
         d = frame.group.order
+        # the ambiguity function of the bare vacuum vector gives K = H x A(H)
+        bare = CoherentFrame(frame.group, frame.fiducial)
+        assert np.array_equal(bare.stabiliser.indices, frame.stabiliser.indices)
         objective = minimize_module._objective(frame)
         # the coset pair, walking in the coordinates x = V^H psi of the coset basis
         V = objective.basis
@@ -406,13 +410,15 @@ def test_worst_suite_minimum_within_a_hundredth_of_the_gate(seed):
 
 
 # every restart that lands on a coherent state is certified there, not
-# stopped on a budget above the gate
+# stopped on a budget above the gate; on the chirp frames too, where the
+# gradient walk stopped on its plateau rule above 1e-6 (Z64, Z32)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_restarts_near_a_coherent_state_pass_the_gate(seed):
     minimize_module = sys.modules["wehrl.minimize"]
     config = MinimizerConfig(seed=seed)
     near = 0
-    for frame in workload_frames():
+    frames = workload_frames() + chirp_frames()
+    for frame in frames:
         rng = np.random.default_rng(seed)
         d = frame.group.order
         starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
@@ -422,7 +428,7 @@ def test_restarts_near_a_coherent_state_pass_the_gate(seed):
             if nearest_coherent(frame, state)[1] >= 1 - 1e-4:
                 near += 1
                 assert entropy < 1e-6 and flag
-    assert near == 57 * config.restarts
+    assert near == len(frames) * config.restarts
 
 
 # near a coherent state the full Newton step maps each minor q to about

@@ -1,13 +1,15 @@
-"""The Newton walk of vacuum frames in psi: the oracle for `minimize._descend_rows`.
+"""The Newton walk of Lagrangian (stabiliser) frames in psi: the oracle for
+`minimize._descend_rows`.
 
 The library walks in the coordinates x = V^H psi of the orthonormal coset
 basis V. Here no coset basis is built: every quantity is read off the
 |G|^2 amplitudes c_z = <z|psi> of `pure_amplitudes` and mapped back with
-`_synthesis`, their adjoint. Q is constant on each K-coset a, whose points
-are one ray v_a up to phase, so sum_{z in a} w |z><z| = vol |v_a><v_a| with
-vol = w |K|. Synthesising (w / vol) f(Q_z) c_z therefore gives
-sum_a f(q_a) x_a v_a: per-point weights reproduce the diagonal step. One
-row at a time, with plain control flow.
+`_synthesis`, their adjoint. Q is constant on each coset a of the
+stabiliser S, whose points are one ray v_a up to phase, so
+sum_{z in a} w |z><z| = vol |v_a><v_a| with vol = w |S|. Synthesising
+(w / vol) f(Q_z) c_z therefore gives sum_a f(q_a) x_a v_a: per-point
+weights reproduce the diagonal step. One row at a time, with plain
+control flow.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ def newton_step(frame, psi, entropy):
     unless every point with Q < 1/2 has h above the floor. Points with
     Q == 0 add nothing and lie in the basin.
     """
-    K, _ = frame.cosets()
     w = frame.haar_weight
-    vol = w * K.order
+    vol = w * frame.stabiliser.order
     c = pure_amplitudes(frame, psi)
     q = np.abs(c) ** 2
     positive = q > 0
@@ -44,7 +45,7 @@ def newton_step(frame, psi, entropy):
 
 
 def newton_walk(frame, start, config):
-    """(state, entropy, iterations, converged, halvings) of descend on a vacuum frame."""
+    """(state, entropy, iterations, converged, halvings) of descend on a Lagrangian frame."""
     psi = start / np.linalg.norm(start)
     entropy = pure_state_entropy(frame, psi)
     step, plateau, iterations, halvings = 1.0, 0, 0, 0
