@@ -31,7 +31,13 @@ from .groups import (
 )
 from .io import density_matrix_to_json, entropy_report_to_json, husimi_to_csv, load_state_file
 from .minimize import MinimizerConfig, minimize, scan_fiducials
-from .states import check_state_vector, pure_density, random_state_vector
+from .states import (
+    DenseLimitError,
+    check_state_vector,
+    dense_limit,
+    pure_density,
+    random_state_vector,
+)
 from .verify import run_checks
 
 __all__ = ["build_parser", "main"]
@@ -47,13 +53,21 @@ def _subgroup_from_args(group: FiniteAbelianGroup, text: str | None) -> Subgroup
     return subgroup_closure(group, parse_generators(group, text))
 
 
+def _dense_order(group: FiniteAbelianGroup) -> int:
+    """|G|, or DenseLimitError when a (|G|, |G|) density would exceed the dense-matrix limit."""
+    cap = dense_limit()
+    if group.order > cap:
+        raise DenseLimitError(f"|G| = {group.order} exceeds the dense-matrix limit {cap}")
+    return group.order
+
+
 def _resolve_state(frame: CoherentFrame, text: str | None):
     """Parse a --state value into ("vector" | "density", array)."""
     if text is None:
         raise ValueError("--state is required for this subcommand")
     group = frame.group
     if text == "maximally_mixed":
-        d = group.order
+        d = _dense_order(group)
         return "density", np.eye(d, dtype=np.complex128) / d
     if text.startswith("coherent:"):
         z = parse_point(group, text[len("coherent:"):])
@@ -64,11 +78,14 @@ def _resolve_state(frame: CoherentFrame, text: str | None):
     kind, arr = load_state_file(text)
     if kind == "vector":
         check_state_vector(arr, dim=group.order, tol=1e-8)
+    else:
+        _dense_order(group)
     # a density matrix is validated where it is used, by `husimi`
     return kind, arr
 
 
 def _state_density(frame: CoherentFrame, text: str | None) -> np.ndarray:
+    _dense_order(frame.group)
     kind, arr = _resolve_state(frame, text)
     return pure_density(arr) if kind == "vector" else arr
 

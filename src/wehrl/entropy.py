@@ -23,6 +23,7 @@ from .frames import CoherentFrame, coset_basis, coset_ids
 from .groups import (
     CHARACTER_TABLE_CAP,
     FiniteAbelianGroup,
+    _index_sum,
     character_table,
     difference_index_table,
 )
@@ -91,13 +92,42 @@ class HusimiTable:
 
 
 def husimi(frame: CoherentFrame, rho) -> HusimiTable:
-    """Q(z) = <z|rho|z> for every z; dense reference path."""
-    d = frame.group.order
-    rho = check_density_matrix(rho, d)
-    S = frame.state_matrix()
-    tmp = S.conj() @ rho
-    values = np.einsum("...zk,zk->...z", tmp, S).real
-    return HusimiTable(frame, values)
+    """Q(z) = <z|rho|z> for every z, for one density (d, d) or a stack (..., d, d).
+
+    With z = (g, a) in lex order, R[D, h] = rho[h + D, h] (the shifted
+    diagonals of rho) and T the frame's ambiguity table
+    (`CoherentFrame.ambiguity_table`), Q is the symplectic Fourier
+    convolution of the ambiguity functions of rho and of the fiducial:
+
+        Q[g, a] = Re F_D( F^-1_b( F_h(R)[D, b] T[D, b] )[D, g] ) / |G|,
+
+    where F is `group_dft` and F^-1 its adjoint (inverse=True). Three
+    transforms of a (|G|, |G|) array per state; no (|F|, |G|) state matrix.
+    """
+    rho = check_density_matrix(rho, frame.group.order)
+    return HusimiTable(frame, _husimi_values(frame, rho))
+
+
+@lru_cache(maxsize=8)
+def _diagonal_index(group: FiniteAbelianGroup) -> np.ndarray:
+    """(|G|, |G|) flat indices of rho[h + D, h] at [D, h], through `_index_sum`."""
+    every = np.arange(group.order)
+    flat = _index_sum(group, every[:, None], every[None, :]) * group.order + every
+    flat.flags.writeable = False
+    return flat
+
+
+def _husimi_values(frame: CoherentFrame, rho: np.ndarray) -> np.ndarray:
+    """(..., |F|) Husimi values of validated densities; see `husimi`."""
+    group = frame.group
+    d = group.order
+    lead = rho.shape[:-2]
+    diagonals = np.take(rho.reshape(lead + (d * d,)), _diagonal_index(group), axis=-1)
+    spectrum = group_dft(group, diagonals)
+    spectrum *= frame.ambiguity_table
+    by_shift = group_dft(group, spectrum, inverse=True)  # [..., D, g]
+    q = group_dft(group, np.swapaxes(by_shift, -1, -2))  # [..., g, a]
+    return (q.real / d).reshape(lead + (d * d,))
 
 
 @lru_cache(maxsize=8)
@@ -115,18 +145,24 @@ def group_dft(group: FiniteAbelianGroup, x, inverse: bool = False) -> np.ndarray
 
     Forward: y[..., a] = sum_h conj(chi_a(h)) x[..., h]. inverse=True gives
     the adjoint, sum_a chi_a(h) x[..., a], which is |G| times the inverse
-    transform. Elements and characters are indexed in lex order.
+    transform. Elements and characters are indexed in lex order. With F
+    this transform and F^-1 its adjoint, F^-1 F = |G|, and both turn
+    convolution over G into a product: the route of `pure_amplitudes`,
+    and of `husimi` and `measurement_channel`, which convolve over G the
+    shifted diagonals of rho with the frame's ambiguity table.
 
     The kernel is chosen from the factor orders: a GEMM with the exact-phase
     character table when |G| <= 32 k for k cyclic factors (and the table is
     within its cap), otherwise fftn over the factor axes. fftn pays per
     axis, so it loses on many short factors (about 30x slower on Z2^6) and
-    wins on long cyclic ones (about 8x faster on Z256).
+    wins on long cyclic ones (about 8x faster on Z256). The GEMM takes all
+    leading axes as rows of one (n |G|, |G|) product, not n small ones.
     """
     x = np.asarray(x)
     orders = group.orders
     if group.order <= min(_GEMM_ORDER_PER_FACTOR * len(orders), CHARACTER_TABLE_CAP):
-        return x @ _dft_matrix(group, inverse)
+        rows = x.reshape(-1, group.order)
+        return (rows @ _dft_matrix(group, inverse)).reshape(x.shape)
     lead = x.shape[:-1]
     axes = tuple(range(len(lead), len(lead) + len(orders)))
     grid = x.reshape(lead + orders)
@@ -193,11 +229,16 @@ def wehrl_entropy_coset(frame: CoherentFrame, rho, log_base: str = "e"):
     vol(S) = |S|/|G| = 1. |G| evaluations instead of |G|^2. ValueError
     (from `coset_basis`) on any other frame.
     """
-    R = coset_basis(frame).vectors
+    basis = coset_basis(frame).vectors
     rho = check_density_matrix(rho, frame.group.order)
-    tmp = R.conj() @ rho
-    values = np.einsum("...ak,ak->...a", tmp, R).real
-    return _entropy_sum(values, 1.0) / _log_divisor(log_base)
+    return _coset_entropy(basis, rho) / _log_divisor(log_base)
+
+
+def _coset_entropy(basis: np.ndarray, rho: np.ndarray):
+    """-sum_a q_a log q_a over the coset states of `basis`, for validated densities."""
+    tmp = basis.conj() @ rho
+    values = np.einsum("...ak,ak->...a", tmp, basis).real
+    return _entropy_sum(values, 1.0)
 
 
 def husimi_coset_spread(table: HusimiTable):
@@ -231,11 +272,27 @@ def entropy_report(frame: CoherentFrame, rho, log_base: str = "e") -> EntropyRep
 
 
 def measurement_channel(frame: CoherentFrame, rho) -> np.ndarray:
-    """Phi[rho] = sum_z w Q(z) |z><z|; trace preserving, entropy non-decreasing."""
-    table = husimi(frame, rho)
-    S = frame.state_matrix()
-    weights = frame.haar_weight * table.values
-    out = (S.T * weights[..., None, :]) @ S.conj()
+    """Phi[rho] = sum_z w Q(z) |z><z|; trace preserving, entropy non-decreasing.
+
+    The adjoint of `husimi`'s route, with T the frame's ambiguity table:
+
+        C[g, D] = w F^-1_a(Q[g, :])[D],
+        E[D, :] = F^-1( F(C[:, D]) conj(T[D, :]) ) / |G|,
+        Phi[rho][h + D, h] = E[D, h],
+
+    then made exactly Hermitian. No (|F|, |G|) state matrix is built.
+    """
+    group = frame.group
+    d = group.order
+    q = husimi(frame, rho).values
+    lead = q.shape[:-1]
+    by_shift = group_dft(group, q.reshape(lead + (d, d)), inverse=True)  # [..., g, D]
+    spectrum = group_dft(group, np.swapaxes(by_shift, -1, -2))  # [..., D, b]
+    spectrum *= frame.ambiguity_table.conj()
+    diagonals = group_dft(group, spectrum, inverse=True)  # [..., D, h]
+    diagonals *= frame.haar_weight / d
+    out = np.empty(lead + (d, d), dtype=np.complex128)
+    out.reshape(lead + (d * d,))[..., _diagonal_index(group)] = diagonals
     return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 

@@ -133,6 +133,22 @@ class CoherentFrame:
         return self._matrix
 
     @cached_property
+    def ambiguity_table(self) -> np.ndarray:
+        """(|G|, |G|) table T[D, b] = sum_h chi_b(h) conj(phi(h + D)) phi(h), computed once.
+
+        T[D, b] = <W(-D, -b) phi|phi>: the fiducial's ambiguity function
+        `pure_amplitudes(frame, phi)` at the negated point, the kernel of
+        `husimi` and `measurement_channel`. T[0, 0] = <phi|phi>.
+        """
+        from .entropy import pure_amplitudes  # entropy imports this module
+
+        d = self.group.order
+        negation = difference_index_table(self.group)[:, 0]  # index of 0 - g
+        table = pure_amplitudes(self, self.fiducial).reshape(d, d)[np.ix_(negation, negation)]
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def stabiliser(self) -> PhaseSpaceSubgroup:
         """S = {z : W(z) phi = phase * phi}, computed once.
 
@@ -140,13 +156,14 @@ class CoherentFrame:
         points where the ambiguity function |<phi|W(z) phi>| is <phi|phi>
         within STABILISER_TOL. The identity alone when nothing else fixes
         phi, and when those points are no subgroup: phi is then stabilised
-        only approximately, by points on both sides of the tolerance.
+        only approximately, by points on both sides of the tolerance. The
+        points are read off the ambiguity table, which holds the function
+        at -z: negation fixes every subgroup and maps any other set to one
+        that is no subgroup either, so the result is the same.
         """
         if self.subgroup is not None:
             return maximal_compact(self.subgroup)
-        from .entropy import pure_amplitudes  # entropy imports this module
-
-        ambiguity = np.abs(pure_amplitudes(self, self.fiducial))  # index 0 is <phi|phi>
+        ambiguity = np.abs(self.ambiguity_table).reshape(-1)  # index 0 is <phi|phi>
         near = np.flatnonzero(ambiguity >= (1.0 - STABILISER_TOL) * ambiguity[0])
         try:
             return PhaseSpaceSubgroup(self.group, near)

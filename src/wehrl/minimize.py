@@ -37,7 +37,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .entropy import ZERO_LOG_THRESHOLD, _entropy_sum, group_dft, pure_amplitudes
+from .entropy import (
+    ZERO_LOG_THRESHOLD,
+    _entropy_sum,
+    group_dft,
+    pure_amplitudes,
+    pure_state_entropy,
+)
 from .frames import CoherentFrame, coset_basis
 from .groups import PhaseSpacePoint, Subgroup, difference_index_table
 from .states import _BLOCK_BYTES, random_state_vector
@@ -360,7 +366,10 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     """Best entropy over `restarts` random unit starts, deterministic in the seed.
 
     The result is the minimum over restart indices (ties broken by the
-    lowest index). Non-convergence returns the best iterate found, it does
+    lowest index); its best_entropy is `pure_state_entropy` of its state,
+    while restart_entropies keep each walk's own energies (on a Lagrangian
+    frame, the coset energy, which is S^W only as far as the coset basis is
+    orthonormal). Non-convergence returns the best iterate found, it does
     not raise. The restarts run as stacks of rows through descend's rules,
     in blocks sized so that each complex temporary of the frame's
     energy/gradient pair, with its cache, stays near the shared block
@@ -384,7 +393,7 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     point, overlap = nearest_coherent(frame, states[index])
     return MinimizerResult(
         best_state=states[index],
-        best_entropy=float(energies[index]),
+        best_entropy=float(pure_state_entropy(frame, states[index])),
         nearest_point=point,
         nearest_overlap=overlap,
         iterations=int(iterations.sum()),

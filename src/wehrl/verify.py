@@ -16,6 +16,9 @@ import numpy as np
 
 from .entropy import (
     HusimiTable,
+    _coset_entropy,
+    _entropy_sum,
+    _husimi_values,
     husimi,
     husimi_coset_spread,
     husimi_fast,
@@ -26,7 +29,6 @@ from .entropy import (
     pure_state_entropy,
     von_neumann_entropy,
     wehrl_entropy,
-    wehrl_entropy_coset,
 )
 from .frames import (
     CoherentFrame,
@@ -54,7 +56,7 @@ from .groups import (
     parse_group,
 )
 from .minimize import entropy_gradient
-from .states import _blocks, pure_density, random_state_vector
+from .states import _blocks, check_density_matrix, pure_density, random_state_vector
 from .weyl import _apply_points, _matrix_points, cocycle_numerators, verify_ccr
 
 __all__ = [
@@ -418,9 +420,10 @@ def check_coset_constancy(
 def check_coset_formula(
     frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
 ) -> CheckResult:
-    rhos = _random_density_stack(frame.group.order, samples, rng)
-    full = wehrl_entropy(husimi(frame, rhos))
-    collapsed = wehrl_entropy_coset(frame, rhos)
+    """Full Husimi sum against the coset formula, on one stack validated once."""
+    rhos = check_density_matrix(_random_density_stack(frame.group.order, samples, rng))
+    full = _entropy_sum(_husimi_values(frame, rhos), frame.haar_weight)
+    collapsed = _coset_entropy(coset_basis(frame).vectors, rhos)
     worst = np.abs(full - collapsed).max()
     return _result("coset-formula-vs-full", worst, 1e-10, f"{samples} random rho")
 
@@ -428,9 +431,16 @@ def check_coset_formula(
 def check_fast_vs_dense(
     frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
 ) -> CheckResult:
+    """Transform Husimi tables of pure states against the state-matrix product.
+
+    The dense side is <z|rho|z> over the rows of `CoherentFrame.state_matrix`,
+    a route that shares no code with `group_dft`.
+    """
     d = frame.group.order
     psis = np.stack([random_state_vector(d, rng) for _ in range(samples)])
-    dense = husimi(frame, psis[:, :, None] * psis[:, None, :].conj()).values
+    S = frame.state_matrix()
+    rhos = psis[:, :, None] * psis[:, None, :].conj()
+    dense = np.einsum("...zk,zk->...z", S.conj() @ rhos, S).real
     fast = husimi_fast(frame, psis).values
     worst = np.abs(dense - fast).max()
     return _result("husimi-fast-vs-dense", worst, 1e-11, f"{samples} pure states")

@@ -198,19 +198,35 @@ def verify_ccr(
         n_pairs = samples
         mode = "randomized"
     worst = 0.0
-    for part in _blocks(n_pairs, probes.nbytes):
+    blocks = list(_blocks(n_pairs, probes.nbytes))
+    # the block's three (pairs, |G|, probes) arrays, allocated once per call
+    # and filled in place: fresh ones per block would be mapped and
+    # page-faulted on every block wherever the allocator serves ~256 KiB
+    # from mmap
+    rows = blocks[0].stop - blocks[0].start
+    buffers = [np.empty((rows,) + probes.shape, dtype=np.complex128) for _ in range(3)]
+    for part in blocks:
         if drawn is None:
             z, w = np.divmod(np.arange(part.start, part.stop), total)
         else:
             z, w = drawn[part, 0], drawn[part, 1]
-        worst = max(worst, _ccr_block_residual(group, probes, z, w))
+        block = [buf[: len(z)] for buf in buffers]
+        worst = max(worst, _ccr_block_residual(group, probes, z, w, block))
     return CcrReport(str(group), mode, n_pairs, worst, tolerance, worst <= tolerance)
 
 
 def _ccr_block_residual(
-    group: FiniteAbelianGroup, probes: np.ndarray, z: np.ndarray, w: np.ndarray
+    group: FiniteAbelianGroup,
+    probes: np.ndarray,
+    z: np.ndarray,
+    w: np.ndarray,
+    buffers: list[np.ndarray],
 ) -> float:
-    """max |W(z)W(w)f - omega(z,w) W(w)W(z)f| over a block of point indices."""
+    """max |W(z)W(w)f - omega(z,w) W(w)W(z)f| over a block of point indices.
+
+    `buffers` are three (len(z), |G|, probes) complex arrays the block
+    overwrites.
+    """
     d = group.order
     L, weights = _phase_weights(group)
     grid = _coords_grid(group.orders)
@@ -222,14 +238,14 @@ def _ccr_block_residual(
     w_row = (w_chi * weights) @ grid.T
     z_at_wg = np.einsum("bk,bk->b", z_chi * weights, w_g)[:, None]
     w_at_zg = np.einsum("bk,bk->b", w_chi * weights, z_g)[:, None]
+    shifted, left, right = buffers
     # f(h - g_z - g_w): the translation as a gathered index
-    shifted = probes[_translation_index(group, z_g + w_g)]
-    left = roots[z_row % L][..., None] * (
-        roots[(w_row - w_at_zg) % L][..., None] * shifted
-    )
+    np.take(probes, _translation_index(group, z_g + w_g), axis=0, out=shifted)
+    np.multiply(roots[(w_row - w_at_zg) % L][..., None], shifted, out=left)
+    np.multiply(roots[z_row % L][..., None], left, out=left)
     omega = roots[cocycle_numerators(group, z_g, z_chi, w_g, w_chi)]
-    right = omega[:, None, None] * (
-        roots[w_row % L][..., None]
-        * (roots[(z_row - z_at_wg) % L][..., None] * shifted)
-    )
-    return float(np.abs(left - right).max())
+    np.multiply(roots[(z_row - z_at_wg) % L][..., None], shifted, out=right)
+    np.multiply(roots[w_row % L][..., None], right, out=right)
+    np.multiply(omega[:, None, None], right, out=right)
+    np.subtract(left, right, out=left)
+    return float(np.abs(left).max())

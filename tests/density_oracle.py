@@ -1,13 +1,20 @@
-"""Eigenvalue-only density-matrix validation: the oracle for `check_density_matrix`.
+"""Dense oracles for density-matrix routes.
 
-Every member of a stack is diagonalised with `eigvalsh` and its smallest
-eigenvalue compared with -eig_tol. The library may accept a stack by a
-cheaper route, but must reach the same verdict with the same message.
+- `check_density_matrix_by_eigvalsh`, for `check_density_matrix`: every
+  member of a stack is diagonalised with `eigvalsh` and its smallest
+  eigenvalue compared with -eig_tol. The library may accept a stack by a
+  cheaper route, but must reach the same verdict with the same message.
+- `husimi_by_state_matrix` and `channel_by_state_matrix`, for `husimi`
+  and `measurement_channel`: <z|rho|z> and sum_z w Q(z) |z><z| as products
+  with the (|F|, |G|) matrix of frame states, built here row by row from
+  `weyl_apply`, where the library convolves through the group transform.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from wehrl import weyl_apply
 
 
 def check_density_matrix_by_eigvalsh(
@@ -30,3 +37,22 @@ def check_density_matrix_by_eigvalsh(
             f"density matrix is not positive semidefinite (min eigenvalue {smallest})"
         )
     return arr
+
+
+def state_matrix(frame) -> np.ndarray:
+    """(|F|, |G|) array whose row z.index is W(z) phi."""
+    return np.stack([weyl_apply(z, frame.fiducial) for z in frame.points()])
+
+
+def husimi_by_state_matrix(frame, rho, states=None) -> np.ndarray:
+    """(..., |F|) values <z|rho|z> for one density (d, d) or a stack."""
+    S = state_matrix(frame) if states is None else states
+    return np.einsum("...zk,zk->...z", S.conj() @ rho, S).real
+
+
+def channel_by_state_matrix(frame, rho, states=None) -> np.ndarray:
+    """sum_z w Q(z) |z><z|, made exactly Hermitian, for one density or a stack."""
+    S = state_matrix(frame) if states is None else states
+    weights = frame.haar_weight * husimi_by_state_matrix(frame, rho, S)
+    out = (S.T * weights[..., None, :]) @ S.conj()
+    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wehrl import random_state_vector
-from wehrl.cli import main
+from wehrl import (
+    CoherentFrame,
+    MinimizerConfig,
+    minimize,
+    parse_group,
+    pure_state_entropy,
+    random_state_vector,
+)
+from wehrl.cli import _subgroup_from_args, build_parser, main
 from wehrl.io import (
     density_matrix_from_json,
     density_matrix_to_json,
@@ -186,8 +193,16 @@ def test_minimize_trace_lines_and_unchanged_stdout(capsys, argv):
             assert line["gate_margin_log10"] == pytest.approx(math.log10(1e-6 / line["entropy"]))
         else:
             assert line["gate_margin_log10"] is None
-    best = min(line["entropy"] for line in lines)
-    assert best == json.loads(out)["best_entropy"]
+    # the trace keeps each walk's energy; best_entropy is S^W of the best
+    # restart's state, recomputed by the group transform
+    args = build_parser().parse_args(["minimize", *argv])
+    group = parse_group(args.group)
+    frame = CoherentFrame.vacuum(_subgroup_from_args(group, args.subgroup))
+    result = minimize(frame, MinimizerConfig(seed=args.seed))
+    energies = [line["entropy"] for line in lines]
+    assert energies == result.restart_entropies.tolist()
+    assert energies.index(min(energies)) == result.restart_index
+    assert json.loads(out)["best_entropy"] == pure_state_entropy(frame, result.best_state)
     assert sum(line["iterations"] for line in lines) == json.loads(out)["iterations"]
 
 
@@ -408,6 +423,25 @@ def test_non_finite_state_file_exits_2(capsys, tmp_path, content):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+# |F| = 16384 is over the state-matrix cap; the Husimi route never builds
+# that matrix, and the dense-matrix limit still bounds |G|
+def test_entropy_of_the_flat_state_above_the_state_matrix_cap(capsys):
+    code, out, err = run_cli(capsys, "entropy", "--group", "Z128", "--state", "maximally_mixed")
+    assert code == 0 and err == ""
+    assert abs(json.loads(out)["wehrl"] - math.log(128)) <= 1e-12
+
+
+# the dense-matrix limit (default 256) bounds |G| wherever the CLI builds a
+# (|G|, |G|) density, before it allocates one
+@pytest.mark.parametrize("command, state", [
+    ("entropy", "maximally_mixed"), ("husimi", "maximally_mixed"), ("channel", "random:3"),
+])
+def test_density_above_the_dense_limit_is_an_input_error(capsys, command, state):
+    code, out, err = run_cli(capsys, command, "--group", "Z300", "--state", state)
+    assert (code, out) == (2, "")
+    assert err == "error: |G| = 300 exceeds the dense-matrix limit 256\n"
 
 
 def test_dense_limit_env_gives_input_error(capsys, monkeypatch):

@@ -33,6 +33,8 @@ from wehrl import (
     wehrl_entropy,
     wehrl_entropy_coset,
 )
+from wehrl.verify import suite_pairs
+from density_oracle import channel_by_state_matrix, husimi_by_state_matrix, state_matrix
 from stabiliser_frames import chirp_frames
 
 
@@ -92,9 +94,10 @@ def test_husimi_fast_matches_dense(rng):
         )
         for _ in range(10):
             psi = random_state_vector(g.order, rng)
-            dense = husimi(frame, pure_density(psi)).values
+            dense = husimi_by_state_matrix(frame, pure_density(psi))
             fast = husimi_fast(frame, psi).values
             assert np.abs(dense - fast).max() < 1e-11
+            assert np.abs(husimi(frame, pure_density(psi)).values - fast).max() < 1e-13
 
 
 def test_husimi_nonnegative_and_bounded(rng):
@@ -185,6 +188,75 @@ def test_husimi_coset_spread(rng):
     periodic = CoherentFrame(frame.group, v)
     assert periodic.stabiliser.order == 3 and not periodic.lagrangian
     assert husimi_coset_spread(husimi(periodic, rho)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the transform route against the state-matrix oracle
+
+
+def _oracle_frames():
+    """(id, frame builder): the 53 suite vacua, the chirp set, Z64's vacuum of
+    <8>, and random fiducials on both sides of group_dft's kernel rule."""
+    cases = [(f"{g}|{H}", lambda H=H: CoherentFrame.vacuum(H)) for g, H in suite_pairs()]
+    cases += [(f"chirp{i}", lambda i=i: chirp_frames()[i]) for i in range(len(chirp_frames()))]
+    cases.append(("Z64|<8>", lambda: vacuum_frame("Z64", (8,))))
+    for i, spec in enumerate(("Z1", "Z5", "Z3xZ5", "Z6xZ6", "Z64", "Z2xZ2xZ2xZ2xZ2xZ2")):
+        def random_frame(spec=spec, i=i):
+            g = parse_group(spec)
+            return CoherentFrame(g, random_state_vector(g.order, np.random.default_rng([17, i])))
+        cases.append((f"{spec}|random", random_frame))
+    return cases
+
+
+ORACLE_FRAMES = _oracle_frames()
+
+
+@pytest.mark.parametrize("case", ORACLE_FRAMES, ids=[name for name, _ in ORACLE_FRAMES])
+def test_husimi_and_channel_match_the_state_matrix_oracle(case, rng):
+    name, build = case
+    frame = build()
+    d = frame.group.order
+    if name.endswith("|random") and d > 1:
+        assert not frame.lagrangian
+    states = state_matrix(frame)
+    rhos = np.stack([
+        random_density_matrix(d, rng),
+        pure_density(random_state_vector(d, rng)),
+        pure_density(frame.fiducial),
+        maximally_mixed(d),
+    ])
+    for rho in (rhos[0], rhos[1], rhos):  # one state and a stack
+        q = husimi(frame, rho).values
+        assert q.shape == rho.shape[:-2] + (d * d,)
+        assert np.abs(q - husimi_by_state_matrix(frame, rho, states)).max() <= 1e-13
+        out = measurement_channel(frame, rho)
+        assert out.shape == rho.shape
+        assert np.abs(out - channel_by_state_matrix(frame, rho, states)).max() <= 1e-13
+
+
+def test_husimi_and_channel_build_no_state_matrix(monkeypatch, rng):
+    def refuse(self):
+        raise AssertionError("the (|F|, |G|) state matrix was built")
+
+    monkeypatch.setattr(CoherentFrame, "state_matrix", refuse)
+    g = parse_group("Z6xZ6")
+    for frame in (vacuum_frame("Z6xZ6", (2, 3)), CoherentFrame(g, random_state_vector(36, rng))):
+        rho = random_density_matrix(36, rng)
+        assert husimi(frame, rho).values.shape == (36 * 36,)
+        assert measurement_channel(frame, rho).shape == (36, 36)
+        entropy_report(frame, rho)
+        husimi(frame, np.stack([rho, maximally_mixed(36)]))
+
+
+def test_ambiguity_table_is_the_ambiguity_function_at_the_negated_point(rng):
+    for frame in chirp_frames()[:4] + [CoherentFrame(parse_group("Z3xZ5"), random_state_vector(15, rng))]:
+        group = frame.group
+        d = group.order
+        amplitudes = pure_amplitudes(frame, frame.fiducial)
+        table = frame.ambiguity_table
+        assert table.shape == (d, d) and not table.flags.writeable
+        for z in phase_space(group):
+            assert table.reshape(-1)[z.index] == amplitudes[(-z).index]
 
 
 # ---------------------------------------------------------------------------

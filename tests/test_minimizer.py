@@ -177,6 +177,19 @@ def test_minimize_result_is_reproducible_entropy():
     assert abs(pure_state_entropy(frame, result.best_state) - result.best_entropy) < 1e-12
 
 
+# a Z8 vacuum of <4> moved by 5e-7 keeps |S| = 8, so the walk runs on a
+# coset basis that is orthonormal only to about that distance: its energy
+# is not S^W of the state it ends on, and best_entropy reports the latter
+def test_best_entropy_is_the_entropy_of_the_best_state_on_a_near_stabilised_frame():
+    g = parse_group("Z8")
+    phi = vacuum_vector(subgroup_closure(g, (g.element((4,)),))) + 5e-7 * np.eye(8)[1]
+    frame = CoherentFrame(g, phi / np.linalg.norm(phi))
+    assert frame.stabiliser.order == 8
+    result = minimize(frame)
+    assert result.best_entropy == pure_state_entropy(frame, result.best_state)
+    assert result.restart_entropies[result.restart_index] < 0.5 * result.best_entropy
+
+
 # the restarts run as stacks of rows; each must end exactly where descend
 # ends on its start alone, whatever the block height
 @pytest.mark.parametrize(
@@ -202,7 +215,8 @@ def test_minimize_restarts_equal_descend(spec, gens, max_iters, block_bytes, mon
     index = energies.index(min(energies))
     assert result.restart_index == index
     assert np.array_equal(result.best_state, runs[index][0])
-    assert result.best_entropy == runs[index][1]
+    # the walks' energies pick the best restart; its S^W is recomputed
+    assert result.best_entropy == pure_state_entropy(frame, runs[index][0])
     assert result.converged == runs[index][3]
     assert result.iterations == sum(r[2] for r in runs)
     if max_iters < 100:  # the budget binds: some rows stop unconverged
@@ -389,7 +403,8 @@ def test_minimize_gates_on_order_64_frames(spec):
     assert result.best_entropy <= 1e-6
     assert result.nearest_overlap >= 1 - 1e-4
     assert result.restart_entropies.shape == (16,)
-    assert result.restart_entropies[result.restart_index] == result.best_entropy
+    assert result.restart_entropies[result.restart_index] == result.restart_entropies.min()
+    assert result.best_entropy == pure_state_entropy(frame, result.best_state)
 
 
 # the walk used to stop on its plateau rule at 1.34e-6 here, above the gate

@@ -366,3 +366,20 @@ def test_stacked_checks_match_their_per_point_routes(spec, gens, monkeypatch):
         # products summed or multiplied in another order: a few ulps of 1
         assert abs(stacked[name].residual - scalar[name]) <= 4 * np.finfo(float).eps, name
     assert all(r.passed for r in stacked.values())
+
+
+# the coset-formula check validates its stack once, for both routes: one
+# Cholesky factorisation of the (samples, d, d) stack
+def test_coset_formula_check_validates_its_stack_once(monkeypatch):
+    frame = CoherentFrame.vacuum(Subgroup.whole(parse_group("Z6")))
+    shapes = []
+    real = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    result = verify.check_coset_formula(frame, np.random.default_rng(0), samples=20)
+    assert result.passed
+    assert shapes == [(20, 6, 6)]
