@@ -433,8 +433,8 @@ def check_fast_vs_dense(
 ) -> CheckResult:
     """Transform Husimi tables of pure states against the state-matrix product.
 
-    The dense side is <z|rho|z> over the rows of `CoherentFrame.state_matrix`,
-    a route that shares no code with `group_dft`.
+    The dense side is <z|rho|z> as a product with the rows of
+    `CoherentFrame.state_matrix`, not through the group transform.
     """
     d = frame.group.order
     psis = np.stack([random_state_vector(d, rng) for _ in range(samples)])

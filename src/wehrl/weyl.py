@@ -199,10 +199,8 @@ def verify_ccr(
         mode = "randomized"
     worst = 0.0
     blocks = list(_blocks(n_pairs, probes.nbytes))
-    # the block's three (pairs, |G|, probes) arrays, allocated once per call
-    # and filled in place: fresh ones per block would be mapped and
-    # page-faulted on every block wherever the allocator serves ~256 KiB
-    # from mmap
+    # one set of (pairs, |G|, probes) buffers per call, filled in place: fresh
+    # ~256 KiB temporaries per block may come from mmap, page-faulted each time
     rows = blocks[0].stop - blocks[0].start
     buffers = [np.empty((rows,) + probes.shape, dtype=np.complex128) for _ in range(3)]
     for part in blocks:

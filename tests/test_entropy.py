@@ -195,26 +195,23 @@ def test_husimi_coset_spread(rng):
 
 
 def _oracle_frames():
-    """(id, frame builder): the 53 suite vacua, the chirp set, Z64's vacuum of
-    <8>, and random fiducials on both sides of group_dft's kernel rule."""
-    cases = [(f"{g}|{H}", lambda H=H: CoherentFrame.vacuum(H)) for g, H in suite_pairs()]
-    cases += [(f"chirp{i}", lambda i=i: chirp_frames()[i]) for i in range(len(chirp_frames()))]
-    cases.append(("Z64|<8>", lambda: vacuum_frame("Z64", (8,))))
+    """(id, frame): the 53 suite vacua, the chirp set, Z64's vacuum of <8>, and
+    random fiducials on both sides of group_dft's kernel rule."""
+    cases = [(f"{g}|{H}", CoherentFrame.vacuum(H)) for g, H in suite_pairs()]
+    cases += [(f"chirp:{frame.group}", frame) for frame in chirp_frames()]
+    cases.append(("Z64|<8>", vacuum_frame("Z64", (8,))))
     for i, spec in enumerate(("Z1", "Z5", "Z3xZ5", "Z6xZ6", "Z64", "Z2xZ2xZ2xZ2xZ2xZ2")):
-        def random_frame(spec=spec, i=i):
-            g = parse_group(spec)
-            return CoherentFrame(g, random_state_vector(g.order, np.random.default_rng([17, i])))
-        cases.append((f"{spec}|random", random_frame))
+        g = parse_group(spec)
+        fiducial = random_state_vector(g.order, np.random.default_rng([17, i]))
+        cases.append((f"{spec}|random", CoherentFrame(g, fiducial)))
     return cases
 
 
 ORACLE_FRAMES = _oracle_frames()
 
 
-@pytest.mark.parametrize("case", ORACLE_FRAMES, ids=[name for name, _ in ORACLE_FRAMES])
-def test_husimi_and_channel_match_the_state_matrix_oracle(case, rng):
-    name, build = case
-    frame = build()
+@pytest.mark.parametrize("name, frame", ORACLE_FRAMES, ids=[name for name, _ in ORACLE_FRAMES])
+def test_husimi_and_channel_match_the_state_matrix_oracle(name, frame, rng):
     d = frame.group.order
     if name.endswith("|random") and d > 1:
         assert not frame.lagrangian
