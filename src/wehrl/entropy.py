@@ -252,8 +252,13 @@ def husimi_coset_spread(table: HusimiTable):
 def von_neumann_entropy(rho, log_base: str = "e"):
     """-tr rho log rho; eigenvalues below 1e-12 are clamped to zero."""
     _, eig = _checked_eigvalsh(rho)
+    return _spectrum_entropy(eig) / _log_divisor(log_base)
+
+
+def _spectrum_entropy(eig: np.ndarray):
+    """-sum e log e along the last axis, with e log e := 0 for e <= 1e-12."""
     safe = np.where(eig > 1e-12, eig, 1.0)
-    return _scalar(-(eig * np.log(safe)).sum(axis=-1)) / _log_divisor(log_base)
+    return _scalar(-(eig * np.log(safe)).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -265,9 +270,15 @@ class EntropyReport:
 
 
 def entropy_report(frame: CoherentFrame, rho, log_base: str = "e") -> EntropyReport:
-    """Wehrl and von Neumann entropies of rho; gap = wehrl - von_neumann >= 0."""
-    w = wehrl_entropy(husimi(frame, rho), log_base=log_base)
-    s = von_neumann_entropy(rho, log_base=log_base)
+    """Wehrl and von Neumann entropies of rho; gap = wehrl - von_neumann >= 0.
+
+    One density (d, d) gives floats, a stack (..., d, d) arrays. rho is
+    validated once, by the eigendecomposition the von Neumann entropy uses.
+    """
+    rho, eig = _checked_eigvalsh(rho, frame.group.order)
+    divisor = _log_divisor(log_base)
+    w = _entropy_sum(_husimi_values(frame, rho), frame.haar_weight) / divisor
+    s = _spectrum_entropy(eig) / divisor
     return EntropyReport(w, s, w - s, log_base)
 
 

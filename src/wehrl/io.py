@@ -1,7 +1,11 @@
 """File formats: state vectors, density matrices, Husimi tables, reports.
 
-Floats go through ``repr`` (shortest round-trip form), so save/load/save
-is byte identical. Vectors and tables are always written in lex order.
+Floats are written in their shortest round-trip form, so save/load/save is
+byte identical: the CSV writers give the bytes of ``repr`` and the JSON
+writers those of ``json.dumps`` (``NaN``, ``Infinity``), entry for entry.
+Each distinct 64-bit pattern is formatted once, in one call for the whole
+array; Husimi tables of stabiliser frames hold about |G| distinct values
+among their |G|^2 rows. Vectors and tables are always written in lex order.
 """
 
 from __future__ import annotations
@@ -9,6 +13,8 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import operator
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +38,37 @@ __all__ = [
 _VECTOR_CSV_HEADER = ["index", "re", "im"]
 
 
-def _pairs(values: np.ndarray) -> list[list[float]]:
-    values = np.asarray(values, dtype=np.complex128)
-    return np.stack([values.real, values.imag], axis=-1).tolist()
+def _repr_texts(floats: list[float]) -> list[str]:
+    return repr(floats)[1:-1].split(", ")
+
+
+def _json_texts(floats: list[float]) -> list[str]:
+    return json.dumps(floats)[1:-1].split(", ")
+
+
+def _float_texts(values, spell) -> list[str]:
+    """`spell`'s text of each entry of `values` (flattened), in order.
+
+    `spell` formats a list of floats; it sees each distinct bit pattern once.
+    Keyed on bits, not values: 0.0 and -0.0 compare equal but print apart.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    distinct, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = spell(distinct.view(np.float64).tolist())
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _re_im(values) -> np.ndarray:
+    """re, im, re, im, ... of `values` (flattened) as one float64 array."""
+    return np.ascontiguousarray(values, dtype=np.complex128).reshape(-1).view(np.float64)
+
+
+def _json_pairs(values) -> str:
+    """`json.dumps` of the [re, im] pairs of `values` (flattened)."""
+    texts = _float_texts(_re_im(values), _json_texts)
+    if not texts:
+        return "[]"
+    return "[[" + "], [".join(map(", ".join, zip(texts[0::2], texts[1::2]))) + "]]"
 
 
 def _from_pairs(entries) -> np.ndarray:
@@ -46,7 +80,7 @@ def _from_pairs(entries) -> np.ndarray:
 
 
 def state_vector_to_json(vec: np.ndarray) -> str:
-    return json.dumps(_pairs(np.asarray(vec)))
+    return _json_pairs(vec)
 
 
 def state_vector_from_json(text: str) -> np.ndarray:
@@ -57,12 +91,9 @@ def state_vector_from_json(text: str) -> np.ndarray:
 
 
 def state_vector_to_csv(vec: np.ndarray) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_VECTOR_CSV_HEADER)
-    for i, v in enumerate(np.asarray(vec)):
-        writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
+    texts = _float_texts(_re_im(vec), _repr_texts)
+    rows = map("{},{},{}\n".format, range(len(texts) // 2), texts[0::2], texts[1::2])
+    return ",".join(_VECTOR_CSV_HEADER) + "\n" + "".join(rows)
 
 
 def state_vector_from_csv(text: str) -> np.ndarray:
@@ -86,9 +117,9 @@ def state_vector_from_csv(text: str) -> np.ndarray:
 
 
 def density_matrix_to_json(rho: np.ndarray) -> str:
+    """{"dim": d, "entries": [[re, im], ...]} as `json.dumps(..., sort_keys=True)` writes it."""
     rho = np.asarray(rho)
-    payload = {"dim": int(rho.shape[0]), "entries": _pairs(rho.reshape(-1))}
-    return json.dumps(payload, sort_keys=True)
+    return '{"dim": %d, "entries": %s}' % (rho.shape[0], _json_pairs(rho))
 
 
 def density_matrix_from_json(text: str) -> np.ndarray:
@@ -128,13 +159,18 @@ def husimi_to_csv(table: HusimiTable) -> str:
     Labels hold only digits and commas, so `csv`'s minimal quoting quotes
     exactly the multi-coordinate ones.
     """
-    orders = table.frame.group.orders
+    texts = _float_texts(table.values, _repr_texts)
+    body = "\n".join(map(operator.add, _husimi_row_prefixes(table.frame.group.orders), texts))
+    return "g,lambda,Q\n" + body + "\n"
+
+
+@lru_cache(maxsize=8)
+def _husimi_row_prefixes(orders: tuple[int, ...]) -> tuple[str, ...]:
+    """'g,lambda,' of every phase-space point in lex order (g major)."""
     labels = [format_coords(c) for c in _coords_grid(orders).tolist()]
     if len(orders) > 1:
         labels = [f'"{label}"' for label in labels]
-    rows = (f"{g},{chi}," for g in labels for chi in labels)
-    body = "".join(f"{row}{q!r}\n" for row, q in zip(rows, table.values.tolist()))
-    return "g,lambda,Q\n" + body
+    return tuple(f"{g},{chi}," for g in labels for chi in labels)
 
 
 def entropy_report_to_json(report: EntropyReport) -> str:

@@ -19,6 +19,7 @@ from .entropy import (
     _coset_entropy,
     _entropy_sum,
     _husimi_values,
+    entropy_report,
     husimi,
     husimi_coset_spread,
     husimi_fast,
@@ -27,7 +28,6 @@ from .entropy import (
     partial_trace,
     product_frame,
     pure_state_entropy,
-    von_neumann_entropy,
     wehrl_entropy,
 )
 from .frames import (
@@ -483,8 +483,7 @@ def check_wehrl_vs_von_neumann(
     frame: CoherentFrame, rng: np.random.Generator, samples: int = 1000
 ) -> list[CheckResult]:
     d = frame.group.order
-    rhos = random_density_batch(d, samples, rng)
-    gaps = wehrl_entropy(husimi(frame, rhos)) - von_neumann_entropy(rhos)
+    gaps = entropy_report(frame, random_density_batch(d, samples, rng)).gap
     out = [
         _result(
             "wehrl-vs-von-neumann",
@@ -493,10 +492,8 @@ def check_wehrl_vs_von_neumann(
             f"min gap = {gaps.min():.3e}",
         )
     ]
-    flat = np.eye(d) / d
-    sw = wehrl_entropy(husimi(frame, flat))
-    sv = von_neumann_entropy(flat)
-    residual = max(abs(sw - math.log(d)), abs(sv - math.log(d)))
+    flat = entropy_report(frame, np.eye(d) / d)
+    residual = max(abs(flat.wehrl - math.log(d)), abs(flat.von_neumann - math.log(d)))
     out.append(_result("flat-state-entropies", residual, 1e-10))
     return out
 

@@ -396,7 +396,8 @@ def test_bad_density_file_message(capsys, tmp_path, command, name):
 
 @pytest.mark.parametrize("command, eigvalsh_calls", [("entropy", 1), ("husimi", 0), ("channel", 0)])
 def test_density_file_diagonalised_once_per_use(capsys, tmp_path, monkeypatch, command, eigvalsh_calls):
-    # one Cholesky validates the density; only the von Neumann entropy diagonalises
+    # each density is validated once: by the eigvalsh of the von Neumann
+    # entropy where that is needed, else by one Cholesky
     path = tmp_path / "rho.json"
     path.write_text(density_matrix_to_json(maximally_mixed(4)))
     seen = {"eigvalsh": [], "cholesky": []}
@@ -410,7 +411,7 @@ def test_density_file_diagonalised_once_per_use(capsys, tmp_path, monkeypatch, c
         monkeypatch.setattr(np.linalg, name, counting)
     code, _, _ = run_cli(capsys, command, "--group", "Z4", "--subgroup", "2", "--state", str(path))
     assert code == 0
-    assert seen == {"eigvalsh": [(4, 4)] * eigvalsh_calls, "cholesky": [(4, 4)]}
+    assert seen == {"eigvalsh": [(4, 4)] * eigvalsh_calls, "cholesky": [(4, 4)] * (1 - eigvalsh_calls)}
 
 
 @pytest.mark.parametrize(

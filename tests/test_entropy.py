@@ -420,6 +420,42 @@ def test_wehrl_dominates_von_neumann(rng):
         assert report.log_base == "e"
 
 
+def test_entropy_report_validates_once_and_matches_both_routes(rng, monkeypatch):
+    frame = vacuum_frame("Z6", (3,))
+    rhos = np.stack([random_density_matrix(6, rng) for _ in range(3)])
+    bad = [
+        np.diag([1.5, -0.5 + 1e-11, 0, 0, 0, 0]),  # not PSD
+        np.diag([0.5, 0.5 + 1e-9, 0, 0, 0, 0]),  # trace
+        np.eye(4) / 4,  # dimension
+        np.full((6, 6), np.nan),
+    ]
+    messages = []
+    for rho in bad:
+        with pytest.raises(ValueError) as exc:
+            husimi(frame, rho)
+        messages.append(str(exc.value))
+    want = [(wehrl_entropy(husimi(frame, r), "2"), von_neumann_entropy(r, "2")) for r in (rhos, rhos[1])]
+    seen = {"eigvalsh": [], "cholesky": []}
+    for name, shapes in seen.items():
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    reports = [entropy_report(frame, r, log_base="2") for r in (rhos, rhos[1])]
+    assert seen == {"eigvalsh": [(3, 6, 6), (6, 6)], "cholesky": []}
+    for report, (w, s) in zip(reports, want):
+        assert np.array_equal(report.wehrl, w) and np.array_equal(report.von_neumann, s)
+        assert np.array_equal(report.gap, w - s)
+    assert isinstance(reports[1].wehrl, float)
+    for rho, message in zip(bad, messages):
+        with pytest.raises(ValueError) as exc:
+            entropy_report(frame, rho)
+        assert str(exc.value) == message
+
+
 def test_entropy_report_flat():
     frame = vacuum_frame("Z4", (2,))
     report = entropy_report(frame, maximally_mixed(4), log_base="2")

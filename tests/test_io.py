@@ -10,6 +10,7 @@ from wehrl import (
     entropy_report,
     husimi,
     maximally_mixed,
+    measurement_channel,
     parse_group,
     pure_density,
     random_density_matrix,
@@ -18,6 +19,7 @@ from wehrl import (
 )
 from wehrl.entropy import HusimiTable
 from wehrl.groups import format_coords, parse_generators
+from wehrl.verify import suite_pairs
 from wehrl.io import (
     density_matrix_from_json,
     density_matrix_to_json,
@@ -152,6 +154,24 @@ def _pairs_oracle(values):
     return [[float(v.real), float(v.imag)] for v in values]
 
 
+def _vector_csv_oracle(vec):
+    """One `csv.writer` row index, repr(re), repr(im) per entry."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "re", "im"])
+    for i, v in enumerate(vec):
+        writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+    return buf.getvalue()
+
+
+def _density_json_oracle(rho):
+    return json.dumps(
+        {"dim": rho.shape[0], "entries": _pairs_oracle(rho.reshape(-1))}, sort_keys=True
+    )
+
+
+# a few frames with Z1 factors or non-cyclic subgroups, the 53 suite vacuum
+# frames, and Z64 H = <8>, whose |G|^2 Husimi rows hold about |G| distinct values
 WRITER_FRAMES = [
     ("Z1", None),
     ("Z4", "2"),
@@ -159,6 +179,8 @@ WRITER_FRAMES = [
     ("Z1xZ3", None),
     ("Z4xZ8", "0,2;2,0"),
     ("Z6xZ6", "2,3"),
+    *((str(g), str(H)) for g, H in suite_pairs()),
+    ("Z64", "8"),
 ]
 
 
@@ -176,9 +198,9 @@ def test_writers_match_per_entry_oracles(spec, gens, rng):
     for table in (husimi(frame, pure_density(vec)), husimi(frame, rho)):
         assert husimi_to_csv(table) == _husimi_csv_oracle(table)
     assert state_vector_to_json(vec) == json.dumps(_pairs_oracle(vec))
-    assert density_matrix_to_json(rho) == json.dumps(
-        {"dim": d, "entries": _pairs_oracle(rho.reshape(-1))}, sort_keys=True
-    )
+    assert state_vector_to_csv(vec) == _vector_csv_oracle(vec)
+    for matrix in (pure_density(vec), rho, measurement_channel(frame, rho)):
+        assert density_matrix_to_json(matrix) == _density_json_oracle(matrix)
 
 
 def test_writers_keep_signed_zero_and_extreme_floats():
@@ -188,9 +210,7 @@ def test_writers_keep_signed_zero_and_extreme_floats():
             [complex(-5e-324, 1e-300), complex(1.0, -1e-300)],
         ]
     )
-    assert density_matrix_to_json(rho) == json.dumps(
-        {"dim": 2, "entries": _pairs_oracle(rho.reshape(-1))}, sort_keys=True
-    )
+    assert density_matrix_to_json(rho) == _density_json_oracle(rho)
     text = state_vector_to_json(rho.reshape(-1))
     assert text == json.dumps(_pairs_oracle(rho.reshape(-1)))
     assert "-0.0" in text and "5e-324" in text and "1e-300" in text
@@ -203,6 +223,54 @@ def test_husimi_csv_keeps_extreme_floats():
     odd = HusimiTable(_frame("Z1xZ2", None), np.array([-0.0, 5e-324, 1e-300, 1.0 - 1e-16]))
     assert husimi_to_csv(odd) == _husimi_csv_oracle(odd)
     assert husimi_to_csv(odd).splitlines()[1:3] == ['"0,0","0,0",-0.0', '"0,0","0,1",5e-324']
+
+
+def test_writers_tell_signed_zeros_apart_among_repeats():
+    # equal values with different bits: a writer that merged entries by value
+    # would print one spelling of zero for both
+    values = np.array([0.0, -0.0, 0.25, -0.0, 0.25, 0.0, 0.5, 0.25] * 2)
+    table = HusimiTable(_frame("Z2xZ2", None), values)
+    text = husimi_to_csv(table)
+    assert text == _husimi_csv_oracle(table)
+    assert [line.rsplit(",", 1)[1] for line in text.splitlines()[1:5]] == [
+        "0.0", "-0.0", "0.25", "-0.0"
+    ]
+    rho = np.array(
+        [[complex(0.0, -0.0), complex(-0.0, 0.25)], [complex(0.25, 0.0), complex(-0.0, -0.0)]]
+    )
+    assert density_matrix_to_json(rho) == _density_json_oracle(rho)
+    assert density_matrix_to_json(rho) == (
+        '{"dim": 2, "entries": [[0.0, -0.0], [-0.0, 0.25], [0.25, 0.0], [-0.0, -0.0]]}'
+    )
+    flat = rho.reshape(-1)
+    assert state_vector_to_json(flat) == json.dumps(_pairs_oracle(flat))
+    assert state_vector_to_csv(flat) == _vector_csv_oracle(flat)
+
+
+def test_writers_spell_non_finite_floats_as_json_and_repr_do():
+    inf, nan = float("inf"), float("nan")
+    rho = np.array(
+        [[complex(nan, inf), complex(-inf, nan)], [complex(inf, -inf), complex(0.5, nan)]]
+    )
+    text = density_matrix_to_json(rho)
+    assert text == _density_json_oracle(rho)
+    assert "NaN" in text and "-Infinity" in text
+    flat = rho.reshape(-1)
+    assert state_vector_to_json(flat) == json.dumps(_pairs_oracle(flat))
+    assert state_vector_to_csv(flat) == _vector_csv_oracle(flat)
+    assert state_vector_to_csv(flat).splitlines()[1] == "0,nan,inf"
+    table = HusimiTable(_frame("Z1xZ2", None), np.array([nan, inf, -inf, nan]))
+    assert husimi_to_csv(table) == _husimi_csv_oracle(table)
+
+
+def test_writers_on_empty_and_one_row_inputs():
+    empty = np.zeros((0, 0))
+    assert density_matrix_to_json(empty) == _density_json_oracle(empty)
+    assert density_matrix_to_json(empty) == '{"dim": 0, "entries": []}'
+    assert state_vector_to_json(np.zeros(0)) == "[]"
+    assert state_vector_to_csv(np.zeros(0)) == "index,re,im\n"
+    table = HusimiTable(_frame("Z1", None), np.array([1.0]))
+    assert husimi_to_csv(table) == _husimi_csv_oracle(table) == "g,lambda,Q\n0,0,1.0\n"
 
 
 def test_entropy_report_json_keys(rng):
