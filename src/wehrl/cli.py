@@ -31,13 +31,7 @@ from .groups import (
 )
 from .io import density_matrix_to_json, entropy_report_to_json, husimi_to_csv, load_state_file
 from .minimize import MinimizerConfig, minimize, scan_fiducials
-from .states import (
-    DenseLimitError,
-    check_state_vector,
-    dense_limit,
-    pure_density,
-    random_state_vector,
-)
+from .states import check_state_vector, pure_density, random_state_vector, require_dense
 from .verify import run_checks
 
 __all__ = ["build_parser", "main"]
@@ -55,9 +49,7 @@ def _subgroup_from_args(group: FiniteAbelianGroup, text: str | None) -> Subgroup
 
 def _dense_order(group: FiniteAbelianGroup) -> int:
     """|G|, or DenseLimitError when a (|G|, |G|) density would exceed the dense-matrix limit."""
-    cap = dense_limit()
-    if group.order > cap:
-        raise DenseLimitError(f"|G| = {group.order} exceeds the dense-matrix limit {cap}")
+    require_dense("|G|", group.order)
     return group.order
 
 
@@ -77,7 +69,7 @@ def _resolve_state(frame: CoherentFrame, text: str | None):
         return "vector", random_state_vector(group.order, rng)
     kind, arr = load_state_file(text)
     if kind == "vector":
-        check_state_vector(arr, dim=group.order, tol=1e-8)
+        check_state_vector(arr, dim=group.order)
     else:
         _dense_order(group)
     # a density matrix is validated where it is used, by `husimi`

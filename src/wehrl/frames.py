@@ -37,13 +37,12 @@ from .groups import (
     PhaseSpacePoint,
     PhaseSpaceSubgroup,
     Subgroup,
-    character_table,
     coset_representatives,
     difference_index_table,
     maximal_compact,
     phase_space,
 )
-from .states import DenseLimitError, _blocks, check_state_vector, dense_limit
+from .states import DenseLimitError, _blocks, check_state_vector, require_dense
 from .weyl import _apply_points, _matrix_points, weyl_apply
 
 __all__ = [
@@ -124,10 +123,7 @@ class CoherentFrame:
                     f"|F| = {self.point_count} exceeds the state-matrix cap "
                     f"{STATE_MATRIX_CAP}"
                 )
-            # row g * |G| + chi is chi(h) * fiducial[h - g] over h
-            d = self.group.order
-            shifted = self.fiducial[difference_index_table(self.group)]
-            mat = (character_table(self.group)[None] * shifted[:, None]).reshape(d * d, d)
+            mat = _apply_points(self.group, np.arange(self.point_count), self.fiducial)
             mat.flags.writeable = False
             self._matrix = mat
         return self._matrix
@@ -187,16 +183,9 @@ def coset_ids(frame: CoherentFrame) -> np.ndarray:
     return frame.stabiliser._partition[1]
 
 
-def _require_dense_points(point_count: int) -> None:
-    """DenseLimitError unless an (|F|, |F|) matrix fits the dense-matrix limit."""
-    cap = dense_limit()
-    if point_count > cap:
-        raise DenseLimitError(f"|F| = {point_count} exceeds the dense-matrix limit {cap}")
-
-
 def overlap_matrix(frame: CoherentFrame) -> np.ndarray:
     """|<z|z'>| for all pairs of frame points; requires |F| <= dense limit."""
-    _require_dense_points(frame.point_count)
+    require_dense("|F|", frame.point_count)
     S = frame.state_matrix()
     return np.abs(S.conj() @ S.T)
 
@@ -244,14 +233,13 @@ def invariant_subspace_dim(K: PhaseSpaceSubgroup) -> int:
 
 
 def resolution_residual(frame: CoherentFrame) -> float:
-    """Max-norm distance of sum_z w |z><z| from the identity."""
+    """Max-norm distance of sum_z w |z><z| from the identity.
+
+    The frame states are gathered in blocks of rows sized by the block budget.
+    """
     d = frame.group.order
-    if frame.point_count <= STATE_MATRIX_CAP:
-        S = frame.state_matrix()
-        acc = S.T @ S.conj()
-    else:
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for g in range(d):  # the states |(g, chi)> of one translate, row chi
-            block = _apply_points(frame.group, g * d + np.arange(d), frame.fiducial)
-            acc += block.T @ block.conj()
+    acc = np.zeros((d, d), dtype=np.complex128)
+    for part in _blocks(frame.point_count, 16 * d):
+        block = _apply_points(frame.group, np.arange(part.start, part.stop), frame.fiducial)
+        acc += block.T @ block.conj()
     return float(np.abs(acc * frame.haar_weight - np.eye(d)).max())

@@ -5,8 +5,11 @@ Elements and characters are coordinate tuples reduced modulo the factor
 orders; the character with coordinates a evaluates on g as
 exp(2*pi*i * sum_j a_j g_j / n_j). Every such phase is a root of unity of
 order dividing L = lcm(n_j), so it is carried as an exact integer numerator
-m mod L (`_phase_weights`) and exponentiated once per (m, L) by
-`_unit_roots`; equal phases give bit-identical complex values.
+m mod L and exponentiated once per (m, L) by `_unit_roots`; equal phases
+give bit-identical complex values. `_pairing_numerators` is the one phase
+formula: character values (`Character.__call__`, `character_row`,
+`character_table`, `_character_rows`), annihilators (`_pairing_kernel`),
+the Weyl operators and the checks all read their numerators from it.
 `Character.phase` keeps an exact `fractions.Fraction` route as a test oracle.
 
 Elements and characters are numbered by mixed-radix indices, so index
@@ -201,9 +204,8 @@ class Character:
 
     def __call__(self, g: GroupElement) -> complex:
         _require_same_group(self.group, g.group)
-        L, weights = _phase_weights(self.group)
-        m = sum(a * h * w for a, h, w in zip(self.coords, g.coords, weights.tolist())) % L
-        return complex(_unit_roots(L)[m])
+        L, _ = _phase_weights(self.group)
+        return complex(_unit_roots(L)[_pairing_numerators(self.group, self.index, g.index)])
 
     def __mul__(self, other: "Character") -> "Character":
         _require_same_group(self.group, other.group)
@@ -523,14 +525,11 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
 def _pairing_kernel(group: FiniteAbelianGroup, indices) -> np.ndarray:
     """Mask over the indices x that pair to 1 with every element (or character) index given.
 
-    Exact integer arithmetic (`_phase_weights`): the pairing of x and c is
-    exp(2*pi*i * m / L) with m = sum_j x_j c_j (L / n_j) mod L. It is
-    symmetric, so the same kernel gives the characters that kill a set of
-    elements and the elements that a set of characters kills.
+    The pairing is symmetric (`_pairing_numerators`), so the same kernel
+    gives the characters that kill a set of elements and the elements that
+    a set of characters kills.
     """
-    L, weights = _phase_weights(group)
-    grid = _coords_grid(group.orders)  # (d, k)
-    return np.all(((grid * weights) @ grid[indices].T) % L == 0, axis=1)
+    return (_pairing_numerators(group, slice(None), indices) == 0).all(axis=1)
 
 
 def annihilator(subgroup: Subgroup) -> DualSubgroup:
@@ -726,14 +725,34 @@ def _sums_stay_inside(add, indices: np.ndarray, size: int) -> bool:
 def _phase_weights(group: FiniteAbelianGroup) -> tuple[int, np.ndarray]:
     """(L, weights) with L = lcm(n_j) and weights_j = L / n_j.
 
-    The one integer phase arithmetic of the library: the character with
-    coordinates a takes g to exp(2*pi*i * m / L), m = sum_j a_j g_j weights_j
-    mod L, and `_unit_roots(L)[m]` is that value.
+    The character with coordinates a takes g to exp(2*pi*i * m / L),
+    m = sum_j a_j g_j weights_j mod L (`_pairing_numerators`), and
+    `_unit_roots(L)[m]` is that value.
     """
     L = math.lcm(*group.orders)
     weights = np.array([L // n for n in group.orders], dtype=np.int64)
     weights.flags.writeable = False
     return L, weights
+
+
+def _pairing_numerators(group: FiniteAbelianGroup, a, b) -> np.ndarray:
+    """Integer phases m of the pairing of index a with index b: exp(2*pi*i * m / L).
+
+    The library's one phase formula, m = sum_j a_j b_j L / n_j mod L on the
+    coordinate digits of a and b. a and b are each an index, an index array
+    or a slice; two arrays (or slices) give the (len(a), len(b)) table, and
+    the pairing is symmetric. Row a of the table at column g is the
+    numerator of chi_a(g).
+    """
+    L, weights = _phase_weights(group)
+    grid = _coords_grid(group.orders)
+    return ((grid[a] * weights) @ grid[b].T) % L
+
+
+def _character_rows(group: FiniteAbelianGroup, chi) -> np.ndarray:
+    """(n, |G|) values chi_i(h) over all h for character indices chi_i, phases exact."""
+    L, _ = _phase_weights(group)
+    return _unit_roots(L)[_pairing_numerators(group, chi, slice(None))]
 
 
 @lru_cache(maxsize=None)
@@ -751,9 +770,7 @@ def character_row(
     group: FiniteAbelianGroup, coords: tuple[int, ...]
 ) -> np.ndarray:
     """Values of one character over all elements (lex order), phases exact."""
-    L, weights = _phase_weights(group)
-    m = (_coords_grid(group.orders) @ (np.array(coords, dtype=np.int64) * weights)) % L
-    row = _unit_roots(L)[m]
+    row = _character_rows(group, group.character(coords).index)
     row.flags.writeable = False
     return row
 
@@ -772,10 +789,7 @@ def character_table(group: FiniteAbelianGroup) -> np.ndarray:
         raise ValueError(
             f"character table for |G| = {group.order} too large; use character_row"
         )
-    L, weights = _phase_weights(group)
-    grid = _coords_grid(group.orders)
-    m = ((grid * weights) @ grid.T) % L
-    table = _unit_roots(L)[m]
+    table = _character_rows(group, slice(None))
     table.flags.writeable = False
     return table
 

@@ -10,6 +10,7 @@ __all__ = [
     "DenseLimitError",
     "DEFAULT_DENSE_LIMIT",
     "dense_limit",
+    "require_dense",
     "check_state_vector",
     "check_density_matrix",
     "random_state_vector",
@@ -24,7 +25,7 @@ DEFAULT_DENSE_LIMIT = 256
 # minimize's (rows, |G|, |G|), the coset and closure tables of `groups`, and,
 # through `_blocks`, verify_ccr's (pairs, |G|, probes) and the Weyl stacks
 _BLOCK_BYTES = 1 << 18
-# default tolerances of check_density_matrix
+# tolerances of check_density_matrix; eig_tol is its one settable one
 _HERM_TOL, _EIG_TOL, _TRACE_TOL = 1e-12, 1e-10, 1e-10
 
 
@@ -44,6 +45,16 @@ def dense_limit() -> int:
     if value < 1:
         raise ValueError(f"WEHRL_DENSE_LIMIT must be >= 1, got {value}")
     return value
+
+
+def require_dense(label: str, count: int, cap: int | None = None) -> None:
+    """DenseLimitError when count, a dense dimension named by label, exceeds the cap.
+
+    cap defaults to `dense_limit()`.
+    """
+    cap = dense_limit() if cap is None else cap
+    if count > cap:
+        raise DenseLimitError(f"{label} = {count} exceeds the dense-matrix limit {cap}")
 
 
 def check_state_vector(vec, dim: int | None = None, tol: float = 1e-12) -> np.ndarray:
@@ -67,14 +78,7 @@ def check_state_vector(vec, dim: int | None = None, tol: float = 1e-12) -> np.nd
     return arr
 
 
-def check_density_matrix(
-    rho,
-    dim: int | None = None,
-    *,
-    herm_tol: float = _HERM_TOL,
-    eig_tol: float = _EIG_TOL,
-    trace_tol: float = _TRACE_TOL,
-) -> np.ndarray:
+def check_density_matrix(rho, dim: int | None = None, *, eig_tol: float = _EIG_TOL) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and trace one, within tolerance.
 
     Takes one matrix (d, d) or a stack (..., d, d); every member of a stack
@@ -82,26 +86,19 @@ def check_density_matrix(
     A stack that one Cholesky factorisation proves PSD is accepted without an
     eigendecomposition; any other goes to `eigvalsh`, which decides.
     """
-    arr = _checked_hermitian_trace(rho, dim, herm_tol, trace_tol)
-    if not _cholesky_proves_psd(arr, eig_tol, trace_tol):
+    arr = _checked_hermitian_trace(rho, dim)
+    if not _cholesky_proves_psd(arr, eig_tol):
         _checked_min_eigenvalue(arr, eig_tol)
     return arr
 
 
-def _checked_eigvalsh(
-    rho,
-    dim: int | None = None,
-    *,
-    herm_tol: float = _HERM_TOL,
-    eig_tol: float = _EIG_TOL,
-    trace_tol: float = _TRACE_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def _checked_eigvalsh(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """`check_density_matrix`, also returning the ascending eigenvalues it tested."""
-    arr = _checked_hermitian_trace(rho, dim, herm_tol, trace_tol)
-    return arr, _checked_min_eigenvalue(arr, eig_tol)
+    arr = _checked_hermitian_trace(rho, dim)
+    return arr, _checked_min_eigenvalue(arr, _EIG_TOL)
 
 
-def _checked_hermitian_trace(rho, dim, herm_tol: float, trace_tol: float) -> np.ndarray:
+def _checked_hermitian_trace(rho, dim) -> np.ndarray:
     """The shape, finite, Hermitian and trace checks of `check_density_matrix`."""
     arr = np.asarray(rho, dtype=np.complex128)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
@@ -112,11 +109,11 @@ def _checked_hermitian_trace(rho, dim, herm_tol: float, trace_tol: float) -> np.
         )
     if not np.isfinite(arr).all():
         raise ValueError("density matrix has non-finite entries")
-    if np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max() > herm_tol:
+    if np.abs(arr - np.swapaxes(arr.conj(), -1, -2)).max() > _HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
     traces = np.trace(arr, axis1=-2, axis2=-1).reshape(-1)
     trace = complex(traces[np.argmax(np.abs(traces - 1.0))])
-    if abs(trace - 1.0) > trace_tol:
+    if abs(trace - 1.0) > _TRACE_TOL:
         raise ValueError(f"density matrix trace {trace!r} is not 1")
     return arr
 
@@ -132,21 +129,21 @@ def _checked_min_eigenvalue(arr: np.ndarray, eig_tol: float) -> np.ndarray:
     return eig
 
 
-def _cholesky_proves_psd(arr: np.ndarray, eig_tol: float, trace_tol: float) -> bool:
+def _cholesky_proves_psd(arr: np.ndarray, eig_tol: float) -> bool:
     """True if one Cholesky factorisation shows every smallest eigenvalue > -eig_tol.
 
     Cholesky completing on A = rho + (eig_tol / 2) I makes A + E PSD for a
     rounding error ||E|| <= d (d + 1) u ||A||, u = eps / 2 (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 10), so lambda_min(rho) >= -eig_tol / 2
     - d (d + 1) u ||A||. A member that passed the trace check with lambda_min
-    near -eig_tol has ||A|| <= 1 + trace_tol + d eig_tol. The gate runs only
+    near -eig_tol has ||A|| <= 1 + _TRACE_TOL + d eig_tol. The gate runs only
     where four times that bound fits in eig_tol / 2, the rest being left for
     eigvalsh's own rounding, so it accepts only what eigvalsh accepts; at the
     default tolerances that is d <= 335. Both read only the lower triangle.
     """
     d = arr.shape[-1]
     shift = eig_tol / 2
-    norm = 1.0 + trace_tol + d * eig_tol
+    norm = 1.0 + _TRACE_TOL + d * eig_tol
     if 2 * d * (d + 1) * np.finfo(np.float64).eps * norm >= shift:
         return False
     try:

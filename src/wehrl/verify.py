@@ -33,7 +33,6 @@ from .entropy import (
 from .frames import (
     CoherentFrame,
     _invariance_defect,
-    _require_dense_points,
     coset_ids,
     invariant_subspace_dim,
     overlap_matrix,
@@ -47,6 +46,7 @@ from .groups import (
     Subgroup,
     _coords_grid,
     _index_sum,
+    _pairing_numerators,
     _phase_weights,
     _unit_roots,
     _unseparated,
@@ -56,7 +56,7 @@ from .groups import (
     parse_group,
 )
 from .minimize import entropy_gradient
-from .states import _blocks, check_density_matrix, pure_density, random_state_vector
+from .states import _blocks, check_density_matrix, pure_density, random_state_vector, require_dense
 from .weyl import _apply_points, _matrix_points, cocycle_numerators, verify_ccr
 
 __all__ = [
@@ -173,18 +173,14 @@ def check_character_values(group: FiniteAbelianGroup) -> CheckResult:
     return _result("character-unit-modulus", worst, 1e-14)
 
 
-def _character_numerators(
-    group: FiniteAbelianGroup, chi: np.ndarray, coords: np.ndarray
-) -> np.ndarray:
-    """Integer phases m of chi_i(x_i) = exp(2*pi*i * m / L), for character indices chi."""
-    L, weights = _phase_weights(group)
-    return np.einsum("nk,nk->n", _coords_grid(group.orders)[chi] * weights, coords) % L
-
-
 def check_character_multiplicativity(
     group: FiniteAbelianGroup, rng: np.random.Generator
 ) -> CheckResult:
-    """chi(g + h) = chi(g) chi(h) on the integer numerators of each triple."""
+    """chi(g + h) = chi(g) chi(h) on the integer numerators of each triple.
+
+    All three are read from one (|G|, |G|) table of `_pairing_numerators`,
+    row chi at columns g + h (`_index_sum`), g and h.
+    """
     d = group.order
     if d <= 16:
         chi, g, h = np.indices((d, d, d)).reshape(3, -1)
@@ -192,13 +188,9 @@ def check_character_multiplicativity(
         chi, g, h = rng.integers(0, d, size=(1000, 3)).T
     L, _ = _phase_weights(group)
     roots = _unit_roots(L)
-    grid = _coords_grid(group.orders)
-    g_plus_h = (grid[g] + grid[h]) % np.array(group.orders, dtype=np.int64)
-    values = roots[_character_numerators(group, chi, g_plus_h)]
-    products = (
-        roots[_character_numerators(group, chi, grid[g])]
-        * roots[_character_numerators(group, chi, grid[h])]
-    )
+    m = _pairing_numerators(group, slice(None), slice(None))
+    values = roots[m[chi, _index_sum(group, g, h)]]
+    products = roots[m[chi, g]] * roots[m[chi, h]]
     worst = float(np.abs(values - products).max())
     return _result(
         "character-multiplicativity", worst, 1e-12, f"{len(chi)} triples"
@@ -619,7 +611,7 @@ def run_checks(
     Raises DenseLimitError before any check runs when |F| = |G|^2 exceeds the
     dense-matrix limit, which the overlap checks' `overlap_matrix` needs.
     """
-    _require_dense_points(group.order ** 2)
+    require_dense("|F|", group.order ** 2)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     results.append(check_group_laws(group, rng))

@@ -6,12 +6,15 @@ Dense matrices exist only as oracles behind a size cap. Cocycle phases are
 exact integer numerators mod L = lcm(n_j) (`cocycle_numerators`);
 `cocycle_phase` keeps an exact `Fraction` route as a test oracle.
 
-Two stacked cores take phase-space indices z = g_index * |G| + chi_index:
-`_apply_points` gathers f(h - g) through `_translation_index` (per-factor
-modular arithmetic on the coordinate grid), and `_matrix_points` scatters
-dense monomial matrices from `difference_index_table`. `weyl_apply` and
-`weyl_matrix` are their one-row cases. The check battery uses them as
-follows:
+Two stacked cores take phase-space indices z = g_index * |G| + chi_index,
+and both read their character values from `groups._character_rows`, on the
+one phase formula `groups._pairing_numerators`. `_apply_points` is the one
+gather of rows W(z) f: it reads f(h - g) through `_translation_index`
+(per-factor modular arithmetic on the coordinate grid). `_matrix_points`
+scatters dense monomial matrices from `difference_index_table`.
+`weyl_apply`, `CoherentFrame.state_matrix`, `resolution_residual` and the
+coset bases are gathers; `weyl_matrix` is the one-row scatter. The check
+battery uses them as follows:
 - weyl-dense-vs-apply: scattered matrices times f against the gather, so
   the two translation routes stay independent;
 - weyl-unitarity and the invariance defect behind vacuum uniqueness: the
@@ -32,13 +35,14 @@ import numpy as np
 from .groups import (
     FiniteAbelianGroup,
     PhaseSpacePoint,
+    _character_rows,
     _coords_grid,
+    _pairing_numerators,
     _phase_weights,
     _unit_roots,
-    character_row,
     difference_index_table,
 )
-from .states import DenseLimitError, _blocks, dense_limit
+from .states import _blocks, require_dense
 
 __all__ = [
     "cocycle_phase",
@@ -78,13 +82,6 @@ def cocycle_numerators(
     return m % L
 
 
-def _character_rows(group: FiniteAbelianGroup, chi: np.ndarray) -> np.ndarray:
-    """(n, |G|) values chi_i(h) over all h for character indices chi_i, phases exact."""
-    L, weights = _phase_weights(group)
-    grid = _coords_grid(group.orders)
-    return _unit_roots(L)[((grid[chi] * weights) @ grid.T) % L]
-
-
 def _translation_index(group: FiniteAbelianGroup, g: np.ndarray) -> np.ndarray:
     """(n, |G|) indices of h - g_i over all h, for coordinate rows g (n, k).
 
@@ -103,8 +100,7 @@ def _apply_points(group: FiniteAbelianGroup, z: np.ndarray, vecs) -> np.ndarray:
 
     vecs is one (|G|,) vector applied at every point, or an (n, |G|) stack.
     The translation f(h - g) is gathered through `_translation_index`; each
-    entry is one product of a character value and a gathered entry, as in
-    `weyl_apply`.
+    entry is one product of a character value and a gathered entry.
     """
     d = group.order
     z = np.asarray(z, dtype=np.int64).reshape(-1)
@@ -118,17 +114,16 @@ def _apply_points(group: FiniteAbelianGroup, z: np.ndarray, vecs) -> np.ndarray:
 
 
 def _matrix_points(
-    group: FiniteAbelianGroup, z: np.ndarray, limit: int | None = None
+    group: FiniteAbelianGroup, z: np.ndarray, cap: int | None = None
 ) -> np.ndarray:
     """(n, |G|, |G|) dense monomial matrices W(z_i) for phase-space indices z_i.
 
     Row h of W(z) holds chi(h) in the column of h - g, scattered from
-    `difference_index_table`. The dense limit is checked once per stack.
+    `difference_index_table`. The dense limit (cap, default `dense_limit()`)
+    is checked once per stack.
     """
     d = group.order
-    cap = dense_limit() if limit is None else limit
-    if d > cap:
-        raise DenseLimitError(f"|G| = {d} exceeds the dense-matrix limit {cap}")
+    require_dense("|G|", d, cap)
     z = np.asarray(z, dtype=np.int64).reshape(-1)
     mats = np.zeros((len(z), d, d), dtype=np.complex128)
     cols = difference_index_table(group)[z // d]
@@ -138,14 +133,11 @@ def _matrix_points(
 
 def weyl_apply(z: PhaseSpacePoint, vec) -> np.ndarray:
     """Apply W(z) in O(|G|): translate by g, then multiply character values."""
-    group = z.group
-    d = group.order
+    d = z.group.order
     vec = np.asarray(vec, dtype=np.complex128)
     if vec.shape != (d,):
         raise ValueError(f"state has shape {vec.shape}, expected ({d},)")
-    # the one-row case of _apply_points, with the cached character row
-    source = _translation_index(group, np.array([z.g.coords], dtype=np.int64))[0]
-    return character_row(group, z.chi.coords) * vec[source]
+    return _apply_points(z.group, z.index, vec)[0]
 
 
 def weyl_matrix(z: PhaseSpacePoint, limit: int | None = None) -> np.ndarray:
@@ -164,19 +156,14 @@ class CcrReport:
 
 
 def verify_ccr(
-    group: FiniteAbelianGroup,
-    *,
-    seed: int = 0,
-    tolerance: float = 1e-12,
-    exhaustive_limit: int = 256,
-    samples: int = 10_000,
+    group: FiniteAbelianGroup, *, seed: int = 0, samples: int = 10_000
 ) -> CcrReport:
-    """Check W(z) W(w) = omega(z, w) W(w) W(z) on random probe vectors.
+    """Check W(z) W(w) = omega(z, w) W(w) W(z) on random probe vectors, within 1e-12.
 
-    All |F|^2 pairs when |F| <= exhaustive_limit, otherwise `samples`
-    random pairs. Pairs are checked in blocks of numpy arrays, sized so
-    that each (pairs, |G|, probes) temporary stays near 256 KiB; no
-    |G|^2 table is built. Phases are integers mod L = lcm(n_j): the left
+    All |F|^2 pairs when |F| <= 256, otherwise `samples` random pairs.
+    Pairs are checked in blocks of numpy arrays, sized so that each
+    (pairs, |G|, probes) temporary stays near 256 KiB; no |G|^2 table is
+    built. Phases are integers mod L = lcm(n_j): the left
     side applies W(w) and then W(z) to the probes (translations as gathered
     indices, character values as `_unit_roots(L)[m]`); the right side
     applies them in the other order and multiplies by the closed-form
@@ -189,7 +176,8 @@ def verify_ccr(
     probes = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
     probes /= np.linalg.norm(probes, axis=0)
     total = d * d
-    if total <= exhaustive_limit:
+    tolerance = 1e-12
+    if total <= 256:
         drawn = None
         n_pairs = total * total
         mode = "exhaustive"
@@ -226,24 +214,26 @@ def _ccr_block_residual(
     overwrites.
     """
     d = group.order
-    L, weights = _phase_weights(group)
+    L, _ = _phase_weights(group)
     grid = _coords_grid(group.orders)
     roots = _unit_roots(L)
-    z_g, z_chi = grid[z // d], grid[z % d]
-    w_g, w_chi = grid[w // d], grid[w % d]
-    # chi(h) numerators over all h, and chi(h - g) = chi(h) - chi(g) mod L
-    z_row = (z_chi * weights) @ grid.T
-    w_row = (w_chi * weights) @ grid.T
-    z_at_wg = np.einsum("bk,bk->b", z_chi * weights, w_g)[:, None]
-    w_at_zg = np.einsum("bk,bk->b", w_chi * weights, z_g)[:, None]
+    (z_gi, z_ci), (w_gi, w_ci) = np.divmod(z, d), np.divmod(w, d)
+    z_g, z_chi, w_g, w_chi = grid[z_gi], grid[z_ci], grid[w_gi], grid[w_ci]
+    # chi(h) numerators over all h, and chi(h - g) = chi(h) - chi(g) mod L,
+    # with chi_z(g_w) read off z's row at column g_w
+    z_row = _pairing_numerators(group, z_ci, slice(None))
+    w_row = _pairing_numerators(group, w_ci, slice(None))
+    pairs = np.arange(len(z))
+    z_at_wg = z_row[pairs, w_gi][:, None]
+    w_at_zg = w_row[pairs, z_gi][:, None]
     shifted, left, right = buffers
     # f(h - g_z - g_w): the translation as a gathered index
     np.take(probes, _translation_index(group, z_g + w_g), axis=0, out=shifted)
     np.multiply(roots[(w_row - w_at_zg) % L][..., None], shifted, out=left)
-    np.multiply(roots[z_row % L][..., None], left, out=left)
+    np.multiply(roots[z_row][..., None], left, out=left)
     omega = roots[cocycle_numerators(group, z_g, z_chi, w_g, w_chi)]
     np.multiply(roots[(z_row - z_at_wg) % L][..., None], shifted, out=right)
-    np.multiply(roots[w_row % L][..., None], right, out=right)
+    np.multiply(roots[w_row][..., None], right, out=right)
     np.multiply(omega[:, None, None], right, out=right)
     np.subtract(left, right, out=left)
     return float(np.abs(left).max())

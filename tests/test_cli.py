@@ -329,6 +329,18 @@ def test_non_unit_state_file_rejected(capsys, tmp_path):
     assert "error" in err
 
 
+# a vector file is held to check_state_vector's default norm tolerance, 1e-12,
+# by the parser and by every command alike
+@pytest.mark.parametrize("command", ["entropy", "husimi", "channel"])
+def test_vector_file_off_unit_norm_is_rejected_by_every_command(capsys, tmp_path, command):
+    vec = np.array([1.0, 0.0, 0.0, 0.0]) * (1.0 + 5e-9)
+    path = tmp_path / "psi.json"
+    path.write_text(state_vector_to_json(vec))
+    code, out, err = run_cli(capsys, command, "--group", "Z4", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: state vector norm ") and "is not 1 within 1e-12" in err
+
+
 _HUGE = "1" + "0" * 400  # an integer no float holds
 
 

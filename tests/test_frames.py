@@ -214,11 +214,15 @@ def test_resolution_of_identity_vacuum():
         g = parse_group(spec)
         for H in all_subgroups(g):
             assert resolution_residual(CoherentFrame.vacuum(H)) < 1e-11
+    # |F| = 4096 at |G| = 64: the frame states are summed over 16 blocks of rows
+    for H in all_subgroups(parse_group("Z2xZ2xZ2xZ2xZ2xZ2"))[::100]:
+        assert resolution_residual(CoherentFrame.vacuum(H)) < 1e-11
 
 
 def test_resolution_of_identity_any_fiducial(rng):
-    # irreducibility makes the frame tight for every unit fiducial
-    for spec in ("Z4", "Z3xZ3"):
+    # irreducibility makes the frame tight for every unit fiducial; Z12xZ10
+    # (|F| = 14400) lies above the state-matrix cap
+    for spec in ("Z4", "Z3xZ3", "Z12xZ10"):
         g = parse_group(spec)
         for _ in range(5):
             frame = CoherentFrame(g, random_state_vector(g.order, rng))

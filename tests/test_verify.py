@@ -223,14 +223,16 @@ def test_group_laws_catch_a_sum_table_with_two_entries_swapped(monkeypatch):
 
 
 def test_character_multiplicativity_catches_a_numerator_off_by_one(monkeypatch):
-    exact = verify._character_numerators
+    exact = verify._pairing_numerators
 
-    def off_by_one(group, chi, coords):
-        m = exact(group, chi, coords).copy()
-        m[0] += 1
+    def off_by_one(group, a, b):
+        # chi_1(0) != 1; an off-by-one elsewhere in Z2's table is still a character
+        L, _ = _phase_weights(group)
+        m = exact(group, a, b).copy()
+        m[1, 0] = (m[1, 0] + 1) % L
         return m
 
-    monkeypatch.setattr(verify, "_character_numerators", off_by_one)
+    monkeypatch.setattr(verify, "_pairing_numerators", off_by_one)
     for spec in ("Z2", "Z3xZ3"):
         result = verify.check_character_multiplicativity(
             parse_group(spec), np.random.default_rng(0)
@@ -250,10 +252,7 @@ def test_object_routes_agree_with_the_index_arithmetic(group):
         for b in els:
             assert (a + b).index == sums[a.index, b.index]
             assert (a - b).index == sums[a.index, (-b).index]
-    chi_idx, g_idx = np.indices((d, d)).reshape(2, -1)
-    grid = np.array([g.coords for g in els])
-    m = verify._character_numerators(group, chi_idx, grid[g_idx])
-    values = _unit_roots(L)[m].reshape(d, d)
+    values = _unit_roots(L)[verify._pairing_numerators(group, slice(None), slice(None))]
     for chi in group.characters():
         assert [chi(g) for g in els] == values[chi.index].tolist()
 

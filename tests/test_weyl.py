@@ -337,7 +337,7 @@ def test_matrix_points_equals_pointwise_oracle_bitwise(spec):
 def test_matrix_points_checks_the_dense_limit_once_per_stack(monkeypatch):
     g = parse_group("Z8")
     with pytest.raises(DenseLimitError, match=r"^\|G\| = 8 exceeds the dense-matrix limit 4$"):
-        weyl._matrix_points(g, np.arange(3), limit=4)
+        weyl._matrix_points(g, np.arange(3), cap=4)
     monkeypatch.setenv("WEHRL_DENSE_LIMIT", "4")
     with pytest.raises(DenseLimitError):
         weyl._matrix_points(g, np.arange(0))
