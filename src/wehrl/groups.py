@@ -6,10 +6,13 @@ orders; the character with coordinates a evaluates on g as
 exp(2*pi*i * sum_j a_j g_j / n_j). Every such phase is a root of unity of
 order dividing L = lcm(n_j), so it is carried as an exact integer numerator
 m mod L and exponentiated once per (m, L) by `_unit_roots`; equal phases
-give bit-identical complex values. `_pairing_numerators` is the one phase
-formula: character values (`Character.__call__`, `character_row`,
-`character_table`, `_character_rows`), annihilators (`_pairing_kernel`),
-the Weyl operators and the checks all read their numerators from it.
+give bit-identical complex values. `_pairing_numerators` is the one
+character-phase formula: character values (`Character.__call__`,
+`character_row`, `character_table`, `_character_rows`), annihilators
+(`_pairing_kernel`), the Weyl operators' character rows and the
+multiplicativity check all read their numerators from it. The closed-form
+cocycle (`weyl.cocycle_numerators`) stays apart, as the independent side of
+the CCR check.
 `Character.phase` keeps an exact `fractions.Fraction` route as a test oracle.
 
 Elements and characters are numbered by mixed-radix indices, so index
