@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: group-info, verify, entropy, husimi, channel, minimize, scan.
-Reports go to stdout (JSON by default, CSV where tabular); diagnostics go
-to stderr. Exit codes: 0 success, 1 verification failure, 2 input error.
-Identical invocations (including --seed) produce byte-identical output.
+Each takes --group and only the options it reads (`_READS`); any other
+option is an argparse error. One size guard runs for every subcommand,
+before any subgroup, frame or state is built: |G| above the dense-matrix
+limit is an input error. Reports go to stdout (JSON by default, CSV where
+tabular); diagnostics go to stderr. Exit codes: 0 success, 1 verification
+failure, 2 input error. Identical invocations (including --seed) produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -47,20 +51,11 @@ def _subgroup_from_args(group: FiniteAbelianGroup, text: str | None) -> Subgroup
     return subgroup_closure(group, parse_generators(group, text))
 
 
-def _dense_order(group: FiniteAbelianGroup) -> int:
-    """|G|, or DenseLimitError when a (|G|, |G|) density would exceed the dense-matrix limit."""
-    require_dense("|G|", group.order)
-    return group.order
-
-
-def _resolve_state(frame: CoherentFrame, text: str | None):
+def _resolve_state(frame: CoherentFrame, text: str):
     """Parse a --state value into ("vector" | "density", array)."""
-    if text is None:
-        raise ValueError("--state is required for this subcommand")
     group = frame.group
     if text == "maximally_mixed":
-        d = _dense_order(group)
-        return "density", np.eye(d, dtype=np.complex128) / d
+        return "density", np.eye(group.order, dtype=np.complex128) / group.order
     if text.startswith("coherent:"):
         z = parse_point(group, text[len("coherent:"):])
         return "vector", frame.state(z)
@@ -70,20 +65,16 @@ def _resolve_state(frame: CoherentFrame, text: str | None):
     kind, arr = load_state_file(text)
     if kind == "vector":
         check_state_vector(arr, dim=group.order)
-    else:
-        _dense_order(group)
-    # a density matrix is validated where it is used, by `husimi`
+    # a density matrix is validated where it is used, by the command's numerics
     return kind, arr
 
 
-def _state_density(frame: CoherentFrame, text: str | None) -> np.ndarray:
-    _dense_order(frame.group)
+def _state_density(frame: CoherentFrame, text: str) -> np.ndarray:
     kind, arr = _resolve_state(frame, text)
     return pure_density(arr) if kind == "vector" else arr
 
 
-def cmd_group_info(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
+def cmd_group_info(args: argparse.Namespace, group: FiniteAbelianGroup) -> int:
     subs = all_subgroups(group)
     rows = [
         {
@@ -114,8 +105,7 @@ def cmd_group_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
+def cmd_verify(args: argparse.Namespace, group: FiniteAbelianGroup) -> int:
     subgroup = _subgroup_from_args(group, args.subgroup)
     results = run_checks(group, subgroup, seed=args.seed)
     width = max(len(r.name) for r in results)
@@ -130,8 +120,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def cmd_entropy(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
+def cmd_entropy(args: argparse.Namespace, group: FiniteAbelianGroup) -> int:
     frame = CoherentFrame.vacuum(_subgroup_from_args(group, args.subgroup))
     rho = _state_density(frame, args.state)
     report = entropy_report(frame, rho, log_base=args.log_base)
@@ -146,8 +135,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_husimi(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
+def cmd_husimi(args: argparse.Namespace, group: FiniteAbelianGroup) -> int:
     frame = CoherentFrame.vacuum(_subgroup_from_args(group, args.subgroup))
     kind, arr = _resolve_state(frame, args.state)
     table = husimi_fast(frame, arr) if kind == "vector" else husimi(frame, arr)
@@ -155,16 +143,14 @@ def cmd_husimi(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_channel(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
+def cmd_channel(args: argparse.Namespace, group: FiniteAbelianGroup) -> int:
     frame = CoherentFrame.vacuum(_subgroup_from_args(group, args.subgroup))
     rho = _state_density(frame, args.state)
     print(density_matrix_to_json(measurement_channel(frame, rho)))
     return 0
 
 
-def cmd_minimize(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
+def cmd_minimize(args: argparse.Namespace, group: FiniteAbelianGroup) -> int:
     subgroup = _subgroup_from_args(group, args.subgroup)
     config = MinimizerConfig(seed=args.seed)
     result = minimize(CoherentFrame.vacuum(subgroup), config)
@@ -199,8 +185,7 @@ def _trace_restarts(result) -> None:
         print(json.dumps(line, sort_keys=True), file=sys.stderr)
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
+def cmd_scan(args: argparse.Namespace, group: FiniteAbelianGroup) -> int:
     subgroup = _subgroup_from_args(group, args.subgroup)
     report = scan_fiducials(group, subgroup, config=MinimizerConfig(seed=args.seed))
     print(json.dumps(report, sort_keys=True))
@@ -218,6 +203,30 @@ _COMMANDS = {
 }
 
 
+# every option besides --group, and the options each subcommand reads: a
+# subcommand accepts exactly --group and its own entries
+_OPTIONS = {
+    "--subgroup": {"help": "generator list, e.g. '2' or '1,0;0,1'; default: the whole group"},
+    "--state": {
+        "required": True,
+        "help": "maximally_mixed | coherent:<g;lambda> | random:<seed> | file path",
+    },
+    "--log-base": {"choices": ("e", "2"), "default": "e"},
+    "--output": {"choices": ("json", "csv"), "default": "json"},
+    "--seed": {"type": int, "default": 0},
+    "--trace": {"action": "store_true", "help": "write one JSON line per restart to stderr"},
+}
+_READS = {
+    "group-info": ("--output",),
+    "verify": ("--subgroup", "--seed"),
+    "entropy": ("--subgroup", "--state", "--log-base", "--output"),
+    "husimi": ("--subgroup", "--state"),
+    "channel": ("--subgroup", "--state"),
+    "minimize": ("--subgroup", "--seed", "--trace"),
+    "scan": ("--subgroup", "--seed"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wehrl",
@@ -225,26 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
         "over finite abelian groups.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (func, help_text) in _COMMANDS.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--group", required=True, help="group spec, e.g. Z4 or Z2xZ2")
-        p.add_argument(
-            "--subgroup",
-            default=None,
-            help="generator list, e.g. '2' or '1,0;0,1'; default: the whole group",
-        )
-        p.add_argument(
-            "--state",
-            default=None,
-            help="maximally_mixed | coherent:<g;lambda> | random:<seed> | file path",
-        )
-        p.add_argument("--log-base", dest="log_base", choices=("e", "2"), default="e")
-        p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        if name == "minimize":
-            p.add_argument("--trace", action="store_true",
-                           help="write one JSON line per restart to stderr")
-        p.set_defaults(func=func)
+        for option in _READS[name]:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -268,8 +262,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: argument --{name.replace('_', '-')}: expected one argument",
                   file=sys.stderr)
             return 2
+    func, _ = _COMMANDS[args.subcommand]
     try:
-        return args.func(args)
+        group = parse_group(args.group)
+        # the one size guard of every subcommand, before any subgroup, frame
+        # or state is built
+        require_dense("|G|", group.order)
+        return func(args, group)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -127,10 +127,10 @@ def density_matrix_from_json(text: str) -> np.ndarray:
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise ValueError("density matrix JSON must have 'dim' and 'entries'")
     flat = _from_pairs(data["entries"])
-    try:
-        d = int(data["dim"])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError("density matrix 'dim' must be an integer") from None
+    d = data["dim"]
+    # a JSON integer only: json gives bool for true/false, an int subclass
+    if type(d) is not int or d < 1:
+        raise ValueError("density matrix 'dim' must be an integer >= 1")
     if flat.size != d * d:
         raise ValueError(f"expected {d * d} entries, got {flat.size}")
     return flat.reshape(d, d)

@@ -27,6 +27,8 @@ DEFAULT_DENSE_LIMIT = 256
 _BLOCK_BYTES = 1 << 18
 # tolerances of check_density_matrix; eig_tol is its one settable one
 _HERM_TOL, _EIG_TOL, _TRACE_TOL = 1e-12, 1e-10, 1e-10
+# tolerance of check_state_vector on each norm
+_NORM_TOL = 1e-12
 
 
 class DenseLimitError(ValueError):
@@ -47,17 +49,14 @@ def dense_limit() -> int:
     return value
 
 
-def require_dense(label: str, count: int, cap: int | None = None) -> None:
-    """DenseLimitError when count, a dense dimension named by label, exceeds the cap.
-
-    cap defaults to `dense_limit()`.
-    """
-    cap = dense_limit() if cap is None else cap
+def require_dense(label: str, count: int) -> None:
+    """DenseLimitError when count, a dense dimension named by label, exceeds `dense_limit()`."""
+    cap = dense_limit()
     if count > cap:
         raise DenseLimitError(f"{label} = {count} exceeds the dense-matrix limit {cap}")
 
 
-def check_state_vector(vec, dim: int | None = None, tol: float = 1e-12) -> np.ndarray:
+def check_state_vector(vec, dim: int | None = None) -> np.ndarray:
     """Validate unit vectors and return them as complex128.
 
     Takes one vector (d,) or a stack (..., d); every member of a stack must
@@ -73,8 +72,8 @@ def check_state_vector(vec, dim: int | None = None, tol: float = 1e-12) -> np.nd
         raise ValueError("state vector has non-finite entries")
     norms = np.linalg.norm(arr, axis=-1).reshape(-1)
     norm = float(norms[np.argmax(np.abs(norms - 1.0))])
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state vector norm {norm!r} is not 1 within {tol}")
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(f"state vector norm {norm!r} is not 1 within {_NORM_TOL}")
     return arr
 
 

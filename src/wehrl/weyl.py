@@ -113,17 +113,14 @@ def _apply_points(group: FiniteAbelianGroup, z: np.ndarray, vecs) -> np.ndarray:
     return _character_rows(group, z % d) * shifted
 
 
-def _matrix_points(
-    group: FiniteAbelianGroup, z: np.ndarray, cap: int | None = None
-) -> np.ndarray:
+def _matrix_points(group: FiniteAbelianGroup, z: np.ndarray) -> np.ndarray:
     """(n, |G|, |G|) dense monomial matrices W(z_i) for phase-space indices z_i.
 
     Row h of W(z) holds chi(h) in the column of h - g, scattered from
-    `difference_index_table`. The dense limit (cap, default `dense_limit()`)
-    is checked once per stack.
+    `difference_index_table`. The dense limit is checked once per stack.
     """
     d = group.order
-    require_dense("|G|", d, cap)
+    require_dense("|G|", d)
     z = np.asarray(z, dtype=np.int64).reshape(-1)
     mats = np.zeros((len(z), d, d), dtype=np.complex128)
     cols = difference_index_table(group)[z // d]
@@ -140,9 +137,9 @@ def weyl_apply(z: PhaseSpacePoint, vec) -> np.ndarray:
     return _apply_points(z.group, z.index, vec)[0]
 
 
-def weyl_matrix(z: PhaseSpacePoint, limit: int | None = None) -> np.ndarray:
+def weyl_matrix(z: PhaseSpacePoint) -> np.ndarray:
     """Dense monomial matrix of W(z); oracle path, capped at the dense limit."""
-    return _matrix_points(z.group, z.index, limit)[0]
+    return _matrix_points(z.group, z.index)[0]
 
 
 @dataclass(frozen=True)

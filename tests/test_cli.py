@@ -206,9 +206,59 @@ def test_minimize_trace_lines_and_unchanged_stdout(capsys, argv):
     assert sum(line["iterations"] for line in lines) == json.loads(out)["iterations"]
 
 
-def test_trace_is_a_minimize_option(capsys):
-    code, _, err = run_cli(capsys, "verify", "--group", "Z2", "--trace")
-    assert code == 2 and "--trace" in err
+# ---------------------------------------------------------------------------
+# options and the size guard
+
+# the options each subcommand reads besides --group, written out here rather
+# than read from the parser; each is the namespace attribute it sets
+READS = {
+    "group-info": {"output"},
+    "verify": {"subgroup", "seed"},
+    "entropy": {"subgroup", "state", "log_base", "output"},
+    "husimi": {"subgroup", "state"},
+    "channel": {"subgroup", "state"},
+    "minimize": {"subgroup", "seed", "trace"},
+    "scan": {"subgroup", "seed"},
+}
+OPTION_ARGS = {
+    "subgroup": ("--subgroup", "1"),
+    "state": ("--state", "random:1"),
+    "log_base": ("--log-base", "2"),
+    "output": ("--output", "json"),
+    "seed": ("--seed", "3"),
+    "trace": ("--trace",),
+}
+
+
+def _required(command):
+    return ["--state", "random:1"] if "state" in READS[command] else []
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_namespace_holds_exactly_the_options_a_subcommand_reads(command):
+    args = build_parser().parse_args([command, "--group", "Z2", *_required(command)])
+    assert set(vars(args)) == {"subcommand", "group"} | READS[command]
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in sorted(READS) for option in OPTION_ARGS
+    if option not in READS[command]
+])
+def test_undeclared_option_exits_2_and_names_it(capsys, command, option):
+    flag = OPTION_ARGS[option]
+    code, out, err = run_cli(capsys, command, "--group", "Z2", *_required(command), *flag)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: " + " ".join(flag) in err
+
+
+# unguarded, Z1000000 runs for minutes in the closure table of Subgroup.whole,
+# or raises MemoryError in group-info's lattice; the guard refuses it first
+@pytest.mark.parametrize("command", sorted(READS))
+def test_order_above_the_dense_limit_is_refused_by_every_subcommand(capsys, monkeypatch, command):
+    monkeypatch.delenv("WEHRL_DENSE_LIMIT", raising=False)
+    code, out, err = run_cli(capsys, command, "--group", "Z1000000", *_required(command))
+    assert (code, out) == (2, "")
+    assert err == "error: |G| = 1000000 exceeds the dense-matrix limit 256\n"
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +359,9 @@ FUZZ_STATES = st.one_of(
     state=FUZZ_STATES,
 )
 def test_fuzzed_inputs_exit_0_or_2(capsys, command, group, subgroup, state):
-    argv = [command, "--group", group, f"--state={state}"]
+    argv = [command, "--group", group]
+    if "state" in READS[command]:
+        argv.append(f"--state={state}")
     if subgroup is not None:
         argv.append(f"--subgroup={subgroup}")
     code = main(argv)
@@ -329,7 +381,7 @@ def test_non_unit_state_file_rejected(capsys, tmp_path):
     assert "error" in err
 
 
-# a vector file is held to check_state_vector's default norm tolerance, 1e-12,
+# a vector file is held to check_state_vector's norm tolerance, 1e-12,
 # by the parser and by every command alike
 @pytest.mark.parametrize("command", ["entropy", "husimi", "channel"])
 def test_vector_file_off_unit_norm_is_rejected_by_every_command(capsys, tmp_path, command):
@@ -373,8 +425,11 @@ def test_malformed_state_file_exits_2(capsys, tmp_path, content):
         ("index,re,im\n0,1.0,0.0\n0,0.0,0.0\n", "row 3: index 0 repeated"),
         ("index,re,im\n0,1.0,0.0\n1,0.0,0.0,7\n", "row 3 has 4 fields"),
         ('{"dim": 1e400, "entries": [[1, 0]]}', "'dim' must be an integer"),
+        ('{"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "'dim' must be an integer >= 1"),
+        ('{"dim": -2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "'dim' must be an integer >= 1"),
     ],
-    ids=["trailing-blank-line", "two-fields", "repeated-index", "four-fields", "huge-dim"],
+    ids=["trailing-blank-line", "two-fields", "repeated-index", "four-fields", "huge-dim",
+         "fractional-dim", "negative-dim"],
 )
 def test_malformed_state_csv_or_dim_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.txt"

@@ -78,6 +78,15 @@ def test_load_state_file(tmp_path, rng):
     assert np.array_equal(arr, vec)
 
 
+# 'dim' is a JSON integer >= 1: no float, string, bool or non-positive
+# value is read as a dimension
+@pytest.mark.parametrize("dim", ["2.5", '"2"', "true", "-2", "0"])
+def test_density_dim_must_be_a_positive_json_integer(dim):
+    text = f'{{"dim": {dim}, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}}'
+    with pytest.raises(ValueError, match=r"^density matrix 'dim' must be an integer >= 1$"):
+        density_matrix_from_json(text)
+
+
 def test_malformed_inputs_raise():
     with pytest.raises(ValueError):
         state_vector_from_csv("wrong,header\n0,1,2\n")

@@ -336,9 +336,9 @@ def test_matrix_points_equals_pointwise_oracle_bitwise(spec):
 
 def test_matrix_points_checks_the_dense_limit_once_per_stack(monkeypatch):
     g = parse_group("Z8")
-    with pytest.raises(DenseLimitError, match=r"^\|G\| = 8 exceeds the dense-matrix limit 4$"):
-        weyl._matrix_points(g, np.arange(3), cap=4)
     monkeypatch.setenv("WEHRL_DENSE_LIMIT", "4")
+    with pytest.raises(DenseLimitError, match=r"^\|G\| = 8 exceeds the dense-matrix limit 4$"):
+        weyl._matrix_points(g, np.arange(3))
     with pytest.raises(DenseLimitError):
         weyl._matrix_points(g, np.arange(0))
 
@@ -353,12 +353,14 @@ def test_weyl_apply_keeps_its_shape_error():
 # dense limit
 
 
-def test_weyl_matrix_dense_limit():
+def test_weyl_matrix_dense_limit(monkeypatch):
     g = parse_group("Z8")
     z = parse_point(g, "1;1")
+    monkeypatch.setenv("WEHRL_DENSE_LIMIT", "4")
     with pytest.raises(DenseLimitError):
-        weyl_matrix(z, limit=4)
-    assert weyl_matrix(z, limit=8).shape == (8, 8)
+        weyl_matrix(z)
+    monkeypatch.setenv("WEHRL_DENSE_LIMIT", "8")
+    assert weyl_matrix(z).shape == (8, 8)
 
 
 def test_dense_limit_env_override(monkeypatch):
