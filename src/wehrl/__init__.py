@@ -30,12 +30,11 @@ from .weyl import (
     weyl_apply,
     weyl_matrix,
 )
+from .limits import DenseLimitError, dense_limit
 from .states import (
-    DenseLimitError,
     basis_state,
     check_density_matrix,
     check_state_vector,
-    dense_limit,
     maximally_mixed,
     pure_density,
     random_density_matrix,

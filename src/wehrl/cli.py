@@ -2,9 +2,9 @@
 
 Subcommands: group-info, verify, entropy, husimi, channel, minimize, scan.
 Each takes --group and only the options it reads (`_READS`); any other
-option is an argparse error. One size guard runs for every subcommand,
-before any subgroup, frame or state is built: |G| above the dense-matrix
-limit is an input error. Reports go to stdout (JSON by default, CSV where
+option, and any abbreviation of an option, is an argparse error. One size
+guard runs for every subcommand, before any subgroup, frame or state is
+built: |G| above the dense-matrix limit is an input error. Reports go to stdout (JSON by default, CSV where
 tabular); diagnostics go to stderr. Exit codes: 0 success, 1 verification
 failure, 2 input error. Identical invocations (including --seed) produce
 byte-identical output.
@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import limits
 from .entropy import entropy_report, husimi, husimi_fast, measurement_channel
 from .frames import CoherentFrame
 from .groups import (
@@ -35,7 +36,7 @@ from .groups import (
 )
 from .io import density_matrix_to_json, entropy_report_to_json, husimi_to_csv, load_state_file
 from .minimize import MinimizerConfig, minimize, scan_fiducials
-from .states import check_state_vector, pure_density, random_state_vector, require_dense
+from .states import check_state_vector, pure_density, random_state_vector
 from .verify import run_checks
 
 __all__ = ["build_parser", "main"]
@@ -232,10 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wehrl",
         description="Weyl systems, coherent-state frames, and Wehrl entropy "
         "over finite abelian groups.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--group", required=True, help="group spec, e.g. Z4 or Z2xZ2")
         for option in _READS[name]:
             p.add_argument(option, **_OPTIONS[option])
@@ -267,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         group = parse_group(args.group)
         # the one size guard of every subcommand, before any subgroup, frame
         # or state is built
-        require_dense("|G|", group.order)
+        limits.require_dense("|G|", group.order)
         return func(args, group)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import limits
 from .frames import CoherentFrame, coset_basis, coset_ids
 from .groups import (
-    CHARACTER_TABLE_CAP,
     FiniteAbelianGroup,
     _index_sum,
     character_table,
@@ -53,10 +53,6 @@ __all__ = [
 
 # below this, Q log Q is taken as 0
 ZERO_LOG_THRESHOLD = 1e-15
-# group_dft multiplies by the character table when |G| is at most this many
-# times the number of cyclic factors (and the table is within its cap):
-# fftn's cost grows with the number of axes, the GEMM's with |G|^2
-_GEMM_ORDER_PER_FACTOR = 32
 
 
 def _scalar(x):
@@ -152,15 +148,17 @@ def group_dft(group: FiniteAbelianGroup, x, inverse: bool = False) -> np.ndarray
     shifted diagonals of rho with the frame's ambiguity table.
 
     The kernel is chosen from the factor orders: a GEMM with the exact-phase
-    character table when |G| <= 32 k for k cyclic factors (and the table is
-    within its cap), otherwise fftn over the factor axes. fftn pays per
-    axis, so it loses on many short factors (about 30x slower on Z2^6) and
-    wins on long cyclic ones (about 8x faster on Z256). The GEMM takes all
+    character table when |G| is at most `limits.GEMM_ORDER_PER_FACTOR` (32)
+    times the number of cyclic factors and the table is within its cap,
+    otherwise fftn over the factor axes. fftn pays per axis, so it loses on
+    many short factors (about 30x slower on Z2^6) and wins on long cyclic
+    ones (about 8x faster on Z256). The GEMM takes all
     leading axes as rows of one (n |G|, |G|) product, not n small ones.
     """
     x = np.asarray(x)
     orders = group.orders
-    if group.order <= min(_GEMM_ORDER_PER_FACTOR * len(orders), CHARACTER_TABLE_CAP):
+    gemm_order = limits.GEMM_ORDER_PER_FACTOR * len(orders)
+    if group.order <= min(gemm_order, limits.CHARACTER_TABLE_CAP):
         rows = x.reshape(-1, group.order)
         return (rows @ _dft_matrix(group, inverse)).reshape(x.shape)
     lead = x.shape[:-1]

@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import limits
 from .groups import (
     FiniteAbelianGroup,
     PhaseSpacePoint,
@@ -42,11 +43,10 @@ from .groups import (
     maximal_compact,
     phase_space,
 )
-from .states import DenseLimitError, _blocks, check_state_vector, require_dense
+from .states import check_state_vector
 from .weyl import _apply_points, _matrix_points, weyl_apply
 
 __all__ = [
-    "STATE_MATRIX_CAP",
     "STABILISER_TOL",
     "vacuum_vector",
     "CoherentFrame",
@@ -58,8 +58,6 @@ __all__ = [
     "resolution_residual",
 ]
 
-# |F| above this is never materialised as a (|F|, |G|) state matrix
-STATE_MATRIX_CAP = 4096
 # z stabilises the fiducial when |<phi|W(z) phi>| >= (1 - STABILISER_TOL) <phi|phi>.
 # 1 - |<phi|W(z) phi>| is quadratic in phi's distance from a stabilised
 # vector, so this admits vectors within about 1e-6 of one; on exactly
@@ -116,13 +114,14 @@ class CoherentFrame:
         return weyl_apply(z, self.fiducial)
 
     def state_matrix(self) -> np.ndarray:
-        """(|F|, |G|) array; row z.index is the state |z>. Cached."""
+        """(|F|, |G|) array; row z.index is the state |z>. Cached.
+
+        DenseLimitError when |F| exceeds `limits.STATE_MATRIX_CAP`.
+        """
         if self._matrix is None:
-            if self.point_count > STATE_MATRIX_CAP:
-                raise DenseLimitError(
-                    f"|F| = {self.point_count} exceeds the state-matrix cap "
-                    f"{STATE_MATRIX_CAP}"
-                )
+            limits.require_within(
+                "|F|", self.point_count, limits.STATE_MATRIX_CAP, "state-matrix cap"
+            )
             mat = _apply_points(self.group, np.arange(self.point_count), self.fiducial)
             mat.flags.writeable = False
             self._matrix = mat
@@ -185,7 +184,7 @@ def coset_ids(frame: CoherentFrame) -> np.ndarray:
 
 def overlap_matrix(frame: CoherentFrame) -> np.ndarray:
     """|<z|z'>| for all pairs of frame points; requires |F| <= dense limit."""
-    require_dense("|F|", frame.point_count)
+    limits.require_dense("|F|", frame.point_count)
     S = frame.state_matrix()
     return np.abs(S.conj() @ S.T)
 
@@ -216,7 +215,7 @@ def _invariance_defect(K: PhaseSpaceSubgroup) -> np.ndarray:
     acc = np.zeros((d, d), dtype=np.complex128)
     eye = np.eye(d)
     u = K.indices
-    for part in _blocks(len(u), 16 * d * d):
+    for part in limits.blocks(len(u), 16 * d * d):
         for W in _matrix_points(K.group, u[part]):
             acc += eye - W
     return acc
@@ -235,11 +234,12 @@ def invariant_subspace_dim(K: PhaseSpaceSubgroup) -> int:
 def resolution_residual(frame: CoherentFrame) -> float:
     """Max-norm distance of sum_z w |z><z| from the identity.
 
-    The frame states are gathered in blocks of rows sized by the block budget.
+    The frame states are gathered in blocks of rows sized by the block
+    budget (`limits.blocks`).
     """
     d = frame.group.order
     acc = np.zeros((d, d), dtype=np.complex128)
-    for part in _blocks(frame.point_count, 16 * d):
+    for part in limits.blocks(frame.point_count, 16 * d):
         block = _apply_points(frame.group, np.arange(part.start, part.stop), frame.fiducial)
         acc += block.T @ block.conj()
     return float(np.abs(acc * frame.haar_weight - np.eye(d)).max())

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .states import _BLOCK_BYTES, DenseLimitError, _blocks
+from . import limits
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -66,8 +66,6 @@ __all__ = [
     "parse_point",
     "format_coords",
     "character_row",
-    "CHARACTER_TABLE_CAP",
-    "SUBGROUP_CAP",
     "character_table",
     "difference_index_table",
 ]
@@ -466,7 +464,7 @@ def _closures(group: FiniteAbelianGroup, H: np.ndarray, multiples: np.ndarray) -
     through `_index_sum`, in blocks of rows sized by the block budget.
     """
     masks = np.zeros((len(multiples), group.order), dtype=bool)
-    for part in _blocks(len(multiples), 8 * multiples.shape[1] * len(H)):
+    for part in limits.blocks(len(multiples), 8 * multiples.shape[1] * len(H)):
         sums = _index_sum(group, multiples[part, :, None], H)
         masks[np.arange(part.start, part.stop)[:, None], sums.reshape(len(sums), -1)] = True
     return masks
@@ -502,7 +500,8 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     from it is closed with every element outside it, in ascending order, by
     one `_closures` call, and the masks are deduplicated on their bytes.
     Each subgroup keeps the generators of the path that first reached it.
-    DenseLimitError as soon as more than SUBGROUP_CAP subgroups are found.
+    DenseLimitError as soon as more than `limits.SUBGROUP_CAP` subgroups are
+    found.
     """
     multiples = _multiples(group, np.arange(group.order))
     trivial = np.zeros(group.order, dtype=bool)
@@ -517,9 +516,9 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
             if key not in found:
                 found[key] = (np.flatnonzero(mask), gens + (xi,), mask)
                 frontier.append(found[key])
-        if len(found) > SUBGROUP_CAP:
-            raise DenseLimitError(
-                f"{group} has more than {SUBGROUP_CAP} subgroups (the subgroup-lattice cap)"
+        if len(found) > limits.SUBGROUP_CAP:
+            raise limits.DenseLimitError(
+                f"{group} has more than {limits.SUBGROUP_CAP} subgroups (the subgroup-lattice cap)"
             )
     ordered = sorted(found.values(), key=lambda entry: (len(entry[0]), entry[0].tolist()))
     return tuple(Subgroup(group, H, gens) for H, gens, _ in ordered)
@@ -563,9 +562,10 @@ def maximal_compact(subgroup: Subgroup) -> PhaseSpaceSubgroup:
     """K = H x A(H) inside F; always |K| = |G|.
 
     Its indices h * |G| + chi come out sorted, since both factors are.
-    For |G| <= 64 the separation property behind maximality is checked
-    exhaustively: every g outside H is detected by some character of A(H),
-    i.e. no element outside H is in the kernel of all of A(H).
+    For |G| up to `limits.SEPARATION_CHECK_ORDER` the separation property
+    behind maximality is checked exhaustively: every g outside H is detected
+    by some character of A(H), i.e. no element outside H is in the kernel of
+    all of A(H).
     """
     group = subgroup.group
     ann = annihilator(subgroup)
@@ -573,7 +573,7 @@ def maximal_compact(subgroup: Subgroup) -> PhaseSpaceSubgroup:
     K = PhaseSpaceSubgroup(group, points, subgroup=subgroup, dual_part=ann)
     if K.order != group.order:
         raise RuntimeError("maximal compact subgroup must have order |G|")
-    if group.order <= 64:
+    if group.order <= limits.SEPARATION_CHECK_ORDER:
         unseparated = _unseparated(subgroup, ann)
         if unseparated.any():
             g = group.element_by_index(int(np.argmax(unseparated)))
@@ -605,10 +605,9 @@ def _coset_partition(K: PhaseSpaceSubgroup) -> tuple[np.ndarray, np.ndarray]:
     every = np.arange(d)[:, None]
     g_sum = _index_sum(group, every, K.indices // d)  # (d, |K|)
     chi_sum = _index_sum(group, every, K.indices % d)
-    block = max(1, _BLOCK_BYTES // (8 * d * K.order))
     least = np.concatenate([
-        (g_sum[start:start + block, None, :] * d + chi_sum[None]).min(axis=-1).reshape(-1)
-        for start in range(0, d, block)
+        (g_sum[part, None, :] * d + chi_sum[None]).min(axis=-1).reshape(-1)
+        for part in limits.blocks(d, 8 * d * K.order)
     ])
     representatives, ids = np.unique(least, return_inverse=True)
     if len(representatives) * K.order != d * d:
@@ -717,9 +716,8 @@ def _sums_stay_inside(add, indices: np.ndarray, size: int) -> bool:
     """
     inside = np.zeros(size, dtype=bool)
     inside[indices] = True
-    block = max(1, _BLOCK_BYTES // (8 * len(indices)))
-    for start in range(0, len(indices), block):
-        if not inside[add(indices[start:start + block, None], indices)].all():
+    for part in limits.blocks(len(indices), 8 * len(indices)):
+        if not inside[add(indices[part, None], indices)].all():
             return False
     return True
 
@@ -778,20 +776,16 @@ def character_row(
     return row
 
 
-# |G| above this never gets a full (|G|, |G|) character table (16 MiB)
-CHARACTER_TABLE_CAP = 1024
-# `all_subgroups` stops once the lattice has more subgroups than this
-# (Z2^6 has 2,825; Z2^7 has 29,212)
-SUBGROUP_CAP = 4096
-
-
 @lru_cache(maxsize=8)
 def character_table(group: FiniteAbelianGroup) -> np.ndarray:
-    """Full (|G|, |G|) table of character values: row a-index, column h-index."""
-    if group.order > CHARACTER_TABLE_CAP:
-        raise ValueError(
-            f"character table for |G| = {group.order} too large; use character_row"
-        )
+    """Full (|G|, |G|) table of character values: row a-index, column h-index.
+
+    DenseLimitError when |G| exceeds `limits.CHARACTER_TABLE_CAP`; one row is
+    `character_row`.
+    """
+    limits.require_within(
+        "|G|", group.order, limits.CHARACTER_TABLE_CAP, "character-table cap"
+    )
     table = _character_rows(group, slice(None))
     table.flags.writeable = False
     return table

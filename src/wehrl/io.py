@@ -117,8 +117,14 @@ def state_vector_from_csv(text: str) -> np.ndarray:
 
 
 def density_matrix_to_json(rho: np.ndarray) -> str:
-    """{"dim": d, "entries": [[re, im], ...]} as `json.dumps(..., sort_keys=True)` writes it."""
+    """{"dim": d, "entries": [[re, im], ...]} as `json.dumps(..., sort_keys=True)` writes it.
+
+    ValueError unless rho is a square (d, d) array with d >= 1, the `dim`
+    that `density_matrix_from_json` reads back.
+    """
     rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 1:
+        raise ValueError(f"density matrix must be square with dim >= 1, got shape {rho.shape}")
     return '{"dim": %d, "entries": %s}' % (rho.shape[0], _json_pairs(rho))
 
 
@@ -132,7 +138,8 @@ def density_matrix_from_json(text: str) -> np.ndarray:
     if type(d) is not int or d < 1:
         raise ValueError("density matrix 'dim' must be an integer >= 1")
     if flat.size != d * d:
-        raise ValueError(f"expected {d * d} entries, got {flat.size}")
+        # d is unbounded: the message names it and does not format d * d
+        raise ValueError(f"density matrix entries ({flat.size}) are not 'dim' squared")
     return flat.reshape(d, d)
 
 

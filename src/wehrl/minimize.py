@@ -37,6 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import limits
 from .entropy import (
     ZERO_LOG_THRESHOLD,
     _entropy_sum,
@@ -46,7 +47,7 @@ from .entropy import (
 )
 from .frames import CoherentFrame, coset_basis
 from .groups import PhaseSpacePoint, Subgroup, difference_index_table
-from .states import _BLOCK_BYTES, random_state_vector
+from .states import random_state_vector
 
 __all__ = [
     "MinimizerConfig",
@@ -381,10 +382,9 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     d = frame.group.order
     starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
     objective = _objective(frame)
-    block = max(1, _BLOCK_BYTES // objective.row_bytes)
     runs = [
-        _descend_rows(objective, starts[i : i + block], config)
-        for i in range(0, config.restarts, block)
+        _descend_rows(objective, starts[part], config)
+        for part in limits.blocks(config.restarts, objective.row_bytes)
     ]
     states, energies, iterations, converged, halvings, grad_norms = (
         np.concatenate(part) for part in zip(*runs)

@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "DenseLimitError",
-    "DEFAULT_DENSE_LIMIT",
-    "dense_limit",
-    "require_dense",
     "check_state_vector",
     "check_density_matrix",
     "random_state_vector",
@@ -20,40 +14,10 @@ __all__ = [
     "pure_density",
 ]
 
-DEFAULT_DENSE_LIMIT = 256
-# Target size in bytes of one temporary in the loops that work in blocks:
-# minimize's (rows, |G|, |G|), the coset and closure tables of `groups`, and,
-# through `_blocks`, verify_ccr's (pairs, |G|, probes) and the Weyl stacks
-_BLOCK_BYTES = 1 << 18
 # tolerances of check_density_matrix; eig_tol is its one settable one
 _HERM_TOL, _EIG_TOL, _TRACE_TOL = 1e-12, 1e-10, 1e-10
 # tolerance of check_state_vector on each norm
 _NORM_TOL = 1e-12
-
-
-class DenseLimitError(ValueError):
-    """A dense-matrix path was asked to exceed the configured size cap."""
-
-
-def dense_limit() -> int:
-    """Dense-matrix dimension cap; override with WEHRL_DENSE_LIMIT."""
-    raw = os.environ.get("WEHRL_DENSE_LIMIT")
-    if raw is None:
-        return DEFAULT_DENSE_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"WEHRL_DENSE_LIMIT must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"WEHRL_DENSE_LIMIT must be >= 1, got {value}")
-    return value
-
-
-def require_dense(label: str, count: int) -> None:
-    """DenseLimitError when count, a dense dimension named by label, exceeds `dense_limit()`."""
-    cap = dense_limit()
-    if count > cap:
-        raise DenseLimitError(f"{label} = {count} exceeds the dense-matrix limit {cap}")
 
 
 def check_state_vector(vec, dim: int | None = None) -> np.ndarray:
@@ -152,23 +116,14 @@ def _cholesky_proves_psd(arr: np.ndarray, eig_tol: float) -> bool:
     return True
 
 
-def _blocks(n: int, row_bytes: int):
-    """Slices covering range(n), each of about _BLOCK_BYTES at row_bytes a row."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
-    return (slice(start, min(start + step, n)) for start in range(0, n, step))
-
-
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
 
 
-def random_density_matrix(
-    dim: int, rng: np.random.Generator, rank: int | None = None
-) -> np.ndarray:
-    """Ginibre construction A A^dagger / tr, optionally rank-limited."""
-    r = dim if rank is None else rank
-    a = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Ginibre construction A A^dagger / tr."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 

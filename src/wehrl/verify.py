@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .entropy import (
     HusimiTable,
     _coset_entropy,
@@ -56,7 +57,7 @@ from .groups import (
     parse_group,
 )
 from .minimize import entropy_gradient
-from .states import _blocks, check_density_matrix, pure_density, random_state_vector, require_dense
+from .states import check_density_matrix, pure_density, random_state_vector
 from .weyl import _apply_points, _matrix_points, cocycle_numerators, verify_ccr
 
 __all__ = [
@@ -157,7 +158,7 @@ def check_group_laws(group: FiniteAbelianGroup, rng: np.random.Generator) -> Che
     negation = ((-_coords_grid(group.orders)) % orders) @ strides
     bad = np.count_nonzero(sums[np.arange(d), negation])
     bad += np.count_nonzero(sums != sums.T)
-    if d <= 16:
+    if d * d <= limits.EXHAUSTIVE_POINTS:
         a, b, c = np.indices((d, d, d)).reshape(3, -1)
     else:
         a, b, c = rng.integers(0, d, size=(1000, 3)).T
@@ -182,7 +183,7 @@ def check_character_multiplicativity(
     row chi at columns g + h (`_index_sum`), g and h.
     """
     d = group.order
-    if d <= 16:
+    if d * d <= limits.EXHAUSTIVE_POINTS:
         chi, g, h = np.indices((d, d, d)).reshape(3, -1)
     else:
         chi, g, h = rng.integers(0, d, size=(1000, 3)).T
@@ -263,9 +264,12 @@ def check_weyl_unitarity(
 ) -> CheckResult:
     d = group.order
     eye = np.eye(d)
-    points = np.arange(d * d) if d <= 16 else rng.integers(0, d * d, size=100)
+    if d * d <= limits.EXHAUSTIVE_POINTS:
+        points = np.arange(d * d)
+    else:
+        points = rng.integers(0, d * d, size=100)
     worst = 0.0
-    for part in _blocks(len(points), 16 * d * d):
+    for part in limits.blocks(len(points), 16 * d * d):
         W = _matrix_points(group, points[part])
         worst = max(worst, float(np.abs(np.conj(np.swapaxes(W, 1, 2)) @ W - eye).max()))
     return _result("weyl-unitarity", worst, 1e-12, f"{len(points)} points")
@@ -285,7 +289,7 @@ def check_weyl_dense_vs_apply(
     states = draws[:, 0] + 1j * draws[:, 1]
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     worst = 0.0
-    for part in _blocks(samples, 16 * d * d):
+    for part in limits.blocks(samples, 16 * d * d):
         dense = (_matrix_points(group, points[part]) @ states[part, :, None])[..., 0]
         gathered = _apply_points(group, points[part], states[part])
         worst = max(worst, float(np.abs(dense - gathered).max()))
@@ -308,7 +312,7 @@ def check_vacuum_invariance(frame: CoherentFrame) -> CheckResult:
     K, _ = frame.cosets()
     u = K.indices
     worst = 0.0
-    for part in _blocks(len(u), 16 * frame.group.order):
+    for part in limits.blocks(len(u), 16 * frame.group.order):
         moved = _apply_points(frame.group, u[part], frame.fiducial)
         worst = max(worst, float(np.abs(moved - frame.fiducial).max()))
     return _result("vacuum-invariance", worst, 1e-13)
@@ -363,7 +367,7 @@ def check_offcoset_vanishing(frame: CoherentFrame) -> CheckResult:
     d = frame.group.order
     outside = _outside_points(frame)
     worst = 0.0
-    for part in _blocks(len(outside), 16 * d):
+    for part in limits.blocks(len(outside), 16 * d):
         states = _apply_points(frame.group, outside[part], frame.fiducial)
         worst = max(worst, float(np.abs(states @ frame.fiducial.conj()).max()))
     return _result("offcoset-vanishing", worst, 1e-13)
@@ -608,10 +612,11 @@ def run_checks(
 ) -> list[CheckResult]:
     """The full invariant suite for one (G, H); deterministic in the seed.
 
-    Raises DenseLimitError before any check runs when |F| = |G|^2 exceeds the
-    dense-matrix limit, which the overlap checks' `overlap_matrix` needs.
+    Raises DenseLimitError before any check runs when |F| = |G|^2 is over the
+    dense-matrix limit (`limits.require_dense`), which the overlap checks'
+    `overlap_matrix` needs.
     """
-    require_dense("|F|", group.order ** 2)
+    limits.require_dense("|F|", group.order ** 2)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     results.append(check_group_laws(group, rng))

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import limits
 from .groups import (
     FiniteAbelianGroup,
     PhaseSpacePoint,
@@ -42,7 +43,6 @@ from .groups import (
     _unit_roots,
     difference_index_table,
 )
-from .states import _blocks, require_dense
 
 __all__ = [
     "cocycle_phase",
@@ -100,17 +100,26 @@ def _apply_points(group: FiniteAbelianGroup, z: np.ndarray, vecs) -> np.ndarray:
 
     vecs is one (|G|,) vector applied at every point, or an (n, |G|) stack.
     The translation f(h - g) is gathered through `_translation_index`; each
-    entry is one product of a character value and a gathered entry.
+    entry is one product of a character value and a gathered entry. With
+    more points than |G|, some g and chi repeat: the translation and
+    character rows of all of G are built once and gathered per point, which
+    gives the same integers and so the same values.
     """
     d = group.order
-    z = np.asarray(z, dtype=np.int64).reshape(-1)
-    source = _translation_index(group, _coords_grid(group.orders)[z // d])
+    g, chi = np.divmod(np.asarray(z, dtype=np.int64).reshape(-1), d)
+    grid = _coords_grid(group.orders)
+    if len(g) > d:
+        values = _character_rows(group, slice(None))[chi]
+        source, at = _translation_index(group, grid), g
+    else:
+        values = _character_rows(group, chi)
+        source, at = _translation_index(group, grid[g]), slice(None)
     vecs = np.asarray(vecs, dtype=np.complex128)
     if vecs.ndim == 1:
-        shifted = vecs[source]
+        values *= vecs[source][at]
     else:
-        shifted = np.take_along_axis(vecs, source, axis=1)
-    return _character_rows(group, z % d) * shifted
+        values *= np.take_along_axis(vecs, source[at], axis=1)
+    return values
 
 
 def _matrix_points(group: FiniteAbelianGroup, z: np.ndarray) -> np.ndarray:
@@ -120,7 +129,7 @@ def _matrix_points(group: FiniteAbelianGroup, z: np.ndarray) -> np.ndarray:
     `difference_index_table`. The dense limit is checked once per stack.
     """
     d = group.order
-    require_dense("|G|", d)
+    limits.require_dense("|G|", d)
     z = np.asarray(z, dtype=np.int64).reshape(-1)
     mats = np.zeros((len(z), d, d), dtype=np.complex128)
     cols = difference_index_table(group)[z // d]
@@ -157,14 +166,14 @@ def verify_ccr(
 ) -> CcrReport:
     """Check W(z) W(w) = omega(z, w) W(w) W(z) on random probe vectors, within 1e-12.
 
-    All |F|^2 pairs when |F| <= 256, otherwise `samples` random pairs.
-    Pairs are checked in blocks of numpy arrays, sized so that each
-    (pairs, |G|, probes) temporary stays near 256 KiB; no |G|^2 table is
-    built. Phases are integers mod L = lcm(n_j): the left
-    side applies W(w) and then W(z) to the probes (translations as gathered
-    indices, character values as `_unit_roots(L)[m]`); the right side
-    applies them in the other order and multiplies by the closed-form
-    cocycle of `cocycle_numerators`. Each product is formed in the same
+    All |F|^2 pairs when |F| is at most `limits.EXHAUSTIVE_POINTS`,
+    otherwise `samples` random pairs. Pairs are checked in blocks of numpy
+    arrays (`limits.blocks`), sized so that each (pairs, |G|, probes)
+    temporary stays near the block budget; no |G|^2 table is built. Phases
+    are integers mod L = lcm(n_j): the left side applies W(w) and then W(z)
+    to the probes (translations as gathered indices, character values as
+    `_unit_roots(L)[m]`); the right side applies them in the other order
+    and multiplies by the closed-form cocycle of `cocycle_numerators`. Each product is formed in the same
     order as in one `weyl_apply` per pair, so the residual is the same to
     the bit.
     """
@@ -174,7 +183,7 @@ def verify_ccr(
     probes /= np.linalg.norm(probes, axis=0)
     total = d * d
     tolerance = 1e-12
-    if total <= 256:
+    if total <= limits.EXHAUSTIVE_POINTS:
         drawn = None
         n_pairs = total * total
         mode = "exhaustive"
@@ -183,9 +192,9 @@ def verify_ccr(
         n_pairs = samples
         mode = "randomized"
     worst = 0.0
-    blocks = list(_blocks(n_pairs, probes.nbytes))
+    blocks = list(limits.blocks(n_pairs, probes.nbytes))
     # one set of (pairs, |G|, probes) buffers per call, filled in place: fresh
-    # ~256 KiB temporaries per block may come from mmap, page-faulted each time
+    # block-sized temporaries may come from mmap, page-faulted each time
     rows = blocks[0].stop - blocks[0].start
     buffers = [np.empty((rows,) + probes.shape, dtype=np.complex128) for _ in range(3)]
     for part in blocks:

@@ -240,12 +240,16 @@ def test_namespace_holds_exactly_the_options_a_subcommand_reads(command):
     assert set(vars(args)) == {"subcommand", "group"} | READS[command]
 
 
+# abbreviations of declared options, which argparse accepts unless told not to
+PREFIX_ARGS = {"se": ("--se", "3"), "o": ("--o", "csv"), "s": ("--s", "3")}
+
+
 @pytest.mark.parametrize("command, option", [
     (command, option) for command in sorted(READS) for option in OPTION_ARGS
     if option not in READS[command]
-])
+] + [("verify", "se"), ("group-info", "o"), ("minimize", "s")])
 def test_undeclared_option_exits_2_and_names_it(capsys, command, option):
-    flag = OPTION_ARGS[option]
+    flag = {**OPTION_ARGS, **PREFIX_ARGS}[option]
     code, out, err = run_cli(capsys, command, "--group", "Z2", *_required(command), *flag)
     assert (code, out) == (2, "")
     assert "unrecognized arguments: " + " ".join(flag) in err
@@ -427,9 +431,12 @@ def test_malformed_state_file_exits_2(capsys, tmp_path, content):
         ('{"dim": 1e400, "entries": [[1, 0]]}', "'dim' must be an integer"),
         ('{"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "'dim' must be an integer >= 1"),
         ('{"dim": -2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "'dim' must be an integer >= 1"),
+        # integers past what d * d can be formatted as (4300 digits)
+        ('{"dim": 1%s, "entries": [[1, 0]]}' % ("0" * 400), "entries (1) are not 'dim' squared"),
+        ('{"dim": 1%s, "entries": [[1, 0]]}' % ("0" * 2200), "entries (1) are not 'dim' squared"),
     ],
     ids=["trailing-blank-line", "two-fields", "repeated-index", "four-fields", "huge-dim",
-         "fractional-dim", "negative-dim"],
+         "fractional-dim", "negative-dim", "integer-dim-10^400", "integer-dim-10^2200"],
 )
 def test_malformed_state_csv_or_dim_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "bad.txt"
@@ -437,6 +444,7 @@ def test_malformed_state_csv_or_dim_exits_2(capsys, tmp_path, content, message):
     code, out, err = run_cli(capsys, "entropy", "--group", "Z2", "--state", str(path))
     assert (code, out) == (2, "")
     assert message in err
+    assert len(err) < 100
 
 
 _BAD_DENSITIES = {

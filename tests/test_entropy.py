@@ -33,6 +33,7 @@ from wehrl import (
     wehrl_entropy,
     wehrl_entropy_coset,
 )
+from wehrl import limits
 from wehrl.verify import suite_pairs
 from density_oracle import channel_by_state_matrix, husimi_by_state_matrix, state_matrix
 from stabiliser_frames import chirp_frames
@@ -351,11 +352,9 @@ def _character_sum(orders, x, inverse):
 )
 @pytest.mark.parametrize("kernel", ["gemm", "fftn"])
 def test_group_dft_matches_character_sum(spec, kernel, monkeypatch, rng):
-    import wehrl.entropy as entropy_module
-
-    # the rule picks GEMM when |G| <= _GEMM_ORDER_PER_FACTOR * k; move the
+    # the rule picks GEMM when |G| <= GEMM_ORDER_PER_FACTOR * k; move the
     # threshold to force each kernel on every group
-    monkeypatch.setattr(entropy_module, "_GEMM_ORDER_PER_FACTOR", 10**6 if kernel == "gemm" else 0)
+    monkeypatch.setattr(limits, "GEMM_ORDER_PER_FACTOR", 10**6 if kernel == "gemm" else 0)
     g = parse_group(spec)
     x = rng.standard_normal((3, g.order)) + 1j * rng.standard_normal((3, g.order))
     for inverse in (False, True):

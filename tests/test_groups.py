@@ -23,15 +23,20 @@ from wehrl import (
     direct_product,
     dual_annihilator,
     is_corwin,
+    limits,
     maximal_compact,
     parse_generators,
     parse_group,
     parse_point,
     phase_space,
     subgroup_closure,
+    verify_ccr,
 )
 from wehrl.groups import (
+    _closures,
+    _coset_partition,
     _index_sum,
+    _multiples,
     _phase_weights,
     _unit_roots,
     _unseparated,
@@ -241,6 +246,11 @@ def test_character_table_matches_rows():
     assert np.abs(gram - np.eye(g.order)).max() < 1e-13
 
 
+def test_character_table_over_its_cap_is_refused():
+    with pytest.raises(DenseLimitError, match=r"^\|G\| = 1025 exceeds the character-table cap 1024$"):
+        character_table(parse_group("Z1025"))
+
+
 @pytest.mark.parametrize("spec", ["Z1", "Z1xZ3", "Z4xZ2", "Z3xZ1xZ6", "Z2xZ3", "Z64"])
 def test_index_sum_matches_object_sums(spec):
     g = parse_group(spec)
@@ -403,9 +413,9 @@ def test_subgroup_counts_of_elementary_groups(spec, count):
 
 def test_all_subgroups_stops_past_the_lattice_cap(monkeypatch):
     g = parse_group("Z2xZ2")  # five subgroups
-    monkeypatch.setattr(wehrl.groups, "SUBGROUP_CAP", 5)
+    monkeypatch.setattr(limits, "SUBGROUP_CAP", 5)
     assert len(all_subgroups(g)) == 5
-    monkeypatch.setattr(wehrl.groups, "SUBGROUP_CAP", 4)
+    monkeypatch.setattr(limits, "SUBGROUP_CAP", 4)
     with pytest.raises(DenseLimitError, match=r"^Z2xZ2 has more than 4 subgroups \(the subgroup-lattice cap\)$"):
         all_subgroups(g)
 
@@ -476,7 +486,7 @@ def _closed_under_sums(coords_set, orders):
 def test_subgroup_checks_every_subset(spec, budget, monkeypatch):
     """Subgroup and DualSubgroup accept exactly the closed subsets with zero."""
     if budget == "one row":
-        monkeypatch.setattr(wehrl.groups, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(limits, "BLOCK_BYTES", 1)
     g = parse_group(spec)
     elements = list(g.elements())
     zero = g.zero().coords
@@ -510,7 +520,7 @@ def test_subgroup_checks_every_subset(spec, budget, monkeypatch):
 @pytest.mark.parametrize("budget", ["default", "one row"])
 def test_subgroup_rejections_at_larger_orders(budget, monkeypatch):
     if budget == "one row":
-        monkeypatch.setattr(wehrl.groups, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(limits, "BLOCK_BYTES", 1)
     g = parse_group("Z4xZ8")
     even = [e.index for e in g.elements() if e.coords[1] % 2 == 0]  # a subgroup of order 16
     assert Subgroup(g, even).order == 16
@@ -531,6 +541,38 @@ def test_subgroup_rejections_at_larger_orders(budget, monkeypatch):
         DualSubgroup(g, even[1:])
     whole = Subgroup.whole(parse_group("Z64"))
     assert whole.order == 64 and coords_of(whole.generators) == [(1,)]
+
+
+def test_one_byte_block_budget_reaches_every_blocked_loop(monkeypatch):
+    # one patch of limits.BLOCK_BYTES reaches the closure, coset and CCR
+    # loops, wherever they sit, and one-row blocks leave every result unchanged
+    g = parse_group("Z4xZ2")
+    H = subgroup_closure(g, (g.element((2, 0)),))
+    K = maximal_compact(H)
+    multiples = _multiples(g, np.arange(g.order))
+
+    def run():
+        return (_closures(g, H.indices, multiples), _coset_partition(K),
+                verify_ccr(parse_group("Z2xZ2"), seed=1))
+
+    expected = run()
+    seen = []
+    real_blocks = limits.blocks
+
+    def spy(n, row_bytes):
+        parts = list(real_blocks(n, row_bytes))
+        seen.append(parts)
+        return iter(parts)
+
+    monkeypatch.setattr(limits, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(limits, "blocks", spy)
+    masks, (representatives, ids), ccr = run()
+    assert [len(parts) for parts in seen] == [g.order, g.order, 256]
+    assert all(part.stop - part.start == 1 for parts in seen for part in parts)
+    assert np.array_equal(masks, expected[0])
+    assert np.array_equal(representatives, expected[1][0])
+    assert np.array_equal(ids, expected[1][1])
+    assert ccr == expected[2] and ccr.mode == "exhaustive"
 
 
 def test_subgroup_indices_must_be_integers_in_range():

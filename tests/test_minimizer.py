@@ -21,6 +21,7 @@ from wehrl import (
     subgroup_closure,
     vacuum_vector,
 )
+from wehrl import limits
 from wehrl.verify import fd_tangent_gradient, suite_pairs
 from stabiliser_frames import chirp_frames
 from walk_oracle import newton_step, newton_walk
@@ -193,9 +194,8 @@ def test_minimize_result_is_reproducible_entropy():
 )
 @pytest.mark.parametrize("block_bytes", [None, 1, 10**9])
 def test_minimize_restarts_equal_descend(spec, gens, max_iters, block_bytes, monkeypatch):
-    minimize_module = sys.modules["wehrl.minimize"]
     if block_bytes is not None:  # one row per block, or all rows in one
-        monkeypatch.setattr(minimize_module, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(limits, "BLOCK_BYTES", block_bytes)
     frame = vacuum_frame(spec, *gens)
     config = MinimizerConfig(seed=3, restarts=6, max_iters=max_iters)
     result = minimize(frame, config)
@@ -305,7 +305,7 @@ def test_coset_walk_matches_transform_walk(seed):
 def test_minimize_restarts_equal_descend_on_random_fiducials(spec, block_bytes, monkeypatch):
     minimize_module = sys.modules["wehrl.minimize"]
     if block_bytes is not None:  # one row per block, or all rows in one
-        monkeypatch.setattr(minimize_module, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(limits, "BLOCK_BYTES", block_bytes)
     group = parse_group(spec)
     d = group.order
     frame = CoherentFrame(group, random_state_vector(d, np.random.default_rng(11)))
@@ -380,7 +380,7 @@ def test_restart_halvings_independent_of_blocks(spec, fiducial, monkeypatch):
     config = MinimizerConfig(seed=2, restarts=5, step_size=2.0, max_iters=300 if d < 64 else 30)
     halvings = []
     for block_bytes in (1, 10**9):
-        monkeypatch.setattr(minimize_module, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(limits, "BLOCK_BYTES", block_bytes)
         halvings.append(minimize(frame, config).restart_halvings)
     assert halvings[0].shape == (5,) and halvings[0].dtype == np.int64
     assert np.array_equal(halvings[0], halvings[1])

@@ -15,7 +15,7 @@ from wehrl import (
     subgroup_closure,
 )
 from wehrl import verify
-from wehrl.states import DenseLimitError
+from wehrl.limits import DenseLimitError
 from wehrl.frames import coset_ids
 from wehrl.groups import _phase_weights, _unit_roots
 from wehrl.states import random_density_matrix
