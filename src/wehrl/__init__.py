@@ -15,6 +15,7 @@ from .groups import (
     coset_representatives,
     direct_product,
     dual_annihilator,
+    group_dft,
     is_corwin,
     maximal_compact,
     parse_generators,
@@ -46,6 +47,7 @@ from .frames import (
     coset_basis,
     invariant_subspace_dim,
     overlap_matrix,
+    pure_amplitudes,
     resolution_residual,
     vacuum_vector,
 )
@@ -53,7 +55,6 @@ from .entropy import (
     EntropyReport,
     HusimiTable,
     entropy_report,
-    group_dft,
     husimi,
     husimi_coset_spread,
     husimi_fast,
@@ -61,7 +62,6 @@ from .entropy import (
     measurement_channel,
     partial_trace,
     product_frame,
-    pure_amplitudes,
     pure_state_entropy,
     subadditivity_gap,
     von_neumann_entropy,

@@ -6,6 +6,10 @@ normalisation the compact subgroup K has volume 1, the frame resolves the
 identity with constant 1, and the entropy lower bound for Lagrangian
 (stabiliser) frames is exactly 0, attained precisely on coherent states.
 
+Every route goes through transforms defined elsewhere: the frame's
+analysis `frames.pure_amplitudes` for pure states, and for densities the
+group transform `groups.group_dft` against the frame's ambiguity table.
+
 The density-matrix functions take one state (d, d) or a stack (..., d, d)
 and work along the last axes: one state gives a Python float or a (d, d)
 array, a stack gives an array of them.
@@ -19,14 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import limits
-from .frames import CoherentFrame, coset_basis, coset_ids
-from .groups import (
-    FiniteAbelianGroup,
-    _index_sum,
-    character_table,
-    difference_index_table,
-)
+from .frames import CoherentFrame, coset_basis, coset_ids, pure_amplitudes
+from .groups import FiniteAbelianGroup, _index_sum, group_dft
 from .groups import direct_product as _direct_product
 from .states import _checked_eigvalsh, check_density_matrix, check_state_vector
 
@@ -35,8 +33,6 @@ __all__ = [
     "HusimiTable",
     "husimi",
     "husimi_fast",
-    "group_dft",
-    "pure_amplitudes",
     "wehrl_entropy",
     "pure_state_entropy",
     "wehrl_entropy_coset",
@@ -124,66 +120,6 @@ def _husimi_values(frame: CoherentFrame, rho: np.ndarray) -> np.ndarray:
     by_shift = group_dft(group, spectrum, inverse=True)  # [..., D, g]
     q = group_dft(group, np.swapaxes(by_shift, -1, -2))  # [..., g, a]
     return (q.real / d).reshape(lead + (d * d,))
-
-
-@lru_cache(maxsize=8)
-def _dft_matrix(group: FiniteAbelianGroup, inverse: bool) -> np.ndarray:
-    table = character_table(group)
-    if inverse:
-        return table
-    conj = table.conj()
-    conj.flags.writeable = False
-    return conj
-
-
-def group_dft(group: FiniteAbelianGroup, x, inverse: bool = False) -> np.ndarray:
-    """Fourier transform over G along the last axis of a (..., |G|) array.
-
-    Forward: y[..., a] = sum_h conj(chi_a(h)) x[..., h]. inverse=True gives
-    the adjoint, sum_a chi_a(h) x[..., a], which is |G| times the inverse
-    transform. Elements and characters are indexed in lex order. With F
-    this transform and F^-1 its adjoint, F^-1 F = |G|, and both turn
-    convolution over G into a product: the route of `pure_amplitudes`,
-    and of `husimi` and `measurement_channel`, which convolve over G the
-    shifted diagonals of rho with the frame's ambiguity table.
-
-    The kernel is chosen from the factor orders: a GEMM with the exact-phase
-    character table when |G| is at most `limits.GEMM_ORDER_PER_FACTOR` (32)
-    times the number of cyclic factors and the table is within its cap,
-    otherwise fftn over the factor axes. fftn pays per axis, so it loses on
-    many short factors (about 30x slower on Z2^6) and wins on long cyclic
-    ones (about 8x faster on Z256). The GEMM takes all
-    leading axes as rows of one (n |G|, |G|) product, not n small ones.
-    """
-    x = np.asarray(x)
-    orders = group.orders
-    gemm_order = limits.GEMM_ORDER_PER_FACTOR * len(orders)
-    if group.order <= min(gemm_order, limits.CHARACTER_TABLE_CAP):
-        rows = x.reshape(-1, group.order)
-        return (rows @ _dft_matrix(group, inverse)).reshape(x.shape)
-    lead = x.shape[:-1]
-    axes = tuple(range(len(lead), len(lead) + len(orders)))
-    grid = x.reshape(lead + orders)
-    if inverse:
-        out = np.fft.ifftn(grid, axes=axes, norm="forward")
-    else:
-        out = np.fft.fftn(grid, axes=axes)
-    return out.reshape(x.shape)
-
-
-def pure_amplitudes(frame: CoherentFrame, psi) -> np.ndarray:
-    """<z|psi> for all z in lex order, for one state (d,) or a stack (..., d).
-
-    For fixed g the map chi -> <W(g,chi) phi | psi> is the group Fourier
-    transform of h -> conj(phi(h-g)) psi(h), so one `group_dft` of the
-    (|G|, |G|) array of these products per state fills the whole table,
-    without materialising any |F|-by-|G| matrix.
-    """
-    psi = np.asarray(psi)
-    group = frame.group
-    idx = difference_index_table(group)  # [g, h] -> index of h - g
-    u = frame.fiducial.conj()[idx] * psi[..., None, :]
-    return group_dft(group, u).reshape(psi.shape[:-1] + (group.order**2,))
 
 
 def husimi_fast(frame: CoherentFrame, psi) -> HusimiTable:

@@ -1,7 +1,13 @@
 """Coherent-state frames: fiducials and their stabilisers, frame geometry, invariant vectors.
 
 A frame is the orbit |z> = W(z) phi of a unit fiducial phi over all of
-phase space F = G x G^, weighted by 1/|G| per point. Its stabiliser is
+phase space F = G x G^, weighted by 1/|G| per point. Its transform pair
+lives here: the analysis `pure_amplitudes`, psi -> <z|psi> for every z,
+and its adjoint `_synthesis`, c -> sum_z c_z |z>, each one `group_dft`
+per state; the ambiguity table is the analysis of phi itself, read at
+negated points.
+
+The stabiliser of a frame is
 S = {z : |<phi|W(z) phi>| = 1}, the subgroup of points whose Weyl
 operators fix phi up to phase; each S-coset of F is one ray. The vacuum
 fiducial of a subgroup H is the normalised indicator of H; it is the
@@ -40,6 +46,7 @@ from .groups import (
     Subgroup,
     coset_representatives,
     difference_index_table,
+    group_dft,
     maximal_compact,
     phase_space,
 )
@@ -50,6 +57,7 @@ __all__ = [
     "STABILISER_TOL",
     "vacuum_vector",
     "CoherentFrame",
+    "pure_amplitudes",
     "coset_ids",
     "overlap_matrix",
     "CosetBasis",
@@ -135,8 +143,6 @@ class CoherentFrame:
         `pure_amplitudes(frame, phi)` at the negated point, the kernel of
         `husimi` and `measurement_channel`. T[0, 0] = <phi|phi>.
         """
-        from .entropy import pure_amplitudes  # entropy imports this module
-
         d = self.group.order
         negation = difference_index_table(self.group)[:, 0]  # index of 0 - g
         table = pure_amplitudes(self, self.fiducial).reshape(d, d)[np.ix_(negation, negation)]
@@ -175,6 +181,31 @@ class CoherentFrame:
         if self._cosets is None:
             self._cosets = (self.stabiliser, coset_representatives(self.stabiliser))
         return self._cosets
+
+
+def pure_amplitudes(frame: CoherentFrame, psi) -> np.ndarray:
+    """<z|psi> for all z in lex order, for one state (d,) or a stack (..., d).
+
+    For fixed g the map chi -> <W(g,chi) phi | psi> is the group Fourier
+    transform of h -> conj(phi(h-g)) psi(h), so one `group_dft` of the
+    (|G|, |G|) array of these products per state fills the whole table,
+    without materialising any |F|-by-|G| matrix.
+    """
+    psi = np.asarray(psi)
+    group = frame.group
+    idx = difference_index_table(group)  # [g, h] -> index of h - g
+    u = frame.fiducial.conj()[idx] * psi[..., None, :]
+    return group_dft(group, u).reshape(psi.shape[:-1] + (group.order**2,))
+
+
+def _synthesis(frame: CoherentFrame, coeffs: np.ndarray) -> np.ndarray:
+    """sum_z coeffs_z |z> along the last axis; the adjoint of pure_amplitudes."""
+    group = frame.group
+    d = group.order
+    spectra = group_dft(group, coeffs.reshape(coeffs.shape[:-1] + (d, d)), inverse=True)
+    idx = difference_index_table(group)
+    spectra *= frame.fiducial[idx]
+    return spectra.sum(axis=-2)
 
 
 def coset_ids(frame: CoherentFrame) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "CHARACTER_TABLE_CAP",
     "SUBGROUP_CAP",
     "EXHAUSTIVE_POINTS",
-    "SEPARATION_CHECK_ORDER",
     "GEMM_ORDER_PER_FACTOR",
     "BLOCK_BYTES",
     "dense_limit",
@@ -47,9 +46,6 @@ SUBGROUP_CAP = 4096
 # checks enumerate every point (pair, triple) of phase space when
 # |F| = |G|^2 is at most this, and sample otherwise
 EXHAUSTIVE_POINTS = 256
-# `maximal_compact` checks the separation behind maximality when |G| is at
-# most this
-SEPARATION_CHECK_ORDER = 64
 # `group_dft` multiplies by the character table when |G| is at most this many
 # times the number of cyclic factors (and the table is within its cap):
 # fftn's cost grows with the number of axes, the GEMM's with |G|^2

@@ -23,8 +23,9 @@ from the frame alone once per `minimize` or `descend` call:
   near-coherent state by 2 / (log q_a + 2), and stops on a local-minimum
   certificate;
 - the transform pair (`pure_state_entropy`, `entropy_gradient`), for any
-  other fiducial: all |G|^2 amplitudes through `group_dft`, in psi, with
-  a gradient step.
+  other fiducial: all |G|^2 amplitudes, in psi, with a gradient step. The
+  amplitudes come from the frame's analysis `frames.pure_amplitudes` and
+  the gradient goes back through its adjoint, `frames._synthesis`.
 Each trial point is evaluated once: its energy also returns what the next
 step needs (|x|^2 and its logs, or the amplitudes), and an accepted row
 keeps it.
@@ -38,15 +39,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import limits
-from .entropy import (
-    ZERO_LOG_THRESHOLD,
-    _entropy_sum,
-    group_dft,
-    pure_amplitudes,
-    pure_state_entropy,
-)
-from .frames import CoherentFrame, coset_basis
-from .groups import PhaseSpacePoint, Subgroup, difference_index_table
+from .entropy import ZERO_LOG_THRESHOLD, _entropy_sum, pure_state_entropy
+from .frames import CoherentFrame, _synthesis, coset_basis, pure_amplitudes
+from .groups import PhaseSpacePoint, Subgroup
 from .states import random_state_vector
 
 __all__ = [
@@ -109,16 +104,6 @@ class MinimizerResult:
     restart_converged: np.ndarray
     restart_halvings: np.ndarray  # rejected trials, each of which halved the step
     restart_grad_norms: np.ndarray  # tangent-gradient norm at each restart's end
-
-
-def _synthesis(frame: CoherentFrame, coeffs: np.ndarray) -> np.ndarray:
-    """sum_z coeffs_z |z> along the last axis; the adjoint of pure_amplitudes."""
-    group = frame.group
-    d = group.order
-    spectra = group_dft(group, coeffs.reshape(coeffs.shape[:-1] + (d, d)), inverse=True)
-    idx = difference_index_table(group)
-    spectra *= frame.fiducial[idx]
-    return spectra.sum(axis=-2)
 
 
 def entropy_gradient(frame: CoherentFrame, psi: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ __all__ = [
     "pure_density",
 ]
 
-# tolerances of check_density_matrix; eig_tol is its one settable one
+# tolerances of check_density_matrix (Hermitian, eigenvalue, trace); none is
+# settable, and the checks read them when called
 _HERM_TOL, _EIG_TOL, _TRACE_TOL = 1e-12, 1e-10, 1e-10
 # tolerance of check_state_vector on each norm
 _NORM_TOL = 1e-12
@@ -41,7 +42,7 @@ def check_state_vector(vec, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def check_density_matrix(rho, dim: int | None = None, *, eig_tol: float = _EIG_TOL) -> np.ndarray:
+def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD and trace one, within tolerance.
 
     Takes one matrix (d, d) or a stack (..., d, d); every member of a stack
@@ -50,15 +51,15 @@ def check_density_matrix(rho, dim: int | None = None, *, eig_tol: float = _EIG_T
     eigendecomposition; any other goes to `eigvalsh`, which decides.
     """
     arr = _checked_hermitian_trace(rho, dim)
-    if not _cholesky_proves_psd(arr, eig_tol):
-        _checked_min_eigenvalue(arr, eig_tol)
+    if not _cholesky_proves_psd(arr):
+        _checked_min_eigenvalue(arr)
     return arr
 
 
 def _checked_eigvalsh(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """`check_density_matrix`, also returning the ascending eigenvalues it tested."""
     arr = _checked_hermitian_trace(rho, dim)
-    return arr, _checked_min_eigenvalue(arr, _EIG_TOL)
+    return arr, _checked_min_eigenvalue(arr)
 
 
 def _checked_hermitian_trace(rho, dim) -> np.ndarray:
@@ -81,32 +82,32 @@ def _checked_hermitian_trace(rho, dim) -> np.ndarray:
     return arr
 
 
-def _checked_min_eigenvalue(arr: np.ndarray, eig_tol: float) -> np.ndarray:
-    """Ascending eigenvalues of every member; raises if the smallest is below -eig_tol."""
+def _checked_min_eigenvalue(arr: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of every member; raises if the smallest is below -_EIG_TOL."""
     eig = np.linalg.eigvalsh(arr)
     smallest = float(eig[..., 0].min())
-    if smallest < -eig_tol:
+    if smallest < -_EIG_TOL:
         raise ValueError(
             f"density matrix is not positive semidefinite (min eigenvalue {smallest})"
         )
     return eig
 
 
-def _cholesky_proves_psd(arr: np.ndarray, eig_tol: float) -> bool:
-    """True if one Cholesky factorisation shows every smallest eigenvalue > -eig_tol.
+def _cholesky_proves_psd(arr: np.ndarray) -> bool:
+    """True if one Cholesky factorisation shows every smallest eigenvalue > -_EIG_TOL.
 
-    Cholesky completing on A = rho + (eig_tol / 2) I makes A + E PSD for a
+    Cholesky completing on A = rho + (_EIG_TOL / 2) I makes A + E PSD for a
     rounding error ||E|| <= d (d + 1) u ||A||, u = eps / 2 (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10), so lambda_min(rho) >= -eig_tol / 2
+    Stability of Numerical Algorithms, ch. 10), so lambda_min(rho) >= -_EIG_TOL / 2
     - d (d + 1) u ||A||. A member that passed the trace check with lambda_min
-    near -eig_tol has ||A|| <= 1 + _TRACE_TOL + d eig_tol. The gate runs only
-    where four times that bound fits in eig_tol / 2, the rest being left for
-    eigvalsh's own rounding, so it accepts only what eigvalsh accepts; at the
-    default tolerances that is d <= 335. Both read only the lower triangle.
+    near -_EIG_TOL has ||A|| <= 1 + _TRACE_TOL + d _EIG_TOL. The gate runs only
+    where four times that bound fits in _EIG_TOL / 2, the rest being left for
+    eigvalsh's own rounding, so it accepts only what eigvalsh accepts; at these
+    tolerances that is d <= 335. Both read only the lower triangle.
     """
     d = arr.shape[-1]
-    shift = eig_tol / 2
-    norm = 1.0 + _TRACE_TOL + d * eig_tol
+    shift = _EIG_TOL / 2
+    norm = 1.0 + _TRACE_TOL + d * _EIG_TOL
     if 2 * d * (d + 1) * np.finfo(np.float64).eps * norm >= shift:
         return False
     try:

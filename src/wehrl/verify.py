@@ -38,6 +38,7 @@ from .frames import (
     invariant_subspace_dim,
     overlap_matrix,
     coset_basis,
+    pure_amplitudes,
     resolution_residual,
     vacuum_vector,
 )
@@ -145,6 +146,17 @@ def _sum_table(group: FiniteAbelianGroup) -> np.ndarray:
     return _index_sum(group, every[:, None], every[None, :])
 
 
+def _triples(d: int, rng: np.random.Generator) -> np.ndarray:
+    """(3, n) index triples over range(d), for the checks on triples.
+
+    All d^3 of them when |F| = d^2 is at most `limits.EXHAUSTIVE_POINTS`,
+    otherwise 1000 drawn from rng.
+    """
+    if d * d <= limits.EXHAUSTIVE_POINTS:
+        return np.indices((d, d, d)).reshape(3, -1)
+    return rng.integers(0, d, size=(1000, 3)).T
+
+
 def check_group_laws(group: FiniteAbelianGroup, rng: np.random.Generator) -> CheckResult:
     """Inverses, commutativity and associativity on the table of index sums.
 
@@ -158,10 +170,7 @@ def check_group_laws(group: FiniteAbelianGroup, rng: np.random.Generator) -> Che
     negation = ((-_coords_grid(group.orders)) % orders) @ strides
     bad = np.count_nonzero(sums[np.arange(d), negation])
     bad += np.count_nonzero(sums != sums.T)
-    if d * d <= limits.EXHAUSTIVE_POINTS:
-        a, b, c = np.indices((d, d, d)).reshape(3, -1)
-    else:
-        a, b, c = rng.integers(0, d, size=(1000, 3)).T
+    a, b, c = _triples(d, rng)
     bad += np.count_nonzero(sums[sums[a, b], c] != sums[a, sums[b, c]])
     return _result("group-laws", int(bad), 0.0, f"{len(a)} associativity triples")
 
@@ -183,10 +192,7 @@ def check_character_multiplicativity(
     row chi at columns g + h (`_index_sum`), g and h.
     """
     d = group.order
-    if d * d <= limits.EXHAUSTIVE_POINTS:
-        chi, g, h = np.indices((d, d, d)).reshape(3, -1)
-    else:
-        chi, g, h = rng.integers(0, d, size=(1000, 3)).T
+    chi, g, h = _triples(d, rng)
     L, _ = _phase_weights(group)
     roots = _unit_roots(L)
     m = _pairing_numerators(group, slice(None), slice(None))
@@ -516,15 +522,15 @@ def check_channel(
 _FD_STEP = 1e-6
 
 
-def fd_tangent_gradient(
-    frame: CoherentFrame, psi: np.ndarray, h: float = _FD_STEP
-) -> np.ndarray:
+def fd_tangent_gradient(frame: CoherentFrame, psi: np.ndarray) -> np.ndarray:
     """Finite-difference oracle for the tangent entropy gradient.
 
-    Central differences along the 2d real directions of C^d; the 4d
-    perturbed states go through one stacked pure_state_entropy call.
+    Central differences of step _FD_STEP along the 2d real directions of
+    C^d; the 4d perturbed states go through one stacked pure_state_entropy
+    call.
     """
     d = len(psi)
+    h = _FD_STEP
     steps = h * np.eye(d, dtype=np.complex128)
     stencil = psi + np.concatenate([steps, -steps, 1j * steps, -1j * steps])
     plus, minus, plus_i, minus_i = pure_state_entropy(frame, stencil).reshape(4, d)
@@ -546,8 +552,6 @@ def check_gradient_oracle(
     tangent gradient is exactly 0 and whose FD gradient is roundoff alone;
     on the suite pairs ||numeric|| lies far above the floor).
     """
-    from .entropy import pure_amplitudes
-
     d = frame.group.order
     tolerance = 1e-4
     floor = math.sqrt(2 * d) * np.finfo(float).eps / _FD_STEP / tolerance
@@ -608,7 +612,6 @@ def run_checks(
     seed: int = 0,
     *,
     rho_samples: int = 1000,
-    state_samples: int = 100,
 ) -> list[CheckResult]:
     """The full invariant suite for one (G, H); deterministic in the seed.
 
@@ -642,14 +645,14 @@ def run_checks(
     results.append(check_offcoset_vanishing(frame))
     results.append(check_offcoset_witness(frame))
     results.append(check_coset_basis(frame))
-    results.extend(check_husimi_mass_and_range(frame, rng, state_samples))
-    results.append(check_coset_constancy(frame, rng, state_samples))
-    results.append(check_coset_formula(frame, rng, state_samples))
-    results.append(check_fast_vs_dense(frame, rng, state_samples))
+    results.extend(check_husimi_mass_and_range(frame, rng))
+    results.append(check_coset_constancy(frame, rng))
+    results.append(check_coset_formula(frame, rng))
+    results.append(check_fast_vs_dense(frame, rng))
     results.extend(check_wehrl_bounds(frame, rng, rho_samples))
     results.extend(check_wehrl_vs_von_neumann(frame, rng, rho_samples))
-    results.extend(check_channel(frame, rng, state_samples))
+    results.extend(check_channel(frame, rng))
     results.append(check_gradient_oracle(frame, rng))
     if len(group.orders) >= 2:
-        results.extend(check_product_structure(group, rng, state_samples))
+        results.extend(check_product_structure(group, rng))
     return results

@@ -40,8 +40,7 @@ from wehrl import (
 )
 from density_oracle import husimi_by_state_matrix, state_matrix
 from wehrl.cli import main as cli_main
-from wehrl.entropy import pure_amplitudes
-from wehrl.frames import coset_ids
+from wehrl.frames import coset_ids, pure_amplitudes
 from wehrl.minimize import entropy_gradient
 from wehrl.verify import (
     fd_tangent_gradient,

@@ -402,7 +402,7 @@ def test_von_neumann_diagonalises_once(rng, monkeypatch):
     bad = np.diag([1.5, -0.5 + 1e-11, 0.0]).astype(complex)
     with pytest.raises(ValueError, match=r"positive semidefinite \(min eigenvalue -0\.49"):
         von_neumann_entropy(bad)
-    von_neumann_entropy(np.diag([1.0 + 5e-11, -5e-11, 0.0]))  # within eig_tol 1e-10
+    von_neumann_entropy(np.diag([1.0 + 5e-11, -5e-11, 0.0]))  # within the eigenvalue tolerance 1e-10
     with pytest.raises(ValueError, match="not Hermitian"):
         von_neumann_entropy(np.array([[0.5, 1e-11], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):

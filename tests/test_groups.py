@@ -1,4 +1,5 @@
 import ast
+import graphlib
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -723,6 +724,21 @@ def test_maximal_compact_separation():
                 assert any(chi.phase(x) != 0 for chi in A.characters)
 
 
+def test_maximal_compact_checks_separation_above_order_64(monkeypatch):
+    # the separation check runs at every order: an element flagged as
+    # unseparated makes maximal_compact raise on a subgroup of Z128
+    def one_unseparated(subgroup, ann):
+        mask = np.zeros(subgroup.group.order, dtype=bool)
+        mask[1] = True
+        return mask
+
+    monkeypatch.setattr(wehrl.groups, "_unseparated", one_unseparated)
+    g = parse_group("Z128")
+    H = subgroup_closure(g, (g.element((2,)),))
+    with pytest.raises(RuntimeError, match="fails to separate"):
+        maximal_compact(H)
+
+
 def test_unseparated_matches_fraction_oracle():
     # integer kernel vs exact Fraction phases, on A(H) and on the trivial
     # dual subgroup, which separates nothing outside H
@@ -820,3 +836,24 @@ def test_library_invariants_are_not_asserts():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name}: assert at lines {found}"
+
+
+def test_package_imports_in_layers():
+    # every relative import is a module-level statement, and the graph of
+    # relative imports has no cycle, so each module reads only modules that
+    # load before it
+    package = Path(wehrl.__file__).parent
+    nested = []
+    imports = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        relative = [
+            node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+        ]
+        nested += [f"{path.name}:{node.lineno}" for node in relative if node not in tree.body]
+        imports[path.stem] = {node.module or alias.name for node in relative for alias in node.names}
+    assert not nested, f"relative imports below module level: {nested}"
+    try:
+        graphlib.TopologicalSorter(imports).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")

@@ -75,9 +75,10 @@ def _boundary_cases(d, rng):
 
 @pytest.mark.parametrize("d", [1, 2, 8, 64])
 @pytest.mark.parametrize("eig_tol", [1e-10, 0.0])
-def test_check_density_matrix_matches_eigvalsh_oracle(rng, d, eig_tol):
+def test_check_density_matrix_matches_eigvalsh_oracle(rng, d, eig_tol, monkeypatch):
+    monkeypatch.setattr("wehrl.states._EIG_TOL", eig_tol)
     cases = _boundary_cases(d, rng)
-    verdicts = [_verdict(check_density_matrix, rho, eig_tol=eig_tol) for rho in cases]
+    verdicts = [_verdict(check_density_matrix, rho) for rho in cases]
     assert verdicts == [
         _verdict(check_density_matrix_by_eigvalsh, rho, eig_tol=eig_tol) for rho in cases
     ]
@@ -85,18 +86,19 @@ def test_check_density_matrix_matches_eigvalsh_oracle(rng, d, eig_tol):
         # in order: two projectors, then _SMALLEST, then the shifted diagonal
         assert [v == "accepted" for v in verdicts] == [True] * 6 + [False, False, True]
     stack = np.stack(cases)
-    assert _verdict(check_density_matrix, stack, eig_tol=eig_tol) == _verdict(
+    assert _verdict(check_density_matrix, stack) == _verdict(
         check_density_matrix_by_eigvalsh, stack, eig_tol=eig_tol
     )
 
 
 @pytest.mark.parametrize("d", [8, 64])
-def test_check_density_matrix_with_no_eig_tol_matches_eigvalsh_oracle(rng, d):
+def test_check_density_matrix_with_no_eig_tol_matches_eigvalsh_oracle(rng, d, monkeypatch):
     # with no room for rounding, Cholesky and eigvalsh disagree on some
     # singular matrices, so eigvalsh alone must decide
+    monkeypatch.setattr("wehrl.states._EIG_TOL", 0.0)
     for _ in range(20):
         rho = _with_smallest_eigenvalue(d, 0.0, rng)
-        assert _verdict(check_density_matrix, rho, eig_tol=0.0) == _verdict(
+        assert _verdict(check_density_matrix, rho) == _verdict(
             check_density_matrix_by_eigvalsh, rho, eig_tol=0.0
         )
 

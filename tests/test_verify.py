@@ -106,7 +106,7 @@ def test_run_checks_deterministic():
 def test_run_checks_product_group_includes_marginals():
     g = parse_group("Z2xZ2")
     H = subgroup_closure(g, (g.element((1, 0)),))
-    names = [r.name for r in run_checks(g, H, seed=0, rho_samples=50, state_samples=20)]
+    names = [r.name for r in run_checks(g, H, seed=0, rho_samples=50)]
     assert "husimi-marginalisation" in names
     assert "wehrl-monotonicity" in names
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from wehrl import pure_amplitudes, pure_state_entropy
-from wehrl.minimize import CURVATURE_FLOOR, MIN_STEP, PLATEAU_STEPS, _synthesis
+from wehrl.frames import _synthesis
+from wehrl.minimize import CURVATURE_FLOOR, MIN_STEP, PLATEAU_STEPS
 
 
 def newton_step(frame, psi, entropy):
