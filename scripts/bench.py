@@ -13,6 +13,8 @@ seed to seed) so that they share the machine's drift. Each file holds:
 - one traced run per workload at the first seed: the per-layer metrics;
 - the median of each end-to-end metric per workload;
 - `scripts/run_suite.py`'s reported total, best of three;
+- `cli_s`: the wall time of one fresh `python -m wehrl` process per
+  subcommand (the calls in `CLI_CALLS`), best of three, one BLAS thread;
 - the dense-vs-fast Husimi table: the state-matrix product <z|rho|z>
   (the dense oracle of `check_fast_vs_dense`) against `husimi` on rho and
   `husimi_fast` on psi, for one pure state psi of Z16, Z32 and Z64.
@@ -37,6 +39,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("suite-verify", "minimize", "cli-session")
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# the one call per subcommand that cli_s times
+CLI_CALLS = {
+    "group-info": ("--group", "Z64"),
+    "verify": ("--group", "Z3xZ3"),
+    **{
+        command: ("--group", "Z64", "--subgroup", "8", "--state", "random:3")
+        for command in ("entropy", "husimi", "channel")
+    },
+    "minimize": ("--group", "Z8xZ8"),
+    "scan": ("--group", "Z8"),
+}
 
 
 def git(*args: str) -> str:
@@ -96,6 +109,23 @@ def run_suite_s(tree: Path) -> float:
         ).stdout
         totals.append(float(re.search(r"([0-9.]+)s total", out).group(1)))
     return min(totals)
+
+
+def cli_s(tree: Path, repeats: int = 3) -> dict[str, float]:
+    """Best-of-repeats wall time of each CLI_CALLS call, one fresh process per run."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
+    times = {}
+    for command, options in CLI_CALLS.items():
+        runs = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            subprocess.run(
+                [sys.executable, "-m", "wehrl", command, *options],
+                cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL,
+            )
+            runs.append(time.perf_counter() - t0)
+        times[command] = min(runs)
+    return times
 
 
 def husimi_table(tree: Path) -> list[dict]:
@@ -200,6 +230,7 @@ def main() -> int:
                 for workload in WORKLOADS
             }
             record["run_suite_s"] = run_suite_s(tree)
+            record["cli_s"] = cli_s(tree)
             record["husimi_dense_vs_fast"] = husimi_table(tree)
             path = ROOT / f"BENCH_{label}.json"
             path.write_text(json.dumps(record, indent=1) + "\n")

@@ -36,7 +36,7 @@ from .groups import (
 )
 from .io import density_matrix_to_json, entropy_report_to_json, husimi_to_csv, load_state_file
 from .minimize import MinimizerConfig, minimize, scan_fiducials
-from .states import check_state_vector, pure_density, random_state_vector
+from .states import check_state_vector, maximally_mixed, pure_density, random_state_vector
 from .verify import run_checks
 
 __all__ = ["build_parser", "main"]
@@ -56,7 +56,7 @@ def _resolve_state(frame: CoherentFrame, text: str):
     """Parse a --state value into ("vector" | "density", array)."""
     group = frame.group
     if text == "maximally_mixed":
-        return "density", np.eye(group.order, dtype=np.complex128) / group.order
+        return "density", maximally_mixed(group.order)
     if text.startswith("coherent:"):
         z = parse_point(group, text[len("coherent:"):])
         return "vector", frame.state(z)

@@ -767,14 +767,11 @@ def _unit_roots(L: int) -> np.ndarray:
     return roots
 
 
-@lru_cache(maxsize=None)
 def character_row(
     group: FiniteAbelianGroup, coords: tuple[int, ...]
 ) -> np.ndarray:
     """Values of one character over all elements (lex order), phases exact."""
-    row = _character_rows(group, group.character(coords).index)
-    row.flags.writeable = False
-    return row
+    return _character_rows(group, group.character(coords).index)
 
 
 @lru_cache(maxsize=8)

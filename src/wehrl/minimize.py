@@ -3,8 +3,11 @@
 Minimising over pure states suffices: the entropy is concave in rho, so its
 minimum over the (compact, convex) state space is attained at an extreme
 point. The iteration walks the unit sphere: a descent direction in the
-tangent space, renormalisation retraction, monotone line search with step
-halving.
+tangent space, renormalisation retraction, and a monotone line search that
+tries the full step first and halves it on each trial that does not lower
+the entropy (Armijo backtracking on a manifold). Every walk has one
+stopping rule: a row converges only on a certificate, and a budget ends it
+unconverged.
 
 The walk (`_descend_rows`) takes an energy/step pair over rows, chosen
 from the frame alone once per `minimize` or `descend` call:
@@ -20,8 +23,7 @@ from the frame alone once per `minimize` or `descend` call:
   diagonal in |x_a|: halved, it is h_a = -(log q_a + 2 + S^W). The walk
   takes the safeguarded Newton step delta_a = g_a / max(h_a,
   CURVATURE_FLOOR), whose full step multiplies each minor coordinate of a
-  near-coherent state by 2 / (log q_a + 2), and stops on a local-minimum
-  certificate;
+  near-coherent state by 2 / (log q_a + 2);
 - the transform pair (`pure_state_entropy`, `entropy_gradient`), for any
   other fiducial: all |G|^2 amplitudes, in psi, with a gradient step. The
   amplitudes come from the frame's analysis `frames.pure_amplitudes` and
@@ -58,9 +60,12 @@ __all__ = [
 # the gradient walk (the Q -> 0 limit of Q log Q is 0, but log Q blows up;
 # such points are skipped)
 GRAD_SKIP = 1e-12
-# consecutive accepted steps with decrease < tol_entropy that end a walk:
-# converged on the gradient walk, a budget on the Newton walk
+# consecutive accepted steps with decrease < tol_entropy: a budget that ends
+# a walk unconverged
 PLATEAU_STEPS = 20
+# every walk's first trial step, the full step; a trial that does not lower
+# the entropy halves the step, and no step above MIN_STEP ends the walk
+FIRST_STEP = 1.0
 MIN_STEP = 1e-14
 # the Newton walk's least curvature: coordinates where the Lagrangian is
 # flatter or concave (the major coordinate, or any coordinate away from a
@@ -74,9 +79,6 @@ _LEAST_Q = np.finfo(np.float64).tiny
 @dataclass(frozen=True)
 class MinimizerConfig:
     max_iters: int = 5000
-    # the gradient walk's first trial step, halved on non-decrease; the
-    # Newton walk of Lagrangian frames starts at the full Newton step, 1
-    step_size: float = 0.1
     tol_grad: float = 1e-8
     tol_entropy: float = 1e-9
     restarts: int = 16
@@ -85,8 +87,8 @@ class MinimizerConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 0 or self.restarts < 1:
             raise ValueError("max_iters must be >= 0 and restarts >= 1")
-        if self.step_size <= 0 or self.tol_grad <= 0 or self.tol_entropy <= 0:
-            raise ValueError("step_size and tolerances must be positive")
+        if self.tol_grad <= 0 or self.tol_entropy <= 0:
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass(eq=False)
@@ -160,8 +162,7 @@ class _Objective(NamedTuple):
     cache. Each row is independent of the others, so a row rounds the same
     in a stack of any height. The rows are the coordinates x of
     psi = x @ basis, or psi itself where basis is None. row_bytes counts
-    the largest complex temporary and the cache. newton tells the walk that
-    the direction is a Newton step, taken first in full.
+    the largest complex temporary and the cache.
     """
 
     energy: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -169,7 +170,6 @@ class _Objective(NamedTuple):
                    tuple[np.ndarray, np.ndarray, np.ndarray]]
     basis: np.ndarray | None
     row_bytes: int
-    newton: bool
 
 
 def _transform_objective(frame: CoherentFrame) -> _Objective:
@@ -186,7 +186,7 @@ def _transform_objective(frame: CoherentFrame) -> _Objective:
         grad = _amplitude_gradient(frame, psi, c)
         return grad, _row_norms(grad), np.full(len(psi), np.inf)
 
-    return _Objective(energy, step, None, 32 * d * d, newton=False)
+    return _Objective(energy, step, None, 32 * d * d)
 
 
 def _coset_objective(frame: CoherentFrame) -> _Objective:
@@ -227,7 +227,7 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
         rate /= curvature
         return rate * x, np.sqrt(np.add.reduce(power, axis=-1)), decrements
 
-    return _Objective(energy, step, vectors, 32 * d, newton=True)
+    return _Objective(energy, step, vectors, 32 * d)
 
 
 def _objective(frame: CoherentFrame) -> _Objective:
@@ -259,7 +259,7 @@ def _descend_rows(
     x = psi if basis is None else (psi[:, None, :] @ np.ascontiguousarray(basis.conj().T))[:, 0, :]
     rows = len(x)
     energy, cache = objective.energy(x)
-    step = np.full(rows, 1.0 if objective.newton else config.step_size)
+    step = np.full(rows, FIRST_STEP)
     plateau = np.zeros(rows, dtype=np.int64)
     iterations = np.zeros(rows, dtype=np.int64)
     halvings = np.zeros(rows, dtype=np.int64)
@@ -295,15 +295,13 @@ def _descend_rows(
         np.copyto(cache, trial_cache, where=better[:, None])
         iterations += better
         plateau = np.where(better, np.where(drop < config.tol_entropy, plateau + 1, 0), plateau)
-        # a certificate or a budget ends the row; the gradient walk counts an
-        # exhausted step or a plateau as converged, the Newton walk does not
+        # a certificate or a budget ends the row; only a certificate converges
         ended = (stationary | (worse & (step <= MIN_STEP))
                  | (better & (plateau >= PLATEAU_STEPS)))
-        converged = certified if objective.newton else ended
         fresh = better & ~ended
         stop = spent | ended
         if stop.any():
-            walking = (x, energy, iterations, converged, halvings)
+            walking = (x, energy, iterations, certified, halvings)
             for out, value in zip(results, walking):
                 out[index[stop]] = value[stop]
             keep = ~stop
@@ -326,21 +324,17 @@ def descend(
     """One descent run from `start`; (state, entropy, iters, converged).
 
     Walks the sphere from the normalised start. Each iteration takes a
-    direction at the current point and stops (converged) if the point is
-    certified, and otherwise halves the step from its last value until the
-    retracted trial point lowers the entropy. On a Lagrangian (stabiliser)
-    frame the direction is the Newton step of the coset coordinates, the
-    first trial step is 1 (the full step), and a point is certified when
-    its tangent gradient norm is at most tol_grad, or when it is in the
-    basin of a coherent state with a Newton decrement below tol_entropy.
-    On any other frame the direction is the tangent gradient, the first
-    trial step is config.step_size, and a point is certified when its
-    gradient norm is at most tol_grad. Three budgets also end a run:
-    max_iters accepted steps, no step above MIN_STEP that lowers the
-    entropy, and PLATEAU_STEPS accepted steps in a row that each drop the
-    entropy by less than tol_entropy. On a Lagrangian frame a run they end
-    is unconverged; the gradient walk counts the last two as converged (a
-    stationary point), and max_iters as unconverged.
+    direction at the current point (the Newton step of the coset
+    coordinates on a Lagrangian frame, the tangent gradient on any other)
+    and stops (converged) if the point is certified: its tangent gradient
+    norm is at most tol_grad, or it is in the basin of a coherent state
+    with a Newton decrement below tol_entropy (only the Newton step shows
+    a basin). Otherwise it tries the step, FIRST_STEP at the start, and
+    halves it from its last value until the retracted trial point lowers
+    the entropy. Three budgets end a run unconverged: max_iters accepted
+    steps, no step above MIN_STEP that lowers the entropy, and
+    PLATEAU_STEPS accepted steps in a row that each drop the entropy by
+    less than tol_entropy.
     """
     states, energies, iterations, converged, _, _ = _descend_rows(
         _objective(frame), np.asarray(start)[None, :], config

@@ -47,6 +47,7 @@ from .groups import (
     PhaseSpaceSubgroup,
     Subgroup,
     _coords_grid,
+    _character_rows,
     _index_sum,
     _pairing_numerators,
     _phase_weights,
@@ -58,7 +59,7 @@ from .groups import (
     parse_group,
 )
 from .minimize import entropy_gradient
-from .states import check_density_matrix, pure_density, random_state_vector
+from .states import check_density_matrix, maximally_mixed, pure_density, random_state_vector
 from .weyl import _apply_points, _matrix_points, cocycle_numerators, verify_ccr
 
 __all__ = [
@@ -176,10 +177,7 @@ def check_group_laws(group: FiniteAbelianGroup, rng: np.random.Generator) -> Che
 
 
 def check_character_values(group: FiniteAbelianGroup) -> CheckResult:
-    worst = 0.0
-    for chi in group.characters():
-        row = chi.values()
-        worst = max(worst, float(np.abs(np.abs(row) - 1.0).max()))
+    worst = float(np.abs(np.abs(_character_rows(group, slice(None))) - 1.0).max())
     return _result("character-unit-modulus", worst, 1e-14)
 
 
@@ -494,7 +492,7 @@ def check_wehrl_vs_von_neumann(
             f"min gap = {gaps.min():.3e}",
         )
     ]
-    flat = entropy_report(frame, np.eye(d) / d)
+    flat = entropy_report(frame, maximally_mixed(d))
     residual = max(abs(flat.wehrl - math.log(d)), abs(flat.von_neumann - math.log(d)))
     out.append(_result("flat-state-entropies", residual, 1e-10))
     return out
@@ -506,7 +504,7 @@ def check_channel(
     d = frame.group.order
     out = measurement_channel(frame, _random_density_stack(d, samples, rng))
     worst_trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0).max()
-    flat = np.eye(d) / d
+    flat = maximally_mixed(d)
     flat_res = float(np.abs(measurement_channel(frame, flat) - flat).max())
     _, reps = frame.cosets()
     projs = np.stack([pure_density(frame.state(rep)) for rep in reps[:3]])

@@ -351,21 +351,31 @@ FUZZ_STATES = st.one_of(
     st.builds("random:{}".format, st.one_of(st.integers(-(10**20), 10**20), FUZZ_TEXT)),
     st.builds("coherent:{}".format, FUZZ_TEXT),
 )
+# negative seeds are input errors; zero and seeds beyond 2^64 are valid
+FUZZ_SEEDS = st.one_of(
+    st.none(),
+    st.integers(-(2**70), -1),
+    st.just(0),
+    st.integers(2**64, 2**70),
+)
 
 
 # every input is a success or an input error (exit 2 with a message), never a crash
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    command=st.sampled_from(("entropy", "husimi", "channel", "minimize")),
+    command=st.sampled_from(("entropy", "husimi", "channel", "minimize", "verify", "scan")),
     group=st.sampled_from(FUZZ_GROUPS),
     subgroup=st.one_of(st.none(), FUZZ_TEXT),
     state=FUZZ_STATES,
+    seed=FUZZ_SEEDS,
 )
-def test_fuzzed_inputs_exit_0_or_2(capsys, command, group, subgroup, state):
+def test_fuzzed_inputs_exit_0_or_2(capsys, command, group, subgroup, state, seed):
     argv = [command, "--group", group]
     if "state" in READS[command]:
         argv.append(f"--state={state}")
+    if "seed" in READS[command] and seed is not None:
+        argv.append(f"--seed={seed}")
     if subgroup is not None:
         argv.append(f"--subgroup={subgroup}")
     code = main(argv)

@@ -46,8 +46,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MinimizerConfig(restarts=0)
     with pytest.raises(ValueError):
-        MinimizerConfig(step_size=0.0)
-    with pytest.raises(ValueError):
         MinimizerConfig(tol_grad=-1.0)
 
 
@@ -243,7 +241,7 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
         objective = minimize_module._objective(frame)
         # the coset pair, walking in the coordinates x = V^H psi of the coset basis
         V = objective.basis
-        assert V is not None and objective.row_bytes == 32 * d and objective.newton
+        assert V is not None and objective.row_bytes == 32 * d
         assert np.array_equal(V, coset_basis(frame).vectors)
         # a coherent state, one near it (in the basin) and random states
         near = frame.fiducial + 1e-3 * random_state_vector(d, rng)
@@ -288,7 +286,7 @@ def test_coset_walk_matches_transform_walk(seed):
         rng = np.random.default_rng(seed)
         starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
         coset = minimize_module._objective(frame)
-        assert coset.basis is not None and coset.newton
+        assert coset.basis is not None
         _, entropies, iterations, converged, halvings, _ = minimize_module._descend_rows(
             coset, starts, config)
         walks = [newton_walk(frame, start, config) for start in starts]
@@ -336,14 +334,14 @@ def test_detected_vacuum_frame_minimizes_like_vacuum(spec, gens):
         assert getattr(a, field) == getattr(b, field)
 
 
-# step_size is the first trial step of the gradient walk, so a random fiducial
-def test_descend_stops_on_exhausted_step(rng):
+# a first step below MIN_STEP is a budget spent before any trial: the walk
+# stops at its start, unconverged
+def test_descend_stops_on_exhausted_step(rng, monkeypatch):
+    monkeypatch.setattr(sys.modules["wehrl.minimize"], "FIRST_STEP", 1e-15)
     frame = CoherentFrame(parse_group("Z4"), random_state_vector(4, rng))
     start = random_state_vector(4, rng)
-    state, energy, iterations, converged = descend(
-        frame, start, MinimizerConfig(step_size=1e-15)
-    )
-    assert converged and iterations == 0
+    state, energy, iterations, converged = descend(frame, start, MinimizerConfig())
+    assert not converged and iterations == 0
     assert np.array_equal(state, start / np.linalg.norm(start))
 
 
@@ -361,7 +359,7 @@ def test_no_halvings_from_coherent_starts():
 
 
 # one count per restart, in restart order, whatever the block height; on the
-# gradient walk of non-vacuum fiducials, where step_size acts
+# gradient walk of non-vacuum fiducials
 @pytest.mark.parametrize("fiducial", ["near-vacuum", "random"])
 @pytest.mark.parametrize("spec", ["Z6", "Z3xZ3", "Z8xZ8"])
 def test_restart_halvings_independent_of_blocks(spec, fiducial, monkeypatch):
@@ -376,8 +374,9 @@ def test_restart_halvings_independent_of_blocks(spec, fiducial, monkeypatch):
     else:
         frame = CoherentFrame(group, random_state_vector(d, rng))
     assert minimize_module._objective(frame).basis is None
-    # a step of 2 overshoots from a random start, so every restart halves
-    config = MinimizerConfig(seed=2, restarts=5, step_size=2.0, max_iters=300 if d < 64 else 30)
+    # a first step of 2 overshoots from a random start, so every restart halves
+    monkeypatch.setattr(minimize_module, "FIRST_STEP", 2.0)
+    config = MinimizerConfig(seed=2, restarts=5, max_iters=300 if d < 64 else 30)
     halvings = []
     for block_bytes in (1, 10**9):
         monkeypatch.setattr(limits, "BLOCK_BYTES", block_bytes)
@@ -505,6 +504,32 @@ def test_restart_grad_norms_are_the_final_gradient_norms(fiducial):
     else:
         want = np.linalg.norm(entropy_gradient(frame, best))
         assert norms[result.restart_index] == pytest.approx(want, rel=1e-12)
+
+
+# one stopping rule on every frame: a restart reads converged only on a
+# certificate, never on a plateau or an exhausted step of the gradient walk
+@pytest.mark.parametrize("seed", [0, 1])
+def test_converged_restarts_are_certified_on_random_fiducials(seed):
+    config = MinimizerConfig(seed=seed)
+    for group in dict.fromkeys(g for g, _ in suite_pairs()):
+        fiducial = random_state_vector(group.order, np.random.default_rng(seed))
+        result = minimize(CoherentFrame(group, fiducial), config)
+        converged = result.restart_converged
+        assert (result.restart_grad_norms[converged] <= config.tol_grad).all()
+
+
+# a vacuum moved by 3e-6 has a trivial stabiliser, so the gradient walk runs;
+# from a full first step it ends below the fiducial's own entropy
+def test_minimize_reaches_below_a_perturbed_vacuum_fiducial():
+    g = parse_group("Z8")
+    subgroups = all_subgroups(g)
+    assert len(subgroups) == 4
+    for H in subgroups:
+        phi = vacuum_vector(H) + 3e-6 * random_state_vector(8, np.random.default_rng(0))
+        frame = CoherentFrame(g, phi / np.linalg.norm(phi))
+        assert frame.stabiliser.order == 1
+        result = minimize(frame, MinimizerConfig(seed=0))
+        assert result.best_entropy <= pure_state_entropy(frame, frame.fiducial)
 
 
 def test_nearest_coherent_exact_point():
