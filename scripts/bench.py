@@ -13,6 +13,8 @@ seed to seed) so that they share the machine's drift. Each file holds:
 - one traced run per workload at the first seed: the per-layer metrics;
 - the median of each end-to-end metric per workload;
 - `scripts/run_suite.py`'s reported total, best of three;
+- `tier1_s`: the wall time of one Tier-1 run (`python -m pytest`) in the
+  tree, one BLAS thread;
 - `cli_s`: the wall time of one fresh `python -m wehrl` process per
   subcommand (the calls in `CLI_CALLS`), best of three, one BLAS thread;
 - the dense-vs-fast Husimi table: the state-matrix product <z|rho|z>
@@ -109,6 +111,17 @@ def run_suite_s(tree: Path) -> float:
         ).stdout
         totals.append(float(re.search(r"([0-9.]+)s total", out).group(1)))
     return min(totals)
+
+
+def tier1_s(tree: Path) -> float:
+    """Wall time of one Tier-1 run in the tree; a failing test aborts the script."""
+    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
+    t0 = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    return time.perf_counter() - t0
 
 
 def cli_s(tree: Path, repeats: int = 3) -> dict[str, float]:
@@ -230,6 +243,7 @@ def main() -> int:
                 for workload in WORKLOADS
             }
             record["run_suite_s"] = run_suite_s(tree)
+            record["tier1_s"] = tier1_s(tree)
             record["cli_s"] = cli_s(tree)
             record["husimi_dense_vs_fast"] = husimi_table(tree)
             path = ROOT / f"BENCH_{label}.json"

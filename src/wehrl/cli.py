@@ -188,7 +188,7 @@ def _trace_restarts(result) -> None:
 
 def cmd_scan(args: argparse.Namespace, group: FiniteAbelianGroup) -> int:
     subgroup = _subgroup_from_args(group, args.subgroup)
-    report = scan_fiducials(group, subgroup, config=MinimizerConfig(seed=args.seed))
+    report = scan_fiducials(subgroup, MinimizerConfig(seed=args.seed))
     print(json.dumps(report, sort_keys=True))
     return 0
 

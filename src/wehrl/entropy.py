@@ -12,7 +12,8 @@ group transform `groups.group_dft` against the frame's ambiguity table.
 
 The density-matrix functions take one state (d, d) or a stack (..., d, d)
 and work along the last axes: one state gives a Python float or a (d, d)
-array, a stack gives an array of them.
+array, a stack gives an array of them. Entropies are in nats;
+`entropy_report` alone also gives them in bits.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ def _entropy_sum(values: np.ndarray, weight: float):
     return _scalar(-terms.sum(axis=-1))
 
 
-def wehrl_entropy(table: HusimiTable, log_base: str = "e"):
-    """-sum_z w Q log Q, with Q log Q := 0 below the zero threshold."""
-    return _entropy_sum(table.values, table.haar_weight) / _log_divisor(log_base)
+def wehrl_entropy(table: HusimiTable):
+    """-sum_z w Q log Q in nats, with Q log Q := 0 below the zero threshold."""
+    return _entropy_sum(table.values, table.haar_weight)
 
 
 def pure_state_entropy(frame: CoherentFrame, psi):
@@ -155,8 +156,8 @@ def pure_state_entropy(frame: CoherentFrame, psi):
     return _entropy_sum(q, frame.haar_weight)
 
 
-def wehrl_entropy_coset(frame: CoherentFrame, rho, log_base: str = "e"):
-    """Wehrl entropy from one Husimi value per coset of the stabiliser S.
+def wehrl_entropy_coset(frame: CoherentFrame, rho):
+    """Wehrl entropy in nats from one Husimi value per coset of the stabiliser S.
 
     Valid for Lagrangian (stabiliser) frames only, where Q is constant on
     S-cosets: S^W = -vol(S) * sum_{cosets} Q(rep) log Q(rep), and
@@ -165,7 +166,7 @@ def wehrl_entropy_coset(frame: CoherentFrame, rho, log_base: str = "e"):
     """
     basis = coset_basis(frame).vectors
     rho = check_density_matrix(rho, frame.group.order)
-    return _coset_entropy(basis, rho) / _log_divisor(log_base)
+    return _coset_entropy(basis, rho)
 
 
 def _coset_entropy(basis: np.ndarray, rho: np.ndarray):
@@ -183,10 +184,10 @@ def husimi_coset_spread(table: HusimiTable):
     return _scalar((vals.max(axis=-1) - vals.min(axis=-1)).max(axis=-1))
 
 
-def von_neumann_entropy(rho, log_base: str = "e"):
-    """-tr rho log rho; eigenvalues below 1e-12 are clamped to zero."""
+def von_neumann_entropy(rho):
+    """-tr rho log rho in nats; eigenvalues below 1e-12 are clamped to zero."""
     _, eig = _checked_eigvalsh(rho)
-    return _spectrum_entropy(eig) / _log_divisor(log_base)
+    return _spectrum_entropy(eig)
 
 
 def _spectrum_entropy(eig: np.ndarray):
@@ -206,8 +207,10 @@ class EntropyReport:
 def entropy_report(frame: CoherentFrame, rho, log_base: str = "e") -> EntropyReport:
     """Wehrl and von Neumann entropies of rho; gap = wehrl - von_neumann >= 0.
 
-    One density (d, d) gives floats, a stack (..., d, d) arrays. rho is
-    validated once, by the eigendecomposition the von Neumann entropy uses.
+    In nats for log_base "e" and in bits for "2" (the CLI's --log-base);
+    every other entropy function gives nats. One density (d, d) gives
+    floats, a stack (..., d, d) arrays. rho is validated once, by the
+    eigendecomposition the von Neumann entropy uses.
     """
     rho, eig = _checked_eigvalsh(rho, frame.group.order)
     divisor = _log_divisor(log_base)
@@ -257,22 +260,16 @@ def partial_trace(rho, dims: tuple[int, int], trace_out: int = 2) -> np.ndarray:
     raise ValueError(f"trace_out must be 1 or 2, got {trace_out}")
 
 
-def husimi_marginal(
-    table: HusimiTable, dims: tuple[int, int], keep: int = 1
-) -> np.ndarray:
-    """Integrate a product-group Husimi table over one factor's phase space.
+def husimi_marginal(table: HusimiTable, dims: tuple[int, int]) -> np.ndarray:
+    """Integrate a product-group Husimi table over the second factor's phase space.
 
-    Returns values over the kept factor's phase space (lex order); equals
-    the Husimi table of the corresponding reduced density matrix.
+    Returns values over the first factor's phase space (lex order); equals
+    the Husimi table of the first factor's reduced density matrix.
     """
     d1, d2 = dims
     lead = table.values.shape[:-1]
     v = table.values.reshape(lead + (d1, d2, d1, d2))  # last axes (g1, g2, a1, a2)
-    if keep == 1:
-        return v.sum(axis=(-3, -1)).reshape(lead + (d1 * d1,)) / d2
-    if keep == 2:
-        return v.sum(axis=(-4, -2)).reshape(lead + (d2 * d2,)) / d1
-    raise ValueError(f"keep must be 1 or 2, got {keep}")
+    return v.sum(axis=(-3, -1)).reshape(lead + (d1 * d1,)) / d2
 
 
 def subadditivity_gap(frame_a: CoherentFrame, frame_b: CoherentFrame, rho12) -> float:

@@ -12,7 +12,9 @@ S = {z : |<phi|W(z) phi>| = 1}, the subgroup of points whose Weyl
 operators fix phi up to phase; each S-coset of F is one ray. The vacuum
 fiducial of a subgroup H is the normalised indicator of H; it is the
 unique unit vector (up to phase) fixed by every W(u) with u in
-K = H x A(H), and K is its stabiliser.
+K = H x A(H), and K is its stabiliser. Only `CoherentFrame.vacuum`
+attaches H to a frame; every other frame reads its stabiliser off its
+ambiguity function.
 
 S^W reaches 0 on a frame exactly when its stabiliser is Lagrangian
 (|S| = |G|):
@@ -83,29 +85,27 @@ def vacuum_vector(subgroup: Subgroup) -> np.ndarray:
 class CoherentFrame:
     """The family |z> = W(z) fiducial over z in F, Haar weight 1/|G|.
 
-    `subgroup` is H when the fiducial is the vacuum of H (`vacuum`): the
-    stabiliser is then K = H x A(H) in closed form.
+    `subgroup` is H on a frame built by `vacuum(H)`, whose stabiliser is
+    then K = H x A(H) in closed form, and None on any other frame.
     """
 
-    def __init__(
-        self,
-        group: FiniteAbelianGroup,
-        fiducial,
-        subgroup: Subgroup | None = None,
-    ) -> None:
+    def __init__(self, group: FiniteAbelianGroup, fiducial) -> None:
         self.group = group
         fid = check_state_vector(fiducial, group.order).copy()
         if fid.ndim != 1:
             raise ValueError(f"fiducial must be one vector, got shape {fid.shape}")
         fid.flags.writeable = False
         self.fiducial = fid
-        self.subgroup = subgroup
+        self.subgroup: Subgroup | None = None
         self._matrix: np.ndarray | None = None
         self._cosets: tuple | None = None
 
     @classmethod
     def vacuum(cls, subgroup: Subgroup) -> "CoherentFrame":
-        return cls(subgroup.group, vacuum_vector(subgroup), subgroup=subgroup)
+        """The frame of H's vacuum fiducial, the one frame that carries its subgroup."""
+        frame = cls(subgroup.group, vacuum_vector(subgroup))
+        frame.subgroup = subgroup
+        return frame
 
     @property
     def haar_weight(self) -> float:
@@ -153,7 +153,8 @@ class CoherentFrame:
     def stabiliser(self) -> PhaseSpaceSubgroup:
         """S = {z : W(z) phi = phase * phi}, computed once.
 
-        K = H x A(H) in closed form for a vacuum frame of H; otherwise the
+        K = H x A(H) in closed form on a frame built by `vacuum(H)`;
+        on any other frame, even one whose fiducial is a vacuum, the
         points where the ambiguity function |<phi|W(z) phi>| is <phi|phi>
         within STABILISER_TOL. The identity alone when nothing else fixes
         phi, and when those points are no subgroup: phi is then stabilised

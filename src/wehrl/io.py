@@ -15,6 +15,7 @@ import io as _io
 import json
 import operator
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -72,8 +73,14 @@ def _json_pairs(values) -> str:
 
 
 def _from_pairs(entries) -> np.ndarray:
-    """[[re, im], ...] -> complex array; ValueError for anything else."""
+    """[[re, im], ...] -> complex array; ValueError for anything else.
+
+    JSON true and false load as bool, which `complex` reads as 1 and 0;
+    they are refused, as `dim` refuses them.
+    """
     try:
+        if bool in set(map(type, chain.from_iterable(entries))):
+            raise TypeError("bool entry")
         return np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("entries must be [re, im] pairs of numbers") from None

@@ -71,6 +71,8 @@ MIN_STEP = 1e-14
 # flatter or concave (the major coordinate, or any coordinate away from a
 # coherent state) take a scaled gradient step g_a / 3
 CURVATURE_FLOOR = 3.0
+# random fiducials per `scan_fiducials` report
+SCAN_TRIALS = 8
 # the least normal float: q == 0 takes its log, so that the step reads a
 # finite log of every coordinate and no 0 * inf arises
 _LEAST_Q = np.finfo(np.float64).tiny
@@ -401,19 +403,15 @@ def nearest_coherent(
     return PhaseSpacePoint.by_index(frame.group, int(representatives[ids[idx]])), float(c[idx])
 
 
-def scan_fiducials(
-    group,
-    subgroup: Subgroup | None = None,
-    trials: int = 8,
-    config: MinimizerConfig | None = None,
-) -> dict:
-    """Minimise over states for random fiducials, with a vacuum control row.
+def scan_fiducials(subgroup: Subgroup, config: MinimizerConfig | None = None) -> dict:
+    """Minimise over states for SCAN_TRIALS random fiducials, with a vacuum control row.
 
-    Gathers evidence about non-vacuum frames; the report carries the
-    observed minima and is never turned into an assertion.
+    Every row runs on the group of H: the vacuum frame of H, then random
+    fiducials. Gathers evidence about non-vacuum frames; the report carries
+    the observed minima and is never turned into an assertion.
     """
     config = config or MinimizerConfig()
-    H = subgroup if subgroup is not None else Subgroup.whole(group)
+    group = subgroup.group
     rows = []
 
     def row(kind: str, frame: CoherentFrame) -> dict:
@@ -426,15 +424,15 @@ def scan_fiducials(
             "converged": result.converged,
         }
 
-    rows.append(row("vacuum", CoherentFrame.vacuum(H)))
+    rows.append(row("vacuum", CoherentFrame.vacuum(subgroup)))
     fid_rng = np.random.default_rng([config.seed, 0xF1D])
-    for t in range(trials):
+    for t in range(SCAN_TRIALS):
         fiducial = random_state_vector(group.order, fid_rng)
         rows.append(row(f"random:{t}", CoherentFrame(group, fiducial)))
     return {
         "group": str(group),
-        "subgroup": str(H),
-        "trials": trials,
+        "subgroup": str(subgroup),
+        "trials": SCAN_TRIALS,
         "seed": config.seed,
         "rows": rows,
     }

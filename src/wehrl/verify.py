@@ -51,6 +51,7 @@ from .groups import (
     _index_sum,
     _pairing_numerators,
     _phase_weights,
+    _require_same_group,
     _unit_roots,
     _unseparated,
     all_subgroups,
@@ -226,9 +227,7 @@ def check_cocycle_trivial_on_K(K: PhaseSpaceSubgroup) -> CheckResult:
     return _result("cocycle-trivial-on-K", int(np.count_nonzero(phases)), 0.0)
 
 
-def check_cocycle_bilinearity(
-    group: FiniteAbelianGroup, rng: np.random.Generator, samples: int = 1000
-) -> CheckResult:
+def check_cocycle_bilinearity(group: FiniteAbelianGroup, rng: np.random.Generator) -> CheckResult:
     """omega(z + w, v) = omega(z, v) omega(w, v) and omega(v, z + w) likewise.
 
     All triples at once on integer phase numerators mod L; a triple counts
@@ -238,8 +237,8 @@ def check_cocycle_bilinearity(
     L, _ = _phase_weights(group)
     orders = np.array(group.orders, dtype=np.int64)
     grid = _coords_grid(group.orders)
-    idx = rng.integers(0, d * d, size=(samples, 3))
-    g, a = grid[idx // d], grid[idx % d]  # (samples, 3, k)
+    idx = rng.integers(0, d * d, size=(1000, 3))
+    g, a = grid[idx // d], grid[idx % d]  # (1000, 3, k)
     z, w, v = ((g[:, i], a[:, i]) for i in range(3))
     zw = ((z[0] + w[0]) % orders, (z[1] + w[1]) % orders)
     bad = np.count_nonzero(
@@ -250,7 +249,7 @@ def check_cocycle_bilinearity(
         cocycle_numerators(group, *v, *zw)
         != (cocycle_numerators(group, *v, *z) + cocycle_numerators(group, *v, *w)) % L
     )
-    return _result("cocycle-bilinearity", int(bad), 0.0, f"{samples} random triples")
+    return _result("cocycle-bilinearity", int(bad), 0.0, "1000 random triples")
 
 
 def check_ccr(group: FiniteAbelianGroup, seed: int) -> CheckResult:
@@ -279,25 +278,23 @@ def check_weyl_unitarity(
     return _result("weyl-unitarity", worst, 1e-12, f"{len(points)} points")
 
 
-def check_weyl_dense_vs_apply(
-    group: FiniteAbelianGroup, rng: np.random.Generator, samples: int = 1000
-) -> CheckResult:
+def check_weyl_dense_vs_apply(group: FiniteAbelianGroup, rng: np.random.Generator) -> CheckResult:
     """Dense W(z) f (scattered matrices, matmul) against the gathered W(z) f.
 
     The unit vectors come from one draw, in the order of one
     `random_state_vector` call per sample.
     """
     d = group.order
-    points = rng.integers(0, d * d, size=samples)
-    draws = rng.standard_normal((samples, 2, d))
+    points = rng.integers(0, d * d, size=1000)
+    draws = rng.standard_normal((len(points), 2, d))
     states = draws[:, 0] + 1j * draws[:, 1]
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     worst = 0.0
-    for part in limits.blocks(samples, 16 * d * d):
+    for part in limits.blocks(len(points), 16 * d * d):
         dense = (_matrix_points(group, points[part]) @ states[part, :, None])[..., 0]
         gathered = _apply_points(group, points[part], states[part])
         worst = max(worst, float(np.abs(dense - gathered).max()))
-    return _result("weyl-dense-vs-apply", worst, 1e-13, f"{samples} random (z, f)")
+    return _result("weyl-dense-vs-apply", worst, 1e-13, f"{len(points)} random (z, f)")
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +337,12 @@ def check_resolution_vacuum(frame: CoherentFrame) -> CheckResult:
     return _result("resolution-of-identity", resolution_residual(frame), 1e-11)
 
 
-def check_resolution_random(
-    group: FiniteAbelianGroup, rng: np.random.Generator, samples: int = 5
-) -> CheckResult:
+def check_resolution_random(group: FiniteAbelianGroup, rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(5):
         fr = CoherentFrame(group, random_state_vector(group.order, rng))
         worst = max(worst, resolution_residual(fr))
-    return _result(
-        "resolution-of-identity-random", worst, 1e-11, f"{samples} random fiducials"
-    )
+    return _result("resolution-of-identity-random", worst, 1e-11, "5 random fiducials")
 
 
 def check_overlap_dichotomy(frame: CoherentFrame) -> CheckResult:
@@ -396,54 +389,48 @@ def check_coset_basis(frame: CoherentFrame) -> CheckResult:
 
 
 def check_husimi_mass_and_range(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
+    frame: CoherentFrame, rng: np.random.Generator
 ) -> list[CheckResult]:
-    table = husimi(frame, random_density_batch(frame.group.order, samples, rng))
+    table = husimi(frame, random_density_batch(frame.group.order, 100, rng))
     q = table.values
     mass = np.abs(table.mass() - 1.0).max()
     low = max(0.0, float(-q.min()))
     high = max(0.0, float(q.max() - 1.0))
     return [
-        _result("husimi-mass", mass, 1e-10, f"{samples} random rho"),
+        _result("husimi-mass", mass, 1e-10, "100 random rho"),
         _result("husimi-range", max(low, high), 1e-12),
     ]
 
 
-def check_coset_constancy(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
-) -> CheckResult:
-    table = husimi(frame, random_density_batch(frame.group.order, samples, rng))
+def check_coset_constancy(frame: CoherentFrame, rng: np.random.Generator) -> CheckResult:
+    table = husimi(frame, random_density_batch(frame.group.order, 100, rng))
     worst = husimi_coset_spread(table).max()
-    return _result("husimi-coset-spread", worst, 1e-12, f"{samples} random rho")
+    return _result("husimi-coset-spread", worst, 1e-12, "100 random rho")
 
 
-def check_coset_formula(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
-) -> CheckResult:
+def check_coset_formula(frame: CoherentFrame, rng: np.random.Generator) -> CheckResult:
     """Full Husimi sum against the coset formula, on one stack validated once."""
-    rhos = check_density_matrix(_random_density_stack(frame.group.order, samples, rng))
+    rhos = check_density_matrix(_random_density_stack(frame.group.order, 100, rng))
     full = _entropy_sum(_husimi_values(frame, rhos), frame.haar_weight)
     collapsed = _coset_entropy(coset_basis(frame).vectors, rhos)
     worst = np.abs(full - collapsed).max()
-    return _result("coset-formula-vs-full", worst, 1e-10, f"{samples} random rho")
+    return _result("coset-formula-vs-full", worst, 1e-10, "100 random rho")
 
 
-def check_fast_vs_dense(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
-) -> CheckResult:
+def check_fast_vs_dense(frame: CoherentFrame, rng: np.random.Generator) -> CheckResult:
     """Transform Husimi tables of pure states against the state-matrix product.
 
     The dense side is <z|rho|z> as a product with the rows of
     `CoherentFrame.state_matrix`, not through the group transform.
     """
     d = frame.group.order
-    psis = np.stack([random_state_vector(d, rng) for _ in range(samples)])
+    psis = np.stack([random_state_vector(d, rng) for _ in range(100)])
     S = frame.state_matrix()
     rhos = psis[:, :, None] * psis[:, None, :].conj()
     dense = np.einsum("...zk,zk->...z", S.conj() @ rhos, S).real
     fast = husimi_fast(frame, psis).values
     worst = np.abs(dense - fast).max()
-    return _result("husimi-fast-vs-dense", worst, 1e-11, f"{samples} pure states")
+    return _result("husimi-fast-vs-dense", worst, 1e-11, "100 pure states")
 
 
 def check_wehrl_bounds(
@@ -498,11 +485,9 @@ def check_wehrl_vs_von_neumann(
     return out
 
 
-def check_channel(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int = 100
-) -> list[CheckResult]:
+def check_channel(frame: CoherentFrame, rng: np.random.Generator) -> list[CheckResult]:
     d = frame.group.order
-    out = measurement_channel(frame, _random_density_stack(d, samples, rng))
+    out = measurement_channel(frame, _random_density_stack(d, 100, rng))
     worst_trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0).max()
     flat = maximally_mixed(d)
     flat_res = float(np.abs(measurement_channel(frame, flat) - flat).max())
@@ -510,7 +495,7 @@ def check_channel(
     projs = np.stack([pure_density(frame.state(rep)) for rep in reps[:3]])
     worst_coherent = np.abs(measurement_channel(frame, projs) - projs).max()
     return [
-        _result("channel-trace", worst_trace, 1e-10, f"{samples} random rho"),
+        _result("channel-trace", worst_trace, 1e-10, "100 random rho"),
         _result("channel-flat-fixed-point", flat_res, 1e-12),
         _result("channel-coherent-fixed-point", worst_coherent, 1e-11),
     ]
@@ -536,9 +521,7 @@ def fd_tangent_gradient(frame: CoherentFrame, psi: np.ndarray) -> np.ndarray:
     return grad - np.real(np.vdot(psi, grad)) * psi
 
 
-def check_gradient_oracle(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int = 4
-) -> CheckResult:
+def check_gradient_oracle(frame: CoherentFrame, rng: np.random.Generator) -> CheckResult:
     """Relative error of the analytic gradient against finite differences.
 
     The FD route resolves a gradient only to its own roundoff: each of its
@@ -556,7 +539,7 @@ def check_gradient_oracle(
     worst = 0.0
     tested = 0
     attempts = 0
-    while tested < samples and attempts < 50 * samples:
+    while tested < 4 and attempts < 200:
         attempts += 1
         psi = random_state_vector(d, rng)
         q = np.abs(pure_amplitudes(frame, psi)) ** 2
@@ -572,7 +555,7 @@ def check_gradient_oracle(
 
 
 def check_product_structure(
-    group: FiniteAbelianGroup, rng: np.random.Generator, samples: int = 100
+    group: FiniteAbelianGroup, rng: np.random.Generator
 ) -> list[CheckResult]:
     """Marginalisation and entropy monotonicity for a first-factor split."""
     g1 = FiniteAbelianGroup(group.orders[:1])
@@ -581,21 +564,16 @@ def check_product_structure(
     fr2 = CoherentFrame.vacuum(Subgroup.whole(g2))
     fr12 = product_frame(fr1, fr2)
     dims = (g1.order, g2.order)
-    rhos = random_density_batch(g1.order * g2.order, samples, rng)
+    rhos = random_density_batch(g1.order * g2.order, 100, rng)
     table12 = husimi(fr12, rhos)
     table1 = husimi(fr1, partial_trace(rhos, dims, trace_out=2))
-    marginal = husimi_marginal(table12, dims, keep=1)
+    marginal = husimi_marginal(table12, dims)
     worst_marginal = np.abs(marginal - table1.values).max()
     worst_mono = (wehrl_entropy(table1) - wehrl_entropy(table12)).max()
     return [
+        _result("husimi-marginalisation", worst_marginal, 1e-10, "100 random rho"),
         _result(
-            "husimi-marginalisation", worst_marginal, 1e-10, f"{samples} random rho"
-        ),
-        _result(
-            "wehrl-monotonicity",
-            max(0.0, worst_mono),
-            1e-9,
-            f"{samples} random rho, first factor kept",
+            "wehrl-monotonicity", max(0.0, worst_mono), 1e-9, "100 random rho, first factor kept"
         ),
     ]
 
@@ -613,10 +591,12 @@ def run_checks(
 ) -> list[CheckResult]:
     """The full invariant suite for one (G, H); deterministic in the seed.
 
-    Raises DenseLimitError before any check runs when |F| = |G|^2 is over the
-    dense-matrix limit (`limits.require_dense`), which the overlap checks'
-    `overlap_matrix` needs.
+    Raises, before any check runs, GroupMismatchError when H is a subgroup
+    of another group than G, and DenseLimitError when |F| = |G|^2 is over
+    the dense-matrix limit (`limits.require_dense`), which the overlap
+    checks' `overlap_matrix` needs.
     """
+    _require_same_group(group, subgroup.group)
     limits.require_dense("|F|", group.order ** 2)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []

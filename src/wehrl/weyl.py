@@ -151,6 +151,10 @@ def weyl_matrix(z: PhaseSpacePoint) -> np.ndarray:
     return _matrix_points(z.group, z.index)[0]
 
 
+# random pairs of `verify_ccr` above `limits.EXHAUSTIVE_POINTS`
+CCR_SAMPLES = 10_000
+
+
 @dataclass(frozen=True)
 class CcrReport:
     group: str
@@ -161,13 +165,11 @@ class CcrReport:
     passed: bool
 
 
-def verify_ccr(
-    group: FiniteAbelianGroup, *, seed: int = 0, samples: int = 10_000
-) -> CcrReport:
+def verify_ccr(group: FiniteAbelianGroup, *, seed: int = 0) -> CcrReport:
     """Check W(z) W(w) = omega(z, w) W(w) W(z) on random probe vectors, within 1e-12.
 
     All |F|^2 pairs when |F| is at most `limits.EXHAUSTIVE_POINTS`,
-    otherwise `samples` random pairs. Pairs are checked in blocks of numpy
+    otherwise CCR_SAMPLES random pairs. Pairs are checked in blocks of numpy
     arrays (`limits.blocks`), sized so that each (pairs, |G|, probes)
     temporary stays near the block budget; no |G|^2 table is built. Phases
     are integers mod L = lcm(n_j): the left side applies W(w) and then W(z)
@@ -188,8 +190,8 @@ def verify_ccr(
         n_pairs = total * total
         mode = "exhaustive"
     else:
-        drawn = rng.integers(0, total, size=(samples, 2))
-        n_pairs = samples
+        drawn = rng.integers(0, total, size=(CCR_SAMPLES, 2))
+        n_pairs = CCR_SAMPLES
         mode = "randomized"
     worst = 0.0
     blocks = list(limits.blocks(n_pairs, probes.nbytes))

@@ -189,7 +189,7 @@ def test_criterion_08_monotonicity_product_frames():
                 for rho in rhos:
                     table12 = husimi(fr12, rho)
                     rho1 = partial_trace(rho, (d1, d2), trace_out=2)
-                    marg = husimi_marginal(table12, (d1, d2), keep=1)
+                    marg = husimi_marginal(table12, (d1, d2))
                     direct = husimi(fr1, rho1).values
                     err = float(np.abs(marg - direct).max())
                     assert err <= 1e-10

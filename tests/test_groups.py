@@ -1,5 +1,8 @@
 import ast
+import dataclasses
 import graphlib
+import importlib
+import inspect
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -857,3 +860,61 @@ def test_package_imports_in_layers():
         graphlib.TopologicalSorter(imports).prepare()
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+# every settable value of the public API that a caller may leave out: each one
+# has a program caller (the library, scripts/, perfbench/ or the CLI) that
+# sets it to another value, or is data another function builds
+DEFAULTED_PARAMETERS = {
+    "groups.Subgroup.generator_indices": (),
+    "groups.PhaseSpaceSubgroup.subgroup": None,
+    "groups.PhaseSpaceSubgroup.dual_part": None,
+    "groups.group_dft.inverse": False,
+    "weyl.verify_ccr.seed": 0,
+    "states.check_state_vector.dim": None,
+    "states.check_density_matrix.dim": None,
+    "entropy.entropy_report.log_base": "e",
+    "entropy.partial_trace.trace_out": 2,
+    "minimize.MinimizerConfig.max_iters": 5000,
+    "minimize.MinimizerConfig.tol_grad": 1e-8,
+    "minimize.MinimizerConfig.tol_entropy": 1e-9,
+    "minimize.MinimizerConfig.restarts": 16,
+    "minimize.MinimizerConfig.seed": 0,
+    "minimize.minimize.config": None,
+    "minimize.scan_fiducials.config": None,
+    "verify.CheckResult.note": "",
+    "verify.run_checks.seed": 0,
+    "verify.run_checks.rho_samples": 1000,
+    "verify.check_density_matrix.dim": None,
+    "verify.check_wehrl_bounds.samples": 1000,
+    "verify.check_wehrl_vs_von_neumann.samples": 1000,
+    "cli.main.argv": None,
+}
+
+
+def _defaulted_parameters(obj) -> dict:
+    """name -> default of each parameter of obj with a default; dataclass fields too."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: f.default for f in dataclasses.fields(obj)
+                if f.default is not dataclasses.MISSING}
+    if inspect.isclass(obj):
+        obj = obj.__init__ if "__init__" in vars(obj) else None
+    if not callable(obj):
+        return {}
+    return {name: p.default for name, p in inspect.signature(obj).parameters.items()
+            if p.default is not p.empty}
+
+
+def test_public_api_has_exactly_the_defaulted_parameters_its_callers_set():
+    found = {}
+    for path in sorted(Path(wehrl.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"wehrl.{path.stem}")
+        names = list(module.__all__)
+        if path.stem == "verify":
+            names += sorted(name for name in vars(module) if name.startswith("check_"))
+        for name in names:
+            for param, default in _defaulted_parameters(getattr(module, name)).items():
+                found[f"{path.stem}.{name}.{param}"] = default
+    assert found == DEFAULTED_PARAMETERS
+    with pytest.raises(TypeError):
+        wehrl.CoherentFrame(parse_group("Z4"), [1, 0, 0, 0], subgroup=None)

@@ -17,6 +17,7 @@ from wehrl import (
     random_state_vector,
     subgroup_closure,
 )
+from wehrl.cli import main
 from wehrl.entropy import HusimiTable
 from wehrl.groups import format_coords, parse_generators
 from wehrl.verify import suite_pairs
@@ -85,6 +86,24 @@ def test_density_dim_must_be_a_positive_json_integer(dim):
     text = f'{{"dim": {dim}, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}}'
     with pytest.raises(ValueError, match=r"^density matrix 'dim' must be an integer >= 1$"):
         density_matrix_from_json(text)
+
+
+# JSON true and false are no numbers, though complex() reads them as 1 and
+# 0: on Z1 each file would otherwise name the state |0>
+BOOL_STATE_FILES = {
+    "vector.json": "[[true, false]]",
+    "density.json": '{"dim": 1, "entries": [[true, false]]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_STATE_FILES))
+def test_bool_entries_are_refused(name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(BOOL_STATE_FILES[name])
+    with pytest.raises(ValueError, match=r"^entries must be \[re, im\] pairs of numbers$"):
+        load_state_file(path)
+    assert main(["entropy", "--group", "Z1", "--state", str(path)]) == 2
+    assert "[re, im] pairs" in capsys.readouterr().err
 
 
 def test_malformed_inputs_raise():

@@ -6,6 +6,7 @@ import pytest
 
 from wehrl import (
     CoherentFrame,
+    GroupMismatchError,
     PhaseSpacePoint,
     Subgroup,
     cocycle_phase,
@@ -75,6 +76,17 @@ def test_run_checks_refuses_oversized_group_before_any_check(monkeypatch):
     g = parse_group("Z4")
     with pytest.raises(DenseLimitError, match=r"^\|F\| = 16 exceeds the dense-matrix limit 15$"):
         run_checks(g, subgroup_closure(g, ()))
+
+
+# a subgroup of another group would run the group-level checks on one group
+# and the frame checks on the other, and pass
+def test_run_checks_refuses_a_subgroup_of_another_group(monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("a check ran before the group guard")
+
+    monkeypatch.setattr(verify, "check_group_laws", not_called)
+    with pytest.raises(GroupMismatchError, match="^descriptor mismatch: Z4 vs Z2$"):
+        run_checks(parse_group("Z4"), Subgroup.whole(parse_group("Z2")))
 
 
 @pytest.mark.parametrize("spec", ["Z1", "Z1xZ1"])
@@ -270,9 +282,9 @@ def test_random_density_stack_equals_one_matrix_at_a_time(d):
 def test_dense_vs_apply_draws_like_one_state_per_sample(spec):
     g = parse_group(spec)
     stacked_rng, scalar_rng = np.random.default_rng(3), np.random.default_rng(3)
-    assert verify.check_weyl_dense_vs_apply(g, stacked_rng, samples=50).passed
-    scalar_rng.integers(0, g.order ** 2, size=50)
-    for _ in range(50):
+    assert verify.check_weyl_dense_vs_apply(g, stacked_rng).passed
+    scalar_rng.integers(0, g.order ** 2, size=1000)
+    for _ in range(1000):
         random_state_vector(g.order, scalar_rng)
     assert stacked_rng.random() == scalar_rng.random()
 
@@ -318,7 +330,7 @@ def _per_point_checks(group, frame, rng):
         W = pointwise_weyl_matrix(z)
         unitarity = max(unitarity, float(np.abs(W.conj().T @ W - np.eye(d)).max()))
     dense = 0.0
-    for i in rng.integers(0, d * d, size=200):
+    for i in rng.integers(0, d * d, size=1000):
         z = PhaseSpacePoint.by_index(group, int(i))
         f = random_state_vector(d, rng)
         dense = max(dense, float(np.abs(pointwise_weyl_matrix(z) @ f - roll_weyl_apply(z, f)).max()))
@@ -353,7 +365,7 @@ def test_stacked_checks_match_their_per_point_routes(spec, gens, monkeypatch):
         "group-laws": verify.check_group_laws(g, stacked_rng),
         "character-multiplicativity": verify.check_character_multiplicativity(g, stacked_rng),
         "weyl-unitarity": verify.check_weyl_unitarity(g, stacked_rng),
-        "weyl-dense-vs-apply": verify.check_weyl_dense_vs_apply(g, stacked_rng, samples=200),
+        "weyl-dense-vs-apply": verify.check_weyl_dense_vs_apply(g, stacked_rng),
         "vacuum-invariance": verify.check_vacuum_invariance(frame),
         "offcoset-vanishing": verify.check_offcoset_vanishing(frame),
     }
@@ -379,6 +391,6 @@ def test_coset_formula_check_validates_its_stack_once(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
-    result = verify.check_coset_formula(frame, np.random.default_rng(0), samples=20)
+    result = verify.check_coset_formula(frame, np.random.default_rng(0))
     assert result.passed
-    assert shapes == [(20, 6, 6)]
+    assert shapes == [(100, 6, 6)]

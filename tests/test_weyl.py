@@ -198,9 +198,9 @@ def test_verify_ccr_exhaustive():
 
 def test_verify_ccr_randomized():
     g = parse_group("Z32")  # |F| = 1024 > 256 forces sampling
-    report = verify_ccr(g, samples=500)
+    report = verify_ccr(g)
     assert report.mode == "randomized"
-    assert report.pairs_checked == 500
+    assert report.pairs_checked == weyl.CCR_SAMPLES == 10_000
     assert report.max_residual <= 1e-12
 
 
@@ -254,9 +254,11 @@ def test_verify_ccr_matches_scalar_oracle_exhaustive(spec):
 
 
 @pytest.mark.parametrize("spec", ["Z32", "Z4xZ8"])
-def test_verify_ccr_matches_scalar_oracle_randomized(spec):
+def test_verify_ccr_matches_scalar_oracle_randomized(spec, monkeypatch):
+    # the scalar oracle takes about 1.5 s at CCR_SAMPLES pairs
+    monkeypatch.setattr(weyl, "CCR_SAMPLES", 500)
     g = parse_group(spec)
-    report = verify_ccr(g, seed=2, samples=500)
+    report = verify_ccr(g, seed=2)
     assert report.mode == "randomized"
     assert report == _ccr_oracle(g, seed=2, samples=500)
 
