@@ -207,10 +207,9 @@ class EntropyReport:
 def entropy_report(frame: CoherentFrame, rho, log_base: str = "e") -> EntropyReport:
     """Wehrl and von Neumann entropies of rho; gap = wehrl - von_neumann >= 0.
 
-    In nats for log_base "e" and in bits for "2" (the CLI's --log-base);
-    every other entropy function gives nats. One density (d, d) gives
-    floats, a stack (..., d, d) arrays. rho is validated once, by the
-    eigendecomposition the von Neumann entropy uses.
+    In nats for log_base "e" and in bits for "2" (the CLI's --log-base).
+    One density (d, d) gives floats, a stack (..., d, d) arrays. rho is
+    validated once, by the eigendecomposition the von Neumann entropy uses.
     """
     rho, eig = _checked_eigvalsh(rho, frame.group.order)
     divisor = _log_divisor(log_base)
