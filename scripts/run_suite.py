@@ -20,12 +20,20 @@ import time  # noqa: E402
 from wehrl.verify import run_checks, suite_pairs  # noqa: E402
 
 
+def sample_count(text: str) -> int:
+    """An int of at least 1; argparse turns a refusal into exit 2."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--rho-samples", type=int, default=200,
-        help="random density matrices per statistical check (default 200)",
+        "--rho-samples", type=sample_count, default=200,
+        help="random density matrices per statistical check, at least 1 (default 200)",
     )
     args = parser.parse_args()
 

@@ -403,14 +403,13 @@ def nearest_coherent(
     return PhaseSpacePoint.by_index(frame.group, int(representatives[ids[idx]])), float(c[idx])
 
 
-def scan_fiducials(subgroup: Subgroup, config: MinimizerConfig | None = None) -> dict:
+def scan_fiducials(subgroup: Subgroup, config: MinimizerConfig) -> dict:
     """Minimise over states for SCAN_TRIALS random fiducials, with a vacuum control row.
 
     Every row runs on the group of H: the vacuum frame of H, then random
     fiducials. Gathers evidence about non-vacuum frames; the report carries
     the observed minima and is never turned into an assertion.
     """
-    config = config or MinimizerConfig()
     group = subgroup.group
     rows = []
 

@@ -5,16 +5,24 @@ tolerance it is held to. Checks come in independent pairs on purpose
 (closed form vs numerical null space, coset formula vs full sum, transform
 vs dense, analytic gradient vs finite differences); the two routes are never
 collapsed into one.
+
+Eight checks read the group G alone: the group laws, character unit
+modulus and multiplicativity, cocycle bilinearity, the CCR, Weyl
+unitarity, dense-vs-gathered W(z) and the resolution of identity for
+random fiducials. `run_checks` computes them once per (group, seed,
+limits) in a process and reuses them for every subgroup of G; the
+`check_*` functions themselves keep no cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import limits
+from . import limits, weyl
 from .entropy import (
     HusimiTable,
     _coset_entropy,
@@ -434,7 +442,7 @@ def check_fast_vs_dense(frame: CoherentFrame, rng: np.random.Generator) -> Check
 
 
 def check_wehrl_bounds(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int = 1000
+    frame: CoherentFrame, rng: np.random.Generator, samples: int
 ) -> list[CheckResult]:
     table = husimi(frame, random_density_batch(frame.group.order, samples, rng))
     q = table.values
@@ -467,7 +475,7 @@ def check_wehrl_bounds(
 
 
 def check_wehrl_vs_von_neumann(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int = 1000
+    frame: CoherentFrame, rng: np.random.Generator, samples: int
 ) -> list[CheckResult]:
     d = frame.group.order
     gaps = entropy_report(frame, random_density_batch(d, samples, rng)).gap
@@ -582,6 +590,33 @@ def check_product_structure(
 # runner
 
 
+@functools.lru_cache(maxsize=16)
+def _group_checks(
+    group: FiniteAbelianGroup, seed: int, key: tuple
+) -> tuple[tuple[CheckResult, ...], dict]:
+    """The eight checks of `run_checks` that read G alone, and the rng state after them.
+
+    They run in `run_checks`' order on `np.random.default_rng(seed)`, which
+    no check between them draws from, so the returned bit-generator state
+    is the one the frame-level checks start from. `key` holds every public
+    constant of `limits` and `weyl.CCR_SAMPLES` as read by the caller, so a
+    patched constant makes another entry. Sixteen entries hold every group
+    of the standard suite at one seed.
+    """
+    rng = np.random.default_rng(seed)
+    results = (
+        check_group_laws(group, rng),
+        check_character_values(group),
+        check_character_multiplicativity(group, rng),
+        check_cocycle_bilinearity(group, rng),
+        check_ccr(group, seed),
+        check_weyl_unitarity(group, rng),
+        check_weyl_dense_vs_apply(group, rng),
+        check_resolution_random(group, rng),
+    )
+    return results, rng.bit_generator.state
+
+
 def run_checks(
     group: FiniteAbelianGroup,
     subgroup: Subgroup,
@@ -591,33 +626,40 @@ def run_checks(
 ) -> list[CheckResult]:
     """The full invariant suite for one (G, H); deterministic in the seed.
 
-    Raises, before any check runs, GroupMismatchError when H is a subgroup
-    of another group than G, and DenseLimitError when |F| = |G|^2 is over
-    the dense-matrix limit (`limits.require_dense`), which the overlap
-    checks' `overlap_matrix` needs.
+    The eight checks that read G alone come from `_group_checks`, so they
+    are computed once per (group, seed, limits) in a process, whatever the
+    subgroup. The frame-level checks draw from the generator state those
+    eight left, so every result, and the order of the list, is that of
+    running all the checks in turn on one generator, to the bit.
+
+    Raises, before any check runs, ValueError when rho_samples is below 1,
+    GroupMismatchError when H is a subgroup of another group than G, and
+    DenseLimitError when |F| = |G|^2 is over the dense-matrix limit
+    (`limits.require_dense`), which the overlap checks' `overlap_matrix`
+    needs.
     """
+    if rho_samples < 1:
+        raise ValueError(f"rho_samples must be >= 1, got {rho_samples}")
     _require_same_group(group, subgroup.group)
     limits.require_dense("|F|", group.order ** 2)
     rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
-    results.append(check_group_laws(group, rng))
-    results.append(check_character_values(group))
-    results.append(check_character_multiplicativity(group, rng))
+    key = tuple(getattr(limits, name) for name in limits.__all__ if name.isupper())
+    group_level, state = _group_checks(group, seed, key + (weyl.CCR_SAMPLES,))
+    laws, unit, multiplicative, bilinear, ccr, unitarity, dense, resolution = group_level
+    rng.bit_generator.state = state
+    results = [laws, unit, multiplicative]
     results.append(check_annihilator_duality(subgroup))
     results.append(check_double_annihilator(subgroup))
     frame = CoherentFrame.vacuum(subgroup)
     K, _ = frame.cosets()  # the one maximal compact subgroup of this pair
     results.append(check_compact_maximality(K))
     results.append(check_cocycle_trivial_on_K(K))
-    results.append(check_cocycle_bilinearity(group, rng))
-    results.append(check_ccr(group, seed))
-    results.append(check_weyl_unitarity(group, rng))
-    results.append(check_weyl_dense_vs_apply(group, rng))
+    results += [bilinear, ccr, unitarity, dense]
     results.append(check_vacuum_uniqueness(K))
     results.append(check_vacuum_nullspace_match(K))
     results.append(check_vacuum_invariance(frame))
     results.append(check_resolution_vacuum(frame))
-    results.append(check_resolution_random(group, rng))
+    results.append(resolution)
     results.append(check_overlap_dichotomy(frame))
     results.append(check_overlap_coset_match(frame))
     results.append(check_offcoset_vanishing(frame))

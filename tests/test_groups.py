@@ -881,13 +881,10 @@ DEFAULTED_PARAMETERS = {
     "minimize.MinimizerConfig.restarts": 16,
     "minimize.MinimizerConfig.seed": 0,
     "minimize.minimize.config": None,
-    "minimize.scan_fiducials.config": None,
     "verify.CheckResult.note": "",
     "verify.run_checks.seed": 0,
     "verify.run_checks.rho_samples": 1000,
     "verify.check_density_matrix.dim": None,  # states' validator, a check_ name in verify
-    "verify.check_wehrl_bounds.samples": 1000,
-    "verify.check_wehrl_vs_von_neumann.samples": 1000,
     "cli.main.argv": None,
 }
 

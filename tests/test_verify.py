@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,7 +116,75 @@ def test_gradient_check_floor_still_catches_a_wrong_gradient(monkeypatch):
 def test_run_checks_deterministic():
     g = parse_group("Z3")
     H = subgroup_closure(g, (g.element((1,)),))
-    assert run_checks(g, H, seed=4) == run_checks(g, H, seed=4)
+    first = run_checks(g, H, seed=4)
+    verify._group_checks.cache_clear()  # the second call computes every check again
+    assert first == run_checks(g, H, seed=4)
+
+
+def _bits(results):
+    return [(r.name, r.residual.hex(), r.tolerance, r.passed, r.note) for r in results]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_run_checks_from_the_group_memo_equal_a_cold_run(seed):
+    # the suite pairs in a shuffled order, so a group's memo is read by
+    # subgroups other than the one that filled it, and entries of other
+    # groups come in between
+    pairs = suite_pairs()
+    order = np.random.default_rng(seed).permutation(len(pairs))
+    warm = {i: _bits(run_checks(*pairs[i], seed=seed, rho_samples=50)) for i in order}
+    assert verify._group_checks.cache_info().misses == len(standard_suite())
+    for i in order:
+        verify._group_checks.cache_clear()
+        assert _bits(run_checks(*pairs[i], seed=seed, rho_samples=50)) == warm[i], pairs[i]
+
+
+def test_group_level_checks_run_once_per_group_and_seed(monkeypatch):
+    calls = []
+    exact = verify.check_ccr
+    monkeypatch.setattr(verify, "check_ccr", lambda g, seed: calls.append(g) or exact(g, seed))
+    g = parse_group("Z2xZ2xZ2")
+    subgroups = [H for group, H in suite_pairs() if group == g]
+    assert len(subgroups) == 16
+    for H in subgroups:
+        run_checks(g, H, seed=1, rho_samples=50)
+    assert calls == [g]
+
+
+def test_group_memo_sees_a_patched_limit(monkeypatch):
+    g = parse_group("Z2")
+    H = Subgroup.whole(g)
+    ccr = {r.name: r for r in run_checks(g, H, seed=0, rho_samples=50)}["ccr-commutation"]
+    assert ccr.note == "exhaustive, 16 pairs"
+    monkeypatch.setattr(verify.limits, "EXHAUSTIVE_POINTS", 0)
+    ccr = {r.name: r for r in run_checks(g, H, seed=0, rho_samples=50)}["ccr-commutation"]
+    assert ccr.note == "randomized, 10000 pairs"
+    assert verify._group_checks.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("rho_samples", [0, -1])
+def test_run_checks_refuses_no_density_samples_before_any_check(rho_samples, monkeypatch):
+    def not_called(*args, **kwargs):
+        raise AssertionError("a check ran before the rho_samples guard")
+
+    monkeypatch.setattr(verify, "_group_checks", not_called)
+    monkeypatch.setattr(verify, "check_annihilator_duality", not_called)
+    g = parse_group("Z2")
+    with pytest.raises(ValueError, match=f"^rho_samples must be >= 1, got {rho_samples}$"):
+        run_checks(g, Subgroup.whole(g), rho_samples=rho_samples)
+
+
+def test_run_suite_refuses_no_density_samples():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_suite.py"), "--rho-samples", "0"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith("error: argument --rho-samples: must be >= 1, got 0\n")
 
 
 def test_run_checks_product_group_includes_marginals():
