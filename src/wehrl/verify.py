@@ -598,10 +598,11 @@ def _group_checks(
 
     They run in `run_checks`' order on `np.random.default_rng(seed)`, which
     no check between them draws from, so the returned bit-generator state
-    is the one the frame-level checks start from. `key` holds every public
-    constant of `limits` and `weyl.CCR_SAMPLES` as read by the caller, so a
-    patched constant makes another entry. Sixteen entries hold every group
-    of the standard suite at one seed.
+    is the one the frame-level checks start from; every call shares that
+    dict, so a caller only reads it. `key` holds every public constant of
+    `limits` and `weyl.CCR_SAMPLES` as read by the caller, so a patched
+    constant makes another entry. Sixteen entries hold every group of the
+    standard suite at one seed.
     """
     rng = np.random.default_rng(seed)
     results = (
