@@ -1,8 +1,8 @@
 """Run the full check battery over the standard suite and print a summary.
 
 One line per (group, subgroup) pair with the worst residual across all
-checks; exits 1 if anything fails.  The whole run stays well under the
-five-minute budget on a laptop.
+checks; exits 1 if anything fails and 2 on a bad argument.  The whole run
+stays well under the five-minute budget on a laptop.
 """
 
 import os
@@ -20,19 +20,24 @@ import time  # noqa: E402
 from wehrl.verify import run_checks, suite_pairs  # noqa: E402
 
 
-def sample_count(text: str) -> int:
-    """An int of at least 1; argparse turns a refusal into exit 2."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def at_least(low: int):
+    """An argparse type: an int of at least low; argparse turns a refusal into exit 2."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=at_least(0), default=0,
+                        help="seed of every check's generator, at least 0 (default 0)")
     parser.add_argument(
-        "--rho-samples", type=sample_count, default=200,
+        "--rho-samples", type=at_least(1), default=200,
         help="random density matrices per statistical check, at least 1 (default 200)",
     )
     args = parser.parse_args()

@@ -6,7 +6,9 @@ Reports the distribution of
 
 over random mixed and random pure states on G1 x G2.  The gap vanishes on
 product states; whether it is nonnegative in general is open here, so this
-script only reports the observed minimum and never asserts anything.
+script only reports the observed minimum and never asserts anything.  A bad
+argument, including |G1 x G2| above the dense-matrix limit, exits 2 before
+any frame is built.
 """
 
 import argparse
@@ -14,22 +16,41 @@ import sys
 
 import numpy as np
 
-from wehrl import CoherentFrame, Subgroup, parse_group, pure_density, subadditivity_gap
+from wehrl import CoherentFrame, Subgroup, limits, parse_group, pure_density, subadditivity_gap
 from wehrl.states import random_density_matrix, random_state_vector
+
+
+def at_least(low: int):
+    """An argparse type: an int of at least low; argparse turns a refusal into exit 2."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--factors", nargs=2, default=["Z2", "Z2"],
                         help="the two factor groups (default Z2 Z2)")
-    parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=at_least(1), default=200,
+                        help="random states of each kind, at least 1 (default 200)")
+    parser.add_argument("--seed", type=at_least(0), default=0,
+                        help="seed of the state generator, at least 0 (default 0)")
     args = parser.parse_args()
 
-    g1, g2 = (parse_group(s) for s in args.factors)
+    try:
+        g1, g2 = (parse_group(s) for s in args.factors)
+        d = g1.order * g2.order
+        # the dense (d, d) densities of every sample, refused up front as the CLI does
+        limits.require_dense("|G1 x G2|", d)
+    except ValueError as exc:  # DenseLimitError included
+        parser.error(str(exc))
     fr1 = CoherentFrame.vacuum(Subgroup.whole(g1))
     fr2 = CoherentFrame.vacuum(Subgroup.whole(g2))
-    d = g1.order * g2.order
     rng = np.random.default_rng(args.seed)
 
     mixed = [subadditivity_gap(fr1, fr2, random_density_matrix(d, rng))

@@ -1,7 +1,11 @@
 """Coherent-state frames: fiducials and their stabilisers, frame geometry, invariant vectors.
 
 A frame is the orbit |z> = W(z) phi of a unit fiducial phi over all of
-phase space F = G x G^, weighted by 1/|G| per point. Its transform pair
+phase space F = G x G^, weighted by 1/|G| per point. A frame point is its
+phase-space index z = g * |G| + chi: `state(z)` takes it, row z of
+`state_matrix` and entry z of the analysis belong to it, and `cosets` and
+`CosetBasis` list each coset of the stabiliser by the index of its
+lex-least point. Its transform pair
 lives here: the analysis `pure_amplitudes`, psi -> <z|psi> for every z,
 and its adjoint `_synthesis`, c -> sum_z c_z |z>, each one `group_dft`
 per state; the ambiguity table is the analysis of phi itself, read at
@@ -43,14 +47,12 @@ import numpy as np
 from . import limits
 from .groups import (
     FiniteAbelianGroup,
-    PhaseSpacePoint,
     PhaseSpaceSubgroup,
     Subgroup,
     coset_representatives,
     difference_index_table,
     group_dft,
     maximal_compact,
-    phase_space,
 )
 from .states import check_state_vector
 from .weyl import _apply_points, _matrix_points, weyl_apply
@@ -115,14 +117,12 @@ class CoherentFrame:
     def point_count(self) -> int:
         return self.group.order ** 2
 
-    def points(self):
-        return phase_space(self.group)
-
-    def state(self, z: PhaseSpacePoint) -> np.ndarray:
-        return weyl_apply(z, self.fiducial)
+    def state(self, z: int) -> np.ndarray:
+        """The state |z> = W(z) phi at point index z."""
+        return weyl_apply(self.group, z, self.fiducial)
 
     def state_matrix(self) -> np.ndarray:
-        """(|F|, |G|) array; row z.index is the state |z>. Cached.
+        """(|F|, |G|) array; row z is the state |z>. Cached.
 
         DenseLimitError when |F| exceeds `limits.STATE_MATRIX_CAP`.
         """
@@ -177,8 +177,8 @@ class CoherentFrame:
         """|S| = |G|: the frame points are the minimisers of S^W, at 0."""
         return self.stabiliser.order == self.group.order
 
-    def cosets(self) -> tuple[PhaseSpaceSubgroup, tuple[PhaseSpacePoint, ...]]:
-        """(S, the lex-least representative of each coset of S in F)."""
+    def cosets(self) -> tuple[PhaseSpaceSubgroup, np.ndarray]:
+        """(S, the point index of the lex-least member of each coset of S in F)."""
         if self._cosets is None:
             self._cosets = (self.stabiliser, coset_representatives(self.stabiliser))
         return self._cosets
@@ -223,7 +223,7 @@ def overlap_matrix(frame: CoherentFrame) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CosetBasis:
-    representatives: tuple[PhaseSpacePoint, ...]
+    representatives: np.ndarray  # point index of each coset's lex-least member
     vectors: np.ndarray  # (|F|/|K|, |G|), rows are basis states
 
 
@@ -237,8 +237,8 @@ def coset_basis(frame: CoherentFrame) -> CosetBasis:
             f"not a Lagrangian (stabiliser) frame: |S| = {frame.stabiliser.order}, "
             f"|G| = {frame.group.order}"
         )
-    S, reps = frame.cosets()
-    return CosetBasis(reps, _apply_points(frame.group, S._partition[0], frame.fiducial))
+    _, reps = frame.cosets()
+    return CosetBasis(reps, _apply_points(frame.group, reps, frame.fiducial))
 
 
 def _invariance_defect(K: PhaseSpaceSubgroup) -> np.ndarray:

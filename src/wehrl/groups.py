@@ -1,32 +1,36 @@
 """Exact arithmetic for finite abelian groups, their duals, and phase space.
 
 A group is a direct product of cyclic factors Z_{n_1} x ... x Z_{n_k}.
-Elements and characters are coordinate tuples reduced modulo the factor
+An element or a character has coordinates reduced modulo the factor
 orders; the character with coordinates a evaluates on g as
 exp(2*pi*i * sum_j a_j g_j / n_j). Every such phase is a root of unity of
 order dividing L = lcm(n_j), so it is carried as an exact integer numerator
 m mod L and exponentiated once per (m, L) by `_unit_roots`; equal phases
 give bit-identical complex values. `_pairing_numerators` is the one
-character-phase formula: character values (`Character.__call__`,
-`character_row`, `character_table`, `_character_rows`), annihilators
-(`_pairing_kernel`), the Weyl operators' character rows and the
-multiplicativity check all read their numerators from it. The closed-form
-cocycle (`weyl.cocycle_numerators`) stays apart, as the independent side of
-the CCR check.
-`Character.phase` keeps an exact `fractions.Fraction` route as a test oracle.
+character-phase formula: character values (`character_row`,
+`character_table`, `_character_rows`), annihilators (`_pairing_kernel`),
+the Weyl operators' character rows and the multiplicativity check all
+read their numerators from it. The closed-form cocycle
+(`weyl.cocycle_numerators`) stays apart, as the independent side of the
+CCR check. `Character.phase` keeps an exact `fractions.Fraction` route as a
+test oracle; `Character` is a (group, coords) record that exists for it.
 The group Fourier transform `group_dft` lives beside `character_table`: it
 multiplies by that table or runs fftn, as the `limits` thresholds choose,
 and every transform of the package (the frame's analysis and synthesis in
 `frames`, the Husimi and channel routes in `entropy`) goes through it.
 
-Elements and characters are numbered by mixed-radix indices, so index
-order is lex coordinate order, and the phase-space point (g, chi) has
-index g * |G| + chi. A subgroup of G, of the dual or of phase space is one
-sorted, read-only int64 array of such indices (`H.indices`); `_index_sum`
-is their one addition, and `_closures` the one closure kernel behind
-`subgroup_closure` and `all_subgroups`. The object tuples `.elements`,
-`.characters`, `.points` and `.generators` are views built on first use,
-for the API edge.
+An element, a character and a phase-space point are each one integer
+index, the library's only representation of them: elements and characters
+are numbered in mixed radix, so index order is lex coordinate order, and
+the point (g, chi) has index g * |G| + chi. A public function that takes
+one index refuses any value outside its range with ValueError (`_index`).
+A subgroup of G, of the dual or of phase space is one sorted, read-only
+int64 array of such indices (`H.indices`); `_index_sum` is their one
+addition, and `_closures` the one closure kernel behind `subgroup_closure`
+and `all_subgroups`. Coordinates appear only at the edges: `parse_point`
+and `parse_generators` read them, `format_coords` writes them, and
+`Subgroup.elements` lists a subgroup's members as frozen `GroupElement`
+(group, coords) records.
 
 Presentations are not canonicalised (no Smith normal form): Z4 and Z2xZ2
 are distinct descriptors even though both have order 4.
@@ -40,8 +44,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product as _cartesian
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -51,12 +54,10 @@ __all__ = [
     "FiniteAbelianGroup",
     "GroupElement",
     "Character",
-    "PhaseSpacePoint",
     "Subgroup",
     "DualSubgroup",
     "PhaseSpaceSubgroup",
     "GroupMismatchError",
-    "phase_space",
     "subgroup_closure",
     "all_subgroups",
     "annihilator",
@@ -114,79 +115,16 @@ class FiniteAbelianGroup:
             acc *= n
         return tuple(reversed(out))
 
-    def _reduce(self, coords: Iterable[int]) -> tuple[int, ...]:
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != len(self.orders):
-            raise ValueError(
-                f"expected {len(self.orders)} coordinates for {self}, got {coords}"
-            )
-        return tuple(c % n for c, n in zip(coords, self.orders))
-
-    def element(self, coords: Iterable[int]) -> "GroupElement":
-        return GroupElement(self, self._reduce(coords))
-
-    def character(self, coords: Iterable[int]) -> "Character":
-        return Character(self, self._reduce(coords))
-
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * len(self.orders))
-
-    def trivial_character(self) -> "Character":
-        return Character(self, (0,) * len(self.orders))
-
-    def elements(self) -> Iterator["GroupElement"]:
-        """All elements in lexicographic coordinate order."""
-        for coords in _cartesian(*(range(n) for n in self.orders)):
-            yield GroupElement(self, coords)
-
-    def characters(self) -> Iterator["Character"]:
-        for coords in _cartesian(*(range(n) for n in self.orders)):
-            yield Character(self, coords)
-
-    def element_by_index(self, index: int) -> "GroupElement":
-        return GroupElement(self, self._coords_at(index))
-
-    def character_by_index(self, index: int) -> "Character":
-        return Character(self, self._coords_at(index))
-
-    def _coords_at(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.order:
-            raise IndexError(f"index {index} out of range for order {self.order}")
-        coords = []
-        for stride in self._strides:
-            q, index = divmod(index, stride)
-            coords.append(q)
-        return tuple(coords)
-
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.orders)
 
 
 @dataclass(frozen=True)
 class GroupElement:
+    """An element of G as its coordinates: the records of `Subgroup.elements`."""
+
     group: FiniteAbelianGroup
     coords: tuple[int, ...]
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        _require_same_group(self.group, other.group)
-        return self.group.element(a + b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self) -> "GroupElement":
-        return self.group.element(-c for c in self.coords)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        _require_same_group(self.group, other.group)
-        return self.group.element(a - b for a, b in zip(self.coords, other.coords))
-
-    @property
-    def index(self) -> int:
-        return sum(c * s for c, s in zip(self.coords, self.group._strides))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __str__(self) -> str:
-        return format_coords(self.coords)
 
 
 @dataclass(frozen=True)
@@ -208,77 +146,25 @@ class Character:
             total += Fraction(a * h, n)
         return total % 1
 
-    def __call__(self, g: GroupElement) -> complex:
-        _require_same_group(self.group, g.group)
-        L, _ = _phase_weights(self.group)
-        return complex(_unit_roots(L)[_pairing_numerators(self.group, self.index, g.index)])
 
-    def __mul__(self, other: "Character") -> "Character":
-        _require_same_group(self.group, other.group)
-        return self.group.character(a + b for a, b in zip(self.coords, other.coords))
+def _index(value, size: int) -> int:
+    """value as an int; ValueError unless it is an integer in range(size).
 
-    def conjugate(self) -> "Character":
-        return self.group.character(-a for a in self.coords)
-
-    def is_trivial(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    @property
-    def index(self) -> int:
-        return sum(c * s for c, s in zip(self.coords, self.group._strides))
-
-    def values(self) -> np.ndarray:
-        """Character values over all group elements, lexicographic order."""
-        return character_row(self.group, self.coords)
-
-    def __str__(self) -> str:
-        return format_coords(self.coords)
+    The check of every public function that takes one element, character
+    or point index: numpy would wrap a negative index silently.
+    """
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or not 0 <= value < size:
+        raise ValueError(f"index must be an integer in range({size}), got {value!r}")
+    return int(value)
 
 
-@dataclass(frozen=True)
-class PhaseSpacePoint:
-    """A point z = (g, chi) of phase space F = G x dual(G)."""
-
-    g: GroupElement
-    chi: Character
-
-    def __post_init__(self) -> None:
-        _require_same_group(self.g.group, self.chi.group)
-
-    @property
-    def group(self) -> FiniteAbelianGroup:
-        return self.g.group
-
-    def __add__(self, other: "PhaseSpacePoint") -> "PhaseSpacePoint":
-        return PhaseSpacePoint(self.g + other.g, self.chi * other.chi)
-
-    def __sub__(self, other: "PhaseSpacePoint") -> "PhaseSpacePoint":
-        return PhaseSpacePoint(self.g - other.g, self.chi * other.chi.conjugate())
-
-    def __neg__(self) -> "PhaseSpacePoint":
-        return PhaseSpacePoint(-self.g, self.chi.conjugate())
-
-    def is_identity(self) -> bool:
-        return self.g.is_zero() and self.chi.is_trivial()
-
-    @property
-    def index(self) -> int:
-        return self.g.index * self.group.order + self.chi.index
-
-    @classmethod
-    def by_index(cls, group: FiniteAbelianGroup, index: int) -> "PhaseSpacePoint":
-        g_idx, a_idx = divmod(index, group.order)
-        return cls(group.element_by_index(g_idx), group.character_by_index(a_idx))
-
-    def __str__(self) -> str:
-        return f"({self.g};{self.chi})"
-
-
-def phase_space(group: FiniteAbelianGroup) -> Iterator[PhaseSpacePoint]:
-    """All of F = G x dual(G) in lex order: g major, character minor."""
-    for g in group.elements():
-        for chi in group.characters():
-            yield PhaseSpacePoint(g, chi)
+def _coords_index(group: FiniteAbelianGroup, coords: Iterable[int]) -> int:
+    """Index of the element (or character) with these coordinates, each reduced mod n_j."""
+    coords = tuple(int(c) for c in coords)
+    if len(coords) != len(group.orders):
+        raise ValueError(f"expected {len(group.orders)} coordinates for {group}, got {coords}")
+    return sum((c % n) * s for c, n, s in zip(coords, group.orders, group._strides))
 
 
 def _index_array(values, size: int) -> np.ndarray:
@@ -289,11 +175,6 @@ def _index_array(values, size: int) -> np.ndarray:
     if arr.ndim != 1 or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= size:
         raise ValueError(f"indices must be integers in range({size})")
     return arr.astype(np.int64)
-
-
-def _objects(cls, group: FiniteAbelianGroup, indices) -> tuple:
-    """`GroupElement` (or `Character`) objects of element (or character) indices."""
-    return tuple(cls(group, c) for c in map(tuple, _coords_grid(group.orders)[indices].tolist()))
 
 
 class _IndexSet:
@@ -340,12 +221,11 @@ class _IndexSet:
     def order(self) -> int:
         return len(self.indices)
 
-    def __contains__(self, item) -> bool:
-        """Whether an element, character or point (by its .group and .index) is a member."""
-        if item.group != self.group:
-            return False
-        pos = int(np.searchsorted(self.indices, item.index))
-        return pos < len(self.indices) and int(self.indices[pos]) == item.index
+    def __contains__(self, index) -> bool:
+        """Whether the element, character or point with this index is a member."""
+        index = _index(index, self._space_order())
+        pos = int(np.searchsorted(self.indices, index))
+        return pos < len(self.indices) and int(self.indices[pos]) == index
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,11 +251,9 @@ class Subgroup(_IndexSet):
 
     @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
-        return _objects(GroupElement, self.group, self.indices)
-
-    @cached_property
-    def generators(self) -> tuple[GroupElement, ...]:
-        return _objects(GroupElement, self.group, self.generator_indices)
+        """The members as coordinate records, in index order."""
+        rows = _coords_grid(self.group.orders)[self.indices].tolist()
+        return tuple(GroupElement(self.group, tuple(row)) for row in rows)
 
     @classmethod
     def whole(cls, group: FiniteAbelianGroup) -> "Subgroup":
@@ -405,10 +283,6 @@ class DualSubgroup(_IndexSet):
         "character set is not closed under product",
     )
 
-    @cached_property
-    def characters(self) -> tuple[Character, ...]:
-        return _objects(Character, self.group, self.indices)
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpaceSubgroup(_IndexSet):
@@ -433,12 +307,6 @@ class PhaseSpaceSubgroup(_IndexSet):
         # (g, chi) has index g * |G| + chi, and each half adds in G
         d = self.group.order
         return _index_sum(self.group, a // d, b // d) * d + _index_sum(self.group, a % d, b % d)
-
-    @cached_property
-    def points(self) -> tuple[PhaseSpacePoint, ...]:
-        g, chi = np.divmod(self.indices, self.group.order)
-        elements = _objects(GroupElement, self.group, g)
-        return tuple(map(PhaseSpacePoint, elements, _objects(Character, self.group, chi)))
 
     @cached_property
     def _partition(self) -> tuple[np.ndarray, np.ndarray]:
@@ -475,18 +343,13 @@ def _closures(group: FiniteAbelianGroup, H: np.ndarray, multiples: np.ndarray) -
     return masks
 
 
-def subgroup_closure(
-    group: FiniteAbelianGroup, generators: Iterable[GroupElement]
-) -> Subgroup:
-    """Smallest subgroup containing the generators.
+def subgroup_closure(group: FiniteAbelianGroup, generators: Iterable[int]) -> Subgroup:
+    """Smallest subgroup containing the generators, given as element indices.
 
     Adds one generator at a time through `_closures`; a generator already
     inside the subgroup built so far adds nothing and is skipped.
     """
-    generators = tuple(generators)
-    for g in generators:
-        _require_same_group(g.group, group)
-    gens = [group.element(g.coords).index for g in generators]
+    gens = [_index(x, group.order) for x in generators]
     inside = np.zeros(group.order, dtype=bool)
     inside[0] = True
     for x in gens:
@@ -579,7 +442,7 @@ def maximal_compact(subgroup: Subgroup) -> PhaseSpaceSubgroup:
         raise RuntimeError("maximal compact subgroup must have order |G|")
     unseparated = _unseparated(subgroup, ann)
     if unseparated.any():
-        g = group.element_by_index(int(np.argmax(unseparated)))
+        g = format_coords(_coords_grid(group.orders)[np.argmax(unseparated)].tolist())
         raise RuntimeError(f"annihilator of {subgroup} fails to separate {g} from H")
     return K
 
@@ -616,12 +479,12 @@ def _coset_partition(K: PhaseSpaceSubgroup) -> tuple[np.ndarray, np.ndarray]:
     return representatives, ids
 
 
-def coset_representatives(K: PhaseSpaceSubgroup) -> tuple[PhaseSpacePoint, ...]:
-    """Lexicographically least representative of each coset of K in F.
+def coset_representatives(K: PhaseSpaceSubgroup) -> np.ndarray:
+    """Point index of the lex-least member of each coset of K in F, read-only.
 
-    Returned in lex order; there are exactly |F| / |K| of them.
+    Ascending (lex) order; there are exactly |F| / |K| of them.
     """
-    return tuple(PhaseSpacePoint.by_index(K.group, int(i)) for i in K._partition[0])
+    return K._partition[0]
 
 
 def is_corwin(subgroup: Subgroup) -> bool:
@@ -660,26 +523,25 @@ def _parse_coords(chunk: str) -> tuple[int, ...]:
     return tuple(int(t) for t in chunk.split(","))
 
 
-def parse_generators(
-    group: FiniteAbelianGroup, text: str | None
-) -> tuple[GroupElement, ...]:
-    """Parse generator strings like '2,0;0,1' (';' between, ',' within)."""
+def parse_generators(group: FiniteAbelianGroup, text: str | None) -> tuple[int, ...]:
+    """Element indices of generator strings like '2,0;0,1' (';' between, ',' within).
+
+    Coordinates are reduced mod the factor orders.
+    """
     if text is None or text.strip() == "":
         return ()
-    return tuple(group.element(_parse_coords(chunk)) for chunk in text.split(";"))
+    return tuple(_coords_index(group, _parse_coords(chunk)) for chunk in text.split(";"))
 
 
-def parse_point(group: FiniteAbelianGroup, text: str) -> PhaseSpacePoint:
-    """Parse a phase-space point 'g_coords;lambda_coords', e.g. '1,0;0,1'."""
+def parse_point(group: FiniteAbelianGroup, text: str) -> int:
+    """Index g * |G| + chi of a phase-space point 'g_coords;lambda_coords', e.g. '1,0;0,1'."""
     chunks = text.split(";")
     if len(chunks) != 2:
         raise ValueError(
             f"bad phase-space point {text!r}: expected 'g_coords;lambda_coords'"
         )
-    return PhaseSpacePoint(
-        group.element(_parse_coords(chunks[0])),
-        group.character(_parse_coords(chunks[1])),
-    )
+    g, chi = (_coords_index(group, _parse_coords(chunk)) for chunk in chunks)
+    return g * group.order + chi
 
 
 @lru_cache(maxsize=None)
@@ -771,7 +633,7 @@ def character_row(
     group: FiniteAbelianGroup, coords: tuple[int, ...]
 ) -> np.ndarray:
     """Values of one character over all elements (lex order), phases exact."""
-    return _character_rows(group, group.character(coords).index)
+    return _character_rows(group, _coords_index(group, coords))
 
 
 @lru_cache(maxsize=8)

@@ -43,7 +43,7 @@ import numpy as np
 from . import limits
 from .entropy import ZERO_LOG_THRESHOLD, _entropy_sum, pure_state_entropy
 from .frames import CoherentFrame, _synthesis, coset_basis, pure_amplitudes
-from .groups import PhaseSpacePoint, Subgroup
+from .groups import Subgroup
 from .states import random_state_vector
 
 __all__ = [
@@ -97,7 +97,7 @@ class MinimizerConfig:
 class MinimizerResult:
     best_state: np.ndarray
     best_entropy: float
-    nearest_point: PhaseSpacePoint
+    nearest_point: int  # phase-space index of the nearest frame point
     nearest_overlap: float
     iterations: int
     converged: bool
@@ -388,10 +388,8 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     )
 
 
-def nearest_coherent(
-    frame: CoherentFrame, psi: np.ndarray
-) -> tuple[PhaseSpacePoint, float]:
-    """Frame point with the largest |<z|psi>|, and that overlap.
+def nearest_coherent(frame: CoherentFrame, psi: np.ndarray) -> tuple[int, float]:
+    """Index of the frame point with the largest |<z|psi>|, and that overlap.
 
     All members of a coset of the stabiliser S share one overlap up to
     rounding; the point is the coset's lex-least member (the argmax itself
@@ -400,7 +398,7 @@ def nearest_coherent(
     c = np.abs(pure_amplitudes(frame, psi))
     idx = int(np.argmax(c))
     representatives, ids = frame.stabiliser._partition
-    return PhaseSpacePoint.by_index(frame.group, int(representatives[ids[idx]])), float(c[idx])
+    return int(representatives[ids[idx]]), float(c[idx])
 
 
 def scan_fiducials(subgroup: Subgroup, config: MinimizerConfig) -> dict:

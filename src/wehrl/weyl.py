@@ -6,9 +6,12 @@ Dense matrices exist only as oracles behind a size cap. Cocycle phases are
 exact integer numerators mod L = lcm(n_j) (`cocycle_numerators`);
 `cocycle_phase` keeps an exact `Fraction` route as a test oracle.
 
-Two stacked cores take phase-space indices z = g_index * |G| + chi_index,
-and both read their character values from `groups._character_rows`, on the
-one phase formula `groups._pairing_numerators`. `_apply_points` is the one
+A point is its phase-space index z = g_index * |G| + chi_index: `weyl_apply`,
+`weyl_matrix` and `cocycle_phase` take the group and indices, and refuse
+an index outside range(|G|^2) with ValueError. Two stacked cores take
+arrays of such indices, and both read their character values from
+`groups._character_rows`, on the one phase formula
+`groups._pairing_numerators`. `_apply_points` is the one
 gather of rows W(z) f: it reads f(h - g) through `_translation_index`
 (per-factor modular arithmetic on the coordinate grid). `_matrix_points`
 scatters dense monomial matrices from `difference_index_table`.
@@ -34,10 +37,12 @@ import numpy as np
 
 from . import limits
 from .groups import (
+    Character,
     FiniteAbelianGroup,
-    PhaseSpacePoint,
+    GroupElement,
     _character_rows,
     _coords_grid,
+    _index,
     _pairing_numerators,
     _phase_weights,
     _unit_roots,
@@ -54,12 +59,17 @@ __all__ = [
 ]
 
 
-def cocycle_phase(z: PhaseSpacePoint, w: PhaseSpacePoint) -> Fraction:
-    """Exact phase of omega(z, w) = chi_z(g_w) * conj(chi_w(g_z)): a test oracle.
+def cocycle_phase(group: FiniteAbelianGroup, z: int, w: int) -> Fraction:
+    """Exact phase of omega(z, w) = chi_z(g_w) * conj(chi_w(g_z)) at point indices: a test oracle.
 
     No library path calls this; the library uses `cocycle_numerators`.
     """
-    return (z.chi.phase(w.g) - w.chi.phase(z.g)) % 1
+    d = group.order
+    grid = _coords_grid(group.orders)
+    (z_g, z_chi), (w_g, w_chi) = (divmod(_index(x, d * d), d) for x in (z, w))
+    chi_z, chi_w = (Character(group, tuple(grid[a].tolist())) for a in (z_chi, w_chi))
+    g_z, g_w = (GroupElement(group, tuple(grid[g].tolist())) for g in (z_g, w_g))
+    return (chi_z.phase(g_w) - chi_w.phase(g_z)) % 1
 
 
 def cocycle_numerators(
@@ -137,18 +147,19 @@ def _matrix_points(group: FiniteAbelianGroup, z: np.ndarray) -> np.ndarray:
     return mats
 
 
-def weyl_apply(z: PhaseSpacePoint, vec) -> np.ndarray:
-    """Apply W(z) in O(|G|): translate by g, then multiply character values."""
-    d = z.group.order
+def weyl_apply(group: FiniteAbelianGroup, z: int, vec) -> np.ndarray:
+    """Apply W(z) at point index z in O(|G|): translate by g, then multiply character values."""
+    d = group.order
+    z = _index(z, d * d)
     vec = np.asarray(vec, dtype=np.complex128)
     if vec.shape != (d,):
         raise ValueError(f"state has shape {vec.shape}, expected ({d},)")
-    return _apply_points(z.group, z.index, vec)[0]
+    return _apply_points(group, z, vec)[0]
 
 
-def weyl_matrix(z: PhaseSpacePoint) -> np.ndarray:
-    """Dense monomial matrix of W(z); oracle path, capped at the dense limit."""
-    return _matrix_points(z.group, z.index)[0]
+def weyl_matrix(group: FiniteAbelianGroup, z: int) -> np.ndarray:
+    """Dense monomial matrix of W(z) at point index z; oracle path, capped at the dense limit."""
+    return _matrix_points(group, _index(z, group.order ** 2))[0]
 
 
 # random pairs of `verify_ccr` above `limits.EXHAUSTIVE_POINTS`

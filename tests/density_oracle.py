@@ -40,8 +40,8 @@ def check_density_matrix_by_eigvalsh(
 
 
 def state_matrix(frame) -> np.ndarray:
-    """(|F|, |G|) array whose row z.index is W(z) phi."""
-    return np.stack([weyl_apply(z, frame.fiducial) for z in frame.points()])
+    """(|F|, |G|) array whose row z is W(z) phi."""
+    return np.stack([weyl_apply(frame.group, z, frame.fiducial) for z in range(frame.point_count)])
 
 
 def husimi_by_state_matrix(frame, rho, states=None) -> np.ndarray:

@@ -19,7 +19,6 @@ from wehrl import (
     parse_group,
     parse_point,
     partial_trace,
-    phase_space,
     product_frame,
     pure_amplitudes,
     pure_density,
@@ -36,11 +35,12 @@ from wehrl import (
 from wehrl import limits
 from wehrl.verify import suite_pairs
 from density_oracle import channel_by_state_matrix, husimi_by_state_matrix, state_matrix
+from phase_oracle import index, point_add, point_neg
 from stabiliser_frames import chirp_frames
 
 
 def sub(group, *gen_coords):
-    return subgroup_closure(group, tuple(group.element(c) for c in gen_coords))
+    return subgroup_closure(group, tuple(index(group, c) for c in gen_coords))
 
 
 def vacuum_frame(spec, *gen_coords):
@@ -56,8 +56,8 @@ def test_pure_amplitudes_are_coherent_overlaps(rng):
     frame = vacuum_frame("Z2xZ3", (1, 0))
     psi = random_state_vector(6, rng)
     amps = pure_amplitudes(frame, psi)
-    for z in frame.points():
-        assert abs(amps[z.index] - np.vdot(frame.state(z), psi)) < 1e-12
+    for z in range(frame.point_count):
+        assert abs(amps[z] - np.vdot(frame.state(z), psi)) < 1e-12
 
 
 def test_husimi_flat_state():
@@ -75,7 +75,10 @@ def test_husimi_coherent_projector_is_indicator():
     rho = pure_density(frame.state(z0))
     table = husimi(frame, rho)
     K, _ = frame.cosets()
-    expected = np.array([1.0 if (z - z0) in K else 0.0 for z in frame.points()])
+    g = frame.group
+    expected = np.array(
+        [1.0 if point_add(g, z, point_neg(g, z0)) in K else 0.0 for z in range(frame.point_count)]
+    )
     assert np.abs(table.values - expected).max() < 1e-12
     assert abs(table.mass() - 1.0) < 1e-12
 
@@ -90,9 +93,7 @@ def test_husimi_basis_state_frozen():
 def test_husimi_fast_matches_dense(rng):
     for spec, gens in (("Z4", ((2,),)), ("Z2xZ3", ((1, 1),)), ("Z9", ())):
         g = parse_group(spec)
-        frame = CoherentFrame.vacuum(
-            subgroup_closure(g, tuple(g.element(c) for c in gens))
-        )
+        frame = CoherentFrame.vacuum(sub(g, *gens))
         for _ in range(10):
             psi = random_state_vector(g.order, rng)
             dense = husimi_by_state_matrix(frame, pure_density(psi))
@@ -126,7 +127,7 @@ def test_wehrl_flat_equals_log_dim():
 
 def test_wehrl_zero_on_coherent_states():
     frame = vacuum_frame("Z4", (2,))
-    for z in frame.points():
+    for z in range(frame.point_count):
         rho = pure_density(frame.state(z))
         assert wehrl_entropy(husimi(frame, rho)) <= 1e-12
         assert pure_state_entropy(frame, frame.state(z)) <= 1e-12
@@ -251,8 +252,8 @@ def test_ambiguity_table_is_the_ambiguity_function_at_the_negated_point(rng):
         amplitudes = pure_amplitudes(frame, frame.fiducial)
         table = frame.ambiguity_table
         assert table.shape == (d, d) and not table.flags.writeable
-        for z in phase_space(group):
-            assert table.reshape(-1)[z.index] == amplitudes[(-z).index]
+        for z in range(d * d):
+            assert table.reshape(-1)[z] == amplitudes[point_neg(group, z)]
 
 
 # ---------------------------------------------------------------------------

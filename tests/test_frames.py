@@ -3,7 +3,6 @@ import pytest
 
 from wehrl import (
     CoherentFrame,
-    PhaseSpacePoint,
     PhaseSpaceSubgroup,
     Subgroup,
     all_subgroups,
@@ -13,7 +12,6 @@ from wehrl import (
     overlap_matrix,
     parse_group,
     parse_point,
-    phase_space,
     random_state_vector,
     resolution_residual,
     subgroup_closure,
@@ -23,11 +21,14 @@ from wehrl import (
 )
 from wehrl.frames import STABILISER_TOL
 from wehrl.groups import character_table
+from wehrl.weyl import cocycle_phase
+
+from phase_oracle import elements, index, point_add
 from stabiliser_frames import chirp_frames
 
 
 def sub(group, *gen_coords):
-    return subgroup_closure(group, tuple(group.element(c) for c in gen_coords))
+    return subgroup_closure(group, tuple(index(group, c) for c in gen_coords))
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +51,8 @@ def test_vacuum_invariance():
         for H in all_subgroups(g):
             v = vacuum_vector(H)
             K = maximal_compact(H)
-            for u in K.points:
-                assert np.abs(weyl_apply(u, v) - v).max() < 1e-13
+            for u in K.indices.tolist():
+                assert np.abs(weyl_apply(g, u, v) - v).max() < 1e-13
 
 
 def test_invariant_subspace_dim_is_one():
@@ -77,7 +78,7 @@ def test_invariant_projector_trace_oracle():
     g = parse_group("Z6")
     for H in all_subgroups(g):
         K = maximal_compact(H)
-        P = sum(weyl_matrix(u) for u in K.points) / K.order
+        P = sum(weyl_matrix(g, u) for u in K.indices.tolist()) / K.order
         assert np.abs(P @ P - P).max() < 1e-12
         assert abs(np.trace(P).real - 1.0) < 1e-12
 
@@ -86,7 +87,7 @@ def test_vacuum_closed_form_matches_nullspace():
     g = parse_group("Z4")
     H = sub(g, (2,))
     K = maximal_compact(H)
-    acc = sum(np.eye(g.order, dtype=complex) - weyl_matrix(u) for u in K.points)
+    acc = sum(np.eye(g.order, dtype=complex) - weyl_matrix(g, u) for u in K.indices.tolist())
     _, s, vh = np.linalg.svd(acc)
     assert s[-1] < 1e-12  # one-dimensional null space
     numeric = vh[-1]
@@ -135,8 +136,8 @@ def test_state_matrix_rows_match_states():
     frame = CoherentFrame.vacuum(sub(g, (1, 0)))
     S = frame.state_matrix()
     assert S.shape == (g.order ** 2, g.order)
-    for z in phase_space(g):
-        assert np.abs(S[z.index] - frame.state(z)).max() < 1e-14
+    for z in range(frame.point_count):
+        assert np.abs(S[z] - frame.state(z)).max() < 1e-14
 
 
 def _rolled_state_matrix(frame):
@@ -146,8 +147,8 @@ def _rolled_state_matrix(frame):
     grid = frame.fiducial.reshape(g.orders)
     axes = tuple(range(len(g.orders)))
     blocks = [
-        table * np.roll(grid, x.coords, axis=axes).reshape(g.order)[None, :]
-        for x in g.elements()
+        table * np.roll(grid, x, axis=axes).reshape(g.order)[None, :]
+        for x in elements(g)
     ]
     return np.vstack(blocks)
 
@@ -184,9 +185,9 @@ def test_overlap_dichotomy_and_coset_relation():
             assert np.minimum(np.abs(O), np.abs(O - 1.0)).max() < 1e-12
             K, reps = frame.cosets()
             ids = np.full(frame.point_count, -1)
-            for ordinal, rep in enumerate(reps):
-                for u in K.points:
-                    ids[(rep + u).index] = ordinal
+            for ordinal, rep in enumerate(reps.tolist()):
+                for u in K.indices.tolist():
+                    ids[point_add(g, rep, u)] = ordinal
             assert (ids >= 0).all()
             relation = ids[:, None] == ids[None, :]
             assert np.array_equal(O > 0.5, relation)
@@ -195,16 +196,14 @@ def test_overlap_dichotomy_and_coset_relation():
 def test_offcoset_overlap_vanishes_via_cocycle_witness():
     # the mechanism behind the dichotomy: for z outside K some u in K has
     # omega(z, u) != 1, which forces <0|W(z)|0> = 0
-    from wehrl import cocycle_phase
-
     g = parse_group("Z4")
     H = sub(g, (2,))
     frame = CoherentFrame.vacuum(H)
     K, _ = frame.cosets()
-    for z in phase_space(g):
+    for z in range(frame.point_count):
         if z in K:
             continue
-        witness = [u for u in K.points if cocycle_phase(z, u) != 0]
+        witness = [u for u in K.indices.tolist() if cocycle_phase(g, z, u) != 0]
         assert witness
         assert abs(np.vdot(frame.fiducial, frame.state(z))) < 1e-13
 
@@ -264,7 +263,7 @@ def test_coset_basis_equals_one_state_per_representative_bitwise(spec, gens):
     frame = CoherentFrame.vacuum(H)
     basis = coset_basis(frame)
     _, reps = frame.cosets()
-    assert basis.representatives == reps
+    assert basis.representatives is reps and not reps.flags.writeable
     assert np.array_equal(basis.vectors, np.stack([frame.state(z) for z in reps]))
 
 
@@ -276,8 +275,8 @@ def test_invariance_defect_equals_the_pointwise_sum_bitwise():
         for H in all_subgroups(g):
             K = maximal_compact(H)
             want = np.zeros((g.order, g.order), dtype=np.complex128)
-            for u in K.points:
-                want += np.eye(g.order) - weyl_matrix(u)
+            for u in K.indices.tolist():
+                want += np.eye(g.order) - weyl_matrix(g, u)
             assert np.array_equal(_invariance_defect(K), want)
 
 

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import wehrl
 from wehrl import (
+    CoherentFrame,
     DenseLimitError,
     DualSubgroup,
     FiniteAbelianGroup,
+    GroupElement,
     GroupMismatchError,
-    PhaseSpacePoint,
     PhaseSpaceSubgroup,
     Subgroup,
     all_subgroups,
@@ -32,11 +33,14 @@ from wehrl import (
     parse_generators,
     parse_group,
     parse_point,
-    phase_space,
     subgroup_closure,
     verify_ccr,
+    weyl_apply,
+    weyl_matrix,
 )
 from wehrl.groups import (
+    Character,
+    _character_rows,
     _closures,
     _coset_partition,
     _index_sum,
@@ -44,12 +48,27 @@ from wehrl.groups import (
     _phase_weights,
     _unit_roots,
     _unseparated,
+    character_row,
     character_table,
     difference_index_table,
+    format_coords,
 )
 from wehrl.verify import standard_suite
+from wehrl.weyl import cocycle_phase
 
-from phase_oracle import phase_to_complex, unit_roots
+from phase_oracle import (
+    add,
+    coords,
+    elements,
+    index,
+    neg,
+    pairing_phase,
+    phase_to_complex,
+    point,
+    point_add,
+    point_index,
+    unit_roots,
+)
 
 # groups up to order 36 with at most three factors; big enough to hit
 # non-cyclic and non-squarefree structure, small enough for exhaustion
@@ -64,15 +83,17 @@ def groups(draw_orders):
 
 def random_subgroup(group, data):
     n = data.draw(st.integers(0, 2))
-    gens = tuple(
-        group.element_by_index(data.draw(st.integers(0, group.order - 1)))
-        for _ in range(n)
-    )
+    gens = tuple(data.draw(st.integers(0, group.order - 1)) for _ in range(n))
     return subgroup_closure(group, gens)
 
 
 def coords_of(collection):
     return [x.coords for x in collection]
+
+
+def phase(group, a, x):
+    """`Character.phase` of the character with coordinates a at the element x."""
+    return Character(group, a).phase(GroupElement(group, x))
 
 
 # ---------------------------------------------------------------------------
@@ -95,49 +116,37 @@ def test_parse_group_rejects(bad):
 
 def test_parse_generators():
     g = parse_group("Z4")
-    assert coords_of(parse_generators(g, "2")) == [(2,)]
+    assert parse_generators(g, "2") == (2,)
     assert parse_generators(g, "") == ()
-    assert coords_of(parse_generators(g, "4")) == [(0,)]  # reduced mod 4
+    assert parse_generators(g, "4") == (0,)  # reduced mod 4
+    assert parse_generators(g, "-1") == (3,)
     g2 = parse_group("Z2xZ2")
-    assert coords_of(parse_generators(g2, "1,0;0,1")) == [(1, 0), (0, 1)]
-    with pytest.raises(ValueError):
+    assert parse_generators(g2, "1,0;0,1") == (2, 1)
+    with pytest.raises(ValueError, match=r"^expected 2 coordinates for Z2xZ2, got \(1,\)$"):
         parse_generators(g2, "1")  # wrong arity
 
 
 def test_parse_point():
     g = parse_group("Z2xZ2")
     z = parse_point(g, "0,1;1,0")
-    assert z.g.coords == (0, 1)
-    assert z.chi.coords == (1, 0)
+    assert z == 1 * 4 + 2
+    assert point(g, z) == ((0, 1), (1, 0))
+    assert parse_point(g, "2,3;-1,0") == z  # coordinates reduced mod 2
     with pytest.raises(ValueError):
         parse_point(g, "0,1")  # missing character half
 
 
 # ---------------------------------------------------------------------------
-# element arithmetic
-
-
-def test_element_arithmetic_frozen():
-    g = parse_group("Z4")
-    a, b = g.element((3,)), g.element((2,))
-    assert (a + b).coords == (1,)
-    assert (-a).coords == (1,)
-    assert (a - g.element((1,))).coords == (2,)
-    assert g.zero().is_zero()
-
-
-def test_mismatched_groups_rejected():
-    a = parse_group("Z2").element((1,))
-    b = parse_group("Z3").element((1,))
-    with pytest.raises(GroupMismatchError):
-        a + b
+# element indices
 
 
 def test_element_order_is_lex():
     g = parse_group("Z2xZ3")
-    coords = [e.coords for e in g.elements()]
-    assert coords == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert [e.index for e in g.elements()] == list(range(6))
+    whole = Subgroup.whole(g)
+    listed = coords_of(whole.elements)
+    assert listed == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)] == elements(g)
+    assert whole.indices.tolist() == [index(g, c) for c in listed] == list(range(6))
+    assert whole.elements[4] == GroupElement(g, (1, 1))
 
 
 @settings(max_examples=25, deadline=None)
@@ -145,11 +154,12 @@ def test_element_order_is_lex():
 def test_element_index_round_trip(orders, data):
     g = groups(orders)
     i = data.draw(st.integers(0, g.order - 1))
-    assert g.element_by_index(i).index == i
+    assert Subgroup.whole(g).elements[i].coords == coords(g, i)
+    assert parse_generators(g, format_coords(coords(g, i))) == (i,)
     j = data.draw(st.integers(0, g.order - 1))
-    a, b = g.element_by_index(i), g.element_by_index(j)
-    assert (a + b).coords == (b + a).coords
-    assert (a + (-a)).is_zero()
+    assert int(_index_sum(g, i, j)) == int(_index_sum(g, j, i))
+    assert int(_index_sum(g, i, j)) == index(g, add(g, coords(g, i), coords(g, j)))
+    assert int(_index_sum(g, i, index(g, neg(g, coords(g, i))))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +168,24 @@ def test_element_index_round_trip(orders, data):
 
 def test_character_pairing_frozen():
     g = parse_group("Z4")
-    chi = g.character((1,))
-    assert chi.phase(g.element((1,))) == Fraction(1, 4)
-    assert chi(g.element((1,))) == pytest.approx(1j)
-    chi3 = g.character((3,))
-    assert chi3.phase(g.element((3,))) == Fraction(1, 4)
+    assert phase(g, (1,), (1,)) == Fraction(1, 4)
+    assert character_row(g, (1,))[1] == pytest.approx(1j)
+    assert phase(g, (3,), (3,)) == Fraction(1, 4)
     g2 = parse_group("Z2xZ2")
-    assert g2.character((1, 1)).phase(g2.element((1, 1))) == 0
+    assert phase(g2, (1, 1), (1, 1)) == 0
+    with pytest.raises(GroupMismatchError):
+        Character(g, (1,)).phase(GroupElement(parse_group("Z2"), (1,)))
 
 
 def test_character_multiplicative_exact():
     for spec in ("Z6", "Z2xZ2", "Z4"):
         g = parse_group(spec)
-        for chi in g.characters():
-            for a in g.elements():
-                for b in g.elements():
-                    assert chi.phase(a + b) == (chi.phase(a) + chi.phase(b)) % 1
+        els = elements(g)
+        for chi in els:
+            for a in els:
+                assert phase(g, chi, a) == pairing_phase(g, chi, a)
+                for b in els:
+                    assert phase(g, chi, add(g, a, b)) == (phase(g, chi, a) + phase(g, chi, b)) % 1
 
 
 def test_unit_roots_match_fraction_oracle():
@@ -195,13 +207,14 @@ def test_character_call_matches_fraction_oracle():
     # integer numerator and root table: the same bits as the exact phase
     for spec in ("Z1", "Z6", "Z4xZ2", "Z3xZ3", "Z2xZ2xZ2", "Z5xZ6", "Z64"):
         g = parse_group(spec)
-        for chi in g.characters():
-            for x in g.elements():
-                value = chi(x)
-                assert type(value) is complex
-                expected = phase_to_complex(chi.phase(x))
+        rows = _character_rows(g, slice(None))
+        for a in range(g.order):
+            row = character_row(g, coords(g, a))
+            assert row.tobytes() == rows[a].tobytes()
+            for x in range(g.order):
+                value = complex(rows[a, x])
+                expected = phase_to_complex(phase(g, coords(g, a), coords(g, x)))
                 assert (value.real, value.imag) == (expected.real, expected.imag)
-                assert value == chi.values()[x.index]
 
 
 def test_fraction_only_in_scalar_oracles():
@@ -230,21 +243,11 @@ def test_fraction_only_in_scalar_oracles():
     assert found == allowed
 
 
-def test_character_group_structure():
-    g = parse_group("Z6")
-    c2, c3 = g.character((2,)), g.character((3,))
-    assert (c2 * c3).coords == (5,)
-    assert c2.conjugate().coords == (4,)
-    assert g.trivial_character().is_trivial()
-    row = c2.values()
-    assert np.abs(np.abs(row) - 1.0).max() < 1e-14
-
-
 def test_character_table_matches_rows():
     g = parse_group("Z4xZ2")
     table = character_table(g)
-    for chi in g.characters():
-        assert np.array_equal(table[chi.index], chi.values())
+    for a in range(g.order):
+        assert np.array_equal(table[a], character_row(g, coords(g, a)))
     # orthogonality of distinct rows
     gram = table @ table.conj().T / g.order
     assert np.abs(gram - np.eye(g.order)).max() < 1e-13
@@ -258,17 +261,16 @@ def test_character_table_over_its_cap_is_refused():
 @pytest.mark.parametrize("spec", ["Z1", "Z1xZ3", "Z4xZ2", "Z3xZ1xZ6", "Z2xZ3", "Z64"])
 def test_index_sum_matches_object_sums(spec):
     g = parse_group(spec)
-    els = list(g.elements())
+    els = elements(g)
     every = np.arange(g.order)
     table = _index_sum(g, every[:, None], every[None, :])
     assert table.dtype == np.int64
-    assert table.tolist() == [[(x + y).index for y in els] for x in els]
+    assert table.tolist() == [[index(g, add(g, x, y)) for y in els] for x in els]
     # on F = G x G^, whose mixed-radix index is g * |G| + chi
     if g.order <= 8:
-        pts = list(phase_space(g))
         F = direct_product(g, g)
-        z = np.arange(len(pts))
-        expected = [[(p + q).index for q in pts] for p in pts]
+        z = np.arange(g.order ** 2)
+        expected = [[point_add(g, p, q) for q in z.tolist()] for p in z.tolist()]
         assert _index_sum(F, z[:, None], z).tolist() == expected
         # phase-space subgroups add their points as two elements of G
         assert PhaseSpaceSubgroup.trivial(g)._add(z[:, None], z).tolist() == expected
@@ -277,9 +279,9 @@ def test_index_sum_matches_object_sums(spec):
 def test_difference_index_table():
     g = parse_group("Z2xZ3")
     idx = difference_index_table(g)
-    for a in g.elements():
-        for b in g.elements():
-            assert idx[a.index, b.index] == (b - a).index
+    for a in elements(g):
+        for b in elements(g):
+            assert idx[index(g, a), index(g, b)] == index(g, add(g, b, neg(g, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +300,11 @@ def test_subgroup_validation():
 
 def test_subgroup_closure_frozen():
     g = parse_group("Z4")
-    assert coords_of(subgroup_closure(g, (g.element((2,)),)).elements) == [(0,), (2,)]
+    assert coords_of(subgroup_closure(g, (2,)).elements) == [(0,), (2,)]
     g2 = parse_group("Z2xZ2")
-    assert coords_of(subgroup_closure(g2, (g2.element((1, 0)),)).elements) == [(0, 0), (1, 0)]
+    assert coords_of(subgroup_closure(g2, (index(g2, (1, 0)),)).elements) == [(0, 0), (1, 0)]
     g6 = parse_group("Z6")
-    assert coords_of(subgroup_closure(g6, (g6.element((2,)),)).elements) == [(0,), (2,), (4,)]
+    assert coords_of(subgroup_closure(g6, (2,)).elements) == [(0,), (2,), (4,)]
     assert coords_of(subgroup_closure(g, ()).elements) == [(0,)]
 
 
@@ -328,10 +330,10 @@ def _lattice_oracle(group):
     frontier = list(found.values())
     while frontier:
         current = frontier.pop()
-        for g in group.elements():
-            if g in current:
+        for x in range(group.order):
+            if x in current:
                 continue
-            bigger = subgroup_closure(group, current.generators + (g,))
+            bigger = subgroup_closure(group, current.generator_indices.tolist() + [x])
             if bigger not in found:
                 found[bigger] = bigger
                 frontier.append(bigger)
@@ -344,18 +346,10 @@ def _frozenset_bfs(group):
     Returns (element indices, generator indices) per subgroup, sorted by
     (order, element coordinate list).
     """
-    coords = [g.coords for g in group.elements()]
-    orders, strides = group.orders, group._strides
+    coords_ = elements(group)
 
     def translate(indices, x: int) -> frozenset:
-        shift = coords[x]
-        return frozenset(
-            sum(
-                ((c + t) % n) * s
-                for c, t, n, s in zip(coords[i], shift, orders, strides)
-            )
-            for i in indices
-        )
+        return frozenset(index(group, add(group, coords_[i], coords_[x])) for i in indices)
 
     def close(H: frozenset, x: int) -> frozenset:
         # H + <x> is the union of the cosets H + k*x up to the first k*x in H
@@ -380,7 +374,7 @@ def _frozenset_bfs(group):
                 found[bigger] = gens + (x,)
                 frontier.append(bigger)
     lattice = [(sorted(H), list(gens)) for H, gens in found.items()]
-    return sorted(lattice, key=lambda entry: (len(entry[0]), [coords[i] for i in entry[0]]))
+    return sorted(lattice, key=lambda entry: (len(entry[0]), [coords_[i] for i in entry[0]]))
 
 
 @pytest.mark.parametrize(
@@ -431,7 +425,9 @@ def test_subgroup_lattice_matches_closure_oracle(spec):
     want = _lattice_oracle(g)
     assert [coords_of(H.elements) for H in got] == [coords_of(H.elements) for H in want]
     # generators are kept too: annihilator tests characters against them
-    assert [coords_of(H.generators) for H in got] == [coords_of(H.generators) for H in want]
+    assert [H.generator_indices.tolist() for H in got] == [
+        H.generator_indices.tolist() for H in want
+    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -439,25 +435,27 @@ def test_subgroup_lattice_matches_closure_oracle(spec):
 def test_subgroup_closure_is_group(orders, data):
     g = groups(orders)
     H = random_subgroup(g, data)
-    members = {e.coords for e in H.elements}
-    for a in H.elements:
-        assert (-a).coords in members
-        for b in H.elements:
-            assert (a + b).coords in members
+    members = set(coords_of(H.elements))
+    for a in members:
+        assert neg(g, a) in members
+        for b in members:
+            assert add(g, a, b) in members
 
 
 def _worklist_closure(group, generators):
-    """The frontier closure over `GroupElement` sums, as an oracle."""
-    known = {group.zero()}
-    frontier = [group.zero()]
+    """The frontier closure over coordinate sums, as an oracle."""
+    gens = [coords(group, x) for x in generators]
+    zero = coords(group, 0)
+    known = {zero}
+    frontier = [zero]
     while frontier:
         x = frontier.pop()
-        for gen in generators:
-            y = x + gen
+        for gen in gens:
+            y = add(group, x, gen)
             if y not in known:
                 known.add(y)
                 frontier.append(y)
-    return sorted(e.coords for e in known)
+    return sorted(known)
 
 
 @pytest.mark.parametrize(
@@ -466,15 +464,15 @@ def _worklist_closure(group, generators):
 def test_subgroup_closure_matches_worklist_oracle(spec):
     g = parse_group(spec)
     rng = np.random.default_rng(5)
-    gen_sets = [()] + [(x,) for x in g.elements()]
+    gen_sets = [()] + [(x,) for x in range(g.order)]
     for size in (2, 3):
         for _ in range(12):
             picks = rng.integers(0, g.order, size=size)
-            gen_sets.append(tuple(g.element_by_index(int(i)) for i in picks))
+            gen_sets.append(tuple(int(i) for i in picks))
     for gens in gen_sets:
         H = subgroup_closure(g, gens)
         assert coords_of(H.elements) == _worklist_closure(g, gens)
-        assert H.generators == gens
+        assert H.generator_indices.tolist() == list(gens)
 
 
 def _closed_under_sums(coords_set, orders):
@@ -492,11 +490,11 @@ def test_subgroup_checks_every_subset(spec, budget, monkeypatch):
     if budget == "one row":
         monkeypatch.setattr(limits, "BLOCK_BYTES", 1)
     g = parse_group(spec)
-    elements = list(g.elements())
-    zero = g.zero().coords
+    els = elements(g)
+    zero = coords(g, 0)
     for mask in range(1, 2 ** g.order):
         subset = [i for i in range(g.order) if mask >> i & 1]
-        members = {elements[i].coords for i in subset}
+        members = {els[i] for i in subset}
         if zero not in members:
             message = "neutral element"
         elif g.order % len(subset):
@@ -508,7 +506,7 @@ def test_subgroup_checks_every_subset(spec, budget, monkeypatch):
         chars = subset[::-1]  # any order; the indices are sorted on construction
         if message is None:
             assert coords_of(Subgroup(g, subset).elements) == sorted(members)
-            assert coords_of(DualSubgroup(g, chars).characters) == sorted(members)
+            assert DualSubgroup(g, chars).indices.tolist() == subset
             continue
         with pytest.raises(ValueError, match=message):
             Subgroup(g, subset)
@@ -526,11 +524,11 @@ def test_subgroup_rejections_at_larger_orders(budget, monkeypatch):
     if budget == "one row":
         monkeypatch.setattr(limits, "BLOCK_BYTES", 1)
     g = parse_group("Z4xZ8")
-    even = [e.index for e in g.elements() if e.coords[1] % 2 == 0]  # a subgroup of order 16
+    even = [i for i, c in enumerate(elements(g)) if c[1] % 2 == 0]  # a subgroup of order 16
     assert Subgroup(g, even).order == 16
     assert DualSubgroup(g, even).order == 16
     # swap the last member for an element outside: only sums with it leave the set
-    broken = even[:-1] + [g.element((3, 7)).index]
+    broken = even[:-1] + [index(g, (3, 7))]
     with pytest.raises(ValueError, match="not closed under addition"):
         Subgroup(g, broken)
     with pytest.raises(ValueError, match="not closed under product"):
@@ -544,14 +542,14 @@ def test_subgroup_rejections_at_larger_orders(budget, monkeypatch):
     with pytest.raises(ValueError, match="trivial character"):
         DualSubgroup(g, even[1:])
     whole = Subgroup.whole(parse_group("Z64"))
-    assert whole.order == 64 and coords_of(whole.generators) == [(1,)]
+    assert whole.order == 64 and whole.generator_indices.tolist() == [1]
 
 
 def test_one_byte_block_budget_reaches_every_blocked_loop(monkeypatch):
     # one patch of limits.BLOCK_BYTES reaches the closure, coset and CCR
     # loops, wherever they sit, and one-row blocks leave every result unchanged
     g = parse_group("Z4xZ2")
-    H = subgroup_closure(g, (g.element((2, 0)),))
+    H = subgroup_closure(g, (index(g, (2, 0)),))
     K = maximal_compact(H)
     multiples = _multiples(g, np.arange(g.order))
 
@@ -585,7 +583,7 @@ def test_subgroup_indices_must_be_integers_in_range():
     with pytest.raises(ValueError, match=r"integers in range\(4\)"):
         Subgroup(z4, [0, 1, 2, 7])
     for bad in ([0, -2], [0, 2.0], [0, 1.5], [[0, 2]],
-                (z4.zero(), z4.element((2,)))):
+                (GroupElement(z4, (0,)), GroupElement(z4, (2,)))):
         with pytest.raises(ValueError, match="integers in range"):
             Subgroup(z4, bad)
         with pytest.raises(ValueError, match="integers in range"):
@@ -606,25 +604,96 @@ def test_subgroup_storage_views_equality_and_membership():
     assert H.indices.dtype == np.int64 and H.indices.tolist() == [0, 2, 4, 6]
     assert not H.indices.flags.writeable and not H.generator_indices.flags.writeable
     assert coords_of(H.elements) == [(0, 0), (1, 0), (2, 0), (3, 0)]
-    assert coords_of(H.generators) == [(1, 0)]
+    assert H.elements[1] == GroupElement(g, (1, 0))
+    assert H.generator_indices.tolist() == [2]
     assert str(H) == "0,0;1,0;2,0;3,0"
-    assert g.element((3, 0)) in H and g.element((3, 1)) not in H
-    assert parse_group("Z8").element((2,)) not in H
+    assert 6 in H and np.int64(6) in H and 7 not in H  # (3, 0) and (3, 1)
     # equality and hash by (group, indices); generators do not count
-    same = subgroup_closure(g, (g.element((3, 0)),))
-    assert same == H and hash(same) == hash(H) and same.generators != H.generators
+    same = subgroup_closure(g, (6,))
+    assert same == H and hash(same) == hash(H)
+    assert same.generator_indices.tolist() != H.generator_indices.tolist()
     assert Subgroup(parse_group("Z8"), [0, 2, 4, 6]) != H
     assert DualSubgroup(g, [0, 2, 4, 6]) != H
     assert len({H, same, Subgroup.whole(g)}) == 2
     A = annihilator(H)
-    assert A.indices.tolist() == [0, 1] and coords_of(A.characters) == [(0, 0), (0, 1)]
-    assert g.character((0, 1)) in A and g.character((1, 0)) not in A
+    assert A.indices.tolist() == [0, 1]
+    assert 1 in A and 2 not in A  # the characters (0, 1) and (1, 0)
     K = maximal_compact(H)
     d = g.order
     assert K.indices.tolist() == [h * d + a for h in (0, 2, 4, 6) for a in (0, 1)]
-    assert [z.index for z in K.points] == K.indices.tolist()
-    assert all(z in K for z in K.points)
-    assert sum(z in K for z in phase_space(g)) == K.order
+    assert all(z in K for z in K.indices)
+    assert sum(z in K for z in range(d * d)) == K.order
+
+
+# ---------------------------------------------------------------------------
+# removed names and index ranges
+
+
+def test_no_module_defines_or_imports_phase_space_point_objects():
+    # a point is its index; the object layer and its iterator are gone
+    removed = {"PhaseSpacePoint", "phase_space"}
+    package = Path(wehrl.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in removed:
+                found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name in removed]
+    assert not found, found
+
+
+# the package's public names, pinned: a name added or removed is an API change
+PACKAGE_NAMES = {
+    "CcrReport", "CheckResult", "CoherentFrame", "CosetBasis", "DenseLimitError",
+    "DualSubgroup", "EntropyReport", "FiniteAbelianGroup", "GroupElement",
+    "GroupMismatchError", "HusimiTable", "MinimizerConfig", "MinimizerResult",
+    "PhaseSpaceSubgroup", "Subgroup", "all_subgroups", "annihilator", "basis_state",
+    "check_density_matrix", "check_state_vector", "coset_basis", "coset_representatives",
+    "dense_limit", "descend", "direct_product", "dual_annihilator", "entropy_gradient",
+    "entropy_report", "group_dft", "husimi", "husimi_coset_spread", "husimi_fast",
+    "husimi_marginal", "invariant_subspace_dim", "is_corwin", "maximal_compact",
+    "maximally_mixed", "measurement_channel", "minimize", "nearest_coherent",
+    "overlap_matrix", "parse_generators", "parse_group", "parse_point", "partial_trace",
+    "product_frame", "pure_amplitudes", "pure_density", "pure_state_entropy",
+    "random_density_matrix", "random_state_vector", "resolution_residual", "run_checks",
+    "scan_fiducials", "standard_suite", "subadditivity_gap", "subgroup_closure",
+    "suite_pairs", "vacuum_vector", "verify_ccr", "von_neumann_entropy", "wehrl_entropy",
+    "wehrl_entropy_coset", "weyl_apply", "weyl_matrix",
+}
+
+
+def test_package_exports_exactly_its_pinned_names():
+    assert len(wehrl.__all__) == len(set(wehrl.__all__))
+    assert set(wehrl.__all__) == PACKAGE_NAMES
+    assert all(hasattr(wehrl, name) for name in wehrl.__all__)
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z4", "Z2xZ3"])
+def test_index_arguments_refuse_values_outside_their_range(spec):
+    g = parse_group(spec)
+    d = g.order
+    H = Subgroup.whole(g)
+    K = maximal_compact(H)
+    frame = CoherentFrame.vacuum(H)
+    calls = {
+        "weyl_apply": (d * d, lambda z: weyl_apply(g, z, frame.fiducial)),
+        "weyl_matrix": (d * d, lambda z: weyl_matrix(g, z)),
+        "cocycle_phase z": (d * d, lambda z: cocycle_phase(g, z, 0)),
+        "cocycle_phase w": (d * d, lambda w: cocycle_phase(g, 0, w)),
+        "CoherentFrame.state": (d * d, frame.state),
+        "subgroup_closure": (d, lambda x: subgroup_closure(g, (0, x))),
+        "Subgroup in": (d, lambda x: x in H),
+        "DualSubgroup in": (d, lambda x: x in annihilator(H)),
+        "PhaseSpaceSubgroup in": (d * d, lambda z: z in K),
+    }
+    for size, call in calls.values():
+        call(size - 1)  # the last index in range is taken
+        for bad in (-1, size, np.int64(-1), np.int64(size), 1.0, True):
+            with pytest.raises(ValueError, match=rf"integer in range\({size}\)"):
+                call(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +702,12 @@ def test_subgroup_storage_views_equality_and_membership():
 
 def test_annihilator_frozen():
     g = parse_group("Z4")
-    A = annihilator(subgroup_closure(g, (g.element((2,)),)))
-    assert coords_of(A.characters) == [(0,), (2,)]
+    assert annihilator(subgroup_closure(g, (2,))).indices.tolist() == [0, 2]
     g2 = parse_group("Z2xZ2")
-    A2 = annihilator(subgroup_closure(g2, (g2.element((1, 0)),)))
-    assert coords_of(A2.characters) == [(0, 0), (0, 1)]
+    A2 = annihilator(subgroup_closure(g2, (index(g2, (1, 0)),)))
+    assert [coords(g2, a) for a in A2.indices.tolist()] == [(0, 0), (0, 1)]
     g6 = parse_group("Z6")
-    A6 = annihilator(subgroup_closure(g6, (g6.element((2,)),)))
-    assert coords_of(A6.characters) == [(0,), (3,)]
+    assert annihilator(subgroup_closure(g6, (2,))).indices.tolist() == [0, 3]
 
 
 def test_annihilator_float_oracle():
@@ -649,15 +716,15 @@ def test_annihilator_float_oracle():
         g = parse_group(spec)
         for H in all_subgroups(g):
             expected = set()
-            for chi in g.characters():
+            for chi in elements(g):
                 vals = [
                     np.exp(2j * np.pi * sum(c * h / n for c, h, n
-                                            in zip(chi.coords, e.coords, g.orders)))
+                                            in zip(chi, e.coords, g.orders)))
                     for e in H.elements
                 ]
                 if max(abs(v - 1.0) for v in vals) < 1e-9:
-                    expected.add(chi.coords)
-            assert {c.coords for c in annihilator(H).characters} == expected
+                    expected.add(chi)
+            assert {coords(g, a) for a in annihilator(H).indices.tolist()} == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -677,31 +744,30 @@ def test_annihilator_size_and_duality(orders, data):
 
 def test_maximal_compact_structure():
     g = parse_group("Z4")
-    H = subgroup_closure(g, (g.element((2,)),))
-    K = maximal_compact(H)
+    K = maximal_compact(subgroup_closure(g, (2,)))
     assert K.order == g.order
     expected = {((0,), (0,)), ((0,), (2,)), ((2,), (0,)), ((2,), (2,))}
-    assert {(z.g.coords, z.chi.coords) for z in K.points} == expected
+    assert {point(g, z) for z in K.indices.tolist()} == expected
 
 
 def test_phase_space_subgroup_rejects_non_closed_points():
     g = parse_group("Z4")
 
-    def point(a, b):
-        return PhaseSpacePoint(g.element((a,)), g.character((b,))).index
+    def pt(a, b):
+        return point_index(g, (a,), (b,))
 
     with pytest.raises(ValueError, match="not closed under addition"):
-        PhaseSpaceSubgroup(g, (point(0, 0), point(1, 0)))
+        PhaseSpaceSubgroup(g, (pt(0, 0), pt(1, 0)))
     with pytest.raises(ValueError, match="not closed under addition"):
-        PhaseSpaceSubgroup(g, (point(0, 0), point(2, 0), point(0, 1), point(2, 1)))
-    assert PhaseSpaceSubgroup(g, (point(0, 0), point(2, 2))).order == 2
+        PhaseSpaceSubgroup(g, (pt(0, 0), pt(2, 0), pt(0, 1), pt(2, 1)))
+    assert PhaseSpaceSubgroup(g, (pt(0, 0), pt(2, 2))).order == 2
     # the earlier messages are unchanged and come first
     with pytest.raises(ValueError, match="duplicate points"):
-        PhaseSpaceSubgroup(g, (point(0, 0), point(1, 0), point(1, 0)))
+        PhaseSpaceSubgroup(g, (pt(0, 0), pt(1, 0), pt(1, 0)))
     with pytest.raises(ValueError, match="must contain the identity"):
-        PhaseSpaceSubgroup(g, (point(1, 0), point(3, 0)))
+        PhaseSpaceSubgroup(g, (pt(1, 0), pt(3, 0)))
     with pytest.raises(ValueError, match="size must divide"):
-        PhaseSpaceSubgroup(g, (point(0, 0), point(1, 0), point(2, 0)))
+        PhaseSpaceSubgroup(g, (pt(0, 0), pt(1, 0), pt(2, 0)))
 
 
 def test_maximal_compact_builds_on_suite_and_order_64_frames():
@@ -718,13 +784,12 @@ def test_maximal_compact_separation():
     for spec in ("Z4", "Z6", "Z2xZ2", "Z8"):
         g = parse_group(spec)
         for H in all_subgroups(g):
-            K = maximal_compact(H)
-            A = K.dual_part
-            for x in g.elements():
-                if x in H:
+            A = maximal_compact(H).dual_part
+            for x in elements(g):
+                if index(g, x) in H:
                     continue
                 # some annihilator character must see x
-                assert any(chi.phase(x) != 0 for chi in A.characters)
+                assert any(pairing_phase(g, coords(g, a), x) != 0 for a in A.indices.tolist())
 
 
 def test_maximal_compact_checks_separation_above_order_64(monkeypatch):
@@ -737,8 +802,8 @@ def test_maximal_compact_checks_separation_above_order_64(monkeypatch):
 
     monkeypatch.setattr(wehrl.groups, "_unseparated", one_unseparated)
     g = parse_group("Z128")
-    H = subgroup_closure(g, (g.element((2,)),))
-    with pytest.raises(RuntimeError, match="fails to separate"):
+    H = subgroup_closure(g, (2,))
+    with pytest.raises(RuntimeError, match="fails to separate 1 from H"):
         maximal_compact(H)
 
 
@@ -751,8 +816,9 @@ def test_unseparated_matches_fraction_oracle():
         for H in all_subgroups(g):
             for dual in (annihilator(H), trivial):
                 expected = [
-                    x not in H and all(chi.phase(x) == 0 for chi in dual.characters)
-                    for x in g.elements()
+                    index(g, x) not in H
+                    and all(pairing_phase(g, coords(g, a), x) == 0 for a in dual.indices.tolist())
+                    for x in elements(g)
                 ]
                 assert _unseparated(H, dual).tolist() == expected
 
@@ -762,20 +828,20 @@ def test_coset_representatives_partition():
     for H in all_subgroups(g):
         K = maximal_compact(H)
         reps = coset_representatives(K)
+        assert not reps.flags.writeable
         assert len(reps) * K.order == g.order ** 2
         seen = set()
-        for rep in reps:
-            block = {(rep + u).index for u in K.points}
+        for rep in reps.tolist():
+            block = {point_add(g, rep, u) for u in K.indices.tolist()}
             assert len(block) == K.order
             assert not (block & seen)
             seen |= block
-            assert rep.index == min(block)  # lex-least member represents
+            assert rep == min(block)  # lex-least member represents
         assert len(seen) == g.order ** 2
 
 
 def test_coset_partition_matches_object_walk():
     from phase_oracle import coset_partition_walk
-    from wehrl.groups import _coset_partition
 
     pairs = [(g, H) for g in standard_suite() for H in all_subgroups(g)]
     for spec in ("Z64", "Z8xZ8", "Z4xZ4xZ4"):
@@ -785,43 +851,32 @@ def test_coset_partition_matches_object_walk():
     for g, H in pairs:
         K = maximal_compact(H)
         reps, ids = coset_partition_walk(K)
-        assert coset_representatives(K) == reps
+        assert coset_representatives(K).tolist() == reps
         indices, labels = _coset_partition(K)
-        assert indices.tolist() == [z.index for z in reps]
+        assert indices.tolist() == reps
         assert np.array_equal(labels, ids)
 
 
 def test_coset_representatives_trivial_cases():
     g = parse_group("Z4")
-    K_full = maximal_compact(subgroup_closure(g, (g.element((1,)),)))
+    K_full = maximal_compact(subgroup_closure(g, (1,)))
     # H = G gives K = H x {trivial}; |K| = 4, 4 cosets
     assert len(coset_representatives(K_full)) == 4
 
 
 # ---------------------------------------------------------------------------
-# Corwin predicate, phase space, products
+# Corwin predicate, products
 
 
 def test_is_corwin_frozen():
     g4 = parse_group("Z4")
     assert is_corwin(subgroup_closure(g4, ())) is True
-    assert is_corwin(subgroup_closure(g4, (g4.element((2,)),))) is False
-    assert is_corwin(subgroup_closure(g4, (g4.element((1,)),))) is False
+    assert is_corwin(subgroup_closure(g4, (2,))) is False
+    assert is_corwin(subgroup_closure(g4, (1,))) is False
     g3 = parse_group("Z3")
-    assert is_corwin(subgroup_closure(g3, (g3.element((1,)),))) is True
+    assert is_corwin(subgroup_closure(g3, (1,))) is True
     g2 = parse_group("Z2")
-    assert is_corwin(subgroup_closure(g2, (g2.element((1,)),))) is False
-
-
-def test_phase_space_indexing():
-    g = parse_group("Z2xZ2")
-    pts = list(phase_space(g))
-    assert len(pts) == 16
-    for i, z in enumerate(pts):
-        assert z.index == i
-        assert PhaseSpacePoint.by_index(g, i) == z
-    z = pts[5]
-    assert (z + (-z)).is_identity()
+    assert is_corwin(subgroup_closure(g2, (1,))) is False
 
 
 def test_direct_product():

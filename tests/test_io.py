@@ -34,6 +34,8 @@ from wehrl.io import (
     state_vector_to_json,
 )
 
+from phase_oracle import point
+
 
 def test_state_vector_json_round_trip_is_byte_exact(rng):
     vec = random_state_vector(6, rng)
@@ -144,7 +146,7 @@ MALFORMED_VECTOR_CSV = [
 
 def test_husimi_csv_golden():
     g = parse_group("Z2")
-    frame = CoherentFrame.vacuum(subgroup_closure(g, (g.element((1,)),)))
+    frame = CoherentFrame.vacuum(subgroup_closure(g, (1,)))
     table = husimi(frame, pure_density(frame.fiducial))
     lines = husimi_to_csv(table).splitlines()
     assert lines[0] == "g,lambda,Q"
@@ -167,14 +169,13 @@ def test_husimi_csv_quotes_multi_coordinate_labels():
 
 
 def _husimi_csv_oracle(table):
-    """One `csv.writer` row per phase-space point, labels from `frame.points()`."""
+    """One `csv.writer` row per phase-space point, labels from its coordinates."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["g", "lambda", "Q"])
-    for z, q in zip(table.frame.points(), table.values):
-        writer.writerow(
-            [format_coords(z.g.coords), format_coords(z.chi.coords), repr(float(q))]
-        )
+    for z, q in enumerate(table.values):
+        g, chi = point(table.frame.group, z)
+        writer.writerow([format_coords(g), format_coords(chi), repr(float(q))])
     return buf.getvalue()
 
 
@@ -304,7 +305,7 @@ def test_writers_on_empty_and_one_row_inputs():
 
 def test_entropy_report_json_keys(rng):
     g = parse_group("Z4")
-    frame = CoherentFrame.vacuum(subgroup_closure(g, (g.element((2,)),)))
+    frame = CoherentFrame.vacuum(subgroup_closure(g, (2,)))
     report = entropy_report(frame, random_density_matrix(4, rng), log_base="2")
     text = entropy_report_to_json(report)
     import json

@@ -23,13 +23,14 @@ from wehrl import (
 )
 from wehrl import limits
 from wehrl.verify import fd_tangent_gradient, suite_pairs
+from phase_oracle import index, point_add, point_neg
 from stabiliser_frames import chirp_frames
 from walk_oracle import newton_step, newton_walk
 
 
 def vacuum_frame(spec, *gen_coords):
     g = parse_group(spec)
-    H = subgroup_closure(g, tuple(g.element(c) for c in gen_coords))
+    H = subgroup_closure(g, tuple(index(g, c) for c in gen_coords))
     return CoherentFrame.vacuum(H)
 
 
@@ -91,7 +92,7 @@ def test_gradient_phase_equivariance(rng):
 
 def test_gradient_vanishes_at_coherent_states():
     frame = vacuum_frame("Z4", (2,))
-    for z in frame.points():
+    for z in range(frame.point_count):
         grad = entropy_gradient(frame, frame.state(z))
         assert np.linalg.norm(grad) < 1e-12
 
@@ -102,9 +103,8 @@ def test_gradient_vanishes_at_coherent_states():
 
 def test_descend_from_coherent_start_stops_immediately():
     frame = vacuum_frame("Z4", (2,))
-    z = list(frame.points())[5]
     state, energy, iterations, converged = descend(
-        frame, frame.state(z), MinimizerConfig()
+        frame, frame.state(5), MinimizerConfig()
     )
     assert converged
     assert iterations == 0
@@ -175,7 +175,7 @@ def test_minimize_deterministic():
 # coset basis that is orthonormal only to about that distance
 def test_minimize_result_is_reproducible_entropy():
     g = parse_group("Z8")
-    phi = vacuum_vector(subgroup_closure(g, (g.element((4,)),))) + 5e-7 * np.eye(8)[1]
+    phi = vacuum_vector(subgroup_closure(g, (4,))) + 5e-7 * np.eye(8)[1]
     near = CoherentFrame(g, phi / np.linalg.norm(phi))
     assert near.stabiliser.order == 8
     for frame in (vacuum_frame("Z6", (3,)), near):
@@ -204,12 +204,12 @@ def test_minimize_restarts_equal_descend(spec, gens, max_iters, block_bytes, mon
     assert np.array_equal(result.restart_iterations, [r[2] for r in runs])
     assert np.array_equal(result.restart_converged, [r[3] for r in runs])
     energies = [r[1] for r in runs]
-    index = energies.index(min(energies))
-    assert result.restart_index == index
-    assert np.array_equal(result.best_state, runs[index][0])
+    best = energies.index(min(energies))
+    assert result.restart_index == best
+    assert np.array_equal(result.best_state, runs[best][0])
     # the walks' energies pick the best restart; its S^W is recomputed
-    assert result.best_entropy == pure_state_entropy(frame, runs[index][0])
-    assert result.converged == runs[index][3]
+    assert result.best_entropy == pure_state_entropy(frame, runs[best][0])
+    assert result.converged == runs[best][3]
     assert result.iterations == sum(r[2] for r in runs)
     if max_iters < 100:  # the budget binds: some rows stop unconverged
         assert not result.restart_converged.all()
@@ -348,7 +348,7 @@ def test_descend_stops_on_exhausted_step(rng, monkeypatch):
 def test_no_halvings_from_coherent_starts():
     minimize_module = sys.modules["wehrl.minimize"]
     frame = vacuum_frame("Z4", (2,))
-    starts = np.stack([frame.state(z) for z in frame.points()])
+    starts = np.stack([frame.state(z) for z in range(frame.point_count)])
     states, _, iterations, converged, halvings, _ = minimize_module._descend_rows(
         minimize_module._objective(frame), starts, MinimizerConfig())
     assert converged.all() and not iterations.any() and not halvings.any()
@@ -403,7 +403,7 @@ def test_minimize_gates_on_order_64_frames(spec):
 # the walk used to stop on its plateau rule at 1.34e-6 here, above the gate
 def test_minimize_passes_the_gate_where_the_plateau_rule_stalled():
     g = parse_group("Z4xZ8")
-    H = subgroup_closure(g, (g.element((0, 2)), g.element((2, 0))))
+    H = subgroup_closure(g, (index(g, (0, 2)), index(g, (2, 0))))
     result = minimize(CoherentFrame.vacuum(H), MinimizerConfig(seed=1))
     assert result.best_entropy <= 1e-8
     assert result.converged
@@ -535,10 +535,12 @@ def test_minimize_reaches_below_a_perturbed_vacuum_fiducial():
 def test_nearest_coherent_exact_point():
     frame = vacuum_frame("Z4", (2,))
     K, _ = frame.cosets()
-    z = list(frame.points())[7]
+    z = 7
     point, overlap = nearest_coherent(frame, frame.state(z))
+    assert type(point) is int
     assert overlap == pytest.approx(1.0, abs=1e-12)
-    assert (point - z) in K  # any member of the coset is a valid answer
+    g = frame.group
+    assert point_add(g, point, point_neg(g, z)) in K  # any member of the coset is a valid answer
 
 
 def test_nearest_coherent_returns_the_coset_representative():
@@ -555,20 +557,20 @@ def test_nearest_coherent_returns_the_coset_representative():
         K, _ = frame.cosets()
 
         def representative(z):
-            return min((z + u).index for u in K.points)
+            return min(point_add(g, z, u) for u in K.indices.tolist())
 
-        for z in frame.points():
+        for z in range(frame.point_count):
             psi = frame.state(z)
             noise = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
             phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
             for state in (psi, psi + 1e-16 * noise, phase * psi):
                 point, overlap = nearest_coherent(frame, state)
-                assert point.index == representative(z)
+                assert point == representative(z)
                 assert overlap == pytest.approx(1.0, abs=1e-12)
         for _ in range(20):
             psi = random_state_vector(g.order, rng)
             point, overlap = nearest_coherent(frame, psi)
-            assert point.index == representative(point)
+            assert point == representative(point)
             assert overlap == np.abs(pure_amplitudes(frame, psi)).max()
 
 
@@ -577,7 +579,7 @@ def test_nearest_coherent_on_a_random_fiducial_is_the_argmax(rng):
     psi = random_state_vector(8, rng)
     point, overlap = nearest_coherent(frame, psi)
     overlaps = np.abs(pure_amplitudes(frame, psi))
-    assert point.index == int(np.argmax(overlaps)) and overlap == overlaps.max()
+    assert point == int(np.argmax(overlaps)) and overlap == overlaps.max()
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +588,7 @@ def test_nearest_coherent_on_a_random_fiducial_is_the_argmax(rng):
 
 def test_scan_fiducials_report_shape():
     g = parse_group("Z2")
-    H = subgroup_closure(g, (g.element((1,)),))
+    H = subgroup_closure(g, (1,))
     report = scan_fiducials(H, MinimizerConfig(seed=0))
     assert report["group"] == "Z2"
     assert report["trials"] == 8

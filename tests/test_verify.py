@@ -11,11 +11,8 @@ import pytest
 from wehrl import (
     CoherentFrame,
     GroupMismatchError,
-    PhaseSpacePoint,
     Subgroup,
-    cocycle_phase,
     parse_group,
-    phase_space,
     random_state_vector,
     subgroup_closure,
 )
@@ -24,7 +21,10 @@ from wehrl.limits import DenseLimitError
 from wehrl.frames import coset_ids
 from wehrl.groups import _phase_weights, _unit_roots
 from wehrl.states import random_density_matrix
+from wehrl.weyl import cocycle_phase
 
+import phase_oracle
+from phase_oracle import add, elements, index, neg, pairing_phase, phase_to_complex, point_add
 from weyl_oracle import pointwise_weyl_matrix, roll_weyl_apply
 from wehrl.verify import (
     check_cocycle_bilinearity,
@@ -38,7 +38,7 @@ from wehrl.verify import (
 
 def test_run_checks_all_pass_on_z4():
     g = parse_group("Z4")
-    H = subgroup_closure(g, (g.element((2,)),))
+    H = subgroup_closure(g, (2,))
     results = run_checks(g, H, seed=0)
     failed = [r for r in results if not r.passed]
     assert not failed, failed
@@ -58,7 +58,7 @@ def test_run_checks_builds_one_maximal_compact_per_pair(monkeypatch):
             module, "maximal_compact", lambda H: built.append(H) or exact(H), raising=False
         )
     g = parse_group("Z4xZ2")
-    H = subgroup_closure(g, (g.element((2, 1)),))
+    H = subgroup_closure(g, (index(g, (2, 1)),))
     results = run_checks(g, H, seed=0, rho_samples=50)
     assert built == [H]
     assert all(r.passed for r in results)
@@ -115,7 +115,7 @@ def test_gradient_check_floor_still_catches_a_wrong_gradient(monkeypatch):
 
 def test_run_checks_deterministic():
     g = parse_group("Z3")
-    H = subgroup_closure(g, (g.element((1,)),))
+    H = subgroup_closure(g, (1,))
     first = run_checks(g, H, seed=4)
     verify._group_checks.cache_clear()  # the second call computes every check again
     assert first == run_checks(g, H, seed=4)
@@ -174,22 +174,47 @@ def test_run_checks_refuses_no_density_samples_before_any_check(rho_samples, mon
         run_checks(g, Subgroup.whole(g), rho_samples=rho_samples)
 
 
-def test_run_suite_refuses_no_density_samples():
+def _run_script(name, *args):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_suite.py"), "--rho-samples", "0"],
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_run_suite_refuses_no_density_samples():
+    proc = _run_script("run_suite.py", "--rho-samples", "0")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.endswith("error: argument --rho-samples: must be >= 1, got 0\n")
 
 
+# exit 1 means a failed invariant: a bad argument is an argparse error, exit 2,
+# raised before any check, frame or state is built
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("run_suite.py", ("--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+        ("subadditivity_probe.py", ("--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+        ("subadditivity_probe.py", ("--samples", "0"), "argument --samples: must be >= 1, got 0"),
+        ("subadditivity_probe.py", ("--factors", "Z0", "Z2"), "cyclic orders must be >= 1, got (0,)"),
+        ("subadditivity_probe.py", ("--factors", "Z32", "Z32"),
+         "|G1 x G2| = 1024 exceeds the dense-matrix limit 256"),
+    ],
+)
+def test_scripts_refuse_bad_arguments_with_exit_2(script, args, message, monkeypatch):
+    monkeypatch.delenv("WEHRL_DENSE_LIMIT", raising=False)
+    proc = _run_script(script, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(f"error: {message}\n")
+
+
 def test_run_checks_product_group_includes_marginals():
     g = parse_group("Z2xZ2")
-    H = subgroup_closure(g, (g.element((1, 0)),))
+    H = subgroup_closure(g, (index(g, (1, 0)),))
     names = [r.name for r in run_checks(g, H, seed=0, rho_samples=50)]
     assert "husimi-marginalisation" in names
     assert "wehrl-monotonicity" in names
@@ -221,17 +246,18 @@ def test_dichotomy_check_rejects_generic_fiducial(rng):
 
 def test_cocycle_phase_matrix_matches_exact_fractions():
     g = parse_group("Z2xZ3")
-    pts = list(phase_space(g))[:12]
-    M = cocycle_phase_matrix(g, [z.index for z in pts], [z.index for z in pts])
+    pts = np.arange(12)
+    M = cocycle_phase_matrix(g, pts, pts)
     L = math.lcm(*g.orders)
-    for i, z in enumerate(pts):
-        for j, w in enumerate(pts):
-            assert Fraction(int(M[i, j]), L) % 1 == cocycle_phase(z, w)
+    for z in pts.tolist():
+        for w in pts.tolist():
+            exact = Fraction(int(M[z, w]), L) % 1
+            assert exact == cocycle_phase(g, z, w) == phase_oracle.cocycle_phase(g, z, w)
 
 
 def test_coset_ids_partition():
     g = parse_group("Z6")
-    H = subgroup_closure(g, (g.element((3,)),))
+    H = subgroup_closure(g, (3,))
     frame = CoherentFrame.vacuum(H)
     ids = coset_ids(frame)
     K, reps = frame.cosets()
@@ -245,11 +271,12 @@ def _bilinearity_oracle(group, rng, samples=1000):
     """Scalar route of check_cocycle_bilinearity: exact Fractions per triple."""
     total = group.order ** 2
     bad = 0
-    for i, j, k in rng.integers(0, total, size=(samples, 3)):
-        z, w, v = (PhaseSpacePoint.by_index(group, int(x)) for x in (i, j, k))
-        if cocycle_phase(z + w, v) != (cocycle_phase(z, v) + cocycle_phase(w, v)) % 1:
+    omega = phase_oracle.cocycle_phase
+    for z, w, v in rng.integers(0, total, size=(samples, 3)).tolist():
+        zw = point_add(group, z, w)
+        if omega(group, zw, v) != (omega(group, z, v) + omega(group, w, v)) % 1:
             bad += 1
-        if cocycle_phase(v, z + w) != (cocycle_phase(v, z) + cocycle_phase(v, w)) % 1:
+        if omega(group, v, zw) != (omega(group, v, z) + omega(group, v, w)) % 1:
             bad += 1
     return bad
 
@@ -329,16 +356,15 @@ def test_object_routes_agree_with_the_index_arithmetic(group):
     d = group.order
     sums = verify._sum_table(group)
     L, _ = _phase_weights(group)
-    els = list(group.elements())
-    assert [a.index for a in els] == list(range(d))
+    els = elements(group)
+    assert [index(group, a) for a in els] == list(range(d))
     for a in els:
-        assert sums[a.index, (-a).index] == 0
+        assert sums[index(group, a), index(group, neg(group, a))] == 0
         for b in els:
-            assert (a + b).index == sums[a.index, b.index]
-            assert (a - b).index == sums[a.index, (-b).index]
+            assert index(group, add(group, a, b)) == sums[index(group, a), index(group, b)]
     values = _unit_roots(L)[verify._pairing_numerators(group, slice(None), slice(None))]
-    for chi in group.characters():
-        assert [chi(g) for g in els] == values[chi.index].tolist()
+    for i, chi in enumerate(els):
+        assert [phase_to_complex(pairing_phase(group, chi, g)) for g in els] == values[i].tolist()
 
 
 @pytest.mark.parametrize("d", range(1, 17))
@@ -378,39 +404,49 @@ def test_run_checks_sampled_branches_above_order_16(spec, whole, monkeypatch):
 def _per_point_checks(group, frame, rng):
     """The per-point routes of the six stacked checks, drawing from rng in run_checks order."""
     d = group.order
-    els = list(group.elements())
-    chars = list(group.characters())
-    bad = sum(not (a + (-a)).is_zero() for a in els)
-    bad += sum((a + b).coords != (b + a).coords for a in els for b in els)
+    els = elements(group)
+    zero = els[0]
+
+    def plus(a, b):
+        return add(group, a, b)
+
+    def chi_at(chi, g):
+        return phase_to_complex(pairing_phase(group, chi, g))
+
+    bad = sum(plus(a, neg(group, a)) != zero for a in els)
+    bad += sum(plus(a, b) != plus(b, a) for a in els for b in els)
     if d <= 16:
         triples = [(a, b, c) for a in els for b in els for c in els]
     else:
-        triples = [tuple(els[int(i)] for i in t) for t in rng.integers(0, d, size=(1000, 3))]
-    bad += sum(((a + b) + c).coords != (a + (b + c)).coords for a, b, c in triples)
+        triples = [tuple(els[i] for i in t) for t in rng.integers(0, d, size=(1000, 3)).tolist()]
+    bad += sum(plus(plus(a, b), c) != plus(a, plus(b, c)) for a, b, c in triples)
     if d <= 16:
-        char_triples = [(chi, g, h) for chi in chars for g in els for h in els]
+        char_triples = [(chi, g, h) for chi in els for g in els for h in els]
     else:
-        pick = rng.integers(0, d, size=(1000, 3))
-        char_triples = [(chars[int(i)], els[int(j)], els[int(k)]) for i, j, k in pick]
-    mult = max(abs(chi(g + h) - chi(g) * chi(h)) for chi, g, h in char_triples)
+        pick = rng.integers(0, d, size=(1000, 3)).tolist()
+        char_triples = [(els[i], els[j], els[k]) for i, j, k in pick]
+    mult = max(abs(chi_at(chi, plus(g, h)) - chi_at(chi, g) * chi_at(chi, h))
+               for chi, g, h in char_triples)
     if d <= 16:
-        points = list(phase_space(group))
+        points = range(d * d)
     else:
-        points = [PhaseSpacePoint.by_index(group, int(i)) for i in rng.integers(0, d * d, size=100)]
+        points = rng.integers(0, d * d, size=100).tolist()
     unitarity = 0.0
     for z in points:
-        W = pointwise_weyl_matrix(z)
+        W = pointwise_weyl_matrix(group, z)
         unitarity = max(unitarity, float(np.abs(W.conj().T @ W - np.eye(d)).max()))
     dense = 0.0
-    for i in rng.integers(0, d * d, size=1000):
-        z = PhaseSpacePoint.by_index(group, int(i))
+    for z in rng.integers(0, d * d, size=1000).tolist():
         f = random_state_vector(d, rng)
-        dense = max(dense, float(np.abs(pointwise_weyl_matrix(z) @ f - roll_weyl_apply(z, f)).max()))
+        residual = pointwise_weyl_matrix(group, z) @ f - roll_weyl_apply(group, z, f)
+        dense = max(dense, float(np.abs(residual).max()))
     K, _ = frame.cosets()
     fid = frame.fiducial
-    invariance = max(float(np.abs(roll_weyl_apply(u, fid) - fid).max()) for u in K.points)
+    invariance = max(
+        float(np.abs(roll_weyl_apply(group, u, fid) - fid).max()) for u in K.indices.tolist()
+    )
     offcoset = max(
-        (abs(np.vdot(fid, roll_weyl_apply(z, fid))) for z in phase_space(group) if z not in K),
+        (abs(np.vdot(fid, roll_weyl_apply(group, z, fid))) for z in range(d * d) if z not in K),
         default=0.0,
     )
     return {
@@ -431,7 +467,7 @@ def _per_point_checks(group, frame, rng):
 def test_stacked_checks_match_their_per_point_routes(spec, gens, monkeypatch):
     monkeypatch.setenv("WEHRL_DENSE_LIMIT", "1024")
     g = parse_group(spec)
-    frame = CoherentFrame.vacuum(subgroup_closure(g, tuple(g.element(c) for c in gens)))
+    frame = CoherentFrame.vacuum(subgroup_closure(g, tuple(index(g, c) for c in gens)))
     stacked_rng, scalar_rng = np.random.default_rng(7), np.random.default_rng(7)
     stacked = {
         "group-laws": verify.check_group_laws(g, stacked_rng),

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from wehrl import (
     CcrReport,
     DenseLimitError,
-    PhaseSpacePoint,
+    FiniteAbelianGroup,
     basis_state,
-    cocycle_phase,
     parse_group,
     parse_point,
-    phase_space,
     random_state_vector,
     verify_ccr,
     weyl_apply,
@@ -22,8 +20,18 @@ from wehrl import (
 )
 from wehrl import weyl
 from wehrl.groups import character_row, difference_index_table
+from wehrl.weyl import cocycle_phase
 
-from phase_oracle import HeisenbergElement, cocycle, compose_phase, phase_to_complex
+import phase_oracle
+from phase_oracle import (
+    HeisenbergElement,
+    cocycle,
+    compose_phase,
+    phase_to_complex,
+    point,
+    point_add,
+    point_neg,
+)
 from weyl_oracle import pointwise_weyl_matrix, roll_weyl_apply
 
 group_descriptors = st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(
@@ -32,8 +40,7 @@ group_descriptors = st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(
 
 
 def draw_point(group, data):
-    i = data.draw(st.integers(0, group.order ** 2 - 1))
-    return PhaseSpacePoint.by_index(group, i)
+    return data.draw(st.integers(0, group.order ** 2 - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -44,29 +51,29 @@ def test_cocycle_frozen():
     g = parse_group("Z2")
     z = parse_point(g, "1;1")
     w = parse_point(g, "0;1")
-    assert cocycle_phase(z, w) == Fraction(1, 2)
-    assert cocycle(z, w) == pytest.approx(-1.0)
+    assert cocycle_phase(g, z, w) == Fraction(1, 2)
+    assert cocycle(g, z, w) == pytest.approx(-1.0)
     # shift vs flip on Z2: the classic anticommuting pair
-    assert cocycle_phase(parse_point(g, "1;0"), parse_point(g, "0;1")) == Fraction(1, 2)
+    assert cocycle_phase(g, parse_point(g, "1;0"), parse_point(g, "0;1")) == Fraction(1, 2)
 
 
 def test_cocycle_on_diagonal_and_inverse():
     g = parse_group("Z4xZ2")
-    for z in phase_space(g):
-        assert cocycle_phase(z, z) == 0
-        assert cocycle_phase(z, -z) == 0  # makes the Heisenberg inverse central-free
+    for z in range(g.order ** 2):
+        assert cocycle_phase(g, z, z) == 0
+        assert cocycle_phase(g, z, point_neg(g, z)) == 0  # makes the Heisenberg inverse central-free
 
 
 @settings(max_examples=40, deadline=None)
 @given(group_descriptors, st.data())
 def test_cocycle_antisymmetry_and_bilinearity(orders, data):
-    from wehrl import FiniteAbelianGroup
-
     g = FiniteAbelianGroup(tuple(orders))
     z, w, v = (draw_point(g, data) for _ in range(3))
-    assert cocycle_phase(z, w) == (-cocycle_phase(w, z)) % 1
-    assert cocycle_phase(z + w, v) == (cocycle_phase(z, v) + cocycle_phase(w, v)) % 1
-    assert cocycle_phase(v, z + w) == (cocycle_phase(v, z) + cocycle_phase(v, w)) % 1
+    assert cocycle_phase(g, z, w) == phase_oracle.cocycle_phase(g, z, w)
+    assert cocycle_phase(g, z, w) == (-cocycle_phase(g, w, z)) % 1
+    zw = point_add(g, z, w)
+    assert cocycle_phase(g, zw, v) == (cocycle_phase(g, z, v) + cocycle_phase(g, w, v)) % 1
+    assert cocycle_phase(g, v, zw) == (cocycle_phase(g, v, z) + cocycle_phase(g, v, w)) % 1
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +83,7 @@ def test_cocycle_antisymmetry_and_bilinearity(orders, data):
 def test_heisenberg_identity_and_inverse():
     g = parse_group("Z4")
     e = HeisenbergElement.identity(g)
-    x = HeisenbergElement(parse_point(g, "1;3"), Fraction(1, 4))
+    x = HeisenbergElement(g, parse_point(g, "1;3"), Fraction(1, 4))
     assert (x * e) == x
     assert (e * x) == x
     assert (x * x.inverse()) == e
@@ -85,36 +92,34 @@ def test_heisenberg_identity_and_inverse():
 
 def test_heisenberg_central_phase_reduction():
     g = parse_group("Z2")
-    x = HeisenbergElement(parse_point(g, "0;0"), Fraction(3, 2))
+    x = HeisenbergElement(g, parse_point(g, "0;0"), Fraction(3, 2))
     assert x.t_phase == Fraction(1, 2)
     assert x.t == pytest.approx(-1.0)
 
 
 def test_heisenberg_central_element_commutes():
     g = parse_group("Z4")
-    center = HeisenbergElement(parse_point(g, "0;0"), Fraction(1, 2))
-    x = HeisenbergElement(parse_point(g, "3;1"), Fraction(1, 8))
+    center = HeisenbergElement(g, parse_point(g, "0;0"), Fraction(1, 2))
+    x = HeisenbergElement(g, parse_point(g, "3;1"), Fraction(1, 8))
     assert center * x == x * center
 
 
 def test_heisenberg_commutator_is_cocycle():
     # x y x^-1 y^-1 = (0, omega(z, w)^2): omega = -i on this Z4 pair
     g = parse_group("Z4")
-    x = HeisenbergElement(parse_point(g, "1;0"))
-    y = HeisenbergElement(parse_point(g, "0;1"))
+    x = HeisenbergElement(g, parse_point(g, "1;0"))
+    y = HeisenbergElement(g, parse_point(g, "0;1"))
     comm = x * y * x.inverse() * y.inverse()
-    assert comm.z.is_identity()
-    assert comm.t_phase == (2 * cocycle_phase(x.z, y.z)) % 1 == Fraction(1, 2)
+    assert comm.z == 0
+    assert comm.t_phase == (2 * cocycle_phase(g, x.z, y.z)) % 1 == Fraction(1, 2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(group_descriptors, st.data())
 def test_heisenberg_associative_exact(orders, data):
-    from wehrl import FiniteAbelianGroup
-
     g = FiniteAbelianGroup(tuple(orders))
     xs = [
-        HeisenbergElement(draw_point(g, data), Fraction(data.draw(st.integers(0, 7)), 8))
+        HeisenbergElement(g, draw_point(g, data), Fraction(data.draw(st.integers(0, 7)), 8))
         for _ in range(3)
     ]
     a, b, c = xs
@@ -127,40 +132,41 @@ def test_heisenberg_associative_exact(orders, data):
 
 def test_weyl_matrix_frozen():
     g = parse_group("Z2")
-    W = weyl_matrix(parse_point(g, "1;1"))
+    W = weyl_matrix(g, parse_point(g, "1;1"))
     assert np.allclose(W, np.array([[0, 1], [-1, 0]]), atol=1e-15)
-    shift = weyl_matrix(parse_point(parse_group("Z4"), "1;0"))
+    z4 = parse_group("Z4")
+    shift = weyl_matrix(z4, parse_point(z4, "1;0"))
     assert np.array_equal(shift @ basis_state(4, 0), basis_state(4, 1))
 
 
 def test_weyl_apply_frozen():
     g = parse_group("Z2")
     vec = np.array([1.0, 1.0]) / np.sqrt(2)
-    out = weyl_apply(parse_point(g, "0;1"), vec)
+    out = weyl_apply(g, parse_point(g, "0;1"), vec)
     assert np.allclose(out, np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-15)
 
 
 def test_weyl_apply_matches_matrix(rng):
     for spec in ("Z4", "Z2xZ3", "Z4xZ2"):
         g = parse_group(spec)
-        for z in phase_space(g):
+        for z in range(g.order ** 2):
             f = random_state_vector(g.order, rng)
-            assert np.abs(weyl_matrix(z) @ f - weyl_apply(z, f)).max() < 1e-13
+            assert np.abs(weyl_matrix(g, z) @ f - weyl_apply(g, z, f)).max() < 1e-13
 
 
 def test_weyl_preserves_norm(rng):
     g = parse_group("Z3xZ3")
     for _ in range(20):
-        z = PhaseSpacePoint.by_index(g, int(rng.integers(0, g.order ** 2)))
+        z = int(rng.integers(0, g.order ** 2))
         f = random_state_vector(g.order, rng)
-        assert abs(np.linalg.norm(weyl_apply(z, f)) - 1.0) < 1e-13
+        assert abs(np.linalg.norm(weyl_apply(g, z, f)) - 1.0) < 1e-13
 
 
 def test_weyl_unitary():
     g = parse_group("Z2xZ3")
     eye = np.eye(g.order)
-    for z in phase_space(g):
-        W = weyl_matrix(z)
+    for z in range(g.order ** 2):
+        W = weyl_matrix(g, z)
         assert np.abs(W.conj().T @ W - eye).max() < 1e-12
 
 
@@ -168,21 +174,19 @@ def test_weyl_composition_exact_phase():
     # W(z) W(w) must equal exp(2*pi*i*compose_phase(z, w)) W(z + w)
     for spec in ("Z2", "Z3"):
         g = parse_group(spec)
-        for z in phase_space(g):
-            for w in phase_space(g):
-                lhs = weyl_matrix(z) @ weyl_matrix(w)
-                rhs = phase_to_complex(compose_phase(z, w)) * weyl_matrix(z + w)
+        for z in range(g.order ** 2):
+            for w in range(g.order ** 2):
+                lhs = weyl_matrix(g, z) @ weyl_matrix(g, w)
+                rhs = phase_to_complex(compose_phase(g, z, w)) * weyl_matrix(g, point_add(g, z, w))
                 assert np.abs(lhs - rhs).max() < 1e-13
 
 
 def test_weyl_commutation_against_cocycle(rng):
     g = parse_group("Z4xZ2")
     for _ in range(50):
-        i, j = rng.integers(0, g.order ** 2, size=2)
-        z = PhaseSpacePoint.by_index(g, int(i))
-        w = PhaseSpacePoint.by_index(g, int(j))
-        lhs = weyl_matrix(z) @ weyl_matrix(w)
-        rhs = cocycle(z, w) * (weyl_matrix(w) @ weyl_matrix(z))
+        z, w = (int(i) for i in rng.integers(0, g.order ** 2, size=2))
+        lhs = weyl_matrix(g, z) @ weyl_matrix(g, w)
+        rhs = cocycle(g, z, w) * (weyl_matrix(g, w) @ weyl_matrix(g, z))
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -211,12 +215,12 @@ def test_verify_ccr_deterministic():
     assert a == b
 
 
-def _roll_apply(z, mat):
+def _roll_apply(group, z, mat):
     """W(z) on the columns of a (|G|, m) array: np.roll, then character values."""
-    group = z.group
+    g, chi = point(group, z)
     axes = tuple(range(len(group.orders)))
-    shifted = np.roll(mat.reshape(group.orders + (-1,)), z.g.coords, axis=axes)
-    return character_row(group, z.chi.coords)[:, None] * shifted.reshape(group.order, -1)
+    shifted = np.roll(mat.reshape(group.orders + (-1,)), g, axis=axes)
+    return character_row(group, chi)[:, None] * shifted.reshape(group.order, -1)
 
 
 def _ccr_oracle(group, *, seed=0, tolerance=1e-12, exhaustive_limit=256, samples=10_000):
@@ -227,20 +231,15 @@ def _ccr_oracle(group, *, seed=0, tolerance=1e-12, exhaustive_limit=256, samples
     probes /= np.linalg.norm(probes, axis=0)
     total = d * d
     if total <= exhaustive_limit:
-        points = list(phase_space(group))
-        pairs = [(a, b) for a in points for b in points]
+        pairs = [(a, b) for a in range(total) for b in range(total)]
         mode = "exhaustive"
     else:
-        idx = rng.integers(0, total, size=(samples, 2))
-        pairs = [
-            (PhaseSpacePoint.by_index(group, int(i)), PhaseSpacePoint.by_index(group, int(j)))
-            for i, j in idx
-        ]
+        pairs = rng.integers(0, total, size=(samples, 2)).tolist()
         mode = "randomized"
     worst = 0.0
     for a, b in pairs:
-        left = _roll_apply(a, _roll_apply(b, probes))
-        right = cocycle(a, b) * _roll_apply(b, _roll_apply(a, probes))
+        left = _roll_apply(group, a, _roll_apply(group, b, probes))
+        right = cocycle(group, a, b) * _roll_apply(group, b, _roll_apply(group, a, probes))
         worst = max(worst, float(np.abs(left - right).max()))
     return CcrReport(str(group), mode, len(pairs), worst, tolerance, worst <= tolerance)
 
@@ -291,12 +290,11 @@ def test_apply_points_equals_roll_oracle_bitwise(spec, rng):
     vecs = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
     stacked = weyl._apply_points(g, z, vecs)
     shared = weyl._apply_points(g, z, vecs[0])
-    for i in z:
-        point = PhaseSpacePoint.by_index(g, int(i))
-        assert np.array_equal(stacked[i], roll_weyl_apply(point, vecs[i]))
-        assert np.array_equal(shared[i], roll_weyl_apply(point, vecs[0]))
+    for i in z.tolist():
+        assert np.array_equal(stacked[i], roll_weyl_apply(g, i, vecs[i]))
+        assert np.array_equal(shared[i], roll_weyl_apply(g, i, vecs[0]))
         if i % 97 == 0:
-            assert np.array_equal(weyl_apply(point, vecs[i]), stacked[i])
+            assert np.array_equal(weyl_apply(g, i, vecs[i]), stacked[i])
 
 
 # the one-row weyl_apply reads the cached character row; it must still equal
@@ -306,8 +304,7 @@ def test_weyl_apply_equals_roll_oracle_bitwise_at_every_point(spec, rng):
     g = parse_group(spec)
     vec = random_state_vector(g.order, rng)
     for i in range(g.order ** 2):
-        point = PhaseSpacePoint.by_index(g, i)
-        assert np.array_equal(weyl_apply(point, vec), roll_weyl_apply(point, vec))
+        assert np.array_equal(weyl_apply(g, i, vec), roll_weyl_apply(g, i, vec))
 
 
 # the gather shared by _apply_points and verify_ccr against the scatter table
@@ -329,11 +326,10 @@ def test_matrix_points_equals_pointwise_oracle_bitwise(spec):
     z = np.arange(g.order ** 2)
     stacked = weyl._matrix_points(g, z)
     assert stacked.shape == (len(z), g.order, g.order)
-    for i in z:
-        point = PhaseSpacePoint.by_index(g, int(i))
-        assert np.array_equal(stacked[i], pointwise_weyl_matrix(point))
+    for i in z.tolist():
+        assert np.array_equal(stacked[i], pointwise_weyl_matrix(g, i))
         if i % 97 == 0:
-            assert np.array_equal(weyl_matrix(point), stacked[i])
+            assert np.array_equal(weyl_matrix(g, i), stacked[i])
 
 
 def test_matrix_points_checks_the_dense_limit_once_per_stack(monkeypatch):
@@ -348,7 +344,7 @@ def test_matrix_points_checks_the_dense_limit_once_per_stack(monkeypatch):
 def test_weyl_apply_keeps_its_shape_error():
     g = parse_group("Z4")
     with pytest.raises(ValueError, match=r"^state has shape \(3,\), expected \(4,\)$"):
-        weyl_apply(parse_point(g, "1;1"), np.ones(3))
+        weyl_apply(g, parse_point(g, "1;1"), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +356,9 @@ def test_weyl_matrix_dense_limit(monkeypatch):
     z = parse_point(g, "1;1")
     monkeypatch.setenv("WEHRL_DENSE_LIMIT", "4")
     with pytest.raises(DenseLimitError):
-        weyl_matrix(z)
+        weyl_matrix(g, z)
     monkeypatch.setenv("WEHRL_DENSE_LIMIT", "8")
-    assert weyl_matrix(z).shape == (8, 8)
+    assert weyl_matrix(g, z).shape == (8, 8)
 
 
 def test_dense_limit_env_override(monkeypatch):
@@ -370,7 +366,7 @@ def test_dense_limit_env_override(monkeypatch):
     z = parse_point(g, "1;1")
     monkeypatch.setenv("WEHRL_DENSE_LIMIT", "4")
     with pytest.raises(DenseLimitError):
-        weyl_matrix(z)
+        weyl_matrix(g, z)
     monkeypatch.setenv("WEHRL_DENSE_LIMIT", "not-a-number")
     with pytest.raises(ValueError):
-        weyl_matrix(z)
+        weyl_matrix(g, z)

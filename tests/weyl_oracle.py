@@ -1,29 +1,34 @@
 """Per-point Weyl operators: the oracles for the stacked cores of `wehrl.weyl`.
 
 `roll_weyl_apply` translates with `np.roll` on the coordinate grid and
-`pointwise_weyl_matrix` fills a dense matrix one element at a time through
-the object routes (`GroupElement` subtraction, `Character.__call__`).
+`pointwise_weyl_matrix` fills a dense matrix one element at a time on
+coordinate tuples (`phase_oracle`: the column of h - g and the exact phase
+of chi(h)). Points are phase-space indices z = g * |G| + chi.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from wehrl.groups import PhaseSpacePoint, character_row
+from wehrl.groups import character_row
+
+from phase_oracle import add, elements, index, neg, pairing_phase, phase_to_complex, point
 
 
-def roll_weyl_apply(z: PhaseSpacePoint, vec) -> np.ndarray:
+def roll_weyl_apply(group, z: int, vec) -> np.ndarray:
     """W(z) vec: np.roll of the coordinate grid, then character values."""
-    group = z.group
+    g, chi = point(group, z)
     axes = tuple(range(len(group.orders)))
-    shifted = np.roll(np.asarray(vec).reshape(group.orders), z.g.coords, axis=axes)
-    return character_row(group, z.chi.coords) * shifted.reshape(group.order)
+    shifted = np.roll(np.asarray(vec).reshape(group.orders), g, axis=axes)
+    return character_row(group, chi) * shifted.reshape(group.order)
 
 
-def pointwise_weyl_matrix(z: PhaseSpacePoint) -> np.ndarray:
+def pointwise_weyl_matrix(group, z: int) -> np.ndarray:
     """Dense W(z): row h holds chi(h) in the column of h - g."""
-    group = z.group
+    g, chi = point(group, z)
     mat = np.zeros((group.order, group.order), dtype=np.complex128)
-    for h in group.elements():
-        mat[h.index, (h - z.g).index] = z.chi(h)
+    for h in elements(group):
+        mat[index(group, h), index(group, add(group, h, neg(group, g)))] = phase_to_complex(
+            pairing_phase(group, chi, h)
+        )
     return mat
