@@ -57,7 +57,7 @@ def main() -> int:
         print(f"{str(group):12s} H={str(sub):20s} {len(results):3d} checks  "
               f"worst={worst:9.2e}  {dt:6.2f}s  {status}")
     elapsed = time.perf_counter() - t0
-    print(f"\n{total_checks} checks, {failures} failures, {elapsed:.1f}s total")
+    print(f"\n{total_checks} checks, {failures} failures, {elapsed:.3f}s total")
     return 1 if failures else 0
 
 

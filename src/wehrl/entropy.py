@@ -229,9 +229,14 @@ def measurement_channel(frame: CoherentFrame, rho) -> np.ndarray:
 
     then made exactly Hermitian. No (|F|, |G|) state matrix is built.
     """
+    return _channel_values(frame, check_density_matrix(rho, frame.group.order))
+
+
+def _channel_values(frame: CoherentFrame, rho: np.ndarray) -> np.ndarray:
+    """Phi[rho] of validated densities; see `measurement_channel`."""
     group = frame.group
     d = group.order
-    q = husimi(frame, rho).values
+    q = _husimi_values(frame, rho)
     lead = q.shape[:-1]
     by_shift = group_dft(group, q.reshape(lead + (d, d)), inverse=True)  # [..., g, D]
     spectrum = group_dft(group, np.swapaxes(by_shift, -1, -2))  # [..., D, b]

@@ -7,8 +7,8 @@ exp(2*pi*i * sum_j a_j g_j / n_j). Every such phase is a root of unity of
 order dividing L = lcm(n_j), so it is carried as an exact integer numerator
 m mod L and exponentiated once per (m, L) by `_unit_roots`; equal phases
 give bit-identical complex values. `_pairing_numerators` is the one
-character-phase formula: character values (`character_row`,
-`character_table`, `_character_rows`), annihilators (`_pairing_kernel`),
+character-phase formula: character values (`character_table`,
+`_character_rows`), annihilators (`_pairing_kernel`),
 the Weyl operators' character rows and the multiplicativity check all
 read their numerators from it. The closed-form cocycle
 (`weyl.cocycle_numerators`) stays apart, as the independent side of the
@@ -41,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -70,7 +70,6 @@ __all__ = [
     "parse_generators",
     "parse_point",
     "format_coords",
-    "character_row",
     "character_table",
     "group_dft",
     "difference_index_table",
@@ -177,6 +176,13 @@ def _index_array(values, size: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _read_only(indices) -> np.ndarray:
+    """indices as a read-only int64 array."""
+    arr = np.asarray(indices, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
 class _IndexSet:
     """A subgroup stored as sorted, read-only indices: checks, equality, hash, membership.
 
@@ -206,8 +212,22 @@ class _IndexSet:
             raise ValueError(divide)
         if not _sums_stay_inside(self._add, indices, size):
             raise ValueError(closure)
-        indices.flags.writeable = False
-        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "indices", _read_only(indices))
+
+    @classmethod
+    def _built(cls, group: FiniteAbelianGroup, indices: np.ndarray, **extra):
+        """An instance from the library's own kernels or closures, without the checks.
+
+        For `all_subgroups`, `subgroup_closure`, `annihilator`,
+        `dual_annihilator` and `maximal_compact`, whose indices are sorted,
+        distinct and closed by construction. The public constructor keeps
+        every check, since it guards input from outside.
+        """
+        self = object.__new__(cls)
+        values = {"group": group, "indices": _read_only(indices), **extra}
+        for field in fields(cls):
+            object.__setattr__(self, field.name, values.get(field.name, field.default))
+        return self
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -246,8 +266,12 @@ class Subgroup(_IndexSet):
     def __post_init__(self) -> None:
         super().__post_init__()
         gens = _index_array(self.generator_indices, self.group.order)
-        gens.flags.writeable = False
-        object.__setattr__(self, "generator_indices", gens)
+        object.__setattr__(self, "generator_indices", _read_only(gens))
+
+    @classmethod
+    def _built(cls, group: FiniteAbelianGroup, indices: np.ndarray, generators=()) -> "Subgroup":
+        gens = _read_only(np.array(generators, dtype=np.int64))
+        return super()._built(group, indices, generator_indices=gens)
 
     @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -355,7 +379,7 @@ def subgroup_closure(group: FiniteAbelianGroup, generators: Iterable[int]) -> Su
     for x in gens:
         if not inside[x]:
             inside = _closures(group, np.flatnonzero(inside), _multiples(group, [x]))[0]
-    return Subgroup(group, np.flatnonzero(inside), gens)
+    return Subgroup._built(group, np.flatnonzero(inside), gens)
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
@@ -389,7 +413,7 @@ def all_subgroups(group: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
                 f"{group} has more than {limits.SUBGROUP_CAP} subgroups (the subgroup-lattice cap)"
             )
     ordered = sorted(found.values(), key=lambda entry: (len(entry[0]), entry[0].tolist()))
-    return tuple(Subgroup(group, H, gens) for H, gens, _ in ordered)
+    return tuple(Subgroup._built(group, H, gens) for H, gens, _ in ordered)
 
 
 def _pairing_kernel(group: FiniteAbelianGroup, indices) -> np.ndarray:
@@ -411,7 +435,7 @@ def annihilator(subgroup: Subgroup) -> DualSubgroup:
     """
     group = subgroup.group
     testers = subgroup.generator_indices if subgroup.generator_indices.size else subgroup.indices
-    result = DualSubgroup(group, np.flatnonzero(_pairing_kernel(group, testers)))
+    result = DualSubgroup._built(group, np.flatnonzero(_pairing_kernel(group, testers)))
     if result.order * subgroup.order != group.order:
         raise RuntimeError(f"annihilator duality failed for {subgroup}")
     return result
@@ -420,7 +444,7 @@ def annihilator(subgroup: Subgroup) -> DualSubgroup:
 def dual_annihilator(dual: DualSubgroup) -> Subgroup:
     """Group elements on which every character of the dual subgroup is 1."""
     group = dual.group
-    result = Subgroup(group, np.flatnonzero(_pairing_kernel(group, dual.indices)))
+    result = Subgroup._built(group, np.flatnonzero(_pairing_kernel(group, dual.indices)))
     if result.order * dual.order != group.order:
         raise RuntimeError("annihilator duality failed for a dual subgroup")
     return result
@@ -437,7 +461,7 @@ def maximal_compact(subgroup: Subgroup) -> PhaseSpaceSubgroup:
     group = subgroup.group
     ann = annihilator(subgroup)
     points = (subgroup.indices[:, None] * group.order + ann.indices[None, :]).ravel()
-    K = PhaseSpaceSubgroup(group, points, subgroup=subgroup, dual_part=ann)
+    K = PhaseSpaceSubgroup._built(group, points, subgroup=subgroup, dual_part=ann)
     if K.order != group.order:
         raise RuntimeError("maximal compact subgroup must have order |G|")
     unseparated = _unseparated(subgroup, ann)
@@ -629,19 +653,12 @@ def _unit_roots(L: int) -> np.ndarray:
     return roots
 
 
-def character_row(
-    group: FiniteAbelianGroup, coords: tuple[int, ...]
-) -> np.ndarray:
-    """Values of one character over all elements (lex order), phases exact."""
-    return _character_rows(group, _coords_index(group, coords))
-
-
 @lru_cache(maxsize=8)
 def character_table(group: FiniteAbelianGroup) -> np.ndarray:
     """Full (|G|, |G|) table of character values: row a-index, column h-index.
 
-    DenseLimitError when |G| exceeds `limits.CHARACTER_TABLE_CAP`; one row is
-    `character_row`.
+    DenseLimitError when |G| exceeds `limits.CHARACTER_TABLE_CAP`; row a is
+    `_character_rows(group, a)`, which holds at any order.
     """
     limits.require_within(
         "|G|", group.order, limits.CHARACTER_TABLE_CAP, "character-table cap"

@@ -6,12 +6,19 @@ tolerance it is held to. Checks come in independent pairs on purpose
 vs dense, analytic gradient vs finite differences); the two routes are never
 collapsed into one.
 
-Eight checks read the group G alone: the group laws, character unit
+Nine checks read the group G alone: the group laws, character unit
 modulus and multiplicativity, cocycle bilinearity, the CCR, Weyl
-unitarity, dense-vs-gathered W(z) and the resolution of identity for
-random fiducials. `run_checks` computes them once per (group, seed,
-limits) in a process and reuses them for every subgroup of G; the
-`check_*` functions themselves keep no cache.
+unitarity, dense-vs-gathered W(z), the resolution of identity for random
+fiducials and, on groups of two or more factors, the product structure.
+`run_checks` computes them once per (group, seed, rho_samples, limits) in
+a process and reuses them for every subgroup of G. The same entry holds
+the random samples of the frame-level checks: one Ginibre stack of
+max(100, rho_samples) densities, validated once by the `eigvalsh` whose
+eigenvalues are the von Neumann side, and 100 pure states. The frame-level
+checks take those samples, not a generator, and run the internal routes
+on them. The samples stay in memory for the process:
+max(100, rho_samples) |G|^2 complex values per entry, with at most 16
+entries. The `check_*` functions themselves keep no cache.
 """
 
 from __future__ import annotations
@@ -25,15 +32,15 @@ import numpy as np
 from . import limits, weyl
 from .entropy import (
     HusimiTable,
+    _channel_values,
     _coset_entropy,
     _entropy_sum,
     _husimi_values,
+    _spectrum_entropy,
     entropy_report,
-    husimi,
     husimi_coset_spread,
     husimi_fast,
     husimi_marginal,
-    measurement_channel,
     partial_trace,
     product_frame,
     pure_state_entropy,
@@ -68,7 +75,7 @@ from .groups import (
     parse_group,
 )
 from .minimize import entropy_gradient
-from .states import check_density_matrix, maximally_mixed, pure_density, random_state_vector
+from .states import _checked_eigvalsh, maximally_mixed, pure_density, random_state_vector
 from .weyl import _apply_points, _matrix_points, cocycle_numerators, verify_ccr
 
 __all__ = [
@@ -107,14 +114,6 @@ def suite_pairs() -> list[tuple[FiniteAbelianGroup, Subgroup]]:
 # shared numeric helpers
 
 
-def random_density_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, d, d) Ginibre density matrices from one draw of all n."""
-    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    rho = a @ np.conj(np.swapaxes(a, 1, 2))
-    tr = np.trace(rho, axis1=1, axis2=2).real
-    return rho / tr[:, None, None]
-
-
 def _random_density_stack(
     d: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -122,14 +121,20 @@ def _random_density_stack(
 
     Each matrix takes its real then its imaginary part from the generator,
     as `random_density_matrix` does, so this is the same stack, to the bit,
-    as n calls of it. The same generator gives other matrices than
-    `random_density_batch`; each check keeps one draw order so its seeded
-    results stay fixed.
+    as n calls of it.
     """
     draws = rng.standard_normal((n, 2, d, d))
     a = draws[:, 0] + 1j * draws[:, 1]
     rho = a @ np.conj(np.swapaxes(a, 1, 2))
     return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def _random_state_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, d) unit vectors in the draw order of one `random_state_vector` call each."""
+    draws = rng.standard_normal((n, 2, d))
+    states = draws[:, 0] + 1j * draws[:, 1]
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return states
 
 
 def cocycle_phase_matrix(group: FiniteAbelianGroup, left, right) -> np.ndarray:
@@ -294,9 +299,7 @@ def check_weyl_dense_vs_apply(group: FiniteAbelianGroup, rng: np.random.Generato
     """
     d = group.order
     points = rng.integers(0, d * d, size=1000)
-    draws = rng.standard_normal((len(points), 2, d))
-    states = draws[:, 0] + 1j * draws[:, 1]
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    states = _random_state_stack(d, len(points), rng)
     worst = 0.0
     for part in limits.blocks(len(points), 16 * d * d):
         dense = (_matrix_points(group, points[part]) @ states[part, :, None])[..., 0]
@@ -396,55 +399,51 @@ def check_coset_basis(frame: CoherentFrame) -> CheckResult:
     return _result("coset-basis-gram", residual, 1e-12)
 
 
-def check_husimi_mass_and_range(
-    frame: CoherentFrame, rng: np.random.Generator
-) -> list[CheckResult]:
-    table = husimi(frame, random_density_batch(frame.group.order, 100, rng))
+def check_husimi_mass_and_range(frame: CoherentFrame, rhos: np.ndarray) -> list[CheckResult]:
+    """Mass 1 and values in [0, 1] of the Husimi tables of validated densities."""
+    table = HusimiTable(frame, _husimi_values(frame, rhos))
     q = table.values
     mass = np.abs(table.mass() - 1.0).max()
     low = max(0.0, float(-q.min()))
     high = max(0.0, float(q.max() - 1.0))
     return [
-        _result("husimi-mass", mass, 1e-10, "100 random rho"),
+        _result("husimi-mass", mass, 1e-10, f"{len(rhos)} random rho"),
         _result("husimi-range", max(low, high), 1e-12),
     ]
 
 
-def check_coset_constancy(frame: CoherentFrame, rng: np.random.Generator) -> CheckResult:
-    table = husimi(frame, random_density_batch(frame.group.order, 100, rng))
+def check_coset_constancy(frame: CoherentFrame, rhos: np.ndarray) -> CheckResult:
+    """Q constant on each stabiliser coset, for validated densities."""
+    table = HusimiTable(frame, _husimi_values(frame, rhos))
     worst = husimi_coset_spread(table).max()
-    return _result("husimi-coset-spread", worst, 1e-12, "100 random rho")
+    return _result("husimi-coset-spread", worst, 1e-12, f"{len(rhos)} random rho")
 
 
-def check_coset_formula(frame: CoherentFrame, rng: np.random.Generator) -> CheckResult:
-    """Full Husimi sum against the coset formula, on one stack validated once."""
-    rhos = check_density_matrix(_random_density_stack(frame.group.order, 100, rng))
+def check_coset_formula(frame: CoherentFrame, rhos: np.ndarray) -> CheckResult:
+    """Full Husimi sum against the coset formula, for validated densities."""
     full = _entropy_sum(_husimi_values(frame, rhos), frame.haar_weight)
     collapsed = _coset_entropy(coset_basis(frame).vectors, rhos)
     worst = np.abs(full - collapsed).max()
-    return _result("coset-formula-vs-full", worst, 1e-10, "100 random rho")
+    return _result("coset-formula-vs-full", worst, 1e-10, f"{len(rhos)} random rho")
 
 
-def check_fast_vs_dense(frame: CoherentFrame, rng: np.random.Generator) -> CheckResult:
+def check_fast_vs_dense(frame: CoherentFrame, psis: np.ndarray) -> CheckResult:
     """Transform Husimi tables of pure states against the state-matrix product.
 
     The dense side is <z|rho|z> as a product with the rows of
     `CoherentFrame.state_matrix`, not through the group transform.
     """
-    d = frame.group.order
-    psis = np.stack([random_state_vector(d, rng) for _ in range(100)])
     S = frame.state_matrix()
     rhos = psis[:, :, None] * psis[:, None, :].conj()
     dense = np.einsum("...zk,zk->...z", S.conj() @ rhos, S).real
     fast = husimi_fast(frame, psis).values
     worst = np.abs(dense - fast).max()
-    return _result("husimi-fast-vs-dense", worst, 1e-11, "100 pure states")
+    return _result("husimi-fast-vs-dense", worst, 1e-11, f"{len(psis)} pure states")
 
 
-def check_wehrl_bounds(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int
-) -> list[CheckResult]:
-    table = husimi(frame, random_density_batch(frame.group.order, samples, rng))
+def check_wehrl_bounds(frame: CoherentFrame, rhos: np.ndarray) -> list[CheckResult]:
+    """S^W >= 0 on validated densities, 0 on coherent states, above 0 elsewhere."""
+    table = HusimiTable(frame, _husimi_values(frame, rhos))
     q = table.values
     entropies = wehrl_entropy(table)
     lower = max(0.0, float(-entropies.min()))
@@ -475,10 +474,11 @@ def check_wehrl_bounds(
 
 
 def check_wehrl_vs_von_neumann(
-    frame: CoherentFrame, rng: np.random.Generator, samples: int
+    frame: CoherentFrame, rhos: np.ndarray, eig: np.ndarray
 ) -> list[CheckResult]:
+    """S^W >= S_vN on validated densities with their ascending eigenvalues eig."""
     d = frame.group.order
-    gaps = entropy_report(frame, random_density_batch(d, samples, rng)).gap
+    gaps = _entropy_sum(_husimi_values(frame, rhos), frame.haar_weight) - _spectrum_entropy(eig)
     out = [
         _result(
             "wehrl-vs-von-neumann",
@@ -493,17 +493,18 @@ def check_wehrl_vs_von_neumann(
     return out
 
 
-def check_channel(frame: CoherentFrame, rng: np.random.Generator) -> list[CheckResult]:
+def check_channel(frame: CoherentFrame, rhos: np.ndarray) -> list[CheckResult]:
+    """Trace kept on validated densities; the flat state and coherent projectors fixed."""
     d = frame.group.order
-    out = measurement_channel(frame, _random_density_stack(d, 100, rng))
+    out = _channel_values(frame, rhos)
     worst_trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0).max()
     flat = maximally_mixed(d)
-    flat_res = float(np.abs(measurement_channel(frame, flat) - flat).max())
+    flat_res = float(np.abs(_channel_values(frame, flat) - flat).max())
     _, reps = frame.cosets()
     projs = np.stack([pure_density(frame.state(rep)) for rep in reps[:3]])
-    worst_coherent = np.abs(measurement_channel(frame, projs) - projs).max()
+    worst_coherent = np.abs(_channel_values(frame, projs) - projs).max()
     return [
-        _result("channel-trace", worst_trace, 1e-10, "100 random rho"),
+        _result("channel-trace", worst_trace, 1e-10, f"{len(rhos)} random rho"),
         _result("channel-flat-fixed-point", flat_res, 1e-12),
         _result("channel-coherent-fixed-point", worst_coherent, 1e-11),
     ]
@@ -562,27 +563,27 @@ def check_gradient_oracle(frame: CoherentFrame, rng: np.random.Generator) -> Che
     return _result("gradient-vs-finite-differences", worst, tolerance, note)
 
 
-def check_product_structure(
-    group: FiniteAbelianGroup, rng: np.random.Generator
-) -> list[CheckResult]:
-    """Marginalisation and entropy monotonicity for a first-factor split."""
+def check_product_structure(group: FiniteAbelianGroup, rhos: np.ndarray) -> list[CheckResult]:
+    """Marginalisation and entropy monotonicity for a first-factor split.
+
+    rhos are validated densities on G; their partial traces are densities
+    on the first factor by construction, so neither is validated again.
+    """
     g1 = FiniteAbelianGroup(group.orders[:1])
     g2 = FiniteAbelianGroup(group.orders[1:])
     fr1 = CoherentFrame.vacuum(Subgroup.whole(g1))
     fr2 = CoherentFrame.vacuum(Subgroup.whole(g2))
     fr12 = product_frame(fr1, fr2)
     dims = (g1.order, g2.order)
-    rhos = random_density_batch(g1.order * g2.order, 100, rng)
-    table12 = husimi(fr12, rhos)
-    table1 = husimi(fr1, partial_trace(rhos, dims, trace_out=2))
+    table12 = HusimiTable(fr12, _husimi_values(fr12, rhos))
+    table1 = HusimiTable(fr1, _husimi_values(fr1, partial_trace(rhos, dims, trace_out=2)))
     marginal = husimi_marginal(table12, dims)
     worst_marginal = np.abs(marginal - table1.values).max()
     worst_mono = (wehrl_entropy(table1) - wehrl_entropy(table12)).max()
+    note = f"{len(rhos)} random rho"
     return [
-        _result("husimi-marginalisation", worst_marginal, 1e-10, "100 random rho"),
-        _result(
-            "wehrl-monotonicity", max(0.0, worst_mono), 1e-9, "100 random rho, first factor kept"
-        ),
+        _result("husimi-marginalisation", worst_marginal, 1e-10, note),
+        _result("wehrl-monotonicity", max(0.0, worst_mono), 1e-9, f"{note}, first factor kept"),
     ]
 
 
@@ -590,22 +591,42 @@ def check_product_structure(
 # runner
 
 
+@dataclass(frozen=True, eq=False)
+class _GroupLevel:
+    """What `_group_checks` hands every subgroup of G: read-only, shared by every caller.
+
+    `checks` holds the eight group-level checks drawn before the samples,
+    in `run_checks`' order, and `product` the product-structure checks
+    (empty on a cyclic group). `rhos` is the validated Ginibre stack, `eig` its ascending
+    eigenvalues, `psis` the pure states of `check_fast_vs_dense`, and
+    `state` the bit-generator state after all of them.
+    """
+
+    checks: tuple[CheckResult, ...]
+    product: tuple[CheckResult, ...]
+    rhos: np.ndarray
+    eig: np.ndarray
+    psis: np.ndarray
+    state: dict
+
+
 @functools.lru_cache(maxsize=16)
 def _group_checks(
-    group: FiniteAbelianGroup, seed: int, key: tuple
-) -> tuple[tuple[CheckResult, ...], dict]:
-    """The eight checks of `run_checks` that read G alone, and the rng state after them.
+    group: FiniteAbelianGroup, seed: int, rho_samples: int, key: tuple
+) -> _GroupLevel:
+    """The checks of `run_checks` that read G alone, and the samples of the others.
 
-    They run in `run_checks`' order on `np.random.default_rng(seed)`, which
-    no check between them draws from, so the returned bit-generator state
-    is the one the frame-level checks start from; every call shares that
-    dict, so a caller only reads it. `key` holds every public constant of
-    `limits` and `weyl.CCR_SAMPLES` as read by the caller, so a patched
-    constant makes another entry. Sixteen entries hold every group of the
-    standard suite at one seed.
+    On `np.random.default_rng(seed)` the eight group-level checks run in
+    `run_checks`' order; then one stack of max(100, rho_samples) Ginibre
+    densities is drawn and validated by one `eigvalsh`, then 100 pure
+    states. On two or more factors the product-structure check reads the
+    stack's first 100. `key` holds every public constant of `limits` and
+    `weyl.CCR_SAMPLES` as read by the caller, so a patched constant makes
+    another entry. Sixteen entries hold every group of the standard suite
+    at one seed.
     """
     rng = np.random.default_rng(seed)
-    results = (
+    checks = (
         check_group_laws(group, rng),
         check_character_values(group),
         check_character_multiplicativity(group, rng),
@@ -615,7 +636,15 @@ def _group_checks(
         check_weyl_dense_vs_apply(group, rng),
         check_resolution_random(group, rng),
     )
-    return results, rng.bit_generator.state
+    d = group.order
+    rhos, eig = _checked_eigvalsh(_random_density_stack(d, max(100, rho_samples), rng))
+    psis = _random_state_stack(d, 100, rng)
+    for samples in (rhos, eig, psis):
+        samples.flags.writeable = False
+    product = ()
+    if len(group.orders) >= 2:
+        product = tuple(check_product_structure(group, rhos[:100]))
+    return _GroupLevel(checks, product, rhos, eig, psis, rng.bit_generator.state)
 
 
 def run_checks(
@@ -627,11 +656,15 @@ def run_checks(
 ) -> list[CheckResult]:
     """The full invariant suite for one (G, H); deterministic in the seed.
 
-    The eight checks that read G alone come from `_group_checks`, so they
-    are computed once per (group, seed, limits) in a process, whatever the
-    subgroup. The frame-level checks draw from the generator state those
-    eight left, so every result, and the order of the list, is that of
-    running all the checks in turn on one generator, to the bit.
+    The nine checks that read G alone, and the random samples of the
+    frame-level checks, come from `_group_checks`, so they are computed
+    once per (group, seed, rho_samples, limits) in a process, whatever the
+    subgroup. One validated stack of max(100, rho_samples) densities feeds
+    every density check: its first 100 the Husimi mass and range, coset
+    spread, coset formula and channel checks, its first rho_samples the
+    Wehrl bound and von Neumann checks. The gradient check draws from the
+    generator state after the samples. Every result, and the order of the
+    list, is the same whether the memo was warm or cold, to the bit.
 
     Raises, before any check runs, ValueError when rho_samples is below 1,
     GroupMismatchError when H is a subgroup of another group than G, and
@@ -645,9 +678,10 @@ def run_checks(
     limits.require_dense("|F|", group.order ** 2)
     rng = np.random.default_rng(seed)
     key = tuple(getattr(limits, name) for name in limits.__all__ if name.isupper())
-    group_level, state = _group_checks(group, seed, key + (weyl.CCR_SAMPLES,))
-    laws, unit, multiplicative, bilinear, ccr, unitarity, dense, resolution = group_level
-    rng.bit_generator.state = state
+    shared = _group_checks(group, seed, rho_samples, key + (weyl.CCR_SAMPLES,))
+    laws, unit, multiplicative, bilinear, ccr, unitarity, dense, resolution = shared.checks
+    rng.bit_generator.state = shared.state
+    first = shared.rhos[:100]
     results = [laws, unit, multiplicative]
     results.append(check_annihilator_duality(subgroup))
     results.append(check_double_annihilator(subgroup))
@@ -666,14 +700,15 @@ def run_checks(
     results.append(check_offcoset_vanishing(frame))
     results.append(check_offcoset_witness(frame))
     results.append(check_coset_basis(frame))
-    results.extend(check_husimi_mass_and_range(frame, rng))
-    results.append(check_coset_constancy(frame, rng))
-    results.append(check_coset_formula(frame, rng))
-    results.append(check_fast_vs_dense(frame, rng))
-    results.extend(check_wehrl_bounds(frame, rng, rho_samples))
-    results.extend(check_wehrl_vs_von_neumann(frame, rng, rho_samples))
-    results.extend(check_channel(frame, rng))
+    results.extend(check_husimi_mass_and_range(frame, first))
+    results.append(check_coset_constancy(frame, first))
+    results.append(check_coset_formula(frame, first))
+    results.append(check_fast_vs_dense(frame, shared.psis))
+    results.extend(check_wehrl_bounds(frame, shared.rhos[:rho_samples]))
+    results.extend(
+        check_wehrl_vs_von_neumann(frame, shared.rhos[:rho_samples], shared.eig[:rho_samples])
+    )
+    results.extend(check_channel(frame, first))
     results.append(check_gradient_oracle(frame, rng))
-    if len(group.orders) >= 2:
-        results.extend(check_product_structure(group, rng))
+    results.extend(shared.product)
     return results

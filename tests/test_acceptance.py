@@ -13,7 +13,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from wehrl import (
     CoherentFrame,
@@ -44,13 +43,20 @@ from wehrl.frames import coset_ids, pure_amplitudes
 from wehrl.minimize import entropy_gradient
 from wehrl.verify import (
     fd_tangent_gradient,
-    random_density_batch,
     standard_suite,
     suite_pairs,
 )
 
 SUITE = standard_suite()
 PAIRS = suite_pairs()
+
+
+def random_density_batch(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, d, d) Ginibre densities: all n real parts drawn, then all n imaginary parts."""
+    a = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    rho = a @ np.conj(np.swapaxes(a, 1, 2))
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    return rho / tr[:, None, None]
 
 
 def report(n: int, detail: str) -> None:

@@ -5,7 +5,6 @@ import pytest
 
 from wehrl import (
     CoherentFrame,
-    Subgroup,
     all_subgroups,
     basis_state,
     entropy_report,
@@ -27,7 +26,6 @@ from wehrl import (
     random_state_vector,
     subadditivity_gap,
     subgroup_closure,
-    vacuum_vector,
     von_neumann_entropy,
     wehrl_entropy,
     wehrl_entropy_coset,

@@ -48,7 +48,6 @@ from wehrl.groups import (
     _phase_weights,
     _unit_roots,
     _unseparated,
-    character_row,
     character_table,
     difference_index_table,
     format_coords,
@@ -169,7 +168,7 @@ def test_element_index_round_trip(orders, data):
 def test_character_pairing_frozen():
     g = parse_group("Z4")
     assert phase(g, (1,), (1,)) == Fraction(1, 4)
-    assert character_row(g, (1,))[1] == pytest.approx(1j)
+    assert _character_rows(g, index(g, (1,)))[1] == pytest.approx(1j)
     assert phase(g, (3,), (3,)) == Fraction(1, 4)
     g2 = parse_group("Z2xZ2")
     assert phase(g2, (1, 1), (1, 1)) == 0
@@ -209,7 +208,7 @@ def test_character_call_matches_fraction_oracle():
         g = parse_group(spec)
         rows = _character_rows(g, slice(None))
         for a in range(g.order):
-            row = character_row(g, coords(g, a))
+            row = _character_rows(g, a)
             assert row.tobytes() == rows[a].tobytes()
             for x in range(g.order):
                 value = complex(rows[a, x])
@@ -247,7 +246,7 @@ def test_character_table_matches_rows():
     g = parse_group("Z4xZ2")
     table = character_table(g)
     for a in range(g.order):
-        assert np.array_equal(table[a], character_row(g, coords(g, a)))
+        assert np.array_equal(table[a], _character_rows(g, a))
     # orthogonality of distinct rows
     gram = table @ table.conj().T / g.order
     assert np.abs(gram - np.eye(g.order)).max() < 1e-13
@@ -625,6 +624,34 @@ def test_subgroup_storage_views_equality_and_membership():
     assert sum(z in K for z in range(d * d)) == K.order
 
 
+def _assert_equals_its_validated_copy(built):
+    """built passes every check of its public constructor and equals the copy it makes."""
+    values = {field.name: getattr(built, field.name) for field in dataclasses.fields(built)}
+    copy = type(built)(**values)
+    assert copy == built and hash(copy) == hash(built)
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == np.int64 and not value.flags.writeable, name
+            assert np.array_equal(value, getattr(copy, name)), name  # sorted and distinct
+        else:
+            assert value == getattr(copy, name), name
+
+
+# subgroup_closure, all_subgroups, annihilator, dual_annihilator and
+# maximal_compact build their results without the validator
+@pytest.mark.parametrize(
+    "spec", [str(g) for g in standard_suite()] + ["Z2xZ2xZ2xZ2", "Z4xZ4xZ2", "Z64", "Z6xZ6"]
+)
+def test_library_built_subgroups_pass_the_validator(spec):
+    g = parse_group(spec)
+    for H in all_subgroups(g):
+        A = annihilator(H)
+        closure = subgroup_closure(g, H.generator_indices)
+        assert np.array_equal(closure.generator_indices, H.generator_indices)
+        for built in (H, closure, A, dual_annihilator(A), maximal_compact(H)):
+            _assert_equals_its_validated_copy(built)
+
+
 # ---------------------------------------------------------------------------
 # removed names and index ranges
 
@@ -939,7 +966,6 @@ DEFAULTED_PARAMETERS = {
     "verify.CheckResult.note": "",
     "verify.run_checks.seed": 0,
     "verify.run_checks.rho_samples": 1000,
-    "verify.check_density_matrix.dim": None,  # states' validator, a check_ name in verify
     "cli.main.argv": None,
 }
 

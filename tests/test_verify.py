@@ -125,18 +125,27 @@ def _bits(results):
     return [(r.name, r.residual.hex(), r.tolerance, r.passed, r.note) for r in results]
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_run_checks_from_the_group_memo_equal_a_cold_run(seed):
+# at 50 samples the 100-sample checks read a stack of 100 and the bounds
+# checks its first 50; at 200 both read the one stack of 200
+@pytest.mark.parametrize(
+    "seed, rho_samples", [(0, 50), (3, 50), (0, 200), (3, 200)],
+    ids=["0", "3", "0-rho200", "3-rho200"],
+)
+def test_run_checks_from_the_group_memo_equal_a_cold_run(seed, rho_samples):
     # the suite pairs in a shuffled order, so a group's memo is read by
     # subgroups other than the one that filled it, and entries of other
     # groups come in between
     pairs = suite_pairs()
     order = np.random.default_rng(seed).permutation(len(pairs))
-    warm = {i: _bits(run_checks(*pairs[i], seed=seed, rho_samples=50)) for i in order}
+    warm = {i: _bits(run_checks(*pairs[i], seed=seed, rho_samples=rho_samples)) for i in order}
     assert verify._group_checks.cache_info().misses == len(standard_suite())
     for i in order:
         verify._group_checks.cache_clear()
-        assert _bits(run_checks(*pairs[i], seed=seed, rho_samples=50)) == warm[i], pairs[i]
+        cold = _bits(run_checks(*pairs[i], seed=seed, rho_samples=rho_samples))
+        assert cold == warm[i], pairs[i]
+        notes = {name: note for name, _, _, _, note in cold}
+        assert notes["husimi-mass"] == notes["channel-trace"] == "100 random rho"
+        assert notes["wehrl-noncoherent-floor"].endswith(f" over {rho_samples} states")
 
 
 def test_group_level_checks_run_once_per_group_and_seed(monkeypatch):
@@ -487,18 +496,42 @@ def test_stacked_checks_match_their_per_point_routes(spec, gens, monkeypatch):
     assert all(r.passed for r in stacked.values())
 
 
-# the coset-formula check validates its stack once, for both routes: one
-# Cholesky factorisation of the (samples, d, d) stack
-def test_coset_formula_check_validates_its_stack_once(monkeypatch):
-    frame = CoherentFrame.vacuum(Subgroup.whole(parse_group("Z6")))
-    shapes = []
-    real = np.linalg.cholesky
+# the 16 subgroups of Z2xZ2xZ2 at one seed share one drawn stack, validated
+# and diagonalised once, and one product-structure check; no Cholesky
+# factorisation revalidates the stack
+def test_battery_draws_and_validates_one_stack_per_group(monkeypatch):
+    draws, stacks, factorised, products = [], [], [], []
+    exact_draw = verify._random_density_stack
+    exact_eigvalsh = np.linalg.eigvalsh
+    exact_cholesky = np.linalg.cholesky
+    exact_product = verify.check_product_structure
 
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real(a, *args, **kwargs)
+    def draw(d, n, rng):
+        draws.append((d, n))
+        return exact_draw(d, n, rng)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    result = verify.check_coset_formula(frame, np.random.default_rng(0))
-    assert result.passed
-    assert shapes == [(100, 6, 6)]
+    def eigvalsh(a, *args, **kwargs):
+        stacks.append(np.shape(a))
+        return exact_eigvalsh(a, *args, **kwargs)
+
+    def cholesky(a, *args, **kwargs):
+        factorised.append(np.shape(a))
+        return exact_cholesky(a, *args, **kwargs)
+
+    def product(group, rhos):
+        products.append((group, np.shape(rhos)))
+        return exact_product(group, rhos)
+
+    monkeypatch.setattr(verify, "_random_density_stack", draw)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(verify, "check_product_structure", product)
+    g = parse_group("Z2xZ2xZ2")
+    subgroups = [H for group, H in suite_pairs() if group == g]
+    assert len(subgroups) == 16
+    for H in subgroups:
+        assert all(r.passed for r in run_checks(g, H, seed=2, rho_samples=200))
+    assert draws == [(8, 200)]
+    assert [shape for shape in stacks if len(shape) == 3] == [(200, 8, 8)]
+    assert factorised == []
+    assert products == [(g, (100, 8, 8))]

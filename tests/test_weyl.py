@@ -19,7 +19,7 @@ from wehrl import (
     weyl_matrix,
 )
 from wehrl import weyl
-from wehrl.groups import character_row, difference_index_table
+from wehrl.groups import _character_rows, difference_index_table
 from wehrl.weyl import cocycle_phase
 
 import phase_oracle
@@ -220,7 +220,9 @@ def _roll_apply(group, z, mat):
     g, chi = point(group, z)
     axes = tuple(range(len(group.orders)))
     shifted = np.roll(mat.reshape(group.orders + (-1,)), g, axis=axes)
-    return character_row(group, chi)[:, None] * shifted.reshape(group.order, -1)
+    return _character_rows(group, phase_oracle.index(group, chi))[:, None] * shifted.reshape(
+        group.order, -1
+    )
 
 
 def _ccr_oracle(group, *, seed=0, tolerance=1e-12, exhaustive_limit=256, samples=10_000):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from wehrl.groups import character_row
+from wehrl.groups import _character_rows
 
 from phase_oracle import add, elements, index, neg, pairing_phase, phase_to_complex, point
 
@@ -20,7 +20,7 @@ def roll_weyl_apply(group, z: int, vec) -> np.ndarray:
     g, chi = point(group, z)
     axes = tuple(range(len(group.orders)))
     shifted = np.roll(np.asarray(vec).reshape(group.orders), g, axis=axes)
-    return character_row(group, chi) * shifted.reshape(group.order)
+    return _character_rows(group, index(group, chi)) * shifted.reshape(group.order)
 
 
 def pointwise_weyl_matrix(group, z: int) -> np.ndarray:
