@@ -6,17 +6,20 @@ Each argument is label=rev; rev "." is the working tree, anything else is a
 git revision, exported with `git archive` into a temporary directory. For
 every workload and seed, each commit runs its own `perfbench/run.py` in a
 subprocess, the commits taking turns (which one goes first alternates from
-seed to seed) so that they share the machine's drift. Each file holds:
+seed to seed) so that they share the machine's drift; the `run_suite.py`
+and CLI timings take turns the same way on each repetition. Each file holds:
 - every untraced run's end-to-end block, seed, rounds and host_ref_s (the
   mean of the host reference timings before and after the run; it tells
   the machine's speed at the time);
 - one traced run per workload at the first seed: the per-layer metrics;
 - the median of each end-to-end metric per workload;
-- `scripts/run_suite.py`'s reported total, best of three;
+- `run_suite_s`: the median of `scripts/run_suite.py`'s reported total
+  over `REPEATS` runs, each run in `run_suite_runs_s`;
 - `tier1_s`: the wall time of one Tier-1 run (`python -m pytest`) in the
   tree, one BLAS thread;
-- `cli_s`: the wall time of one fresh `python -m wehrl` process per
-  subcommand (the calls in `CLI_CALLS`), best of three, one BLAS thread;
+- `cli_s`: the median wall time of `REPEATS` fresh `python -m wehrl`
+  processes per subcommand (the calls in `CLI_CALLS`), one BLAS thread,
+  each run in `cli_runs_s`;
 - the dense-vs-fast Husimi table: the state-matrix product <z|rho|z>
   (the dense oracle of `check_fast_vs_dense`) against `husimi` on rho and
   `husimi_fast` on psi, for one pure state psi of Z16, Z32 and Z64.
@@ -41,6 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("suite-verify", "minimize", "cli-session")
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# runs per tree of each run_suite.py and CLI timing
+REPEATS = 5
 # the one call per subcommand that cli_s times
 CLI_CALLS = {
     "group-info": ("--group", "Z64"),
@@ -100,17 +105,23 @@ def run_workload(tree: Path, workload: str, seed: int, seconds: float, trace: in
     }
 
 
+def take_turns(trees: dict[str, Path], measure) -> dict[str, list[float]]:
+    """REPEATS runs of measure(tree) per tree, the trees taking turns on each repetition."""
+    runs: dict[str, list[float]] = {label: [] for label in trees}
+    for i in range(REPEATS):
+        for label, tree in list(trees.items())[:: -1 if i % 2 else 1]:
+            runs[label].append(measure(tree))
+    return runs
+
+
 def run_suite_s(tree: Path) -> float:
-    """Best of three totals reported by the tree's scripts/run_suite.py."""
+    """The total reported by one run of the tree's scripts/run_suite.py."""
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
-    totals = []
-    for _ in range(3):
-        out = subprocess.run(
-            [sys.executable, "scripts/run_suite.py"],
-            cwd=tree, env=env, check=True, capture_output=True, text=True,
-        ).stdout
-        totals.append(float(re.search(r"([0-9.]+)s total", out).group(1)))
-    return min(totals)
+    out = subprocess.run(
+        [sys.executable, "scripts/run_suite.py"],
+        cwd=tree, env=env, check=True, capture_output=True, text=True,
+    ).stdout
+    return float(re.search(r"([0-9.]+)s total", out).group(1))
 
 
 def tier1_s(tree: Path) -> float:
@@ -124,21 +135,15 @@ def tier1_s(tree: Path) -> float:
     return time.perf_counter() - t0
 
 
-def cli_s(tree: Path, repeats: int = 3) -> dict[str, float]:
-    """Best-of-repeats wall time of each CLI_CALLS call, one fresh process per run."""
+def cli_s(tree: Path, command: str) -> float:
+    """Wall time of one fresh process running the CLI_CALLS call of command."""
     env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
-    times = {}
-    for command, options in CLI_CALLS.items():
-        runs = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            subprocess.run(
-                [sys.executable, "-m", "wehrl", command, *options],
-                cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL,
-            )
-            runs.append(time.perf_counter() - t0)
-        times[command] = min(runs)
-    return times
+    t0 = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "wehrl", command, *CLI_CALLS[command]],
+        cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    return time.perf_counter() - t0
 
 
 def husimi_table(tree: Path) -> list[dict]:
@@ -231,6 +236,11 @@ def main() -> int:
                 records[label]["layers"][workload] = {
                     "seed": traced["seed"], "metrics": traced["metrics"],
                 }
+        suite_runs = take_turns(trees, run_suite_s)
+        cli_runs = {
+            command: take_turns(trees, lambda tree, c=command: cli_s(tree, c))
+            for command in CLI_CALLS
+        }
         for label, tree in trees.items():
             record = records[label]
             record["median"] = {
@@ -242,9 +252,11 @@ def main() -> int:
                 }
                 for workload in WORKLOADS
             }
-            record["run_suite_s"] = run_suite_s(tree)
+            record["run_suite_s"] = statistics.median(suite_runs[label])
+            record["run_suite_runs_s"] = suite_runs[label]
             record["tier1_s"] = tier1_s(tree)
-            record["cli_s"] = cli_s(tree)
+            record["cli_s"] = {c: statistics.median(runs[label]) for c, runs in cli_runs.items()}
+            record["cli_runs_s"] = {c: runs[label] for c, runs in cli_runs.items()}
             record["husimi_dense_vs_fast"] = husimi_table(tree)
             path = ROOT / f"BENCH_{label}.json"
             path.write_text(json.dumps(record, indent=1) + "\n")

@@ -29,7 +29,6 @@ from .weyl import (
 )
 from .limits import DenseLimitError, dense_limit
 from .states import (
-    basis_state,
     check_density_matrix,
     check_state_vector,
     maximally_mixed,
@@ -83,8 +82,8 @@ __all__ = [
     "parse_generators", "parse_group", "parse_point", "subgroup_closure",
     "CcrReport", "verify_ccr", "weyl_apply", "weyl_matrix",
     "DenseLimitError", "dense_limit",
-    "basis_state", "check_density_matrix", "check_state_vector", "maximally_mixed",
-    "pure_density", "random_density_matrix", "random_state_vector",
+    "check_density_matrix", "check_state_vector", "maximally_mixed", "pure_density",
+    "random_density_matrix", "random_state_vector",
     "CoherentFrame", "CosetBasis", "coset_basis", "invariant_subspace_dim", "overlap_matrix",
     "pure_amplitudes", "resolution_residual", "vacuum_vector",
     "EntropyReport", "HusimiTable", "entropy_report", "husimi", "husimi_coset_spread",

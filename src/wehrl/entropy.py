@@ -221,7 +221,8 @@ def entropy_report(frame: CoherentFrame, rho, log_base: str = "e") -> EntropyRep
 def measurement_channel(frame: CoherentFrame, rho) -> np.ndarray:
     """Phi[rho] = sum_z w Q(z) |z><z|; trace preserving, entropy non-decreasing.
 
-    The adjoint of `husimi`'s route, with T the frame's ambiguity table:
+    Validates rho, takes its Husimi values Q as `husimi` does, and maps them
+    back by `_channel_values`, with T the frame's ambiguity table:
 
         C[g, D] = w F^-1_a(Q[g, :])[D],
         E[D, :] = F^-1( F(C[:, D]) conj(T[D, :]) ) / |G|,
@@ -229,14 +230,17 @@ def measurement_channel(frame: CoherentFrame, rho) -> np.ndarray:
 
     then made exactly Hermitian. No (|F|, |G|) state matrix is built.
     """
-    return _channel_values(frame, check_density_matrix(rho, frame.group.order))
+    rho = check_density_matrix(rho, frame.group.order)
+    return _channel_values(frame, _husimi_values(frame, rho))
 
 
-def _channel_values(frame: CoherentFrame, rho: np.ndarray) -> np.ndarray:
-    """Phi[rho] of validated densities; see `measurement_channel`."""
+def _channel_values(frame: CoherentFrame, q: np.ndarray) -> np.ndarray:
+    """Phi[rho] from the (..., |F|) Husimi values q of densities; see `measurement_channel`.
+
+    The one channel kernel, shared with the check battery's channel checks.
+    """
     group = frame.group
     d = group.order
-    q = _husimi_values(frame, rho)
     lead = q.shape[:-1]
     by_shift = group_dft(group, q.reshape(lead + (d, d)), inverse=True)  # [..., g, D]
     spectrum = group_dft(group, np.swapaxes(by_shift, -1, -2))  # [..., D, b]

@@ -1,11 +1,11 @@
-"""File formats: state vectors, density matrices, Husimi tables, reports.
+"""File formats: state vectors (read), density matrices, Husimi tables, reports.
 
 Floats are written in their shortest round-trip form, so save/load/save is
-byte identical: the CSV writers give the bytes of ``repr`` and the JSON
+byte identical: the CSV writer gives the bytes of ``repr`` and the JSON
 writers those of ``json.dumps`` (``NaN``, ``Infinity``), entry for entry.
 Each distinct 64-bit pattern is formatted once, in one call for the whole
 array; Husimi tables of stabiliser frames hold about |G| distinct values
-among their |G|^2 rows. Vectors and tables are always written in lex order.
+among their |G|^2 rows. Tables are always written in lex order.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from .entropy import EntropyReport, HusimiTable
 from .groups import _coords_grid, format_coords
 
 __all__ = [
-    "state_vector_to_json",
     "state_vector_from_json",
-    "state_vector_to_csv",
     "state_vector_from_csv",
     "density_matrix_to_json",
     "density_matrix_from_json",
@@ -86,21 +84,11 @@ def _from_pairs(entries) -> np.ndarray:
         raise ValueError("entries must be [re, im] pairs of numbers") from None
 
 
-def state_vector_to_json(vec: np.ndarray) -> str:
-    return _json_pairs(vec)
-
-
 def state_vector_from_json(text: str) -> np.ndarray:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("state vector JSON must be a list of [re, im] pairs")
     return _from_pairs(data)
-
-
-def state_vector_to_csv(vec: np.ndarray) -> str:
-    texts = _float_texts(_re_im(vec), _repr_texts)
-    rows = map("{},{},{}\n".format, range(len(texts) // 2), texts[0::2], texts[1::2])
-    return ",".join(_VECTOR_CSV_HEADER) + "\n" + "".join(rows)
 
 
 def state_vector_from_csv(text: str) -> np.ndarray:

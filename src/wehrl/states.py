@@ -10,7 +10,6 @@ __all__ = [
     "random_state_vector",
     "random_density_matrix",
     "maximally_mixed",
-    "basis_state",
     "pure_density",
 ]
 
@@ -131,12 +130,6 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128) / dim
-
-
-def basis_state(dim: int, index: int) -> np.ndarray:
-    vec = np.zeros(dim, dtype=np.complex128)
-    vec[index] = 1.0
-    return vec
 
 
 def pure_density(vec) -> np.ndarray:

@@ -14,11 +14,16 @@ fiducials and, on groups of two or more factors, the product structure.
 a process and reuses them for every subgroup of G. The same entry holds
 the random samples of the frame-level checks: one Ginibre stack of
 max(100, rho_samples) densities, validated once by the `eigvalsh` whose
-eigenvalues are the von Neumann side, and 100 pure states. The frame-level
-checks take those samples, not a generator, and run the internal routes
-on them. The samples stay in memory for the process:
-max(100, rho_samples) |G|^2 complex values per entry, with at most 16
-entries. The `check_*` functions themselves keep no cache.
+eigenvalues are the von Neumann side, and 100 pure states. The samples
+stay in memory for the process: max(100, rho_samples) |G|^2 complex values
+per entry, with at most 16 entries.
+
+Per pair, `run_checks` computes each input that several frame-level
+checks read once and hands it to them: the stack's Husimi values (one
+max(100, rho_samples) x |F| float table, freed with the pair) and their
+Wehrl entropies, the overlap matrix, the coset basis, the points outside
+K and A(H), read off K. Each check still runs its own second route on
+them. The `check_*` functions keep no cache.
 """
 
 from __future__ import annotations
@@ -48,16 +53,18 @@ from .entropy import (
 )
 from .frames import (
     CoherentFrame,
+    CosetBasis,
     _invariance_defect,
+    coset_basis,
     coset_ids,
     invariant_subspace_dim,
     overlap_matrix,
-    coset_basis,
     pure_amplitudes,
     resolution_residual,
     vacuum_vector,
 )
 from .groups import (
+    DualSubgroup,
     FiniteAbelianGroup,
     PhaseSpaceSubgroup,
     Subgroup,
@@ -70,7 +77,6 @@ from .groups import (
     _unit_roots,
     _unseparated,
     all_subgroups,
-    annihilator,
     dual_annihilator,
     parse_group,
 )
@@ -216,14 +222,13 @@ def check_character_multiplicativity(
     )
 
 
-def check_annihilator_duality(subgroup: Subgroup) -> CheckResult:
-    ann = annihilator(subgroup)
+def check_annihilator_duality(subgroup: Subgroup, ann: DualSubgroup) -> CheckResult:
     residual = abs(ann.order * subgroup.order - subgroup.group.order)
     return _result("annihilator-duality", residual, 0.0, f"|A| = {ann.order}")
 
 
-def check_double_annihilator(subgroup: Subgroup) -> CheckResult:
-    double = dual_annihilator(annihilator(subgroup))
+def check_double_annihilator(subgroup: Subgroup, ann: DualSubgroup) -> CheckResult:
+    double = dual_annihilator(ann)
     mismatch = int(not np.array_equal(double.indices, subgroup.indices))
     return _result("double-annihilator", mismatch, 0.0)
 
@@ -356,24 +361,22 @@ def check_resolution_random(group: FiniteAbelianGroup, rng: np.random.Generator)
     return _result("resolution-of-identity-random", worst, 1e-11, "5 random fiducials")
 
 
-def check_overlap_dichotomy(frame: CoherentFrame) -> CheckResult:
-    O = overlap_matrix(frame)
-    dist = np.minimum(np.abs(O), np.abs(O - 1.0))
+def check_overlap_dichotomy(overlaps: np.ndarray) -> CheckResult:
+    """Every frame-point overlap |<z|z'>| (`overlap_matrix`) is 0 or 1."""
+    dist = np.minimum(np.abs(overlaps), np.abs(overlaps - 1.0))
     return _result("overlap-dichotomy", float(dist.max()), 1e-12)
 
 
-def check_overlap_coset_match(frame: CoherentFrame) -> CheckResult:
-    O = overlap_matrix(frame)
+def check_overlap_coset_match(frame: CoherentFrame, overlaps: np.ndarray) -> CheckResult:
     ids = coset_ids(frame)
     relation = ids[:, None] == ids[None, :]
-    mismatches = int(np.count_nonzero((O > 0.5) != relation))
+    mismatches = int(np.count_nonzero((overlaps > 0.5) != relation))
     return _result("overlap-coset-match", mismatches, 0.0)
 
 
-def check_offcoset_vanishing(frame: CoherentFrame) -> CheckResult:
-    """eq-mechanism part 1: <0|W(z)|0> = 0 for z outside K."""
+def check_offcoset_vanishing(frame: CoherentFrame, outside: np.ndarray) -> CheckResult:
+    """eq-mechanism part 1: <0|W(z)|0> = 0 at the points outside K (`_outside_points`)."""
     d = frame.group.order
-    outside = _outside_points(frame)
     worst = 0.0
     for part in limits.blocks(len(outside), 16 * d):
         states = _apply_points(frame.group, outside[part], frame.fiducial)
@@ -381,10 +384,9 @@ def check_offcoset_vanishing(frame: CoherentFrame) -> CheckResult:
     return _result("offcoset-vanishing", worst, 1e-13)
 
 
-def check_offcoset_witness(frame: CoherentFrame) -> CheckResult:
+def check_offcoset_witness(frame: CoherentFrame, outside: np.ndarray) -> CheckResult:
     """eq-mechanism part 2: every z outside K has u in K with omega(z, u) != 1."""
     K, _ = frame.cosets()
-    outside = _outside_points(frame)
     if not outside.size:
         return _result("offcoset-witness", 0, 0.0, "K = F")
     phases = cocycle_phase_matrix(frame.group, outside, K.indices)
@@ -392,38 +394,33 @@ def check_offcoset_witness(frame: CoherentFrame) -> CheckResult:
     return _result("offcoset-witness", missing, 0.0, f"{len(outside)} points")
 
 
-def check_coset_basis(frame: CoherentFrame) -> CheckResult:
-    basis = coset_basis(frame)
+def check_coset_basis(basis: CosetBasis) -> CheckResult:
     gram = basis.vectors.conj() @ basis.vectors.T
     residual = np.abs(gram - np.eye(len(basis.representatives))).max()
     return _result("coset-basis-gram", residual, 1e-12)
 
 
-def check_husimi_mass_and_range(frame: CoherentFrame, rhos: np.ndarray) -> list[CheckResult]:
-    """Mass 1 and values in [0, 1] of the Husimi tables of validated densities."""
-    table = HusimiTable(frame, _husimi_values(frame, rhos))
-    q = table.values
-    mass = np.abs(table.mass() - 1.0).max()
+def check_husimi_mass_and_range(frame: CoherentFrame, q: np.ndarray) -> list[CheckResult]:
+    """Mass 1 and values in [0, 1] of the Husimi values q of validated densities."""
+    mass = np.abs(HusimiTable(frame, q).mass() - 1.0).max()
     low = max(0.0, float(-q.min()))
     high = max(0.0, float(q.max() - 1.0))
     return [
-        _result("husimi-mass", mass, 1e-10, f"{len(rhos)} random rho"),
+        _result("husimi-mass", mass, 1e-10, f"{len(q)} random rho"),
         _result("husimi-range", max(low, high), 1e-12),
     ]
 
 
-def check_coset_constancy(frame: CoherentFrame, rhos: np.ndarray) -> CheckResult:
-    """Q constant on each stabiliser coset, for validated densities."""
-    table = HusimiTable(frame, _husimi_values(frame, rhos))
-    worst = husimi_coset_spread(table).max()
-    return _result("husimi-coset-spread", worst, 1e-12, f"{len(rhos)} random rho")
+def check_coset_constancy(frame: CoherentFrame, q: np.ndarray) -> CheckResult:
+    """Q constant on each stabiliser coset, for the Husimi values q of validated densities."""
+    worst = husimi_coset_spread(HusimiTable(frame, q)).max()
+    return _result("husimi-coset-spread", worst, 1e-12, f"{len(q)} random rho")
 
 
-def check_coset_formula(frame: CoherentFrame, rhos: np.ndarray) -> CheckResult:
-    """Full Husimi sum against the coset formula, for validated densities."""
-    full = _entropy_sum(_husimi_values(frame, rhos), frame.haar_weight)
-    collapsed = _coset_entropy(coset_basis(frame).vectors, rhos)
-    worst = np.abs(full - collapsed).max()
+def check_coset_formula(basis: CosetBasis, rhos: np.ndarray, entropies: np.ndarray) -> CheckResult:
+    """Full Husimi sums `entropies` of validated densities against the coset formula."""
+    collapsed = _coset_entropy(basis.vectors, rhos)
+    worst = np.abs(entropies - collapsed).max()
     return _result("coset-formula-vs-full", worst, 1e-10, f"{len(rhos)} random rho")
 
 
@@ -441,19 +438,21 @@ def check_fast_vs_dense(frame: CoherentFrame, psis: np.ndarray) -> CheckResult:
     return _result("husimi-fast-vs-dense", worst, 1e-11, f"{len(psis)} pure states")
 
 
-def check_wehrl_bounds(frame: CoherentFrame, rhos: np.ndarray) -> list[CheckResult]:
-    """S^W >= 0 on validated densities, 0 on coherent states, above 0 elsewhere."""
-    table = HusimiTable(frame, _husimi_values(frame, rhos))
-    q = table.values
-    entropies = wehrl_entropy(table)
+def check_wehrl_bounds(
+    frame: CoherentFrame, q: np.ndarray, entropies: np.ndarray, overlaps: np.ndarray
+) -> list[CheckResult]:
+    """S^W >= 0 on validated densities, 0 on coherent states, above 0 elsewhere.
+
+    q and entropies are the densities' Husimi values and Wehrl entropies;
+    the coherent projectors' tables are the squared `overlap_matrix` columns.
+    """
     lower = max(0.0, float(-entropies.min()))
     out = [
         _result(
             "wehrl-lower-bound", lower, 1e-9, f"min = {entropies.min():.3e}"
         )
     ]
-    O = overlap_matrix(frame)
-    coherent_entropies = wehrl_entropy(HusimiTable(frame, (O ** 2).T))
+    coherent_entropies = wehrl_entropy(HusimiTable(frame, (overlaps ** 2).T))
     out.append(
         _result(
             "wehrl-coherent-zero",
@@ -474,11 +473,11 @@ def check_wehrl_bounds(frame: CoherentFrame, rhos: np.ndarray) -> list[CheckResu
 
 
 def check_wehrl_vs_von_neumann(
-    frame: CoherentFrame, rhos: np.ndarray, eig: np.ndarray
+    frame: CoherentFrame, entropies: np.ndarray, eig: np.ndarray
 ) -> list[CheckResult]:
-    """S^W >= S_vN on validated densities with their ascending eigenvalues eig."""
+    """S^W >= S_vN on validated densities: their Wehrl entropies and ascending eigenvalues eig."""
     d = frame.group.order
-    gaps = _entropy_sum(_husimi_values(frame, rhos), frame.haar_weight) - _spectrum_entropy(eig)
+    gaps = entropies - _spectrum_entropy(eig)
     out = [
         _result(
             "wehrl-vs-von-neumann",
@@ -493,18 +492,18 @@ def check_wehrl_vs_von_neumann(
     return out
 
 
-def check_channel(frame: CoherentFrame, rhos: np.ndarray) -> list[CheckResult]:
-    """Trace kept on validated densities; the flat state and coherent projectors fixed."""
+def check_channel(frame: CoherentFrame, q: np.ndarray) -> list[CheckResult]:
+    """Trace kept on densities of Husimi values q; the flat state and coherent projectors fixed."""
     d = frame.group.order
-    out = _channel_values(frame, rhos)
+    out = _channel_values(frame, q)
     worst_trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0).max()
     flat = maximally_mixed(d)
-    flat_res = float(np.abs(_channel_values(frame, flat) - flat).max())
+    flat_res = float(np.abs(_channel_values(frame, _husimi_values(frame, flat)) - flat).max())
     _, reps = frame.cosets()
     projs = np.stack([pure_density(frame.state(rep)) for rep in reps[:3]])
-    worst_coherent = np.abs(_channel_values(frame, projs) - projs).max()
+    worst_coherent = np.abs(_channel_values(frame, _husimi_values(frame, projs)) - projs).max()
     return [
-        _result("channel-trace", worst_trace, 1e-10, f"{len(rhos)} random rho"),
+        _result("channel-trace", worst_trace, 1e-10, f"{len(q)} random rho"),
         _result("channel-flat-fixed-point", flat_res, 1e-12),
         _result("channel-coherent-fixed-point", worst_coherent, 1e-11),
     ]
@@ -660,11 +659,14 @@ def run_checks(
     frame-level checks, come from `_group_checks`, so they are computed
     once per (group, seed, rho_samples, limits) in a process, whatever the
     subgroup. One validated stack of max(100, rho_samples) densities feeds
-    every density check: its first 100 the Husimi mass and range, coset
-    spread, coset formula and channel checks, its first rho_samples the
-    Wehrl bound and von Neumann checks. The gradient check draws from the
-    generator state after the samples. Every result, and the order of the
-    list, is the same whether the memo was warm or cold, to the bit.
+    every density check through one table of its Husimi values and one
+    vector of their entropies: their first 100 the Husimi mass and range,
+    coset spread, coset formula and channel checks, their first rho_samples
+    the Wehrl bound and von Neumann checks. The overlap matrix, the coset
+    basis, the points outside K and A(H) = K.dual_part are also computed
+    once for the pair. The gradient check draws from the generator state
+    after the samples. Every result, and the order of the list, is the same
+    whether the memo was warm or cold, to the bit.
 
     Raises, before any check runs, ValueError when rho_samples is below 1,
     GroupMismatchError when H is a subgroup of another group than G, and
@@ -681,12 +683,11 @@ def run_checks(
     shared = _group_checks(group, seed, rho_samples, key + (weyl.CCR_SAMPLES,))
     laws, unit, multiplicative, bilinear, ccr, unitarity, dense, resolution = shared.checks
     rng.bit_generator.state = shared.state
-    first = shared.rhos[:100]
-    results = [laws, unit, multiplicative]
-    results.append(check_annihilator_duality(subgroup))
-    results.append(check_double_annihilator(subgroup))
     frame = CoherentFrame.vacuum(subgroup)
-    K, _ = frame.cosets()  # the one maximal compact subgroup of this pair
+    K, _ = frame.cosets()  # the one maximal compact subgroup of this pair, H x A(H)
+    results = [laws, unit, multiplicative]
+    results.append(check_annihilator_duality(subgroup, K.dual_part))
+    results.append(check_double_annihilator(subgroup, K.dual_part))
     results.append(check_compact_maximality(K))
     results.append(check_cocycle_trivial_on_K(K))
     results += [bilinear, ccr, unitarity, dense]
@@ -695,20 +696,27 @@ def run_checks(
     results.append(check_vacuum_invariance(frame))
     results.append(check_resolution_vacuum(frame))
     results.append(resolution)
-    results.append(check_overlap_dichotomy(frame))
-    results.append(check_overlap_coset_match(frame))
-    results.append(check_offcoset_vanishing(frame))
-    results.append(check_offcoset_witness(frame))
-    results.append(check_coset_basis(frame))
-    results.extend(check_husimi_mass_and_range(frame, first))
-    results.append(check_coset_constancy(frame, first))
-    results.append(check_coset_formula(frame, first))
+    overlaps = overlap_matrix(frame)
+    outside = _outside_points(frame)
+    basis = coset_basis(frame)
+    q = _husimi_values(frame, shared.rhos)
+    entropies = _entropy_sum(q, frame.haar_weight)
+    results.append(check_overlap_dichotomy(overlaps))
+    results.append(check_overlap_coset_match(frame, overlaps))
+    results.append(check_offcoset_vanishing(frame, outside))
+    results.append(check_offcoset_witness(frame, outside))
+    results.append(check_coset_basis(basis))
+    results.extend(check_husimi_mass_and_range(frame, q[:100]))
+    results.append(check_coset_constancy(frame, q[:100]))
+    results.append(check_coset_formula(basis, shared.rhos[:100], entropies[:100]))
     results.append(check_fast_vs_dense(frame, shared.psis))
-    results.extend(check_wehrl_bounds(frame, shared.rhos[:rho_samples]))
     results.extend(
-        check_wehrl_vs_von_neumann(frame, shared.rhos[:rho_samples], shared.eig[:rho_samples])
+        check_wehrl_bounds(frame, q[:rho_samples], entropies[:rho_samples], overlaps)
     )
-    results.extend(check_channel(frame, first))
+    results.extend(
+        check_wehrl_vs_von_neumann(frame, entropies[:rho_samples], shared.eig[:rho_samples])
+    )
+    results.extend(check_channel(frame, q[:100]))
     results.append(check_gradient_oracle(frame, rng))
     results.extend(shared.product)
     return results

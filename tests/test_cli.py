@@ -17,12 +17,10 @@ from wehrl import (
     random_state_vector,
 )
 from wehrl.cli import _subgroup_from_args, build_parser, main
-from wehrl.io import (
-    density_matrix_from_json,
-    density_matrix_to_json,
-    state_vector_to_json,
-)
+from wehrl.io import density_matrix_from_json, density_matrix_to_json
 from wehrl.states import check_density_matrix, maximally_mixed
+
+from state_helpers import state_vector_to_json
 
 
 def run_cli(capsys, *argv):

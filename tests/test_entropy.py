@@ -6,7 +6,6 @@ import pytest
 from wehrl import (
     CoherentFrame,
     all_subgroups,
-    basis_state,
     entropy_report,
     group_dft,
     husimi,
@@ -35,6 +34,7 @@ from wehrl.verify import suite_pairs
 from density_oracle import channel_by_state_matrix, husimi_by_state_matrix, state_matrix
 from phase_oracle import index, point_add, point_neg
 from stabiliser_frames import chirp_frames
+from state_helpers import basis_state
 
 
 def sub(group, *gen_coords):

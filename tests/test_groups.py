@@ -677,7 +677,7 @@ PACKAGE_NAMES = {
     "CcrReport", "CheckResult", "CoherentFrame", "CosetBasis", "DenseLimitError",
     "DualSubgroup", "EntropyReport", "FiniteAbelianGroup", "GroupElement",
     "GroupMismatchError", "HusimiTable", "MinimizerConfig", "MinimizerResult",
-    "PhaseSpaceSubgroup", "Subgroup", "all_subgroups", "annihilator", "basis_state",
+    "PhaseSpaceSubgroup", "Subgroup", "all_subgroups", "annihilator",
     "check_density_matrix", "check_state_vector", "coset_basis", "coset_representatives",
     "dense_limit", "descend", "direct_product", "dual_annihilator", "entropy_gradient",
     "entropy_report", "group_dft", "husimi", "husimi_coset_spread", "husimi_fast",

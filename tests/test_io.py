@@ -30,11 +30,10 @@ from wehrl.io import (
     load_state_text,
     state_vector_from_csv,
     state_vector_from_json,
-    state_vector_to_csv,
-    state_vector_to_json,
 )
 
 from phase_oracle import point
+from state_helpers import state_vector_to_csv, state_vector_to_json
 
 
 def test_state_vector_json_round_trip_is_byte_exact(rng):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from wehrl import (
     random_state_vector,
     subgroup_closure,
 )
-from wehrl import verify
+from wehrl import entropy, frames, groups, limits, verify, weyl
 from wehrl.limits import DenseLimitError
-from wehrl.frames import coset_ids
+from wehrl.frames import coset_ids, overlap_matrix
 from wehrl.groups import _phase_weights, _unit_roots
 from wehrl.states import random_density_matrix
 from wehrl.weyl import cocycle_phase
@@ -248,7 +249,7 @@ def test_dichotomy_check_rejects_generic_fiducial(rng):
     # the checks must be able to fail: a generic fiducial breaks the 0/1 law
     g = parse_group("Z4")
     frame = CoherentFrame(g, random_state_vector(4, rng))
-    result = check_overlap_dichotomy(frame)
+    result = check_overlap_dichotomy(overlap_matrix(frame))
     assert not result.passed
     assert result.residual > 1e-3
 
@@ -484,7 +485,9 @@ def test_stacked_checks_match_their_per_point_routes(spec, gens, monkeypatch):
         "weyl-unitarity": verify.check_weyl_unitarity(g, stacked_rng),
         "weyl-dense-vs-apply": verify.check_weyl_dense_vs_apply(g, stacked_rng),
         "vacuum-invariance": verify.check_vacuum_invariance(frame),
-        "offcoset-vanishing": verify.check_offcoset_vanishing(frame),
+        "offcoset-vanishing": verify.check_offcoset_vanishing(
+            frame, verify._outside_points(frame)
+        ),
     }
     scalar = _per_point_checks(g, frame, scalar_rng)
     assert stacked_rng.random() == scalar_rng.random()
@@ -496,11 +499,26 @@ def test_stacked_checks_match_their_per_point_routes(spec, gens, monkeypatch):
     assert all(r.passed for r in stacked.values())
 
 
+def _spy_everywhere(monkeypatch, module, name, calls, record):
+    """Replace module.name in every wehrl module bound to it; each call appends record(*args)."""
+    exact = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(record(*args))
+        return exact(*args, **kwargs)
+
+    for bound in [m for key, m in sys.modules.items() if key.split(".")[0] == "wehrl"]:
+        if getattr(bound, name, None) is exact:
+            monkeypatch.setattr(bound, name, spy)
+
+
 # the 16 subgroups of Z2xZ2xZ2 at one seed share one drawn stack, validated
 # and diagonalised once, and one product-structure check; no Cholesky
-# factorisation revalidates the stack
+# factorisation revalidates the stack. Each pair computes the stack's Husimi
+# values, its overlap matrix, its coset basis and A(H) once
 def test_battery_draws_and_validates_one_stack_per_group(monkeypatch):
     draws, stacks, factorised, products = [], [], [], []
+    husimi_calls, overlaps, bases, annihilators = [], [], [], []
     exact_draw = verify._random_density_stack
     exact_eigvalsh = np.linalg.eigvalsh
     exact_cholesky = np.linalg.cholesky
@@ -526,12 +544,46 @@ def test_battery_draws_and_validates_one_stack_per_group(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     monkeypatch.setattr(verify, "check_product_structure", product)
+    _spy_everywhere(
+        monkeypatch, entropy, "_husimi_values", husimi_calls,
+        lambda frame, rho: (frame.subgroup, np.shape(rho)),
+    )
+    _spy_everywhere(monkeypatch, frames, "overlap_matrix", overlaps, lambda frame: frame)
+    _spy_everywhere(monkeypatch, frames, "coset_basis", bases, lambda frame: frame)
+    _spy_everywhere(monkeypatch, groups, "annihilator", annihilators, lambda H: H)
     g = parse_group("Z2xZ2xZ2")
     subgroups = [H for group, H in suite_pairs() if group == g]
     assert len(subgroups) == 16
     for H in subgroups:
+        for calls in (husimi_calls, overlaps, bases, annihilators):
+            calls.clear()
         assert all(r.passed for r in run_checks(g, H, seed=2, rho_samples=200))
+        # on the pair's frame: the stack once, the flat state for entropy_report
+        # and for the channel, three coherent projectors for the channel
+        on_pair = Counter(shape for frame_subgroup, shape in husimi_calls if frame_subgroup is H)
+        assert on_pair == {(200, 8, 8): 1, (8, 8): 2, (3, 8, 8): 1}, on_pair
+        assert len(overlaps) == len(bases) == 1
+        assert annihilators == [H]
     assert draws == [(8, 200)]
     assert [shape for shape in stacks if len(shape) == 3] == [(200, 8, 8)]
     assert factorised == []
     assert products == [(g, (100, 8, 8))]
+
+
+# run_checks computes the Husimi values of the whole shared stack, and their
+# entropies, once and hands each check its first 100 or rho_samples rows; the
+# bits must be those of computing them on the slice alone
+@pytest.mark.parametrize("rho_samples", [50, 200, 1000])
+def test_shared_husimi_values_sliced_equal_the_per_slice_bits(rho_samples):
+    key = tuple(getattr(limits, name) for name in limits.__all__ if name.isupper())
+    for g, H in suite_pairs():
+        rhos = verify._group_checks(g, 0, rho_samples, key + (weyl.CCR_SAMPLES,)).rhos
+        assert len(rhos) == max(100, rho_samples)
+        frame = CoherentFrame.vacuum(H)
+        q = verify._husimi_values(frame, rhos)
+        entropies = verify._entropy_sum(q, frame.haar_weight)
+        for m in {100, rho_samples}:
+            own = verify._husimi_values(frame, rhos[:m])
+            assert q[:m].tobytes() == own.tobytes(), (g, H, m)
+            own_entropies = verify._entropy_sum(own, frame.haar_weight)
+            assert entropies[:m].tobytes() == own_entropies.tobytes(), (g, H, m)

@@ -10,7 +10,6 @@ from wehrl import (
     CcrReport,
     DenseLimitError,
     FiniteAbelianGroup,
-    basis_state,
     parse_group,
     parse_point,
     random_state_vector,
@@ -32,6 +31,7 @@ from phase_oracle import (
     point_add,
     point_neg,
 )
+from state_helpers import basis_state
 from weyl_oracle import pointwise_weyl_matrix, roll_weyl_apply
 
 group_descriptors = st.lists(st.integers(2, 6), min_size=1, max_size=3).filter(
