@@ -6,8 +6,9 @@ Each argument is label=rev; rev "." is the working tree, anything else is a
 git revision, exported with `git archive` into a temporary directory. For
 every workload and seed, each commit runs its own `perfbench/run.py` in a
 subprocess, the commits taking turns (which one goes first alternates from
-seed to seed) so that they share the machine's drift; the `run_suite.py`
-and CLI timings take turns the same way on each repetition. Each file holds:
+seed to seed) so that they share the machine's drift; the Tier-1,
+`run_suite.py` and CLI timings take turns the same way on each repetition.
+Each file holds:
 - every untraced run's end-to-end block, seed, rounds and host_ref_s (the
   mean of the host reference timings before and after the run; it tells
   the machine's speed at the time);
@@ -15,8 +16,8 @@ and CLI timings take turns the same way on each repetition. Each file holds:
 - the median of each end-to-end metric per workload;
 - `run_suite_s`: the median of `scripts/run_suite.py`'s reported total
   over `REPEATS` runs, each run in `run_suite_runs_s`;
-- `tier1_s`: the wall time of one Tier-1 run (`python -m pytest`) in the
-  tree, one BLAS thread;
+- `tier1_s`: the median wall time of `REPEATS` Tier-1 runs (`python -m
+  pytest`) in the tree, one BLAS thread, each run in `tier1_runs_s`;
 - `cli_s`: the median wall time of `REPEATS` fresh `python -m wehrl`
   processes per subcommand (the calls in `CLI_CALLS`), one BLAS thread,
   each run in `cli_runs_s`;
@@ -44,7 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("suite-verify", "minimize", "cli-session")
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-# runs per tree of each run_suite.py and CLI timing
+# runs per tree of each Tier-1, run_suite.py and CLI timing
 REPEATS = 5
 # the one call per subcommand that cli_s times
 CLI_CALLS = {
@@ -237,6 +238,7 @@ def main() -> int:
                     "seed": traced["seed"], "metrics": traced["metrics"],
                 }
         suite_runs = take_turns(trees, run_suite_s)
+        tier1_runs = take_turns(trees, tier1_s)
         cli_runs = {
             command: take_turns(trees, lambda tree, c=command: cli_s(tree, c))
             for command in CLI_CALLS
@@ -254,7 +256,8 @@ def main() -> int:
             }
             record["run_suite_s"] = statistics.median(suite_runs[label])
             record["run_suite_runs_s"] = suite_runs[label]
-            record["tier1_s"] = tier1_s(tree)
+            record["tier1_s"] = statistics.median(tier1_runs[label])
+            record["tier1_runs_s"] = tier1_runs[label]
             record["cli_s"] = {c: statistics.median(runs[label]) for c, runs in cli_runs.items()}
             record["cli_runs_s"] = {c: runs[label] for c, runs in cli_runs.items()}
             record["husimi_dense_vs_fast"] = husimi_table(tree)

@@ -101,6 +101,7 @@ class CoherentFrame:
         self.subgroup: Subgroup | None = None
         self._matrix: np.ndarray | None = None
         self._cosets: tuple | None = None
+        self._basis: CosetBasis | None = None
 
     @classmethod
     def vacuum(cls, subgroup: Subgroup) -> "CoherentFrame":
@@ -230,15 +231,20 @@ class CosetBasis:
 def coset_basis(frame: CoherentFrame) -> CosetBasis:
     """One coherent state per coset of S: an orthonormal basis of a Lagrangian frame.
 
-    ValueError on any other frame, whose coset states overlap.
+    Computed once per frame; its vectors are read-only. ValueError on any
+    other frame, whose coset states overlap.
     """
-    if not frame.lagrangian:
-        raise ValueError(
-            f"not a Lagrangian (stabiliser) frame: |S| = {frame.stabiliser.order}, "
-            f"|G| = {frame.group.order}"
-        )
-    _, reps = frame.cosets()
-    return CosetBasis(reps, _apply_points(frame.group, reps, frame.fiducial))
+    if frame._basis is None:
+        if not frame.lagrangian:
+            raise ValueError(
+                f"not a Lagrangian (stabiliser) frame: |S| = {frame.stabiliser.order}, "
+                f"|G| = {frame.group.order}"
+            )
+        _, reps = frame.cosets()
+        vectors = _apply_points(frame.group, reps, frame.fiducial)
+        vectors.flags.writeable = False
+        frame._basis = CosetBasis(reps, vectors)
+    return frame._basis
 
 
 def _invariance_defect(K: PhaseSpaceSubgroup) -> np.ndarray:

@@ -14,23 +14,26 @@ from the frame alone once per `minimize` or `descend` call:
 - the coset pair, for Lagrangian (stabiliser) frames: all |S| = |G|
   points of a coset of the stabiliser S are one ray up to phase, so
   S^W(psi) = -sum_a q_a log q_a with q_a = |x_a|^2, x = V^H psi the
-  coordinates of psi in the orthonormal coset basis V of `coset_basis`
-  (the coset volume |S|/|G| is 1). The walk runs in x: the starts are
-  mapped in once and the results back once, and no step does a basis
-  product. V is unitary, so the sphere, the retraction and every rule of
-  `descend` read the same in x as in psi. The tangent gradient is
-  g_a = -(log q_a + S^W) x_a, and the Hessian of the Lagrangian is
-  diagonal in |x_a|: halved, it is h_a = -(log q_a + 2 + S^W). The walk
-  takes the safeguarded Newton step delta_a = g_a / max(h_a,
-  CURVATURE_FLOOR), whose full step multiplies each minor coordinate of a
-  near-coherent state by 2 / (log q_a + 2);
+  coordinates of psi in the orthonormal coset basis V of `coset_basis`,
+  built once per frame (the coset volume |S|/|G| is 1). The walk runs in
+  x: the starts are mapped in once and the results back once, and no step
+  does a basis product. V is unitary, so the sphere, the retraction and
+  every rule of `descend` read the same in x as in psi. The tangent
+  gradient is g_a = -(log q_a + S^W) x_a, and the Hessian of the
+  Lagrangian is diagonal in |x_a|: halved, it is
+  h_a = -(log q_a + 2 + S^W). The walk takes the safeguarded Newton step
+  delta_a = g_a / max(h_a, CURVATURE_FLOOR), whose full step multiplies
+  each minor coordinate of a near-coherent state by 2 / (log q_a + 2);
 - the transform pair (`pure_state_entropy`, `entropy_gradient`), for any
   other fiducial: all |G|^2 amplitudes, in psi, with a gradient step. The
   amplitudes come from the frame's analysis `frames.pure_amplitudes` and
   the gradient goes back through its adjoint, `frames._synthesis`.
-Each trial point is evaluated once: its energy also returns what the next
-step needs (|x|^2 and its logs, or the amplitudes), and an accepted row
-keeps it.
+Each trial point is evaluated once: its energy, then its step from what
+the energy leaves (|x|^2 and its logs, or the amplitudes), and an
+accepted row keeps both. The restarts walk as one stack of rows, tick by
+tick; at these sizes a tick costs its numpy calls more than its
+arithmetic, so no tick gathers rows by a mask, and a tick where every row
+accepts its trial copies nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import limits
-from .entropy import ZERO_LOG_THRESHOLD, _entropy_sum, pure_state_entropy
+from .entropy import ZERO_LOG_THRESHOLD, _entropy_sum
 from .frames import CoherentFrame, _synthesis, coset_basis, pure_amplitudes
 from .groups import Subgroup
 from .states import random_state_vector
@@ -220,12 +223,11 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
         rate = -logs
         rate -= entropies[:, None]
         curvature = rate - 2.0
-        basin = ((curvature > CURVATURE_FLOOR) | (q >= 0.5)).all(axis=-1)
+        basin = np.logical_and.reduce((curvature > CURVATURE_FLOOR) | (q >= 0.5), axis=-1)
         np.maximum(curvature, CURVATURE_FLOOR, out=curvature)
         power = rate * rate
         power *= q  # |g_a|^2
-        decrements = np.add.reduce(power / curvature, axis=-1)
-        decrements[~basin] = np.inf
+        decrements = np.where(basin, np.add.reduce(power / curvature, axis=-1), np.inf)
         rate /= curvature
         return rate * x, np.sqrt(np.add.reduce(power, axis=-1)), decrements
 
@@ -240,6 +242,12 @@ def _objective(frame: CoherentFrame) -> _Objective:
     return _coset_objective(frame) if frame.lagrangian else _transform_objective(frame)
 
 
+def _evaluate(objective: _Objective, x: np.ndarray):
+    """The energy of the rows x, then their step: (entropies, directions, norms, decrements)."""
+    energy, cache = objective.energy(x)
+    return (energy, *objective.step(x, energy, cache))
+
+
 def _descend_rows(
     objective: _Objective, starts: np.ndarray, config: MinimizerConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -247,73 +255,108 @@ def _descend_rows(
 
     Every row follows descend's rules on its own: its own step size and
     halvings, plateau count, max_iters budget and convergence flag, so a
-    row ends where it would end alone. Each tick takes the step of the
-    rows that start an iteration, from the cache of the point they just
-    accepted, and one trial energy for every row. The rows still walking
-    are kept compact; the arrays are compressed only on ticks where a row
-    stops. Returns (states, entropies, iterations, converged, halvings,
-    gradient norms at the end); a row that never moved returns its
-    normalised start bit for bit.
+    row ends where it would end alone. Each tick makes one trial for every
+    row and evaluates it once: its energy and, from the same cache, its
+    step, gradient norm and decrement. A row that accepts its trial keeps
+    all four, so each row carries the step of the point it stands on.
+
+    The tests of the top of an iteration then run on every row, with no
+    mask: a row in a line search passed them at the point it still stands
+    on, with a step that its halvings left above MIN_STEP, and testing it
+    again gives the same answer. Where every row accepts its trial, the
+    trial arrays become the walk's. A budget's test is skipped while it
+    cannot fire, by bounds read when the walk starts: before tick t (from
+    0) a row has at most t accepted steps (max_iters) and after it a
+    plateau count of at most t + 1 (PLATEAU_STEPS); a step is at most
+    MIN_STEP at the top of an iteration only if FIRST_STEP is. The rows
+    still walking are kept compact: on a tick where rows stop, their
+    results are set aside and the arrays compressed.
+
+    Returns (states, entropies, iterations, converged, halvings, gradient
+    norms at the end); a row that never moved returns its normalised
+    start bit for bit.
     """
     psi = np.asarray(starts, dtype=np.complex128)
-    psi = psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+    psi = psi / _row_norms(psi)[:, None]
     basis = objective.basis
     x = psi if basis is None else (psi[:, None, :] @ np.ascontiguousarray(basis.conj().T))[:, 0, :]
     rows = len(x)
-    energy, cache = objective.energy(x)
+    energy, direction, norms, decrements = _evaluate(objective, x)
     step = np.full(rows, FIRST_STEP)
     plateau = np.zeros(rows, dtype=np.int64)
     iterations = np.zeros(rows, dtype=np.int64)
     halvings = np.zeros(rows, dtype=np.int64)
-    direction = np.zeros_like(x)
-    fresh = np.ones(rows, dtype=bool)  # at the top of an iteration
     index = np.arange(rows)  # each walking row's place in the results
-    results = (np.empty_like(x), np.empty(rows), np.empty(rows, dtype=np.int64),
-               np.empty(rows, dtype=bool), np.empty(rows, dtype=np.int64))
+    # per tick where rows stop: their places, states, entropies, iterations,
+    # certificates, halvings and gradient norms
+    stopped = []
+    max_iters, tol_grad, tol_entropy = config.max_iters, config.tol_grad, config.tol_entropy
+    exhausted_at_first = FIRST_STEP <= MIN_STEP
+    tick = 0
     while rows:
-        spent = fresh & (iterations >= config.max_iters)
-        top = fresh & ~spent
         # flat, or in a basin with a Newton decrement below tol_entropy
-        certified = np.zeros(rows, dtype=bool)
-        if top.any():
-            at = slice(None) if top.all() else top
-            direction[at], norms, decrements = objective.step(x[at], energy[at], cache[at])
-            certified[at] = (norms <= config.tol_grad) | (decrements < config.tol_entropy)
+        certified = (norms <= tol_grad) | (decrements < tol_entropy)
+        spent = None
+        if tick >= max_iters:
+            spent = iterations >= max_iters
+            certified &= ~spent  # the budget is tested before the certificate
         # or no step left above MIN_STEP: no descent at machine resolution
-        stationary = certified | (top & (step <= MIN_STEP))
+        stationary = certified | (step <= MIN_STEP) if exhausted_at_first else certified
         # a row that stops here has its trial evaluated and dropped (one
         # spare evaluation per row), so that rows leave at one place per tick
         trial = x - step[:, None] * direction
         trial /= _row_norms(trial)[:, None]
-        trial_energy, trial_cache = objective.energy(trial)
-        searching = ~(spent | stationary)
-        better = searching & (trial_energy < energy)
-        worse = searching & ~better
-        halvings += worse
-        np.multiply(step, 0.5, out=step, where=worse)
+        trial_energy, trial_direction, trial_norms, trial_decrements = _evaluate(objective, trial)
+        searching = ~stationary if spent is None else ~(spent | stationary)
+        better = trial_energy < energy
+        better &= searching
         drop = energy - trial_energy
-        np.copyto(x, trial, where=better[:, None])
-        np.copyto(energy, trial_energy, where=better)
-        np.copyto(cache, trial_cache, where=better[:, None])
-        iterations += better
-        plateau = np.where(better, np.where(drop < config.tol_entropy, plateau + 1, 0), plateau)
-        # a certificate or a budget ends the row; only a certificate converges
-        ended = (stationary | (worse & (step <= MIN_STEP))
-                 | (better & (plateau >= PLATEAU_STEPS)))
-        fresh = better & ~ended
-        stop = spent | ended
-        if stop.any():
-            walking = (x, energy, iterations, certified, halvings)
-            for out, value in zip(results, walking):
-                out[index[stop]] = value[stop]
-            keep = ~stop
-            x, energy, cache, direction, step, plateau, iterations, halvings, fresh, index = (
-                a[keep] for a in
-                (x, energy, cache, direction, step, plateau, iterations, halvings, fresh, index)
+        tick += 1
+        if np.logical_and.reduce(better):
+            x, energy, direction = trial, trial_energy, trial_direction
+            norms, decrements = trial_norms, trial_decrements
+            iterations += 1
+            plateau += 1
+            plateau *= drop < tol_entropy
+            if tick < PLATEAU_STEPS:
+                continue
+            # only a plateau can end a row that accepted its trial
+            stop = plateau >= PLATEAU_STEPS
+        else:
+            worse = searching & ~better
+            halved = np.logical_or.reduce(worse)
+            if halved:
+                halvings += worse
+                np.multiply(step, 0.5, out=step, where=worse)
+            np.copyto(x, trial, where=better[:, None])
+            np.copyto(direction, trial_direction, where=better[:, None])
+            np.copyto(energy, trial_energy, where=better)
+            np.copyto(norms, trial_norms, where=better)
+            np.copyto(decrements, trial_decrements, where=better)
+            iterations += better
+            plateau = np.where(better, np.where(drop < tol_entropy, plateau + 1, 0), plateau)
+            # a certificate or a budget ends the row; only a certificate converges
+            stop = stationary if spent is None else stationary | spent
+            if halved:
+                stop = stop | (worse & (step <= MIN_STEP))
+            if tick >= PLATEAU_STEPS:
+                stop = stop | (plateau >= PLATEAU_STEPS)
+        if np.logical_or.reduce(stop):
+            gone = stop.nonzero()[0]
+            stopped.append([a.take(gone, axis=0) for a in
+                            (index, x, energy, iterations, certified, halvings, norms)])
+            kept = (~stop).nonzero()[0]
+            walking = (x, energy, direction, norms, decrements,
+                       step, plateau, iterations, halvings, index)
+            x, energy, direction, norms, decrements, step, plateau, iterations, halvings, index = (
+                a.take(kept, axis=0) for a in walking
             )
             rows = len(x)
-    x, energies, iterations, converged, halvings = results
-    _, grad_norms, _ = objective.step(x, *objective.energy(x))
+    places, *parts = zip(*stopped)
+    order = np.argsort(np.concatenate(places))
+    x, energies, iterations, converged, halvings, grad_norms = (
+        np.concatenate(part)[order] for part in parts
+    )
     if basis is None:
         return x, energies, iterations, converged, halvings, grad_norms
     states = np.where((iterations == 0)[:, None], psi, (x[:, None, :] @ basis)[:, 0, :])
@@ -344,6 +387,19 @@ def descend(
     return states[0], float(energies[0]), int(iterations[0]), bool(converged[0])
 
 
+def _random_starts(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """(count, d) stack of `random_state_vector(d, rng)` draws in one draw, the same bits.
+
+    Each row is normalised as np.linalg.norm normalises one vector, by
+    re.dot(re) + im.dot(im) on its real and imaginary views: np.vecdot
+    runs that same BLAS dot on each row.
+    """
+    draws = rng.standard_normal((count, 2, d))
+    starts = draws[:, 0] + 1j * draws[:, 1]
+    re, im = starts.real, starts.imag
+    return starts / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
+
+
 def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> MinimizerResult:
     """Best entropy over `restarts` random unit starts, deterministic in the seed.
 
@@ -359,9 +415,7 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     transform pair.
     """
     config = config or MinimizerConfig()
-    rng = np.random.default_rng(config.seed)
-    d = frame.group.order
-    starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
+    starts = _random_starts(np.random.default_rng(config.seed), config.restarts, frame.group.order)
     objective = _objective(frame)
     runs = [
         _descend_rows(objective, starts[part], config)
@@ -371,10 +425,13 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
         np.concatenate(part) for part in zip(*runs)
     )
     index = int(np.argmin(energies))
-    point, overlap = nearest_coherent(frame, states[index])
+    # one analysis of the best state gives its nearest point and its S^W
+    magnitudes = np.abs(pure_amplitudes(frame, states[index]))
+    point, overlap = _nearest_point(frame, magnitudes)
+    magnitudes *= magnitudes
     return MinimizerResult(
         best_state=states[index],
-        best_entropy=float(pure_state_entropy(frame, states[index])),
+        best_entropy=float(_entropy_sum(magnitudes, frame.haar_weight)),
         nearest_point=point,
         nearest_overlap=overlap,
         iterations=int(iterations.sum()),
@@ -395,10 +452,14 @@ def nearest_coherent(frame: CoherentFrame, psi: np.ndarray) -> tuple[int, float]
     rounding; the point is the coset's lex-least member (the argmax itself
     when S is trivial).
     """
-    c = np.abs(pure_amplitudes(frame, psi))
-    idx = int(np.argmax(c))
+    return _nearest_point(frame, np.abs(pure_amplitudes(frame, psi)))
+
+
+def _nearest_point(frame: CoherentFrame, magnitudes: np.ndarray) -> tuple[int, float]:
+    """nearest_coherent from the |<z|psi>| of every frame point."""
+    idx = int(np.argmax(magnitudes))
     representatives, ids = frame.stabiliser._partition
-    return int(representatives[ids[idx]]), float(c[idx])
+    return int(representatives[ids[idx]]), float(magnitudes[idx])
 
 
 def scan_fiducials(subgroup: Subgroup, config: MinimizerConfig) -> dict:

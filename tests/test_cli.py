@@ -290,6 +290,19 @@ def test_cli_byte_identical_subprocess():
     assert a.stdout.startswith(b'{"best_entropy"')
 
 
+# group-info never imports numpy.ma, which np.unique without indices loads
+# lazily (numpy 2.4); in a fresh process that import costs about 11 ms
+def test_group_info_does_not_import_numpy_ma():
+    script = (
+        "import contextlib, io, sys\n"
+        "from wehrl import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['group-info', '--group', 'Z4xZ2'])\n"
+        "sys.exit(code or ('numpy.ma' in sys.modules))\n"
+    )
+    assert subprocess.run([sys.executable, "-c", script]).returncode == 0
+
+
 REPEATED_CALLS = [
     ("group-info", "--group", "Z2xZ2", "--output", "csv"),
     ("husimi", "--group", "Z4xZ2", "--subgroup", "2,0;0,1", "--state", "random:3"),

@@ -906,6 +906,16 @@ def test_is_corwin_frozen():
     assert is_corwin(subgroup_closure(g2, (1,))) is False
 
 
+# 2H = H against the set of doubled coordinates, on every subgroup
+@pytest.mark.parametrize("spec", ["Z4xZ2", "Z6", "Z3xZ3", "Z9", "Z2xZ2xZ2"])
+def test_is_corwin_matches_doubled_coordinates(spec):
+    g = parse_group(spec)
+    for H in all_subgroups(g):
+        members = [coords(g, int(h)) for h in H.indices]
+        doubled = {add(g, h, h) for h in members}
+        assert is_corwin(H) is (doubled == set(members))
+
+
 def test_direct_product():
     g = direct_product(parse_group("Z2"), parse_group("Z3"))
     assert g.orders == (2, 3)

@@ -25,7 +25,7 @@ from wehrl import limits
 from wehrl.verify import fd_tangent_gradient, suite_pairs
 from phase_oracle import index, point_add, point_neg
 from stabiliser_frames import chirp_frames
-from walk_oracle import newton_step, newton_walk
+from walk_oracle import gradient_walk, newton_step, newton_walk
 
 
 def vacuum_frame(spec, *gen_coords):
@@ -296,6 +296,47 @@ def test_coset_walk_matches_transform_walk(seed):
         assert np.abs(entropies - [w[1] for w in walks]).max() <= 1e-12
 
 
+# an independent route for the gradient walk: on random fiducials, where
+# steps halve, each restart ends where the one-row walk of
+# tests/walk_oracle.py ends, after the same halvings; also where max_iters
+# binds, where tol_grad certifies, and with the first step patched below
+# MIN_STEP and above the full step, so that every test the stacked walk
+# skips while it cannot fire is checked
+@pytest.mark.parametrize("first_step", [None, 1e-15, 2.0])
+@pytest.mark.parametrize("max_iters, tol_grad", [(300, 1e-8), (4, 1e-8), (300, 1e-3)])
+def test_gradient_walk_matches_one_row_walk(first_step, max_iters, tol_grad, monkeypatch):
+    minimize_module = sys.modules["wehrl.minimize"]
+    if first_step is not None:
+        monkeypatch.setattr(minimize_module, "FIRST_STEP", first_step)
+    config = MinimizerConfig(max_iters=max_iters, tol_grad=tol_grad)
+    iterations, converged, halvings = [], [], []
+    for spec in ("Z2xZ2", "Z3", "Z6", "Z8"):
+        group = parse_group(spec)
+        rng = np.random.default_rng(6)
+        frame = CoherentFrame(group, random_state_vector(group.order, rng))
+        objective = minimize_module._objective(frame)
+        assert objective.basis is None
+        starts = np.stack([random_state_vector(group.order, rng) for _ in range(6)])
+        _, entropies, *counts, _ = minimize_module._descend_rows(objective, starts, config)
+        walks = [gradient_walk(frame, start, config) for start in starts]
+        for got, want in zip(counts, (iterations, converged, halvings)):
+            want.extend(got)
+        assert np.array_equal(iterations[-6:], [w[2] for w in walks])
+        assert np.array_equal(converged[-6:], [w[3] for w in walks])
+        assert np.array_equal(halvings[-6:], [w[4] for w in walks])
+        assert np.abs(entropies - [w[1] for w in walks]).max() <= 1e-12
+    if first_step == 1e-15:  # every row stops at its start
+        assert not any(iterations) and not any(converged) and not any(halvings)
+        return
+    assert any(halvings)
+    if max_iters == 4:
+        assert all(i == 4 for i in iterations) and not any(converged)
+    elif tol_grad == 1e-3:
+        assert all(converged)
+    elif first_step is None:  # some rows certified, others ended on their plateau
+        assert any(converged) and not all(converged)
+
+
 # random fiducials are not vacuum vectors, so minimize and descend walk on
 # the transform pair; each restart must still end where descend ends alone
 @pytest.mark.parametrize("spec", ["Z4", "Z6", "Z3xZ3"])
@@ -530,6 +571,39 @@ def test_minimize_reaches_below_a_perturbed_vacuum_fiducial():
         assert frame.stabiliser.order == 1
         result = minimize(frame, MinimizerConfig(seed=0))
         assert result.best_entropy <= pure_state_entropy(frame, frame.fiducial)
+
+
+# minimize draws its starts in one draw: the same bits as one
+# random_state_vector per restart
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 9, 64, 128])
+def test_stacked_starts_equal_random_state_vectors(d):
+    minimize_module = sys.modules["wehrl.minimize"]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        want = np.stack([random_state_vector(d, rng) for _ in range(16)])
+        got = minimize_module._random_starts(np.random.default_rng(seed), 16, d)
+        assert got.tobytes() == want.tobytes()
+
+
+# on a vacuum frame the walk runs in coset coordinates: one minimize call
+# analyses only its best state, once, for both its nearest point and its
+# S^W, and draws all its starts in one draw
+def test_minimize_analyses_the_best_state_once(monkeypatch):
+    frame = vacuum_frame("Z4", (2,))
+    calls = {"pure_amplitudes": 0, "random_state_vector": 0}
+    for name in calls:
+        exact = getattr(sys.modules["wehrl"], name)
+
+        def spy(*args, _exact=exact, _name=name, **kwargs):
+            calls[_name] += 1
+            return _exact(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "wehrl" and getattr(module, name, None) is exact:
+                monkeypatch.setattr(module, name, spy)
+    result = minimize(frame)
+    assert calls == {"pure_amplitudes": 1, "random_state_vector": 0}
+    assert result.best_entropy <= 1e-6
 
 
 def test_nearest_coherent_exact_point():

@@ -1,5 +1,5 @@
-"""The Newton walk of Lagrangian (stabiliser) frames in psi: the oracle for
-`minimize._descend_rows`.
+"""The Newton walk of Lagrangian (stabiliser) frames in psi, and the gradient
+walk of any other frame: the oracles for `minimize._descend_rows`.
 
 The library walks in the coordinates x = V^H psi of the orthonormal coset
 basis V. Here no coset basis is built: every quantity is read off the
@@ -8,15 +8,17 @@ basis V. Here no coset basis is built: every quantity is read off the
 stabiliser S, whose points are one ray v_a up to phase, so
 sum_{z in a} w |z><z| = vol |v_a><v_a| with vol = w |S|. Synthesising
 (w / vol) f(Q_z) c_z therefore gives sum_a f(q_a) x_a v_a: per-point
-weights reproduce the diagonal step. One row at a time, with plain
-control flow.
+weights reproduce the diagonal step. Both walks take one row at a time,
+with plain control flow, and read FIRST_STEP when called.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from wehrl import pure_amplitudes, pure_state_entropy
+from wehrl import entropy_gradient, pure_amplitudes, pure_state_entropy
 from wehrl.frames import _synthesis
 from wehrl.minimize import CURVATURE_FLOOR, MIN_STEP, PLATEAU_STEPS
 
@@ -47,18 +49,36 @@ def newton_step(frame, psi, entropy):
 
 def newton_walk(frame, start, config):
     """(state, entropy, iterations, converged, halvings) of descend on a Lagrangian frame."""
-    psi = start / np.linalg.norm(start)
+    return _walk(frame, start, config, lambda psi, entropy: newton_step(frame, psi, entropy))
+
+
+def gradient_walk(frame, start, config):
+    """(state, entropy, iterations, converged, halvings) of descend on any other frame.
+
+    The direction is the tangent gradient, and no decrement certifies a basin.
+    """
+    def gradient_step(psi, entropy):
+        gradient = entropy_gradient(frame, psi)
+        return gradient, gradient, np.inf
+
+    return _walk(frame, start, config, gradient_step)
+
+
+def _walk(frame, start, config, step_at):
+    """descend's rules on one start; step_at(psi, entropy) gives (direction, gradient, decrement)."""
+    psi = start / _norm(start)
     entropy = pure_state_entropy(frame, psi)
-    step, plateau, iterations, halvings = 1.0, 0, 0, 0
+    step = sys.modules["wehrl.minimize"].FIRST_STEP  # read when called, as descend reads it
+    plateau, iterations, halvings = 0, 0, 0
     while iterations < config.max_iters:
-        direction, gradient, decrement = newton_step(frame, psi, entropy)
-        if np.linalg.norm(gradient) <= config.tol_grad or decrement < config.tol_entropy:
+        direction, gradient, decrement = step_at(psi, entropy)
+        if _norm(gradient) <= config.tol_grad or decrement < config.tol_entropy:
             return psi, entropy, iterations, True, halvings
         if step <= MIN_STEP:
             break
         while True:
             trial = psi - step * direction
-            trial /= np.linalg.norm(trial)
+            trial /= _norm(trial)
             trial_entropy = pure_state_entropy(frame, trial)
             if trial_entropy < entropy:
                 break
@@ -72,3 +92,8 @@ def newton_walk(frame, start, config):
         if plateau >= PLATEAU_STEPS:
             break
     return psi, entropy, iterations, False, halvings
+
+
+def _norm(v):
+    """The norm of v, summed as the library sums it, so that near ties decide alike."""
+    return np.sqrt(np.sum((v.conj() * v).real))
