@@ -309,7 +309,7 @@ def test_gradient_walk_matches_one_row_walk(first_step, max_iters, tol_grad, mon
     if first_step is not None:
         monkeypatch.setattr(minimize_module, "FIRST_STEP", first_step)
     config = MinimizerConfig(max_iters=max_iters, tol_grad=tol_grad)
-    iterations, converged, halvings = [], [], []
+    runs = []
     for spec in ("Z2xZ2", "Z3", "Z6", "Z8"):
         group = parse_group(spec)
         rng = np.random.default_rng(6)
@@ -317,24 +317,25 @@ def test_gradient_walk_matches_one_row_walk(first_step, max_iters, tol_grad, mon
         objective = minimize_module._objective(frame)
         assert objective.basis is None
         starts = np.stack([random_state_vector(group.order, rng) for _ in range(6)])
-        _, entropies, *counts, _ = minimize_module._descend_rows(objective, starts, config)
+        _, entropies, iterations, converged, halvings, _ = minimize_module._descend_rows(
+            objective, starts, config)
         walks = [gradient_walk(frame, start, config) for start in starts]
-        for got, want in zip(counts, (iterations, converged, halvings)):
-            want.extend(got)
-        assert np.array_equal(iterations[-6:], [w[2] for w in walks])
-        assert np.array_equal(converged[-6:], [w[3] for w in walks])
-        assert np.array_equal(halvings[-6:], [w[4] for w in walks])
+        assert np.array_equal(iterations, [w[2] for w in walks])
+        assert np.array_equal(converged, [w[3] for w in walks])
+        assert np.array_equal(halvings, [w[4] for w in walks])
         assert np.abs(entropies - [w[1] for w in walks]).max() <= 1e-12
+        runs.append((iterations, converged, halvings))
+    iterations, converged, halvings = (np.concatenate(run) for run in zip(*runs))
     if first_step == 1e-15:  # every row stops at its start
-        assert not any(iterations) and not any(converged) and not any(halvings)
+        assert not iterations.any() and not converged.any() and not halvings.any()
         return
-    assert any(halvings)
+    assert halvings.any()
     if max_iters == 4:
-        assert all(i == 4 for i in iterations) and not any(converged)
+        assert (iterations == 4).all() and not converged.any()
     elif tol_grad == 1e-3:
-        assert all(converged)
+        assert converged.all()
     elif first_step is None:  # some rows certified, others ended on their plateau
-        assert any(converged) and not all(converged)
+        assert converged.any() and not converged.all()
 
 
 # random fiducials are not vacuum vectors, so minimize and descend walk on
