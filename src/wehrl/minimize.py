@@ -391,13 +391,14 @@ def _random_starts(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     """(count, d) stack of `random_state_vector(d, rng)` draws in one draw, the same bits.
 
     Each row is normalised as np.linalg.norm normalises one vector, by
-    re.dot(re) + im.dot(im) on its real and imaginary views: np.vecdot
-    runs that same BLAS dot on each row.
+    re.dot(re) + im.dot(im) on its real and imaginary views: a stacked
+    (1, d) @ (d, 1) product runs that same dot on each row.
     """
     draws = rng.standard_normal((count, 2, d))
     starts = draws[:, 0] + 1j * draws[:, 1]
-    re, im = starts.real, starts.imag
-    return starts / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
+    re, im = starts.real[:, None, :], starts.imag[:, None, :]
+    norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0]
+    return starts / norms
 
 
 def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> MinimizerResult:
