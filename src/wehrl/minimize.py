@@ -426,7 +426,8 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
         np.concatenate(part) for part in zip(*runs)
     )
     index = int(np.argmin(energies))
-    # one analysis of the best state gives its nearest point and its S^W
+    # one analysis of the best state gives its nearest point and, squared in
+    # place as pure_state_entropy squares it, its S^W
     magnitudes = np.abs(pure_amplitudes(frame, states[index]))
     point, overlap = _nearest_point(frame, magnitudes)
     magnitudes *= magnitudes
