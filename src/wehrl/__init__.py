@@ -58,7 +58,6 @@ from .entropy import (
     partial_trace,
     product_frame,
     pure_state_entropy,
-    subadditivity_gap,
     von_neumann_entropy,
     wehrl_entropy,
     wehrl_entropy_coset,
@@ -88,8 +87,7 @@ __all__ = [
     "pure_amplitudes", "resolution_residual", "vacuum_vector",
     "EntropyReport", "HusimiTable", "entropy_report", "husimi", "husimi_coset_spread",
     "husimi_fast", "husimi_marginal", "measurement_channel", "partial_trace", "product_frame",
-    "pure_state_entropy", "subadditivity_gap", "von_neumann_entropy", "wehrl_entropy",
-    "wehrl_entropy_coset",
+    "pure_state_entropy", "von_neumann_entropy", "wehrl_entropy", "wehrl_entropy_coset",
     "MinimizerConfig", "MinimizerResult", "descend", "entropy_gradient", "minimize",
     "nearest_coherent", "scan_fiducials",
     "CheckResult", "run_checks", "standard_suite", "suite_pairs",

@@ -45,7 +45,6 @@ __all__ = [
     "product_frame",
     "partial_trace",
     "husimi_marginal",
-    "subadditivity_gap",
 ]
 
 # below this, Q log Q is taken as 0
@@ -279,25 +278,3 @@ def husimi_marginal(table: HusimiTable, dims: tuple[int, int]) -> np.ndarray:
     v = table.values.reshape(lead + (d1, d2, d1, d2))  # last axes (g1, g2, a1, a2)
     return v.sum(axis=(-3, -1)).reshape(lead + (d1 * d1,)) / d2
 
-
-def subadditivity_gap(frame_a: CoherentFrame, frame_b: CoherentFrame, rho12) -> float:
-    """Exploratory: lhs - rhs of the strengthened subadditivity
-
-        S^W(rho12) >= S^W(rho1) + S^W(rho2) + S(rho12) - S(rho1) - S(rho2).
-
-    Evaluated and reported only, never asserted.
-    """
-    fr12 = product_frame(frame_a, frame_b)
-    dims = (frame_a.group.order, frame_b.group.order)
-    rho12 = check_density_matrix(rho12, dims[0] * dims[1])
-    rho1 = partial_trace(rho12, dims, trace_out=2)
-    rho2 = partial_trace(rho12, dims, trace_out=1)
-    lhs = wehrl_entropy(husimi(fr12, rho12))
-    rhs = (
-        wehrl_entropy(husimi(frame_a, rho1))
-        + wehrl_entropy(husimi(frame_b, rho2))
-        + von_neumann_entropy(rho12)
-        - von_neumann_entropy(rho1)
-        - von_neumann_entropy(rho2)
-    )
-    return lhs - rhs

@@ -100,7 +100,6 @@ class CoherentFrame:
         self.fiducial = fid
         self.subgroup: Subgroup | None = None
         self._matrix: np.ndarray | None = None
-        self._cosets: tuple | None = None
         self._basis: CosetBasis | None = None
 
     @classmethod
@@ -180,9 +179,7 @@ class CoherentFrame:
 
     def cosets(self) -> tuple[PhaseSpaceSubgroup, np.ndarray]:
         """(S, the point index of the lex-least member of each coset of S in F)."""
-        if self._cosets is None:
-            self._cosets = (self.stabiliser, coset_representatives(self.stabiliser))
-        return self._cosets
+        return self.stabiliser, coset_representatives(self.stabiliser)
 
 
 def pure_amplitudes(frame: CoherentFrame, psi) -> np.ndarray:

@@ -47,7 +47,7 @@ from . import limits
 from .entropy import ZERO_LOG_THRESHOLD, _entropy_sum
 from .frames import CoherentFrame, _synthesis, coset_basis, pure_amplitudes
 from .groups import Subgroup
-from .states import random_state_vector
+from .states import _random_state_stack, random_state_vector
 
 __all__ = [
     "MinimizerConfig",
@@ -387,20 +387,6 @@ def descend(
     return states[0], float(energies[0]), int(iterations[0]), bool(converged[0])
 
 
-def _random_starts(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
-    """(count, d) stack of `random_state_vector(d, rng)` draws in one draw, the same bits.
-
-    Each row is normalised as np.linalg.norm normalises one vector, by
-    re.dot(re) + im.dot(im) on its real and imaginary views: a stacked
-    (1, d) @ (d, 1) product runs that same dot on each row.
-    """
-    draws = rng.standard_normal((count, 2, d))
-    starts = draws[:, 0] + 1j * draws[:, 1]
-    re, im = starts.real[:, None, :], starts.imag[:, None, :]
-    norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0]
-    return starts / norms
-
-
 def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> MinimizerResult:
     """Best entropy over `restarts` random unit starts, deterministic in the seed.
 
@@ -416,7 +402,8 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     transform pair.
     """
     config = config or MinimizerConfig()
-    starts = _random_starts(np.random.default_rng(config.seed), config.restarts, frame.group.order)
+    rng = np.random.default_rng(config.seed)
+    starts = _random_state_stack(frame.group.order, config.restarts, rng)
     objective = _objective(frame)
     runs = [
         _descend_rows(objective, starts[part], config)

@@ -121,11 +121,31 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+def _random_state_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, d) stack of `random_state_vector(d, rng)` draws in one draw, the same bits.
+
+    Each row is normalised as np.linalg.norm normalises one vector, by
+    re.dot(re) + im.dot(im) on its real and imaginary views: a stacked
+    (1, d) @ (d, 1) product runs that same dot on each row.
+    """
+    draws = rng.standard_normal((n, 2, d))
+    states = draws[:, 0] + 1j * draws[:, 1]
+    re, im = states.real[:, None, :], states.imag[:, None, :]
+    norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0]
+    return states / norms
+
+
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Ginibre construction A A^dagger / tr."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+    """Ginibre construction A A^dagger / tr: the one-matrix `_random_density_stack`."""
+    return _random_density_stack(dim, 1, rng)[0]
+
+
+def _random_density_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, d, d) Ginibre densities; each takes its real, then its imaginary part's draws."""
+    draws = rng.standard_normal((n, 2, d, d))
+    a = draws[:, 0] + 1j * draws[:, 1]
+    rho = a @ np.conj(np.swapaxes(a, 1, 2))
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
 
 
 def maximally_mixed(dim: int) -> np.ndarray:

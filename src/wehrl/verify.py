@@ -14,9 +14,10 @@ fiducials and, on groups of two or more factors, the product structure.
 a process and reuses them for every subgroup of G. The same entry holds
 the random samples of the frame-level checks: one Ginibre stack of
 max(100, rho_samples) densities, validated once by the `eigvalsh` whose
-eigenvalues are the von Neumann side, and 100 pure states. The samples
-stay in memory for the process: max(100, rho_samples) |G|^2 complex values
-per entry, with at most 16 entries.
+eigenvalues are the von Neumann side, and 100 pure states. Each random
+consumer draws on its own stream (`_STREAM_TAGS`), so a draw added to one
+moves no digit of another. The samples stay in memory for the process:
+max(100, rho_samples) |G|^2 complex values per entry, with at most 16 entries.
 
 Per pair, `run_checks` computes each input that several frame-level
 checks read once and hands it to them: the stack's Husimi values (one
@@ -81,7 +82,10 @@ from .groups import (
     parse_group,
 )
 from .minimize import entropy_gradient
-from .states import _checked_eigvalsh, maximally_mixed, pure_density, random_state_vector
+from .states import (
+    _checked_eigvalsh, _random_density_stack, _random_state_stack, maximally_mixed,
+    pure_density, random_state_vector,
+)
 from .weyl import _apply_points, _matrix_points, cocycle_numerators, verify_ccr
 
 __all__ = [
@@ -120,27 +124,19 @@ def suite_pairs() -> list[tuple[FiniteAbelianGroup, Subgroup]]:
 # shared numeric helpers
 
 
-def _random_density_stack(
-    d: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(n, d, d) Ginibre density matrices in the draw order of one matrix at a time.
-
-    Each matrix takes its real then its imaginary part from the generator,
-    as `random_density_matrix` does, so this is the same stack, to the bit,
-    as n calls of it.
-    """
-    draws = rng.standard_normal((n, 2, d, d))
-    a = draws[:, 0] + 1j * draws[:, 1]
-    rho = a @ np.conj(np.swapaxes(a, 1, 2))
-    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+# the tag of each random consumer of `run_checks`, which draws on its own
+# default_rng([seed, tag]) (`_stream`). A tag is never reused; a new consumer
+# appends one. No tag is 0: [seed, 0] seeds the same stream as seed alone.
+_STREAM_TAGS = {
+    "group-laws": 1, "character-multiplicativity": 2, "cocycle-bilinearity": 3,
+    "weyl-unitarity": 4, "weyl-dense-vs-apply": 5, "resolution-of-identity-random": 6,
+    "density-stack": 7, "pure-state-stack": 8, "gradient-vs-finite-differences": 9,
+}
 
 
-def _random_state_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, d) unit vectors in the draw order of one `random_state_vector` call each."""
-    draws = rng.standard_normal((n, 2, d))
-    states = draws[:, 0] + 1j * draws[:, 1]
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    return states
+def _stream(seed: int, consumer: str) -> np.random.Generator:
+    """The generator of one random consumer of `run_checks`, by its `_STREAM_TAGS` tag."""
+    return np.random.default_rng([seed, _STREAM_TAGS[consumer]])
 
 
 def cocycle_phase_matrix(group: FiniteAbelianGroup, left, right) -> np.ndarray:
@@ -299,7 +295,7 @@ def check_weyl_unitarity(
 def check_weyl_dense_vs_apply(group: FiniteAbelianGroup, rng: np.random.Generator) -> CheckResult:
     """Dense W(z) f (scattered matrices, matmul) against the gathered W(z) f.
 
-    The unit vectors come from one draw, in the order of one
+    The unit vectors come from one draw, the same bits as one
     `random_state_vector` call per sample.
     """
     d = group.order
@@ -594,11 +590,10 @@ def check_product_structure(group: FiniteAbelianGroup, rhos: np.ndarray) -> list
 class _GroupLevel:
     """What `_group_checks` hands every subgroup of G: read-only, shared by every caller.
 
-    `checks` holds the eight group-level checks drawn before the samples,
-    in `run_checks`' order, and `product` the product-structure checks
-    (empty on a cyclic group). `rhos` is the validated Ginibre stack, `eig` its ascending
-    eigenvalues, `psis` the pure states of `check_fast_vs_dense`, and
-    `state` the bit-generator state after all of them.
+    `checks` holds the eight group-level checks in `run_checks`' order, and
+    `product` the product-structure checks (empty on a cyclic group).
+    `rhos` is the validated Ginibre stack, `eig` its ascending eigenvalues
+    and `psis` the pure states of `check_fast_vs_dense`.
     """
 
     checks: tuple[CheckResult, ...]
@@ -606,7 +601,6 @@ class _GroupLevel:
     rhos: np.ndarray
     eig: np.ndarray
     psis: np.ndarray
-    state: dict
 
 
 @functools.lru_cache(maxsize=16)
@@ -615,35 +609,35 @@ def _group_checks(
 ) -> _GroupLevel:
     """The checks of `run_checks` that read G alone, and the samples of the others.
 
-    On `np.random.default_rng(seed)` the eight group-level checks run in
-    `run_checks`' order; then one stack of max(100, rho_samples) Ginibre
-    densities is drawn and validated by one `eigvalsh`, then 100 pure
-    states. On two or more factors the product-structure check reads the
-    stack's first 100. `key` holds every public constant of `limits` and
-    `weyl.CCR_SAMPLES` as read by the caller, so a patched constant makes
-    another entry. Sixteen entries hold every group of the standard suite
-    at one seed.
+    The eight group-level checks run in `run_checks`' order; one stack of
+    max(100, rho_samples) Ginibre densities is validated by one `eigvalsh`,
+    and 100 pure states are drawn. Each draws on its own `_stream`, and
+    `check_ccr` hands seed to `verify_ccr`. On two or more factors the
+    product-structure check reads the stack's first 100. `key` holds every
+    public constant of `limits` and `weyl.CCR_SAMPLES` as read by the caller,
+    so a patched constant makes another entry. Sixteen entries hold every
+    group of the standard suite at one seed.
     """
-    rng = np.random.default_rng(seed)
     checks = (
-        check_group_laws(group, rng),
+        check_group_laws(group, _stream(seed, "group-laws")),
         check_character_values(group),
-        check_character_multiplicativity(group, rng),
-        check_cocycle_bilinearity(group, rng),
+        check_character_multiplicativity(group, _stream(seed, "character-multiplicativity")),
+        check_cocycle_bilinearity(group, _stream(seed, "cocycle-bilinearity")),
         check_ccr(group, seed),
-        check_weyl_unitarity(group, rng),
-        check_weyl_dense_vs_apply(group, rng),
-        check_resolution_random(group, rng),
+        check_weyl_unitarity(group, _stream(seed, "weyl-unitarity")),
+        check_weyl_dense_vs_apply(group, _stream(seed, "weyl-dense-vs-apply")),
+        check_resolution_random(group, _stream(seed, "resolution-of-identity-random")),
     )
     d = group.order
-    rhos, eig = _checked_eigvalsh(_random_density_stack(d, max(100, rho_samples), rng))
-    psis = _random_state_stack(d, 100, rng)
+    stack = _random_density_stack(d, max(100, rho_samples), _stream(seed, "density-stack"))
+    rhos, eig = _checked_eigvalsh(stack)
+    psis = _random_state_stack(d, 100, _stream(seed, "pure-state-stack"))
     for samples in (rhos, eig, psis):
         samples.flags.writeable = False
     product = ()
     if len(group.orders) >= 2:
         product = tuple(check_product_structure(group, rhos[:100]))
-    return _GroupLevel(checks, product, rhos, eig, psis, rng.bit_generator.state)
+    return _GroupLevel(checks, product, rhos, eig, psis)
 
 
 def run_checks(
@@ -664,9 +658,9 @@ def run_checks(
     coset spread, coset formula and channel checks, their first rho_samples
     the Wehrl bound and von Neumann checks. The overlap matrix, the coset
     basis, the points outside K and A(H) = K.dual_part are also computed
-    once for the pair. The gradient check draws from the generator state
-    after the samples. Every result, and the order of the list, is the same
-    whether the memo was warm or cold, to the bit.
+    once for the pair. Each random consumer draws on its own `_stream`.
+    Every result, and the order of the list, is the same whether the memo
+    was warm or cold, to the bit.
 
     Raises, before any check runs, ValueError when rho_samples is below 1,
     GroupMismatchError when H is a subgroup of another group than G, and
@@ -678,11 +672,9 @@ def run_checks(
         raise ValueError(f"rho_samples must be >= 1, got {rho_samples}")
     _require_same_group(group, subgroup.group)
     limits.require_dense("|F|", group.order ** 2)
-    rng = np.random.default_rng(seed)
     key = tuple(getattr(limits, name) for name in limits.__all__ if name.isupper())
     shared = _group_checks(group, seed, rho_samples, key + (weyl.CCR_SAMPLES,))
     laws, unit, multiplicative, bilinear, ccr, unitarity, dense, resolution = shared.checks
-    rng.bit_generator.state = shared.state
     frame = CoherentFrame.vacuum(subgroup)
     K, _ = frame.cosets()  # the one maximal compact subgroup of this pair, H x A(H)
     results = [laws, unit, multiplicative]
@@ -717,6 +709,6 @@ def run_checks(
         check_wehrl_vs_von_neumann(frame, entropies[:rho_samples], shared.eig[:rho_samples])
     )
     results.extend(check_channel(frame, q[:100]))
-    results.append(check_gradient_oracle(frame, rng))
+    results.append(check_gradient_oracle(frame, _stream(seed, "gradient-vs-finite-differences")))
     results.extend(shared.product)
     return results

@@ -686,7 +686,7 @@ PACKAGE_NAMES = {
     "overlap_matrix", "parse_generators", "parse_group", "parse_point", "partial_trace",
     "product_frame", "pure_amplitudes", "pure_density", "pure_state_entropy",
     "random_density_matrix", "random_state_vector", "resolution_residual", "run_checks",
-    "scan_fiducials", "standard_suite", "subadditivity_gap", "subgroup_closure",
+    "scan_fiducials", "standard_suite", "subgroup_closure",
     "suite_pairs", "vacuum_vector", "verify_ccr", "von_neumann_entropy", "wehrl_entropy",
     "wehrl_entropy_coset", "weyl_apply", "weyl_matrix",
 }

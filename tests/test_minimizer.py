@@ -22,6 +22,7 @@ from wehrl import (
     vacuum_vector,
 )
 from wehrl import limits
+from wehrl.states import _random_state_stack
 from wehrl.verify import fd_tangent_gradient, suite_pairs
 from phase_oracle import index, point_add, point_neg
 from stabiliser_frames import chirp_frames
@@ -574,15 +575,14 @@ def test_minimize_reaches_below_a_perturbed_vacuum_fiducial():
         assert result.best_entropy <= pure_state_entropy(frame, frame.fiducial)
 
 
-# minimize draws its starts in one draw: the same bits as one
-# random_state_vector per restart
+# minimize draws its starts in one draw of states._random_state_stack: the
+# same bits as one random_state_vector per restart
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 9, 64, 128])
 def test_stacked_starts_equal_random_state_vectors(d):
-    minimize_module = sys.modules["wehrl.minimize"]
     for seed in range(5):
         rng = np.random.default_rng(seed)
         want = np.stack([random_state_vector(d, rng) for _ in range(16)])
-        got = minimize_module._random_starts(np.random.default_rng(seed), 16, d)
+        got = _random_state_stack(d, 16, np.random.default_rng(seed))
         assert got.tobytes() == want.tobytes()
 
 

@@ -21,7 +21,7 @@ from wehrl import entropy, frames, groups, limits, verify, weyl
 from wehrl.limits import DenseLimitError
 from wehrl.frames import coset_ids, overlap_matrix
 from wehrl.groups import _phase_weights, _unit_roots
-from wehrl.states import random_density_matrix
+from wehrl.states import _random_density_stack, random_density_matrix
 from wehrl.weyl import cocycle_phase
 
 import phase_oracle
@@ -149,6 +149,43 @@ def test_run_checks_from_the_group_memo_equal_a_cold_run(seed, rho_samples):
         assert notes["wehrl-noncoherent-floor"].endswith(f" over {rho_samples} states")
 
 
+def _moved(before, after):
+    """Names of the checks whose results differ, over two runs of every suite pair."""
+    moved = set()
+    for x, y in zip(before, after):
+        assert [r[0] for r in x] == [r[0] for r in y]
+        moved |= {a[0] for a, b in zip(x, y) if a != b}
+    return moved
+
+
+# each random consumer of run_checks draws on its own stream, so a longer
+# density stack moves only the checks that read its rows past the first 100
+def test_more_density_samples_move_only_the_checks_that_read_them():
+    pairs = suite_pairs()
+    at_100 = [_bits(run_checks(g, H, seed=0, rho_samples=100)) for g, H in pairs]
+    at_200 = [_bits(run_checks(g, H, seed=0, rho_samples=200)) for g, H in pairs]
+    assert _moved(at_100, at_200) == {
+        "wehrl-lower-bound", "wehrl-noncoherent-floor", "wehrl-vs-von-neumann"
+    }
+
+
+# with no exhaustive branch, the triple and point checks draw their samples;
+# an added draw moves no other check's digits
+def test_sampled_branches_move_only_the_checks_that_draw_more(monkeypatch):
+    pairs = suite_pairs()
+    exhaustive = [_bits(run_checks(g, H, seed=0, rho_samples=100)) for g, H in pairs]
+    monkeypatch.setattr(verify.limits, "EXHAUSTIVE_POINTS", 0)
+    sampled = [_bits(run_checks(g, H, seed=0, rho_samples=100)) for g, H in pairs]
+    assert _moved(exhaustive, sampled) == {
+        "group-laws", "character-multiplicativity", "weyl-unitarity", "ccr-commutation"
+    }
+
+
+def test_stream_tags_are_distinct_and_nonzero():
+    tags = list(verify._STREAM_TAGS.values())
+    assert len(set(tags)) == len(tags) and 0 not in tags
+
+
 def test_group_level_checks_run_once_per_group_and_seed(monkeypatch):
     calls = []
     exact = verify.check_ccr
@@ -207,11 +244,6 @@ def test_run_suite_refuses_no_density_samples():
     "script, args, message",
     [
         ("run_suite.py", ("--seed", "-1"), "argument --seed: must be >= 0, got -1"),
-        ("subadditivity_probe.py", ("--seed", "-1"), "argument --seed: must be >= 0, got -1"),
-        ("subadditivity_probe.py", ("--samples", "0"), "argument --samples: must be >= 1, got 0"),
-        ("subadditivity_probe.py", ("--factors", "Z0", "Z2"), "cyclic orders must be >= 1, got (0,)"),
-        ("subadditivity_probe.py", ("--factors", "Z32", "Z32"),
-         "|G1 x G2| = 1024 exceeds the dense-matrix limit 256"),
     ],
 )
 def test_scripts_refuse_bad_arguments_with_exit_2(script, args, message, monkeypatch):
@@ -380,7 +412,7 @@ def test_object_routes_agree_with_the_index_arithmetic(group):
 @pytest.mark.parametrize("d", range(1, 17))
 def test_random_density_stack_equals_one_matrix_at_a_time(d):
     stacked_rng, scalar_rng = np.random.default_rng(d), np.random.default_rng(d)
-    stacked = verify._random_density_stack(d, 5, stacked_rng)
+    stacked = _random_density_stack(d, 5, stacked_rng)
     scalar = np.stack([random_density_matrix(d, scalar_rng) for _ in range(5)])
     assert np.array_equal(stacked, scalar)
     assert stacked_rng.random() == scalar_rng.random()
