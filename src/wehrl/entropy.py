@@ -6,9 +6,9 @@ normalisation the compact subgroup K has volume 1, the frame resolves the
 identity with constant 1, and the entropy lower bound for Lagrangian
 (stabiliser) frames is exactly 0, attained precisely on coherent states.
 
-Every route goes through transforms defined elsewhere: the frame's
-analysis `frames.pure_amplitudes` for pure states, and for densities the
-group transform `groups.group_dft` against the frame's ambiguity table.
+Pure states go through the frame's analysis `frames.pure_amplitudes`.
+Densities go through one kernel, `_weyl_multiplier`: `groups.group_dft` of
+their shifted diagonals times the ambiguity table T (Husimi) or |T|^2 (channel).
 
 The density-matrix functions take one state (d, d) or a stack (..., d, d)
 and work along the last axes: one state gives a Python float or a (d, d)
@@ -93,14 +93,16 @@ def husimi(frame: CoherentFrame, rho) -> HusimiTable:
 
         Q[g, a] = Re F_D( F^-1_b( F_h(R)[D, b] T[D, b] )[D, g] ) / |G|,
 
-    where F is `group_dft` and F^-1 its adjoint (inverse=True). Three
-    transforms of a (|G|, |G|) array per state; no (|F|, |G|) state matrix.
+    where F is `group_dft` and F^-1 its adjoint (inverse=True): the kernel
+    `_weyl_multiplier` with m = T, then one more transform of a (|G|, |G|)
+    array per state; no (|F|, |G|) state matrix.
     """
     rho = check_density_matrix(rho, frame.group.order)
     return HusimiTable(frame, _husimi_values(frame, rho))
 
 
-@lru_cache(maxsize=8)
+# 16 groups, as `groups.difference_index_table`: the 53-pair check suite spans 10
+@lru_cache(maxsize=16)
 def _diagonal_index(group: FiniteAbelianGroup) -> np.ndarray:
     """(|G|, |G|) flat indices of rho[h + D, h] at [D, h], through `_index_sum`."""
     every = np.arange(group.order)
@@ -109,17 +111,25 @@ def _diagonal_index(group: FiniteAbelianGroup) -> np.ndarray:
     return flat
 
 
+def _weyl_multiplier(group: FiniteAbelianGroup, rho: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """F^-1_b( F_h(R)[D, b] m[D, b] )[..., D, g] of validated rho, R[D, h] = rho[h + D, h].
+
+    The one kernel of the density routes: m = T for `husimi`, |T|^2 for the channel.
+    """
+    d = group.order
+    diagonals = np.take(rho.reshape(rho.shape[:-2] + (d * d,)), _diagonal_index(group), axis=-1)
+    spectrum = group_dft(group, diagonals)
+    spectrum *= m
+    return group_dft(group, spectrum, inverse=True)
+
+
 def _husimi_values(frame: CoherentFrame, rho: np.ndarray) -> np.ndarray:
     """(..., |F|) Husimi values of validated densities; see `husimi`."""
     group = frame.group
     d = group.order
-    lead = rho.shape[:-2]
-    diagonals = np.take(rho.reshape(lead + (d * d,)), _diagonal_index(group), axis=-1)
-    spectrum = group_dft(group, diagonals)
-    spectrum *= frame.ambiguity_table
-    by_shift = group_dft(group, spectrum, inverse=True)  # [..., D, g]
+    by_shift = _weyl_multiplier(group, rho, frame.ambiguity_table)  # [..., D, g]
     q = group_dft(group, np.swapaxes(by_shift, -1, -2))  # [..., g, a]
-    return (q.real / d).reshape(lead + (d * d,))
+    return (q.real / d).reshape(rho.shape[:-2] + (d * d,))
 
 
 def husimi_fast(frame: CoherentFrame, psi) -> HusimiTable:
@@ -220,34 +230,29 @@ def entropy_report(frame: CoherentFrame, rho, log_base: str = "e") -> EntropyRep
 def measurement_channel(frame: CoherentFrame, rho) -> np.ndarray:
     """Phi[rho] = sum_z w Q(z) |z><z|; trace preserving, entropy non-decreasing.
 
-    Validates rho, takes its Husimi values Q as `husimi` does, and maps them
-    back by `_channel_values`, with T the frame's ambiguity table:
+    The channel is Weyl covariant, so it multiplies the ambiguity function
+    of rho by |<phi|W(z) phi>|^2 = |T|^2 (Werner 1984). With R[D, h] =
+    rho[h + D, h] as in `husimi`:
 
-        C[g, D] = w F^-1_a(Q[g, :])[D],
-        E[D, :] = F^-1( F(C[:, D]) conj(T[D, :]) ) / |G|,
-        Phi[rho][h + D, h] = E[D, h],
+        Phi[rho][h + D, h] = w F^-1_b( F_h(R)[D, b] |T[D, b]|^2 )[D, h],
 
-    then made exactly Hermitian. No (|F|, |G|) state matrix is built.
+    then made exactly Hermitian: two transforms per state, no Husimi table
+    and no (|F|, |G|) state matrix.
     """
     rho = check_density_matrix(rho, frame.group.order)
-    return _channel_values(frame, _husimi_values(frame, rho))
+    return _channel(frame, rho)
 
 
-def _channel_values(frame: CoherentFrame, q: np.ndarray) -> np.ndarray:
-    """Phi[rho] from the (..., |F|) Husimi values q of densities; see `measurement_channel`.
-
-    The one channel kernel, shared with the check battery's channel checks.
-    """
+def _channel(frame: CoherentFrame, rho: np.ndarray) -> np.ndarray:
+    """Phi[rho] of validated densities (`measurement_channel`); the channel checks call it too."""
     group = frame.group
     d = group.order
-    lead = q.shape[:-1]
-    by_shift = group_dft(group, q.reshape(lead + (d, d)), inverse=True)  # [..., g, D]
-    spectrum = group_dft(group, np.swapaxes(by_shift, -1, -2))  # [..., D, b]
-    spectrum *= frame.ambiguity_table.conj()
-    diagonals = group_dft(group, spectrum, inverse=True)  # [..., D, h]
-    diagonals *= frame.haar_weight / d
-    out = np.empty(lead + (d, d), dtype=np.complex128)
-    out.reshape(lead + (d * d,))[..., _diagonal_index(group)] = diagonals
+    power = np.abs(frame.ambiguity_table)
+    power *= power
+    diagonals = _weyl_multiplier(group, rho, power)  # [..., D, h]
+    diagonals *= frame.haar_weight
+    out = np.empty(rho.shape, dtype=np.complex128)
+    out.reshape(rho.shape[:-2] + (d * d,))[..., _diagonal_index(group)] = diagonals
     return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 

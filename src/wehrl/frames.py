@@ -140,8 +140,9 @@ class CoherentFrame:
         """(|G|, |G|) table T[D, b] = sum_h chi_b(h) conj(phi(h + D)) phi(h), computed once.
 
         T[D, b] = <W(-D, -b) phi|phi>: the fiducial's ambiguity function
-        `pure_amplitudes(frame, phi)` at the negated point, the kernel of
-        `husimi` and `measurement_channel`. T[0, 0] = <phi|phi>.
+        `pure_amplitudes(frame, phi)` at the negated point. It is the
+        multiplier of `husimi`, and |T|^2 that of `measurement_channel`.
+        T[0, 0] = <phi|phi>.
         """
         d = self.group.order
         negation = difference_index_table(self.group)[:, 0]  # index of 0 - g

@@ -84,8 +84,16 @@ def _from_pairs(entries) -> np.ndarray:
         raise ValueError("entries must be [re, im] pairs of numbers") from None
 
 
+def _json_loads(text: str):
+    """`json.loads`, with nesting too deep for the parser's recursion a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("state JSON is nested too deeply") from None
+
+
 def state_vector_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
+    data = _json_loads(text)
     if not isinstance(data, list):
         raise ValueError("state vector JSON must be a list of [re, im] pairs")
     return _from_pairs(data)
@@ -124,7 +132,7 @@ def density_matrix_to_json(rho: np.ndarray) -> str:
 
 
 def density_matrix_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
+    data = _json_loads(text)
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise ValueError("density matrix JSON must have 'dim' and 'entries'")
     flat = _from_pairs(data["entries"])

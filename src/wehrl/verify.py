@@ -23,8 +23,8 @@ Per pair, `run_checks` computes each input that several frame-level
 checks read once and hands it to them: the stack's Husimi values (one
 max(100, rho_samples) x |F| float table, freed with the pair) and their
 Wehrl entropies, the overlap matrix, the coset basis, the points outside
-K and A(H), read off K. Each check still runs its own second route on
-them. The `check_*` functions keep no cache.
+K and A(H), read off K; the channel checks read the densities. Each check
+still runs its own second route. The `check_*` functions keep no cache.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from . import limits, weyl
 from .entropy import (
     HusimiTable,
-    _channel_values,
+    _channel,
     _coset_entropy,
     _entropy_sum,
     _husimi_values,
@@ -488,18 +488,18 @@ def check_wehrl_vs_von_neumann(
     return out
 
 
-def check_channel(frame: CoherentFrame, q: np.ndarray) -> list[CheckResult]:
-    """Trace kept on densities of Husimi values q; the flat state and coherent projectors fixed."""
+def check_channel(frame: CoherentFrame, rhos: np.ndarray) -> list[CheckResult]:
+    """Trace kept on validated densities rhos; the flat state and coherent projectors fixed."""
     d = frame.group.order
-    out = _channel_values(frame, q)
+    out = _channel(frame, rhos)
     worst_trace = np.abs(np.trace(out, axis1=-2, axis2=-1).real - 1.0).max()
     flat = maximally_mixed(d)
-    flat_res = float(np.abs(_channel_values(frame, _husimi_values(frame, flat)) - flat).max())
+    flat_res = float(np.abs(_channel(frame, flat) - flat).max())
     _, reps = frame.cosets()
     projs = np.stack([pure_density(frame.state(rep)) for rep in reps[:3]])
-    worst_coherent = np.abs(_channel_values(frame, _husimi_values(frame, projs)) - projs).max()
+    worst_coherent = np.abs(_channel(frame, projs) - projs).max()
     return [
-        _result("channel-trace", worst_trace, 1e-10, f"{len(q)} random rho"),
+        _result("channel-trace", worst_trace, 1e-10, f"{len(rhos)} random rho"),
         _result("channel-flat-fixed-point", flat_res, 1e-12),
         _result("channel-coherent-fixed-point", worst_coherent, 1e-11),
     ]
@@ -650,17 +650,17 @@ def run_checks(
     """The full invariant suite for one (G, H); deterministic in the seed.
 
     The nine checks that read G alone, and the random samples of the
-    frame-level checks, come from `_group_checks`, so they are computed
-    once per (group, seed, rho_samples, limits) in a process, whatever the
+    frame-level checks, come from `_group_checks`, so they are computed once
+    per (group, seed, rho_samples, limits) in a process, whatever the
     subgroup. One validated stack of max(100, rho_samples) densities feeds
-    every density check through one table of its Husimi values and one
-    vector of their entropies: their first 100 the Husimi mass and range,
-    coset spread, coset formula and channel checks, their first rho_samples
-    the Wehrl bound and von Neumann checks. The overlap matrix, the coset
-    basis, the points outside K and A(H) = K.dual_part are also computed
-    once for the pair. Each random consumer draws on its own `_stream`.
-    Every result, and the order of the list, is the same whether the memo
-    was warm or cold, to the bit.
+    the density checks through one table of its Husimi values and one vector
+    of their entropies: their first 100 the Husimi mass and range, coset
+    spread and coset formula checks, their first rho_samples the Wehrl bound
+    and von Neumann checks; the channel checks read its first 100 densities.
+    The overlap matrix, the coset basis, the points outside K and
+    A(H) = K.dual_part are also computed once for the pair. Each random
+    consumer draws on its own `_stream`. Every result, and the order of the
+    list, is the same whether the memo was warm or cold, to the bit.
 
     Raises, before any check runs, ValueError when rho_samples is below 1,
     GroupMismatchError when H is a subgroup of another group than G, and
@@ -708,7 +708,7 @@ def run_checks(
     results.extend(
         check_wehrl_vs_von_neumann(frame, entropies[:rho_samples], shared.eig[:rho_samples])
     )
-    results.extend(check_channel(frame, q[:100]))
+    results.extend(check_channel(frame, shared.rhos[:100]))
     results.append(check_gradient_oracle(frame, _stream(seed, "gradient-vs-finite-differences")))
     results.extend(shared.product)
     return results

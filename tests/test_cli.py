@@ -468,6 +468,60 @@ def test_malformed_state_csv_or_dim_exits_2(capsys, tmp_path, content, message):
     assert len(err) < 100
 
 
+# nesting past the JSON parser's recursion limit is an input error, and the
+# message does not echo the file
+@pytest.mark.parametrize(
+    "content",
+    ["[" * 5000 + "]" * 5000, '{"dim": 1, "entries": ' + "[" * 5000 + "]" * 5000 + "}"],
+    ids=["deep-vector", "deep-density"],
+)
+def test_deeply_nested_state_file_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "deep.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "entropy", "--group", "Z1", "--state", str(path))
+    assert (code, out, err) == (2, "", "error: state JSON is nested too deeply\n")
+
+
+# JSON of any shape, numbers no float holds among them, and rows of text
+_FUZZ_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(10**400), 10**400),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.fixed_dictionaries({"dim": children, "entries": children}),
+        st.dictionaries(st.sampled_from(["dim", "entries", "x"]), children, max_size=3),
+    ),
+    max_leaves=20,
+)
+_FUZZ_ROWS = st.lists(
+    st.lists(st.text(alphabet="0123456789.-+eE naif", max_size=6), max_size=4).map(",".join),
+    max_size=6,
+).map(lambda rows: "index,re,im\n" + "\n".join(rows))
+_FUZZ_FILES = st.one_of(_FUZZ_JSON.map(json.dumps), _FUZZ_ROWS, st.text(max_size=30))
+
+
+# every state file is read or refused with a message (exit 2), never a crash
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(("entropy", "husimi", "channel")),
+    group=st.sampled_from(("Z1", "Z2", "Z4")),
+    content=_FUZZ_FILES,
+)
+def test_fuzzed_state_files_exit_0_or_2(capsys, tmp_path, command, group, content):
+    path = tmp_path / "state.txt"
+    path.write_text(content)
+    code, _, err = run_cli(capsys, command, "--group", group, "--state", str(path))
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error:")
+
+
 _BAD_DENSITIES = {
     "non-hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
     "non-psd": np.array([[1.5, 0.0], [0.0, -0.5]]),

@@ -27,8 +27,9 @@ from wehrl import (
     von_neumann_entropy,
     wehrl_entropy,
     wehrl_entropy_coset,
+    weyl_matrix,
 )
-from wehrl import limits
+from wehrl import entropy, groups, limits
 from wehrl.verify import suite_pairs
 from density_oracle import channel_by_state_matrix, husimi_by_state_matrix, state_matrix
 from phase_oracle import index, point_add, point_neg
@@ -489,6 +490,71 @@ def test_channel_never_decreases_von_neumann(rng):
         assert von_neumann_entropy(measurement_channel(frame, rho)) >= (
             von_neumann_entropy(rho) - 1e-10
         )
+
+
+def _kernel_frames():
+    """(id, frame): every vacuum frame of nine small groups, and three random
+    fiducials per group."""
+    cases = []
+    for i, spec in enumerate(("Z2", "Z3", "Z4", "Z6", "Z2xZ2", "Z3xZ3", "Z4xZ2", "Z2xZ2xZ2", "Z9")):
+        g = parse_group(spec)
+        cases += [(f"{g}|{H}", CoherentFrame.vacuum(H)) for H in all_subgroups(g)]
+        for j in range(3):
+            fiducial = random_state_vector(g.order, np.random.default_rng([23, i, j]))
+            cases.append((f"{spec}|random{j}", CoherentFrame(g, fiducial)))
+    return cases
+
+
+KERNEL_FRAMES = _kernel_frames()
+
+
+# the channel is Weyl covariant: it multiplies the characteristic function
+# tr(W(z)^dagger rho) by |<phi|W(z) phi>|^2, here with dense W(z) as the
+# independent route
+@pytest.mark.parametrize("name, frame", KERNEL_FRAMES, ids=[name for name, _ in KERNEL_FRAMES])
+def test_channel_multiplies_the_characteristic_function(name, frame, rng):
+    g = frame.group
+    d = g.order
+    weyls = np.stack([weyl_matrix(g, z) for z in range(d * d)])
+    ambiguity = np.einsum("h,zhk,k->z", frame.fiducial.conj(), weyls, frame.fiducial)
+    rhos = np.stack([random_density_matrix(d, rng), pure_density(random_state_vector(d, rng))])
+    out = measurement_channel(frame, rhos)
+    before = np.einsum("zkh,nkh->nz", weyls.conj(), rhos)  # tr(W(z)^dagger rho)
+    after = np.einsum("zkh,nkh->nz", weyls.conj(), out)
+    assert np.abs(after - np.abs(ambiguity) ** 2 * before).max() <= 1e-13
+
+
+# on a Lagrangian frame |<phi|W(z) phi>|^2 is the indicator of the stabiliser,
+# so the channel is a projection; on a random fiducial it is not
+@pytest.mark.parametrize("name, frame", KERNEL_FRAMES, ids=[name for name, _ in KERNEL_FRAMES])
+def test_channel_is_idempotent_exactly_on_lagrangian_frames(name, frame, rng):
+    rhos = np.stack([random_density_matrix(frame.group.order, rng) for _ in range(3)])
+    once = measurement_channel(frame, rhos)
+    defect = np.abs(measurement_channel(frame, once) - once).max()
+    if frame.lagrangian:
+        assert defect <= 1e-13
+    else:
+        assert defect > 1e-6
+
+
+# the per-group transform caches hold every group of the minimize workload
+# (the 10 suite groups and four of order 64): a second pass misses none
+def test_transform_caches_hold_the_minimize_workload_groups():
+    specs = ("Z2", "Z3", "Z4", "Z6", "Z8", "Z2xZ2", "Z4xZ2", "Z3xZ3", "Z9", "Z2xZ2xZ2",
+             "Z64", "Z8xZ8", "Z4xZ4xZ4", "Z2xZ2xZ2xZ2xZ2xZ2")
+    cached = (groups.difference_index_table, groups._dft_matrix, entropy._diagonal_index)
+
+    def one_pass():
+        for spec in specs:
+            g = parse_group(spec)
+            groups.difference_index_table(g)
+            entropy._diagonal_index(g)
+            x = np.zeros(g.order, dtype=np.complex128)
+            group_dft(g, group_dft(g, x), inverse=True)
+        return [f.cache_info().misses for f in cached]
+
+    warm = one_pass()
+    assert one_pass() == warm
 
 
 # ---------------------------------------------------------------------------
