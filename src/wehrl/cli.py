@@ -181,6 +181,7 @@ def _trace_restarts(result) -> None:
             # null where the entropy is 0: the margin is unbounded
             "gate_margin_log10": float(np.log10(_ENTROPY_GATE / entropy)) if entropy > 0 else None,
             "grad_norm": float(result.restart_grad_norms[i]),
+            "overlap": float(result.restart_overlaps[i]),
             "converged": bool(result.restart_converged[i]),
         }
         print(json.dumps(line, sort_keys=True), file=sys.stderr)

@@ -481,25 +481,51 @@ def _unseparated(subgroup: Subgroup, ann: DualSubgroup) -> np.ndarray:
 def _coset_partition(K: PhaseSpaceSubgroup) -> tuple[np.ndarray, np.ndarray]:
     """(representatives, ids): the cosets of K in F as point indices.
 
-    One (|F|, |K|) table holds the index of z + u for every point z and
-    every u in K; it is built in row blocks sized by the block budget from
-    the index sums g + g_u and chi + chi_u. The least index in row z is
-    the lex-least member of the coset z + K, which represents it.
-    `representatives` lists those indices in ascending (lex) order, and
-    ids[z] is the rank of row z's representative among them.
+    The least index in the coset z + K is its lex-least member, which
+    represents it. `representatives` lists those indices in ascending (lex)
+    order, and ids[z] is the rank of z's representative among them. Where
+    K = H x A(H) is known as a product (`maximal_compact`), so is each
+    coset, (g + H) x (chi + A(H)), and its least point is
+    least(g + H) * |G| + least(chi + A(H)) (`_product_partition`).
+    Otherwise one (|F|, |K|) table holds the index of z + u for every point
+    z and every u in K; it is built in row blocks sized by the block budget
+    from the index sums g + g_u and chi + chi_u, and row z's least entry
+    represents z + K.
+    """
+    group = K.group
+    d = group.order
+    if K.subgroup is not None and K.dual_part is not None:
+        representatives, ids = _product_partition(K)
+    else:
+        every = np.arange(d)[:, None]
+        g_sum = _index_sum(group, every, K.indices // d)  # (d, |K|)
+        chi_sum = _index_sum(group, every, K.indices % d)
+        least = np.concatenate([
+            (g_sum[part, None, :] * d + chi_sum[None]).min(axis=-1).reshape(-1)
+            for part in limits.blocks(d, 8 * d * K.order)
+        ])
+        representatives, ids = np.unique(least, return_inverse=True)
+    if len(representatives) * K.order != d * d:
+        raise RuntimeError("cosets of K do not partition phase space")
+    return representatives, ids
+
+
+def _product_partition(K: PhaseSpaceSubgroup) -> tuple[np.ndarray, np.ndarray]:
+    """`_coset_partition` of K = H x A(H), from the cosets of H and of A(H).
+
+    The representatives g0 * |G| + chi0 of the product come out ascending,
+    since both factors' do and chi0 < |G|; the rank of (g0, chi0) is
+    rank(g0) * (number of chi0) + rank(chi0).
     """
     group = K.group
     d = group.order
     every = np.arange(d)[:, None]
-    g_sum = _index_sum(group, every, K.indices // d)  # (d, |K|)
-    chi_sum = _index_sum(group, every, K.indices % d)
-    least = np.concatenate([
-        (g_sum[part, None, :] * d + chi_sum[None]).min(axis=-1).reshape(-1)
-        for part in limits.blocks(d, 8 * d * K.order)
-    ])
-    representatives, ids = np.unique(least, return_inverse=True)
-    if len(representatives) * K.order != d * d:
-        raise RuntimeError("cosets of K do not partition phase space")
+    g_least, g_ids = np.unique(
+        _index_sum(group, every, K.subgroup.indices).min(axis=-1), return_inverse=True)
+    chi_least, chi_ids = np.unique(
+        _index_sum(group, every, K.dual_part.indices).min(axis=-1), return_inverse=True)
+    representatives = (g_least[:, None] * d + chi_least).reshape(-1)
+    ids = (g_ids[:, None] * len(chi_least) + chi_ids).reshape(-1)
     return representatives, ids
 
 

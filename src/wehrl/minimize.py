@@ -15,15 +15,22 @@ from the frame alone once per `minimize` or `descend` call:
   points of a coset of the stabiliser S are one ray up to phase, so
   S^W(psi) = -sum_a q_a log q_a with q_a = |x_a|^2, x = V^H psi the
   coordinates of psi in the orthonormal coset basis V of `coset_basis`,
-  built once per frame (the coset volume |S|/|G| is 1). The walk runs in
-  x: the starts are mapped in once and the results back once, and no step
-  does a basis product. V is unitary, so the sphere, the retraction and
-  every rule of `descend` read the same in x as in psi. The tangent
-  gradient is g_a = -(log q_a + S^W) x_a, and the Hessian of the
-  Lagrangian is diagonal in |x_a|: halved, it is
-  h_a = -(log q_a + 2 + S^W). The walk takes the safeguarded Newton step
-  delta_a = g_a / max(h_a, CURVATURE_FLOOR), whose full step multiplies
-  each minor coordinate of a near-coherent state by 2 / (log q_a + 2);
+  built once per frame (the coset volume |S|/|G| is 1). The step only
+  rescales coordinates, so the walk runs on the real magnitudes m = |x|:
+  the starts are mapped in once, their phases fixed there, and the
+  results mapped back once with those phases, and no step does a basis
+  product. V is unitary, so the sphere, the retraction and every rule of
+  `descend` read the same in m as in psi. The walk steps along the
+  escort direction d_a = m_a (1 - m_a / max_b m_b) of entropic mirror
+  descent (exponentiated gradient; Beck and Teboulle, Oper. Res. Lett. 31
+  (2003) 167): its full step, after the retraction, is the escort map
+  q -> q^2 / sum q^2, which squares every minor/major ratio and lowers
+  S^W at every point not uniform on its support (the escort family
+  q^b / sum q^b has entropy derivative -b Var_b(log q) <= 0 in b). It
+  never reorders the coordinates, so a walk ends on the coset of its
+  start's largest one. The certificate reads the tangent gradient
+  g_a = -(log q_a + S^W) m_a and the Newton decrement of the diagonal
+  Hessian of the Lagrangian, h_a = -(log q_a + 2 + S^W) halved;
 - the transform pair (`pure_state_entropy`, `entropy_gradient`), for any
   other fiducial: all |G|^2 amplitudes, in psi, with a gradient step. The
   amplitudes come from the frame's analysis `frames.pure_amplitudes` and
@@ -70,9 +77,10 @@ PLATEAU_STEPS = 20
 # the entropy halves the step, and no step above MIN_STEP ends the walk
 FIRST_STEP = 1.0
 MIN_STEP = 1e-14
-# the Newton walk's least curvature: coordinates where the Lagrangian is
-# flatter or concave (the major coordinate, or any coordinate away from a
-# coherent state) take a scaled gradient step g_a / 3
+# the certificate's least curvature: a coset walk's Newton decrement counts
+# only where every minor coordinate (q_a < 1/2) has a halved curvature
+# above it, i.e. in the basin of one coherent state; there the decrement
+# sums |g_a|^2 / h_a, elsewhere it is inf
 CURVATURE_FLOOR = 3.0
 # random fiducials per `scan_fiducials` report
 SCAN_TRIALS = 8
@@ -111,6 +119,7 @@ class MinimizerResult:
     restart_converged: np.ndarray
     restart_halvings: np.ndarray  # rejected trials, each of which halved the step
     restart_grad_norms: np.ndarray  # tangent-gradient norm at each restart's end
+    restart_overlaps: np.ndarray  # largest |<z|psi>| at each restart's end
 
 
 def entropy_gradient(frame: CoherentFrame, psi: np.ndarray) -> np.ndarray:
@@ -153,7 +162,8 @@ def _tangent(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
     """np.linalg.norm(z, axis=-1), the same arithmetic without its dispatch."""
-    return np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1))
+    square = (z.conj() * z).real if z.dtype.kind == "c" else z * z
+    return np.sqrt(np.add.reduce(square, axis=-1))
 
 
 class _Objective(NamedTuple):
@@ -164,15 +174,18 @@ class _Objective(NamedTuple):
     directions the walk steps against, the (R,) tangent-gradient norms and
     the (R,) Newton decrements, inf on a row not shown to be in the basin of
     a local minimum (every row, for a gradient step); it may overwrite the
-    cache. Each row is independent of the others, so a row rounds the same
-    in a stack of any height. The rows are the coordinates x of
-    psi = x @ basis, or psi itself where basis is None. row_bytes counts
-    the largest complex temporary and the cache.
+    cache. overlaps(x) gives each row's largest |<z|psi>|. Each row is
+    independent of the others, so a row rounds the same in a stack of any
+    height. The rows are psi itself where basis is None, and otherwise the
+    real magnitudes m = |x| of the coordinates x of psi = x @ basis, whose
+    phases the walk fixes at its start. row_bytes counts the largest
+    complex temporary and the cache.
     """
 
     energy: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     step: Callable[[np.ndarray, np.ndarray, np.ndarray],
                    tuple[np.ndarray, np.ndarray, np.ndarray]]
+    overlaps: Callable[[np.ndarray], np.ndarray]
     basis: np.ndarray | None
     row_bytes: int
 
@@ -191,47 +204,56 @@ def _transform_objective(frame: CoherentFrame) -> _Objective:
         grad = _amplitude_gradient(frame, psi, c)
         return grad, _row_norms(grad), np.full(len(psi), np.inf)
 
-    return _Objective(energy, step, None, 32 * d * d)
+    def overlaps(psi: np.ndarray) -> np.ndarray:
+        return np.maximum.reduce(np.abs(pure_amplitudes(frame, psi)), axis=-1)
+
+    return _Objective(energy, step, overlaps, None, 32 * d * d)
 
 
 def _coset_objective(frame: CoherentFrame) -> _Objective:
-    """The entropy and its Newton step in coset-basis coordinates.
+    """The entropy and its escort step in the magnitudes m = |x| of the coset coordinates.
 
-    The cache is q = |x|^2 and log q (of the least normal float where q is
-    0). With r_a = -(log q_a + S^W), the tangent gradient is g_a = r_a x_a
-    and the halved curvature h_a = r_a - 2. The step is g_a over h_a
-    floored at CURVATURE_FLOOR, and the decrement sum_a |g_a|^2 / h_a
+    The cache is q = m^2 and log q (of the least normal float where q is
+    0). The step is d_a = m_a (1 - |m_a| / max_b |m_b|), whose full step
+    is m_a |m_a| / max_b |m_b|. With r_a = -(log q_a + S^W), the tangent
+    gradient is g_a = r_a m_a and the halved curvature h_a = r_a - 2; the
+    decrement sum_a |g_a|^2 / h_a, with h_a floored at CURVATURE_FLOOR,
     counts only where every coordinate with q_a < 1/2 has h_a above the
     floor: then the row is in the basin of one coherent state.
     """
     vectors = coset_basis(frame).vectors
     d = frame.group.order
 
-    def energy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cache = np.empty((len(x), 2 * d))
+    def energy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cache = np.empty((len(m), 2 * d))
         q, logs = cache[:, :d], cache[:, d:]
-        np.abs(x, out=q)
-        q *= q
+        np.multiply(m, m, out=q)
         np.maximum(q, _LEAST_Q, out=logs)
         np.log(logs, out=logs)
         # q log q := 0 at and below the threshold, as in entropy._entropy_sum
         terms = np.where(q > ZERO_LOG_THRESHOLD, q * logs, 0.0)
         return -np.add.reduce(terms, axis=-1), cache
 
-    def step(x: np.ndarray, entropies: np.ndarray, cache: np.ndarray):
+    def step(m: np.ndarray, entropies: np.ndarray, cache: np.ndarray):
         q, logs = cache[:, :d], cache[:, d:]
         rate = -logs
         rate -= entropies[:, None]
         curvature = rate - 2.0
         basin = np.logical_and.reduce((curvature > CURVATURE_FLOOR) | (q >= 0.5), axis=-1)
         np.maximum(curvature, CURVATURE_FLOOR, out=curvature)
-        power = rate * rate
-        power *= q  # |g_a|^2
-        decrements = np.where(basin, np.add.reduce(power / curvature, axis=-1), np.inf)
-        rate /= curvature
-        return rate * x, np.sqrt(np.add.reduce(power, axis=-1)), decrements
+        rate *= rate
+        rate *= q  # |g_a|^2
+        decrements = np.where(basin, np.add.reduce(rate / curvature, axis=-1), np.inf)
+        direction = np.abs(m)
+        direction /= np.maximum.reduce(direction, axis=-1)[:, None]
+        np.subtract(1.0, direction, out=direction)
+        direction *= m
+        return direction, np.sqrt(np.add.reduce(rate, axis=-1)), decrements
 
-    return _Objective(energy, step, vectors, 32 * d)
+    def overlaps(m: np.ndarray) -> np.ndarray:
+        return np.maximum.reduce(np.abs(m), axis=-1)
+
+    return _Objective(energy, step, overlaps, vectors, 32 * d)
 
 
 def _objective(frame: CoherentFrame) -> _Objective:
@@ -250,7 +272,7 @@ def _evaluate(objective: _Objective, x: np.ndarray):
 
 def _descend_rows(
     objective: _Objective, starts: np.ndarray, config: MinimizerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """`descend` on each row of an (R, d) stack of starts, all rows at once.
 
     Every row follows descend's rules on its own: its own step size and
@@ -273,13 +295,18 @@ def _descend_rows(
     results are set aside and the arrays compressed.
 
     Returns (states, entropies, iterations, converged, halvings, gradient
-    norms at the end); a row that never moved returns its normalised
-    start bit for bit.
+    norms and overlaps at the end); a row that never moved returns its
+    normalised start bit for bit.
     """
     psi = np.asarray(starts, dtype=np.complex128)
     psi = psi / _row_norms(psi)[:, None]
     basis = objective.basis
-    x = psi if basis is None else (psi[:, None, :] @ np.ascontiguousarray(basis.conj().T))[:, 0, :]
+    if basis is None:
+        x = psi
+    else:  # the magnitudes of the coordinates, with their phases set aside
+        coordinates = (psi[:, None, :] @ np.ascontiguousarray(basis.conj().T))[:, 0, :]
+        x = np.abs(coordinates)
+        phases = np.divide(coordinates, x, out=np.ones_like(coordinates), where=x > 0)
     rows = len(x)
     energy, direction, norms, decrements = _evaluate(objective, x)
     step = np.full(rows, FIRST_STEP)
@@ -357,10 +384,12 @@ def _descend_rows(
     x, energies, iterations, converged, halvings, grad_norms = (
         np.concatenate(part)[order] for part in parts
     )
+    overlaps = objective.overlaps(x)
     if basis is None:
-        return x, energies, iterations, converged, halvings, grad_norms
+        return x, energies, iterations, converged, halvings, grad_norms, overlaps
+    x = x * phases
     states = np.where((iterations == 0)[:, None], psi, (x[:, None, :] @ basis)[:, 0, :])
-    return states, energies, iterations, converged, halvings, grad_norms
+    return states, energies, iterations, converged, halvings, grad_norms, overlaps
 
 
 def descend(
@@ -369,19 +398,20 @@ def descend(
     """One descent run from `start`; (state, entropy, iters, converged).
 
     Walks the sphere from the normalised start. Each iteration takes a
-    direction at the current point (the Newton step of the coset
-    coordinates on a Lagrangian frame, the tangent gradient on any other)
+    direction at the current point (the escort step of the coset
+    magnitudes on a Lagrangian frame, the tangent gradient on any other)
     and stops (converged) if the point is certified: its tangent gradient
     norm is at most tol_grad, or it is in the basin of a coherent state
-    with a Newton decrement below tol_entropy (only the Newton step shows
-    a basin). Otherwise it tries the step, FIRST_STEP at the start, and
+    with a Newton decrement below tol_entropy (only a Lagrangian frame's
+    diagonal Hessian shows a basin). Otherwise it tries the step,
+    FIRST_STEP at the start, and
     halves it from its last value until the retracted trial point lowers
     the entropy. Three budgets end a run unconverged: max_iters accepted
     steps, no step above MIN_STEP that lowers the entropy, and
     PLATEAU_STEPS accepted steps in a row that each drop the entropy by
     less than tol_entropy.
     """
-    states, energies, iterations, converged, _, _ = _descend_rows(
+    states, energies, iterations, converged, *_ = _descend_rows(
         _objective(frame), np.asarray(start)[None, :], config
     )
     return states[0], float(energies[0]), int(iterations[0]), bool(converged[0])
@@ -409,7 +439,7 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
         _descend_rows(objective, starts[part], config)
         for part in limits.blocks(config.restarts, objective.row_bytes)
     ]
-    states, energies, iterations, converged, halvings, grad_norms = (
+    states, energies, iterations, converged, halvings, grad_norms, overlaps = (
         np.concatenate(part) for part in zip(*runs)
     )
     index = int(np.argmin(energies))
@@ -431,6 +461,7 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
         restart_converged=converged,
         restart_halvings=halvings,
         restart_grad_norms=grad_norms,
+        restart_overlaps=overlaps,
     )
 
 

@@ -186,7 +186,7 @@ def test_minimize_trace_lines_and_unchanged_stdout(capsys, argv):
     assert [line["restart"] for line in lines] == list(range(16))
     for line in lines:
         assert set(line) == {"restart", "iterations", "halvings", "entropy",
-                             "gate_margin_log10", "grad_norm", "converged"}
+                             "gate_margin_log10", "grad_norm", "overlap", "converged"}
         if line["entropy"] > 0:
             assert line["gate_margin_log10"] == pytest.approx(math.log10(1e-6 / line["entropy"]))
         else:
@@ -200,6 +200,7 @@ def test_minimize_trace_lines_and_unchanged_stdout(capsys, argv):
     energies = [line["entropy"] for line in lines]
     assert energies == result.restart_entropies.tolist()
     assert energies.index(min(energies)) == result.restart_index
+    assert [line["overlap"] for line in lines] == result.restart_overlaps.tolist()
     assert json.loads(out)["best_entropy"] == pure_state_entropy(frame, result.best_state)
     assert sum(line["iterations"] for line in lines) == json.loads(out)["iterations"]
 

@@ -546,10 +546,12 @@ def test_subgroup_rejections_at_larger_orders(budget, monkeypatch):
 
 def test_one_byte_block_budget_reaches_every_blocked_loop(monkeypatch):
     # one patch of limits.BLOCK_BYTES reaches the closure, coset and CCR
-    # loops, wherever they sit, and one-row blocks leave every result unchanged
+    # loops, wherever they sit, and one-row blocks leave every result
+    # unchanged; K = H x A(H) is read as a bare phase-space subgroup, since
+    # maximal_compact's product form needs no (|F|, |K|) table
     g = parse_group("Z4xZ2")
     H = subgroup_closure(g, (index(g, (2, 0)),))
-    K = maximal_compact(H)
+    K = PhaseSpaceSubgroup(g, maximal_compact(H).indices)
     multiples = _multiples(g, np.arange(g.order))
 
     def run():
@@ -882,6 +884,25 @@ def test_coset_partition_matches_object_walk():
         indices, labels = _coset_partition(K)
         assert indices.tolist() == reps
         assert np.array_equal(labels, ids)
+
+
+# K = H x A(H) from maximal_compact takes the product route; the same
+# points read as a bare phase-space subgroup (as a stabiliser read off the
+# ambiguity function is) take the generic (|F|, |K|) min-reduction
+def test_product_coset_partition_matches_the_generic_route():
+    subgroups = [H for g in standard_suite() for H in all_subgroups(g)]
+    subgroups += [Subgroup.whole(parse_group(s))
+                  for s in ("Z64", "Z8xZ8", "Z4xZ4xZ4", "Z2xZ2xZ2xZ2xZ2xZ2")]
+    subgroups += [H for s in ("Z4xZ8", "Z6xZ6") for H in all_subgroups(parse_group(s))]
+    for H in subgroups:
+        K = maximal_compact(H)
+        assert K.subgroup is H and K.dual_part is not None
+        bare = PhaseSpaceSubgroup(K.group, K.indices)
+        assert bare.subgroup is None and bare.dual_part is None
+        product, generic = _coset_partition(K), _coset_partition(bare)
+        for a, b in zip(product, generic):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
 
 
 def test_coset_representatives_trivial_cases():

@@ -26,7 +26,7 @@ from wehrl.states import _random_state_stack
 from wehrl.verify import fd_tangent_gradient, suite_pairs
 from phase_oracle import index, point_add, point_neg
 from stabiliser_frames import chirp_frames
-from walk_oracle import gradient_walk, newton_step, newton_walk
+from walk_oracle import escort_step, escort_walk, gradient_walk
 
 
 def vacuum_frame(spec, *gen_coords):
@@ -189,7 +189,7 @@ def test_minimize_result_is_reproducible_entropy():
 @pytest.mark.parametrize(
     "spec, gens, max_iters",
     [("Z4", ((2,),), 5000), ("Z3xZ3", (), 5000), ("Z2xZ2xZ2", ((1, 1, 0),), 5000),
-     ("Z6", ((3,),), 7), ("Z8xZ8", (), 12)],
+     ("Z6", ((3,),), 7), ("Z8xZ8", (), 8)],
 )
 @pytest.mark.parametrize("block_bytes", [None, 1, 10**9])
 def test_minimize_restarts_equal_descend(spec, gens, max_iters, block_bytes, monkeypatch):
@@ -240,7 +240,8 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
         bare = CoherentFrame(frame.group, frame.fiducial)
         assert np.array_equal(bare.stabiliser.indices, frame.stabiliser.indices)
         objective = minimize_module._objective(frame)
-        # the coset pair, walking in the coordinates x = V^H psi of the coset basis
+        # the coset pair, walking on the magnitudes of the coordinates
+        # x = V^H psi of the coset basis, with their phases set aside
         V = objective.basis
         assert V is not None and objective.row_bytes == 32 * d
         assert np.array_equal(V, coset_basis(frame).vectors)
@@ -249,12 +250,15 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
         psis = np.stack([frame.fiducial, near / np.linalg.norm(near)]
                         + [random_state_vector(d, rng) for _ in range(4)])
         x = psis @ V.conj().T
-        energy, cache = objective.energy(x)
+        m = np.abs(x)
+        phases = np.divide(x, m, out=np.ones_like(x), where=m > 0)
+        energy, cache = objective.energy(m)
         assert np.abs(energy - pure_state_entropy(frame, psis)).max() <= 1e-14
-        direction, norms, decrements = objective.step(x, energy, cache)
+        direction, norms, decrements = objective.step(m, energy, cache)
+        assert np.array_equal(objective.overlaps(m), m.max(axis=-1))
         for row, psi in enumerate(psis):
-            want_direction, gradient, decrement = newton_step(frame, psi, energy[row])
-            assert np.abs(direction[row] @ V - want_direction).max() <= 1e-13
+            want_direction, gradient, decrement = escort_step(frame, psi, energy[row])
+            assert np.abs((direction[row] * phases[row]) @ V - want_direction).max() <= 1e-13
             assert abs(norms[row] - np.linalg.norm(gradient)) <= 1e-13
             if row >= 2:  # Q > GRAD_SKIP everywhere: the public gradient agrees
                 assert np.abs(gradient - entropy_gradient(frame, psi)).max() <= 1e-13
@@ -274,7 +278,7 @@ def route_frames():
     return frames + [vacuum_frame("Z9", (3,)), vacuum_frame("Z3xZ3", (1, 0))]
 
 
-# an independent route for the coset walk: from the same starts, the Newton
+# an independent route for the coset walk: from the same starts, the escort
 # walk in psi on every |G|^2 amplitude (tests/walk_oracle.py) takes the same steps
 @pytest.mark.parametrize("seed", [0, 1])
 def test_coset_walk_matches_transform_walk(seed):
@@ -288,9 +292,9 @@ def test_coset_walk_matches_transform_walk(seed):
         starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
         coset = minimize_module._objective(frame)
         assert coset.basis is not None
-        _, entropies, iterations, converged, halvings, _ = minimize_module._descend_rows(
+        _, entropies, iterations, converged, halvings, *_ = minimize_module._descend_rows(
             coset, starts, config)
-        walks = [newton_walk(frame, start, config) for start in starts]
+        walks = [escort_walk(frame, start, config) for start in starts]
         assert np.array_equal(iterations, [w[2] for w in walks])
         assert np.array_equal(converged, [w[3] for w in walks])
         assert np.array_equal(halvings, [w[4] for w in walks])
@@ -318,7 +322,7 @@ def test_gradient_walk_matches_one_row_walk(first_step, max_iters, tol_grad, mon
         objective = minimize_module._objective(frame)
         assert objective.basis is None
         starts = np.stack([random_state_vector(group.order, rng) for _ in range(6)])
-        _, entropies, iterations, converged, halvings, _ = minimize_module._descend_rows(
+        _, entropies, iterations, converged, halvings, *_ = minimize_module._descend_rows(
             objective, starts, config)
         walks = [gradient_walk(frame, start, config) for start in starts]
         assert np.array_equal(iterations, [w[2] for w in walks])
@@ -392,7 +396,7 @@ def test_no_halvings_from_coherent_starts():
     minimize_module = sys.modules["wehrl.minimize"]
     frame = vacuum_frame("Z4", (2,))
     starts = np.stack([frame.state(z) for z in range(frame.point_count)])
-    states, _, iterations, converged, halvings, _ = minimize_module._descend_rows(
+    states, _, iterations, converged, halvings, *_ = minimize_module._descend_rows(
         minimize_module._objective(frame), starts, MinimizerConfig())
     assert converged.all() and not iterations.any() and not halvings.any()
     assert np.array_equal(states, starts / np.linalg.norm(starts, axis=-1, keepdims=True))
@@ -465,47 +469,127 @@ def test_worst_suite_minimum_within_a_hundredth_of_the_gate(seed):
 # gradient walk stopped on its plateau rule above 1e-6 (Z64, Z32)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_restarts_near_a_coherent_state_pass_the_gate(seed):
-    minimize_module = sys.modules["wehrl.minimize"]
     config = MinimizerConfig(seed=seed)
     near = 0
     frames = workload_frames() + chirp_frames()
     for frame in frames:
-        rng = np.random.default_rng(seed)
-        d = frame.group.order
-        starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
-        states, entropies, _, converged, _, _ = minimize_module._descend_rows(
-            minimize_module._objective(frame), starts, config)
-        for state, entropy, flag in zip(states, entropies, converged):
-            if nearest_coherent(frame, state)[1] >= 1 - 1e-4:
+        result = minimize(frame, config)
+        for overlap, entropy, flag in zip(result.restart_overlaps, result.restart_entropies,
+                                          result.restart_converged):
+            if overlap >= 1 - 1e-4:
                 near += 1
                 assert entropy < 1e-6 and flag
     assert near == len(frames) * config.restarts
 
 
-# near a coherent state the full Newton step maps each minor q to about
-# 4 q / (log q + 2)^2: superlinear convergence
-@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-10])
-def test_newton_step_shrinks_minor_coordinates(eps):
+# the full escort step is the escort map q -> q^2 / sum q^2 of the coset
+# weights, near a coherent state and far from one: it squares every
+# minor/major ratio, keeps each phase and lowers S^W
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-10, None])
+def test_escort_step_squares_coset_weights(eps):
     minimize_module = sys.modules["wehrl.minimize"]
     frame = vacuum_frame("Z4xZ2")
     objective = minimize_module._objective(frame)
     d = frame.group.order
-    phases = np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=d))
-    q = np.full(d, eps)
-    q[3] = 1.0 - (d - 1) * eps
-    x = (np.sqrt(q) * phases)[None, :]
-    energy, cache = objective.energy(x)
-    direction, _, decrement = objective.step(x, energy, cache)
-    assert np.isfinite(decrement).all()  # in the basin
-    trial = x - direction
+    rng = np.random.default_rng(0)
+    if eps is None:
+        q = rng.uniform(size=d)
+        q /= q.sum()
+    else:
+        q = np.full(d, eps)
+        q[3] = 1.0 - (d - 1) * eps
+    m = np.sqrt(q)[None, :]
+    energy, cache = objective.energy(m)
+    direction, _, decrement = objective.step(m, energy, cache)
+    trial = m - direction
     trial /= np.linalg.norm(trial)
-    shrunk = np.abs(np.delete(trial[0], 3)) ** 2
-    assert shrunk.max() <= 4 * eps / (np.log(eps) + 2) ** 2 * (1 + 1e-12)
+    assert np.abs(trial[0] ** 2 - q**2 / np.sum(q**2)).max() <= 1e-15
+    assert (trial >= 0).all()
+    assert objective.energy(trial)[0][0] < energy[0]
+    if eps is not None:  # in the basin
+        assert np.isfinite(decrement).all()
 
 
-# with tolerances no point can meet, the Newton walk runs to rounding level
+# the escort family q^b / sum q^b has entropy derivative -b Var_b(log q) in
+# b: the escort map lowers the Shannon entropy of every distribution that
+# is not uniform on its support, and fixes those that are
+def test_escort_map_lowers_entropy_off_uniform_supports():
+    rng = np.random.default_rng(2)
+
+    def shannon(p):
+        p = p[p > 0]
+        return -np.sum(p * np.log(p))
+
+    for d in (2, 3, 8, 64):
+        for _ in range(50):
+            q = rng.dirichlet(np.full(d, 0.3))
+            squared = q**2 / np.sum(q**2)
+            assert shannon(squared) < shannon(q)
+        flat = np.zeros(d)
+        flat[: max(1, d // 2)] = 1.0 / max(1, d // 2)
+        assert np.allclose(flat**2 / np.sum(flat**2), flat, rtol=0, atol=1e-15)
+
+
+# every accepted tick lowers S^W, and the walk needs no halving: the full
+# escort step is always accepted; the escort map never reorders the coset
+# weights, so each restart ends on the coset of its start's largest
+# coordinate
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_escort_walk_ends_on_the_coset_of_the_largest_start_coordinate(seed):
+    minimize_module = sys.modules["wehrl.minimize"]
+    config = MinimizerConfig(seed=seed)
+    frames = workload_frames()
+    assert len(frames) == 57
+    for frame in frames:
+        objective = minimize_module._objective(frame)
+        starts = _random_state_stack(frame.group.order, config.restarts,
+                                     np.random.default_rng(seed))
+        states, entropies, iterations, converged, halvings, _, overlaps = (
+            minimize_module._descend_rows(objective, starts, config))
+        assert converged.all() and not halvings.any()
+        # the decrement certifies every restart well inside the gate, and
+        # the best one at rounding level
+        assert entropies.max() <= 1e-8 and entropies.min() <= 1e-12
+        representatives = coset_basis(frame).representatives
+        largest = np.abs(starts @ objective.basis.conj().T).argmax(axis=-1)
+        for state, overlap, rep in zip(states, overlaps, representatives[largest]):
+            point, nearest = nearest_coherent(frame, state)
+            assert point == rep
+            assert abs(overlap - nearest) <= 1e-12
+
+
+# every accepted tick lowers S^W, read by the group transform off the
+# state each tick accepts, until it is at rounding level
+def test_escort_walk_lowers_the_entropy_on_every_accepted_tick(monkeypatch):
+    minimize_module = sys.modules["wehrl.minimize"]
+    points = []
+    evaluate = minimize_module._evaluate
+
+    def recording(objective, x):
+        points.append(x[0].copy())
+        return evaluate(objective, x)
+
+    monkeypatch.setattr(minimize_module, "_evaluate", recording)
+    rng = np.random.default_rng(5)
+    for frame in workload_frames()[::4]:
+        objective = minimize_module._objective(frame)
+        start = random_state_vector(frame.group.order, rng)
+        points.clear()
+        _, _, iterations, converged, halvings, *_ = minimize_module._descend_rows(
+            objective, start[None, :], MinimizerConfig())
+        assert converged[0] and halvings[0] == 0
+        # the start, one trial per accepted tick, and the trial dropped at the stop
+        assert len(points) == iterations[0] + 2
+        # S^W reads only the magnitudes of the coset coordinates
+        entropies = pure_state_entropy(frame, np.stack(points[:-1]) @ objective.basis)
+        above = entropies[:-1] > 1e-12
+        assert (entropies[1:][above] < entropies[:-1][above]).all()
+        assert above.sum() >= min(iterations[0], 3)
+
+
+# with tolerances no point can meet, the escort walk runs to rounding level
 # and stops on its MIN_STEP budget (47 halvings from 1), unconverged
-def test_newton_walk_budgets_end_unconverged():
+def test_coset_walk_budgets_end_unconverged():
     frame = vacuum_frame("Z8")
     config = MinimizerConfig(tol_grad=1e-300, tol_entropy=1e-300, restarts=4, seed=1)
     result = minimize(frame, config)
@@ -519,9 +603,9 @@ def test_step_reads_no_nan_where_q_is_zero():
     minimize_module = sys.modules["wehrl.minimize"]
     frame = vacuum_frame("Z3xZ3", (1, 0))
     objective = minimize_module._objective(frame)
-    x = np.zeros((2, 9), dtype=complex)
+    x = np.zeros((2, 9))
     x[0, 4] = 1.0  # a coherent state: eight exact zeros
-    x[1, :2] = [0.6, 0.8j]
+    x[1, :2] = [0.6, 0.8]
     energy, cache = objective.energy(x)
     direction, norms, decrements = objective.step(x, energy, cache)
     assert np.isfinite(direction).all() and np.isfinite(norms).all()
@@ -541,12 +625,35 @@ def test_restart_grad_norms_are_the_final_gradient_norms(fiducial):
     assert norms.shape == (16,) and norms.dtype == np.float64
     best = result.best_state
     if fiducial == "vacuum":
-        _, gradient, _ = newton_step(frame, best, result.best_entropy)
+        _, gradient, _ = escort_step(frame, best, result.best_entropy)
         assert norms[result.restart_index] == pytest.approx(np.linalg.norm(gradient), rel=1e-6)
         assert (norms[result.restart_converged] < 1e-3).all()
     else:
         want = np.linalg.norm(entropy_gradient(frame, best))
         assert norms[result.restart_index] == pytest.approx(want, rel=1e-12)
+
+
+# each restart's largest overlap with a frame point at its end: on a
+# Lagrangian frame the largest coset magnitude of the walk, with no
+# transform; on any other frame one stacked transform of the final states
+@pytest.mark.parametrize("fiducial", ["vacuum", "random"])
+def test_restart_overlaps_are_the_final_overlaps(fiducial):
+    group = parse_group("Z3xZ3")
+    if fiducial == "vacuum":
+        frame = vacuum_frame("Z3xZ3", (1, 0))
+    else:
+        frame = CoherentFrame(group, random_state_vector(9, np.random.default_rng(4)))
+    config = MinimizerConfig(seed=2, restarts=6, max_iters=300)
+    result = minimize(frame, config)
+    overlaps = result.restart_overlaps
+    assert overlaps.shape == (6,) and overlaps.dtype == np.float64
+    assert overlaps[result.restart_index] == pytest.approx(result.nearest_overlap, abs=1e-12)
+    rng = np.random.default_rng(config.seed)
+    for overlap in overlaps:
+        state, *_ = descend(frame, random_state_vector(9, rng), config)
+        assert overlap == pytest.approx(nearest_coherent(frame, state)[1], abs=1e-12)
+    if fiducial == "vacuum":
+        assert (overlaps >= 1 - 1e-4).all()
 
 
 # one stopping rule on every frame: a restart reads converged only on a

@@ -1,15 +1,16 @@
-"""The Newton walk of Lagrangian (stabiliser) frames in psi, and the gradient
+"""The escort walk of Lagrangian (stabiliser) frames in psi, and the gradient
 walk of any other frame: the oracles for `minimize._descend_rows`.
 
-The library walks in the coordinates x = V^H psi of the orthonormal coset
-basis V. Here no coset basis is built: every quantity is read off the
-|G|^2 amplitudes c_z = <z|psi> of `pure_amplitudes` and mapped back with
-`_synthesis`, their adjoint. Q is constant on each coset a of the
+The library walks on the magnitudes of the coordinates x = V^H psi of the
+orthonormal coset basis V. Here no coset basis is built: every quantity is
+read off the |G|^2 amplitudes c_z = <z|psi> of `pure_amplitudes` and mapped
+back with `_synthesis`, their adjoint. Q is constant on each coset a of the
 stabiliser S, whose points are one ray v_a up to phase, so
 sum_{z in a} w |z><z| = vol |v_a><v_a| with vol = w |S|. Synthesising
 (w / vol) f(Q_z) c_z therefore gives sum_a f(q_a) x_a v_a: per-point
-weights reproduce the diagonal step. Both walks take one row at a time,
-with plain control flow, and read FIRST_STEP when called.
+weights reproduce the diagonal step, and the walk keeps every phase of x.
+Both walks take one row at a time, with plain control flow, and read
+FIRST_STEP when called.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from wehrl.frames import _synthesis
 from wehrl.minimize import CURVATURE_FLOOR, MIN_STEP, PLATEAU_STEPS
 
 
-def newton_step(frame, psi, entropy):
+def escort_step(frame, psi, entropy):
     """(direction, tangent gradient, Newton decrement) at a unit psi, in psi.
 
-    With r = -(vol log Q + S): gradient r c, curvature h = r - 2 vol,
-    direction r c / max(h, floor); the decrement sum_a |g_a|^2 / h_a is inf
-    unless every point with Q < 1/2 has h above the floor. Points with
-    Q == 0 add nothing and lie in the basin.
+    The direction synthesises (w / vol) (1 - sqrt(Q / Q_max)) c: its full
+    step maps each coordinate x_a to x_a |x_a| / max_b |x_b|. With
+    r = -(vol log Q + S): gradient r c and curvature h = r - 2 vol; the
+    decrement sum_a |g_a|^2 / max(h_a, floor) is inf unless every point
+    with Q < 1/2 has h above the floor. Points with Q == 0 add nothing and
+    lie in the basin.
     """
     w = frame.haar_weight
     vol = w * frame.stabiliser.order
@@ -42,14 +45,14 @@ def newton_step(frame, psi, entropy):
     in_basin = bool(np.all((curvature > floor) | (q >= 0.5)))
     h = np.maximum(curvature, floor)
     gradient = _synthesis(frame, (w / vol) * rate * c)
-    direction = _synthesis(frame, (w / vol) * (rate / h) * c)
+    direction = _synthesis(frame, (w / vol) * (1.0 - np.sqrt(q / q.max())) * c)
     decrement = float(np.sum((w / vol) * rate**2 * q / h)) if in_basin else np.inf
     return direction, gradient, decrement
 
 
-def newton_walk(frame, start, config):
+def escort_walk(frame, start, config):
     """(state, entropy, iterations, converged, halvings) of descend on a Lagrangian frame."""
-    return _walk(frame, start, config, lambda psi, entropy: newton_step(frame, psi, entropy))
+    return _walk(frame, start, config, lambda psi, entropy: escort_step(frame, psi, entropy))
 
 
 def gradient_walk(frame, start, config):
