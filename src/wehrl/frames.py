@@ -34,7 +34,8 @@ S^W reaches 0 on a frame exactly when its stabiliser is Lagrangian
 Hence min S^W_phi = 0 if and only if a Lagrangian subgroup stabilises phi
 up to phase. `CoherentFrame.lagrangian` is that test; on such frames the
 |G| coset states form an orthonormal basis (`coset_basis`), the entropy
-is a Shannon entropy over it, and the minimiser takes Newton steps.
+is a Shannon entropy over it, and the minimiser takes escort steps on
+its weights.
 """
 
 from __future__ import annotations

@@ -161,9 +161,11 @@ def _tangent(psi: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(z: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(z, axis=-1), the same arithmetic without its dispatch."""
-    square = (z.conj() * z).real if z.dtype.kind == "c" else z * z
-    return np.sqrt(np.add.reduce(square, axis=-1))
+    """np.linalg.norm(z, axis=-1), the same arithmetic without its dispatch.
+
+    On a real z, conj() and .real return z itself.
+    """
+    return np.sqrt(np.add.reduce((z.conj() * z).real, axis=-1))
 
 
 class _Objective(NamedTuple):
@@ -214,12 +216,14 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
     """The entropy and its escort step in the magnitudes m = |x| of the coset coordinates.
 
     The cache is q = m^2 and log q (of the least normal float where q is
-    0). The step is d_a = m_a (1 - |m_a| / max_b |m_b|), whose full step
-    is m_a |m_a| / max_b |m_b|. With r_a = -(log q_a + S^W), the tangent
-    gradient is g_a = r_a m_a and the halved curvature h_a = r_a - 2; the
-    decrement sum_a |g_a|^2 / h_a, with h_a floored at CURVATURE_FLOOR,
-    counts only where every coordinate with q_a < 1/2 has h_a above the
-    floor: then the row is in the basin of one coherent state.
+    0). The step is d_a = m_a - q_a / max_b m_b = m_a (1 - m_a / max_b m_b),
+    whose full step is q_a / max_b m_b; a step s <= FIRST_STEP = 1 leads to
+    (1 - s) m + s q / max m, so m stays nonnegative. With
+    r_a = -(log q_a + S^W), the tangent gradient is g_a = r_a m_a and the
+    halved curvature h_a = r_a - 2; the decrement sum_a |g_a|^2 / h_a,
+    with h_a floored at CURVATURE_FLOOR, counts only where every
+    coordinate with q_a < 1/2 has h_a above the floor: then the row is in
+    the basin of one coherent state.
     """
     vectors = coset_basis(frame).vectors
     d = frame.group.order
@@ -244,14 +248,12 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
         rate *= rate
         rate *= q  # |g_a|^2
         decrements = np.where(basin, np.add.reduce(rate / curvature, axis=-1), np.inf)
-        direction = np.abs(m)
-        direction /= np.maximum.reduce(direction, axis=-1)[:, None]
-        np.subtract(1.0, direction, out=direction)
-        direction *= m
+        direction = q / np.maximum.reduce(m, axis=-1)[:, None]
+        np.subtract(m, direction, out=direction)
         return direction, np.sqrt(np.add.reduce(rate, axis=-1)), decrements
 
     def overlaps(m: np.ndarray) -> np.ndarray:
-        return np.maximum.reduce(np.abs(m), axis=-1)
+        return np.maximum.reduce(m, axis=-1)
 
     return _Objective(energy, step, overlaps, vectors, 32 * d)
 

@@ -292,13 +292,15 @@ def test_coset_walk_matches_transform_walk(seed):
         starts = np.stack([random_state_vector(d, rng) for _ in range(config.restarts)])
         coset = minimize_module._objective(frame)
         assert coset.basis is not None
-        _, entropies, iterations, converged, halvings, *_ = minimize_module._descend_rows(
+        states, entropies, iterations, converged, halvings, *_ = minimize_module._descend_rows(
             coset, starts, config)
         walks = [escort_walk(frame, start, config) for start in starts]
         assert np.array_equal(iterations, [w[2] for w in walks])
         assert np.array_equal(converged, [w[3] for w in walks])
         assert np.array_equal(halvings, [w[4] for w in walks])
         assert np.abs(entropies - [w[1] for w in walks]).max() <= 1e-12
+        # the walk on magnitudes keeps each coordinate's phase from the start
+        assert np.abs(states - [w[0] for w in walks]).max() <= 1e-12
 
 
 # an independent route for the gradient walk: on random fiducials, where
@@ -508,26 +510,6 @@ def test_escort_step_squares_coset_weights(eps):
     assert objective.energy(trial)[0][0] < energy[0]
     if eps is not None:  # in the basin
         assert np.isfinite(decrement).all()
-
-
-# the escort family q^b / sum q^b has entropy derivative -b Var_b(log q) in
-# b: the escort map lowers the Shannon entropy of every distribution that
-# is not uniform on its support, and fixes those that are
-def test_escort_map_lowers_entropy_off_uniform_supports():
-    rng = np.random.default_rng(2)
-
-    def shannon(p):
-        p = p[p > 0]
-        return -np.sum(p * np.log(p))
-
-    for d in (2, 3, 8, 64):
-        for _ in range(50):
-            q = rng.dirichlet(np.full(d, 0.3))
-            squared = q**2 / np.sum(q**2)
-            assert shannon(squared) < shannon(q)
-        flat = np.zeros(d)
-        flat[: max(1, d // 2)] = 1.0 / max(1, d // 2)
-        assert np.allclose(flat**2 / np.sum(flat**2), flat, rtol=0, atol=1e-15)
 
 
 # every accepted tick lowers S^W, and the walk needs no halving: the full
