@@ -389,8 +389,7 @@ def _descend_rows(
     overlaps = objective.overlaps(x)
     if basis is None:
         return x, energies, iterations, converged, halvings, grad_norms, overlaps
-    x = x * phases
-    states = np.where((iterations == 0)[:, None], psi, (x[:, None, :] @ basis)[:, 0, :])
+    states = np.where((iterations == 0)[:, None], psi, ((x * phases)[:, None, :] @ basis)[:, 0, :])
     return states, energies, iterations, converged, halvings, grad_norms, overlaps
 
 
@@ -406,12 +405,11 @@ def descend(
     norm is at most tol_grad, or it is in the basin of a coherent state
     with a Newton decrement below tol_entropy (only a Lagrangian frame's
     diagonal Hessian shows a basin). Otherwise it tries the step,
-    FIRST_STEP at the start, and
-    halves it from its last value until the retracted trial point lowers
-    the entropy. Three budgets end a run unconverged: max_iters accepted
-    steps, no step above MIN_STEP that lowers the entropy, and
-    PLATEAU_STEPS accepted steps in a row that each drop the entropy by
-    less than tol_entropy.
+    FIRST_STEP at the start, and halves it from its last value until the
+    retracted trial point lowers the entropy. Three budgets end a run
+    unconverged: max_iters accepted steps, no step above MIN_STEP that
+    lowers the entropy, and PLATEAU_STEPS accepted steps in a row that each
+    drop the entropy by less than tol_entropy.
     """
     states, energies, iterations, converged, *_ = _descend_rows(
         _objective(frame), np.asarray(start)[None, :], config
