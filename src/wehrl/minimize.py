@@ -37,10 +37,17 @@ from the frame alone once per `minimize` or `descend` call:
   the gradient goes back through its adjoint, `frames._synthesis`.
 Each trial point is evaluated once: its energy, then its step from what
 the energy leaves (|x|^2 and its logs, or the amplitudes), and an
-accepted row keeps both. The restarts walk as one stack of rows, tick by
-tick; at these sizes a tick costs its numpy calls more than its
-arithmetic, so no tick gathers rows by a mask, and a tick where every row
-accepts its trial copies nothing.
+accepted row keeps both. The restarts walk as one stack of rows. At these
+sizes a step costs its numpy calls more than its arithmetic, so the coset
+walk takes no tick for its full steps: k of them from weights q give the
+escort iterate q^(2^k) / sum q^(2^k) in closed form, and each chunk reads
+TRAJECTORY_POINTS points of every row's trajectory off one stack, built in
+logs and evaluated by the one energy/step pair, and finds where each row
+stops by descend's rules. A row whose next full step is not lower needs a
+halving; it leaves the stack, with its iterations and plateau count, for
+the tick loop, which every row of the transform pair walks. No tick gathers
+rows by a mask, and a tick where every row accepts its trial copies
+nothing.
 """
 
 from __future__ import annotations
@@ -73,6 +80,9 @@ GRAD_SKIP = 1e-12
 # consecutive accepted steps with decrease < tol_entropy: a budget that ends
 # a walk unconverged
 PLATEAU_STEPS = 20
+# points of the escort trajectory a coset walk reads per chunk: the point a
+# row stands on and its next TRAJECTORY_POINTS - 1 full escort steps
+TRAJECTORY_POINTS = 8
 # every walk's first trial step, the full step; a trial that does not lower
 # the entropy halves the step, and no step above MIN_STEP ends the walk
 FIRST_STEP = 1.0
@@ -106,6 +116,15 @@ class MinimizerConfig:
 
 @dataclass(eq=False)
 class MinimizerResult:
+    """The best restart of a `minimize` call, and every restart's end.
+
+    The walk ends at rounding level, and best_entropy and nearest_overlap
+    are read off the best state by the group transform, so they may sit a
+    few ulps outside [0, log |G|] and [0, 1]: over the 57 vacuum frames of
+    the benchmark at seeds 0-7, best_entropy reads as low as -1.3e-15 and
+    nearest_overlap as high as 1 + 7e-16. Neither is clamped.
+    """
+
     best_state: np.ndarray
     best_entropy: float
     nearest_point: int  # phase-space index of the nearest frame point
@@ -181,7 +200,8 @@ class _Objective(NamedTuple):
     height. The rows are psi itself where basis is None, and otherwise the
     real magnitudes m = |x| of the coordinates x of psi = x @ basis, whose
     phases the walk fixes at its start. row_bytes counts the largest
-    complex temporary and the cache.
+    complex temporary and the cache, for the coset pair at each of the
+    TRAJECTORY_POINTS points of a row's trajectory stack.
     """
 
     energy: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -255,7 +275,7 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
     def overlaps(m: np.ndarray) -> np.ndarray:
         return np.maximum.reduce(m, axis=-1)
 
-    return _Objective(energy, step, overlaps, vectors, 32 * d)
+    return _Objective(energy, step, overlaps, vectors, 32 * d * TRAJECTORY_POINTS)
 
 
 def _objective(frame: CoherentFrame) -> _Objective:
@@ -279,26 +299,16 @@ def _descend_rows(
 
     Every row follows descend's rules on its own: its own step size and
     halvings, plateau count, max_iters budget and convergence flag, so a
-    row ends where it would end alone. Each tick makes one trial for every
-    row and evaluates it once: its energy and, from the same cache, its
-    step, gradient norm and decrement. A row that accepts its trial keeps
-    all four, so each row carries the step of the point it stands on.
+    row ends where it would end alone. On the coset pair with the full
+    first step, the rows walk the escort trajectory chunk by chunk
+    (`_walk_trajectories`), and only a row whose next full step is not
+    lower, which needs a halving, goes on tick by tick (`_walk_ticks`) from
+    the point it stands on; the transform pair walks tick by tick.
 
-    The tests of the top of an iteration then run on every row, with no
-    mask: a row in a line search passed them at the point it still stands
-    on, with a step that its halvings left above MIN_STEP, and testing it
-    again gives the same answer. Where every row accepts its trial, the
-    trial arrays become the walk's. A budget's test is skipped while it
-    cannot fire, by bounds read when the walk starts: before tick t (from
-    0) a row has at most t accepted steps (max_iters) and after it a
-    plateau count of at most t + 1 (PLATEAU_STEPS); a step is at most
-    MIN_STEP at the top of an iteration only if FIRST_STEP is. The rows
-    still walking are kept compact: on a tick where rows stop, their
-    results are set aside and the arrays compressed.
-
-    Returns (states, entropies, iterations, converged, halvings, gradient
-    norms and overlaps at the end); a row that never moved returns its
-    normalised start bit for bit.
+    Returns (states, entropies, iterations, converged, halvings and gradient
+    norms at the end, and the walk's final rows: the coset magnitudes, or
+    the states themselves on the transform pair); a row that never moved
+    returns its normalised start bit for bit.
     """
     psi = np.asarray(starts, dtype=np.complex128)
     psi = psi / _row_norms(psi)[:, None]
@@ -309,19 +319,143 @@ def _descend_rows(
         coordinates = (psi[:, None, :] @ np.ascontiguousarray(basis.conj().T))[:, 0, :]
         x = np.abs(coordinates)
         phases = np.divide(coordinates, x, out=np.ones_like(coordinates), where=x > 0)
-    rows = len(x)
-    energy, direction, norms, decrements = _evaluate(objective, x)
-    step = np.full(rows, FIRST_STEP)
-    plateau = np.zeros(rows, dtype=np.int64)
-    iterations = np.zeros(rows, dtype=np.int64)
-    halvings = np.zeros(rows, dtype=np.int64)
-    index = np.arange(rows)  # each walking row's place in the results
-    # per tick where rows stop: their places, states, entropies, iterations,
-    # certificates, halvings and gradient norms
+    index = np.arange(len(x))  # each row's place in the results
+    # per group of rows that stop together: their places, rows, entropies,
+    # iterations, certificates, halvings and gradient norms
     stopped = []
+    if basis is not None and FIRST_STEP == 1.0:  # the full escort step is the escort map
+        walking = _walk_trajectories(objective, index, x, config, stopped)
+    else:
+        counts = np.zeros(len(x), dtype=np.int64)
+        walking = (index, x, *_evaluate(objective, x), counts, counts.copy())
+    if walking is not None:
+        _walk_ticks(objective, walking, config, stopped)
+    places, *parts = zip(*stopped)
+    order = np.argsort(np.concatenate(places))
+    x, energies, iterations, converged, halvings, grad_norms = (
+        np.concatenate(part)[order] for part in parts
+    )
+    if basis is None:
+        return x, energies, iterations, converged, halvings, grad_norms, x
+    states = np.where((iterations == 0)[:, None], psi, ((x * phases)[:, None, :] @ basis)[:, 0, :])
+    return states, energies, iterations, converged, halvings, grad_norms, x
+
+
+def _walk_trajectories(
+    objective: _Objective, index: np.ndarray, m: np.ndarray, config: MinimizerConfig,
+    stopped: list,
+) -> tuple[np.ndarray, ...] | None:
+    """The coset walk's full steps, read chunk by chunk off closed-form escort trajectories.
+
+    While no trial needs a halving, k full steps from weights q = m^2 lead
+    to the escort iterate q^(2^k) / sum_a q_a^(2^k). A chunk stacks, for
+    every walking row, the point it stands on and its next
+    TRAJECTORY_POINTS - 1 iterates, built in logs as
+    log q_k = 2^k log q - logsumexp_a(2^k log q) (an exact zero, log q =
+    -inf, stays one) with m_k = exp(log q_k / 2), and runs the objective's
+    energy and step once on the (TRAJECTORY_POINTS * R, d) stack, so the
+    certificate has one implementation. Each row's first event is
+    then read off the stack in descend's order: a plateau of PLATEAU_STEPS
+    ends the row on the point that completes it; at each point the max_iters
+    budget is tested, then the certificate; then the next point must be
+    strictly lower. A row with no event before the chunk's last point starts
+    the next chunk there, with its log q carried over.
+
+    Stopped rows are appended to `stopped`. A row whose next point is not
+    lower needs a halving: it is returned, with its place, point, entropy,
+    step, gradient norm, decrement, iterations and plateau count, for
+    `_walk_ticks`, which starts it at the full step; None if there is none.
+    """
+    K = TRAJECTORY_POINTS
+    ticks = np.arange(K)
+    powers = np.ldexp(1.0, ticks)[:, None, None]
+    logs = np.log(m, out=np.full_like(m, -np.inf), where=m > 0)
+    logs *= 2.0  # log q, -inf at an exact zero
+    iterations = np.zeros(len(m), dtype=np.int64)
+    plateau = np.zeros(len(m), dtype=np.int64)
+    max_iters, tol_grad, tol_entropy = config.max_iters, config.tol_grad, config.tol_entropy
+    handed = []
+    while len(m):
+        rows, d = m.shape
+        trajectory = powers * logs
+        trajectory -= np.maximum.reduce(trajectory, axis=-1, keepdims=True)
+        trajectory -= np.log(np.add.reduce(np.exp(trajectory), axis=-1, keepdims=True))
+        points = np.exp(0.5 * trajectory)
+        points[0] = m  # the point each row stands on, bit for bit
+        flat = points.reshape(K * rows, d)
+        energy, direction, norms, decrements = _evaluate(objective, flat)
+        energies = energy.reshape(K, rows)
+        counts = iterations + ticks[:, None]  # accepted steps at each point
+        spent = counts >= max_iters
+        certified = ((norms <= tol_grad) | (decrements < tol_entropy)).reshape(K, rows)
+        # the plateau count at each point the row reaches: a drop below
+        # tol_entropy counts on, a larger one resets it to 0
+        drops = energies[:-1] - energies[1:]
+        resets = np.where(drops < tol_entropy, -PLATEAU_STEPS, ticks[1:, None])
+        plateaus = ticks[:, None] - np.maximum.accumulate(
+            np.concatenate([-plateau[None], resets]), axis=0)
+        ends = plateaus >= PLATEAU_STEPS
+        ends |= spent  # the budget is tested before the certificate
+        converged = certified & ~ends
+        ends |= certified
+        events = ends.copy()
+        events[:-1] |= ~(energies[1:] < energies[:-1])
+        events[-1] = True
+        at = events.argmax(axis=0)
+        place = at * rows + np.arange(rows)
+        counts, plateaus, converged = counts.ravel(), plateaus.ravel(), converged.ravel()
+        stop = ends.ravel()[place]
+        if stop.any():
+            gone = place[stop]
+            stopped.append([index[stop], flat[gone], energy[gone], counts[gone],
+                            converged[gone], np.zeros(len(gone), dtype=np.int64), norms[gone]])
+        halve = ~stop & (at < K - 1)
+        if halve.any():
+            held = place[halve]
+            handed.append([index[halve]] + [a[held] for a in (
+                flat, energy, direction, norms, decrements, counts, plateaus)])
+        kept = (~stop & ~halve).nonzero()[0]
+        m, logs = points[-1, kept], trajectory[-1, kept]
+        iterations, plateau = counts[place[kept]], plateaus[place[kept]]
+        index = index[kept]
+    return tuple(np.concatenate(part) for part in zip(*handed)) if handed else None
+
+
+def _walk_ticks(
+    objective: _Objective, walking: tuple[np.ndarray, ...], config: MinimizerConfig,
+    stopped: list,
+) -> None:
+    """descend's rules on the walking rows, one trial per row and tick.
+
+    `walking` holds each row's place, point, entropy, step, gradient norm,
+    decrement, iterations and plateau count; every row starts at
+    FIRST_STEP with no halving. Each tick makes one trial for every row and
+    evaluates it once: its energy and, from the same cache, its step,
+    gradient norm and decrement. A row that accepts its trial keeps all
+    four, so each row carries the step of the point it stands on.
+
+    The tests of the top of an iteration then run on every row, with no
+    mask: a row in a line search passed them at the point it still stands
+    on, with a step that its halvings left above MIN_STEP, and testing it
+    again gives the same answer. Where every row accepts its trial, the
+    trial arrays become the walk's. A budget's test is skipped while it
+    cannot fire, by bounds read when the walk starts: before tick t a row
+    has at most t accepted steps (max_iters), counting the ticks from the
+    most iterations any row brings, and after it a plateau count of at most
+    t + 1 (PLATEAU_STEPS); a step is at most MIN_STEP at the top of an
+    iteration only if FIRST_STEP is. The rows still walking are kept
+    compact: on a tick where rows stop, their results are appended to
+    `stopped` and the arrays compressed.
+    """
+    index, x, energy, direction, norms, decrements, iterations, plateau = walking
+    rows = len(x)
+    step = np.full(rows, FIRST_STEP)
+    halvings = np.zeros(rows, dtype=np.int64)
     max_iters, tol_grad, tol_entropy = config.max_iters, config.tol_grad, config.tol_entropy
     exhausted_at_first = FIRST_STEP <= MIN_STEP
-    tick = 0
+    # from here on no row has more iterations than tick, nor a plateau
+    # count above its iterations
+    tick = int(iterations.max(initial=0))
     while rows:
         # flat, or in a basin with a Newton decrement below tol_entropy
         certified = (norms <= tol_grad) | (decrements < tol_entropy)
@@ -381,16 +515,6 @@ def _descend_rows(
                 a.take(kept, axis=0) for a in walking
             )
             rows = len(x)
-    places, *parts = zip(*stopped)
-    order = np.argsort(np.concatenate(places))
-    x, energies, iterations, converged, halvings, grad_norms = (
-        np.concatenate(part)[order] for part in parts
-    )
-    overlaps = objective.overlaps(x)
-    if basis is None:
-        return x, energies, iterations, converged, halvings, grad_norms, overlaps
-    states = np.where((iterations == 0)[:, None], psi, ((x * phases)[:, None, :] @ basis)[:, 0, :])
-    return states, energies, iterations, converged, halvings, grad_norms, overlaps
 
 
 def descend(
@@ -428,17 +552,18 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     not raise. The restarts run as stacks of rows through descend's rules,
     in blocks sized so that each complex temporary of the frame's
     energy/gradient pair, with its cache, stays near the shared block
-    budget: (rows, |G|) for the coset pair, (rows, |G|, |G|) for the
-    transform pair.
+    budget: (TRAJECTORY_POINTS, rows, |G|) for the coset pair's trajectory
+    stack, (rows, |G|, |G|) for the transform pair. Each restart's overlap
+    is read here, off the walk's final rows.
     """
     config = config or MinimizerConfig()
     rng = np.random.default_rng(config.seed)
     starts = _random_state_stack(frame.group.order, config.restarts, rng)
     objective = _objective(frame)
-    runs = [
-        _descend_rows(objective, starts[part], config)
-        for part in limits.blocks(config.restarts, objective.row_bytes)
-    ]
+    runs = []
+    for part in limits.blocks(config.restarts, objective.row_bytes):
+        *run, rows = _descend_rows(objective, starts[part], config)
+        runs.append((*run, objective.overlaps(rows)))
     states, energies, iterations, converged, halvings, grad_norms, overlaps = (
         np.concatenate(part) for part in zip(*runs)
     )

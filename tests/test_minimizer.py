@@ -28,6 +28,10 @@ from phase_oracle import index, point_add, point_neg
 from stabiliser_frames import chirp_frames
 from walk_oracle import escort_step, escort_walk, gradient_walk
 
+# points per chunk of the coset walk's escort trajectory
+K = sys.modules["wehrl.minimize"].TRAJECTORY_POINTS
+PLATEAU_STEPS = sys.modules["wehrl.minimize"].PLATEAU_STEPS
+
 
 def vacuum_frame(spec, *gen_coords):
     g = parse_group(spec)
@@ -241,9 +245,11 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
         assert np.array_equal(bare.stabiliser.indices, frame.stabiliser.indices)
         objective = minimize_module._objective(frame)
         # the coset pair, walking on the magnitudes of the coordinates
-        # x = V^H psi of the coset basis, with their phases set aside
+        # x = V^H psi of the coset basis, with their phases set aside; a
+        # row's block share counts its whole trajectory stack
         V = objective.basis
-        assert V is not None and objective.row_bytes == 32 * d
+        assert V is not None
+        assert objective.row_bytes == 32 * d * minimize_module.TRAJECTORY_POINTS
         assert np.array_equal(V, coset_basis(frame).vectors)
         # a coherent state, one near it (in the basin) and random states
         near = frame.fiducial + 1e-3 * random_state_vector(d, rng)
@@ -526,8 +532,9 @@ def test_escort_walk_ends_on_the_coset_of_the_largest_start_coordinate(seed):
         objective = minimize_module._objective(frame)
         starts = _random_state_stack(frame.group.order, config.restarts,
                                      np.random.default_rng(seed))
-        states, entropies, iterations, converged, halvings, _, overlaps = (
+        states, entropies, iterations, converged, halvings, _, rows = (
             minimize_module._descend_rows(objective, starts, config))
+        overlaps = objective.overlaps(rows)
         assert converged.all() and not halvings.any()
         # the decrement certifies every restart well inside the gate, and
         # the best one at rounding level
@@ -541,14 +548,16 @@ def test_escort_walk_ends_on_the_coset_of_the_largest_start_coordinate(seed):
 
 
 # every accepted tick lowers S^W, read by the group transform off the
-# state each tick accepts, until it is at rounding level
+# points of the escort trajectory the walk reads, until it is at rounding
+# level
 def test_escort_walk_lowers_the_entropy_on_every_accepted_tick(monkeypatch):
     minimize_module = sys.modules["wehrl.minimize"]
-    points = []
+    K = minimize_module.TRAJECTORY_POINTS
+    stacks = []
     evaluate = minimize_module._evaluate
 
     def recording(objective, x):
-        points.append(x[0].copy())
+        stacks.append(x.copy())
         return evaluate(objective, x)
 
     monkeypatch.setattr(minimize_module, "_evaluate", recording)
@@ -556,14 +565,20 @@ def test_escort_walk_lowers_the_entropy_on_every_accepted_tick(monkeypatch):
     for frame in workload_frames()[::4]:
         objective = minimize_module._objective(frame)
         start = random_state_vector(frame.group.order, rng)
-        points.clear()
+        stacks.clear()
         _, _, iterations, converged, halvings, *_ = minimize_module._descend_rows(
             objective, start[None, :], MinimizerConfig())
         assert converged[0] and halvings[0] == 0
-        # the start, one trial per accepted tick, and the trial dropped at the stop
-        assert len(points) == iterations[0] + 2
-        # S^W reads only the magnitudes of the coset coordinates
-        entropies = pure_state_entropy(frame, np.stack(points[:-1]) @ objective.basis)
+        # one row's chunks: K points each, every chunk starting on the
+        # point where the one before it ends, and the row stops in the last
+        assert all(len(stack) == K for stack in stacks)
+        for before, after in zip(stacks, stacks[1:]):
+            assert np.array_equal(after[0], before[-1])
+        trajectory = np.concatenate([stacks[0]] + [stack[1:] for stack in stacks[1:]])
+        assert len(trajectory) - K <= iterations[0] < len(trajectory)
+        # the start and one point per accepted tick; S^W reads only the
+        # magnitudes of the coset coordinates
+        entropies = pure_state_entropy(frame, trajectory[:iterations[0] + 1] @ objective.basis)
         above = entropies[:-1] > 1e-12
         assert (entropies[1:][above] < entropies[:-1][above]).all()
         assert above.sum() >= min(iterations[0], 3)
@@ -579,6 +594,116 @@ def test_coset_walk_budgets_end_unconverged():
     assert (result.restart_iterations > 0).all()
     assert (result.restart_halvings == 47).all()
     assert np.abs(result.restart_entropies).max() <= 1e-15
+
+
+# the coset walk reads K points per chunk and starts each chunk on the
+# last point of the one before: budgets that end a row on a chunk's last
+# point, on the first point of the next chunk, one point later and at
+# PLATEAU_STEPS end it where the one-row escort walk in psi ends, whatever
+# the block height
+@pytest.mark.parametrize("max_iters", [K - 1, K, K + 1, PLATEAU_STEPS])
+@pytest.mark.parametrize("block_bytes", [1, 10**9])
+def test_trajectory_chunks_end_rows_where_the_escort_walk_ends(max_iters, block_bytes,
+                                                               monkeypatch):
+    monkeypatch.setattr(limits, "BLOCK_BYTES", block_bytes)
+    config = MinimizerConfig(seed=3, restarts=6, max_iters=max_iters)
+    bound = 0
+    for frame in (vacuum_frame("Z8xZ8"), vacuum_frame("Z64"), vacuum_frame("Z4xZ8", (0, 2), (2, 0))):
+        d = frame.group.order
+        result = minimize(frame, config)
+        rng = np.random.default_rng(config.seed)
+        walks = [escort_walk(frame, random_state_vector(d, rng), config)
+                 for _ in range(config.restarts)]
+        assert np.array_equal(result.restart_iterations, [w[2] for w in walks])
+        assert np.array_equal(result.restart_converged, [w[3] for w in walks])
+        assert np.array_equal(result.restart_halvings, [w[4] for w in walks])
+        assert np.abs(result.restart_entropies - [w[1] for w in walks]).max() <= 1e-12
+        assert np.abs(result.best_state - walks[result.restart_index][0]).max() <= 1e-12
+        bound += int((result.restart_iterations == max_iters).sum())
+    if max_iters <= K + 1:  # the budget ends some rows unconverged
+        assert bound > 0
+
+
+# a row whose next full step is not lower needs a halving: it leaves the
+# trajectory stack, here on a point inside a chunk, for the tick loop, which
+# takes it from the point it stands on with its iterations at the full step
+# (so it spends the whole MIN_STEP budget, 47 halvings), while a row of the
+# same stack that the budget ends stays in the stack; each row of the one
+# stack still ends where descend ends it alone
+def test_rows_needing_a_halving_leave_the_stack_inside_a_chunk(monkeypatch):
+    minimize_module = sys.modules["wehrl.minimize"]
+    handed = []
+    walk_ticks = minimize_module._walk_ticks
+
+    def recording(objective, walking, config, stopped):
+        handed.append((walking[0].copy(), walking[6].copy()))  # places, iterations
+        return walk_ticks(objective, walking, config, stopped)
+
+    monkeypatch.setattr(minimize_module, "_walk_ticks", recording)
+    frame = vacuum_frame("Z4xZ2", (1, 0), (0, 1))
+    config = MinimizerConfig(tol_grad=1e-300, tol_entropy=1e-300, restarts=6, seed=1,
+                             max_iters=10)
+    result = minimize(frame, config)
+    assert len(handed) == 1  # one block, one hand-off
+    places, brought = (np.concatenate(part) for part in zip(*handed))
+    assert (brought % (K - 1) != 0).any()  # a point inside a chunk
+    iterations, halvings = result.restart_iterations, result.restart_halvings
+    assert (iterations[places] >= brought).all()
+    budgeted = iterations == config.max_iters
+    assert np.array_equal(np.sort(places), (~budgeted).nonzero()[0]) and budgeted.any()
+    assert not result.restart_converged.any()
+    assert (halvings[~budgeted] == 47).all() and not halvings[budgeted].any()
+    rng = np.random.default_rng(config.seed)
+    starts = [random_state_vector(8, rng) for _ in range(config.restarts)]
+    runs = [descend(frame, start, config) for start in starts]
+    assert np.array_equal(result.restart_entropies, [r[1] for r in runs])
+    assert np.array_equal(iterations, [r[2] for r in runs])
+    assert np.array_equal(result.best_state, runs[result.restart_index][0])
+    # at rounding level, where the psi walk of the oracle rounds otherwise,
+    # both end on one coherent state
+    walks = [escort_walk(frame, start, config) for start in starts]
+    assert np.abs(result.restart_entropies - [w[1] for w in walks]).max() <= 1e-12
+    assert np.abs(result.best_state - walks[result.restart_index][0]).max() <= 1e-12
+
+
+# the plateau count runs on across chunks and restarts after a drop of at
+# least tol_entropy: from weights spread over all of Z64 with two nearly
+# tied leaders, the first two full steps drop S^W by more than 1, and the
+# next PLATEAU_STEPS, near the saddle between the leaders, by less; the
+# walk ends there, on a point inside a chunk, as the one-row walk does (the
+# saddle amplifies rounding, hence the looser bound)
+def test_a_plateau_after_large_drops_ends_rows_across_chunks():
+    minimize_module = sys.modules["wehrl.minimize"]
+    frame = vacuum_frame("Z64", (1,))
+    objective = minimize_module._objective(frame)
+    q = np.full(64, 0.8 / 62)
+    q[:2] = 0.1 * (1 + 1e-6), 0.1 * (1 - 1e-6)
+    rng = np.random.default_rng(0)
+    starts = np.stack([(np.sqrt(q) * np.exp(1j * rng.uniform(0, 6, 64))) @ objective.basis
+                       for _ in range(2)])
+    config = MinimizerConfig(tol_grad=1e-300, tol_entropy=1.0)
+    states, entropies, iterations, converged, halvings, *_ = minimize_module._descend_rows(
+        objective, starts, config)
+    assert (iterations == PLATEAU_STEPS + 2).all() and (iterations % (K - 1) != 0).all()
+    assert not converged.any() and not halvings.any()
+    walks = [escort_walk(frame, start, config) for start in starts]
+    assert np.array_equal(iterations, [w[2] for w in walks])
+    assert np.array_equal(converged, [w[3] for w in walks])
+    assert np.abs(entropies - [w[1] for w in walks]).max() <= 1e-10
+    assert np.abs(states - [w[0] for w in walks]).max() <= 1e-10
+
+
+# the coset walk ends at rounding level, so the reported minimum and its
+# overlap may sit just outside [0, log |G|] and [0, 1]: by a few ulps,
+# never by more than 1e-14
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_reported_minima_stay_within_rounding_of_their_range(seed):
+    config = MinimizerConfig(seed=seed)
+    for frame in workload_frames():
+        result = minimize(frame, config)
+        assert result.best_entropy >= -1e-14
+        assert result.nearest_overlap <= 1 + 1e-14
+        assert (result.restart_overlaps <= 1 + 1e-14).all()
 
 
 def test_step_reads_no_nan_where_q_is_zero():
@@ -694,6 +819,34 @@ def test_minimize_analyses_the_best_state_once(monkeypatch):
     result = minimize(frame)
     assert calls == {"pure_amplitudes": 1, "random_state_vector": 0}
     assert result.best_entropy <= 1e-6
+
+
+# descend reads no overlap: on a random fiducial its only analyses are the
+# energies of the points it evaluates
+def test_descend_analyses_only_the_points_it_evaluates(monkeypatch):
+    minimize_module = sys.modules["wehrl.minimize"]
+    frame = CoherentFrame(parse_group("Z3xZ3"), random_state_vector(9, np.random.default_rng(2)))
+    calls = {"pure_amplitudes": 0, "energy": 0}
+    exact = minimize_module.pure_amplitudes
+
+    def spy(*args, **kwargs):
+        calls["pure_amplitudes"] += 1
+        return exact(*args, **kwargs)
+
+    objective = minimize_module._objective(frame)
+    assert objective.basis is None
+
+    def energy(psi):
+        calls["energy"] += 1
+        return objective.energy(psi)
+
+    monkeypatch.setattr(minimize_module, "pure_amplitudes", spy)
+    monkeypatch.setattr(minimize_module, "_objective",
+                        lambda frame: objective._replace(energy=energy))
+    _, _, iterations, _ = descend(frame, random_state_vector(9, np.random.default_rng(3)),
+                                  MinimizerConfig(max_iters=5))
+    assert iterations == 5
+    assert calls["pure_amplitudes"] == calls["energy"] >= iterations + 2
 
 
 def test_nearest_coherent_exact_point():
