@@ -377,8 +377,9 @@ def _walk_trajectories(
     handed = []
     while len(m):
         rows, d = m.shape
-        trajectory = powers * logs
-        trajectory -= np.maximum.reduce(trajectory, axis=-1, keepdims=True)
+        # 2^k (log q - max log q): the largest entry of every point is 0, so
+        # no exp overflows and the largest weight never underflows
+        trajectory = powers * (logs - np.maximum.reduce(logs, axis=-1)[:, None])
         trajectory -= np.log(np.add.reduce(np.exp(trajectory), axis=-1, keepdims=True))
         points = np.exp(0.5 * trajectory)
         points[0] = m  # the point each row stands on, bit for bit
