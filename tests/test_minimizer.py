@@ -249,7 +249,7 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
         # row's block share counts its whole trajectory stack
         V = objective.basis
         assert V is not None
-        assert objective.row_bytes == 32 * d * minimize_module.TRAJECTORY_POINTS
+        assert objective.row_bytes == 32 * d * K
         assert np.array_equal(V, coset_basis(frame).vectors)
         # a coherent state, one near it (in the basin) and random states
         near = frame.fiducial + 1e-3 * random_state_vector(d, rng)
@@ -552,7 +552,6 @@ def test_escort_walk_ends_on_the_coset_of_the_largest_start_coordinate(seed):
 # level
 def test_escort_walk_lowers_the_entropy_on_every_accepted_tick(monkeypatch):
     minimize_module = sys.modules["wehrl.minimize"]
-    K = minimize_module.TRAJECTORY_POINTS
     stacks = []
     evaluate = minimize_module._evaluate
 
