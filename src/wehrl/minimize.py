@@ -9,8 +9,8 @@ the entropy (Armijo backtracking on a manifold). Every walk has one
 stopping rule: a row converges only on a certificate, and a budget ends it
 unconverged.
 
-The walk (`_descend_rows`) takes an energy/step pair over rows, chosen
-from the frame alone once per `minimize` or `descend` call:
+The walk (`_descend_rows`) takes one evaluation over rows, chosen from
+the frame alone once per `minimize` or `descend` call:
 - the coset pair, for Lagrangian (stabiliser) frames: all |S| = |G|
   points of a coset of the stabiliser S are one ray up to phase, so
   S^W(psi) = -sum_a q_a log q_a with q_a = |x_a|^2, x = V^H psi the
@@ -35,19 +35,18 @@ from the frame alone once per `minimize` or `descend` call:
   other fiducial: all |G|^2 amplitudes, in psi, with a gradient step. The
   amplitudes come from the frame's analysis `frames.pure_amplitudes` and
   the gradient goes back through its adjoint, `frames._synthesis`.
-Each trial point is evaluated once: its energy, then its step from what
-the energy leaves (|x|^2 and its logs, or the amplitudes), and an
-accepted row keeps both. The restarts walk as one stack of rows. At these
-sizes a step costs its numpy calls more than its arithmetic, so the coset
-walk takes no tick for its full steps: k of them from weights q give the
-escort iterate q^(2^k) / sum q^(2^k) in closed form, and each chunk reads
+Each trial point is evaluated once, for its entropy, step, gradient norm
+and decrement together, and an accepted row keeps all four. The restarts
+walk as one stack of rows. At these sizes a step costs its numpy calls
+more than its arithmetic, so the coset walk takes no tick for its full
+steps: k of them from weights q give the escort iterate
+q^(2^k) / sum q^(2^k) in closed form, and each chunk reads
 TRAJECTORY_POINTS points of every row's trajectory off one stack, built in
-logs and evaluated by the one energy/step pair, and finds where each row
-stops by descend's rules. A row whose next full step is not lower needs a
-halving; it leaves the stack, with its iterations and plateau count, for
-the tick loop, which every row of the transform pair walks. No tick gathers
-rows by a mask, and a tick where every row accepts its trial copies
-nothing.
+logs and evaluated at once, and finds where each row stops by descend's
+rules. A row whose next full step is not lower needs a halving; it leaves
+the stack, with its iterations and plateau count, for the tick loop,
+which every row of the transform pair walks. No tick gathers rows by a
+mask, and a tick where every row accepts its trial copies nothing.
 """
 
 from __future__ import annotations
@@ -108,10 +107,16 @@ class MinimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # integers as `groups._index` takes them, bools refused
+        for name in ("max_iters", "restarts", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 0 or self.restarts < 1:
             raise ValueError("max_iters must be >= 0 and restarts >= 1")
-        if self.tol_grad <= 0 or self.tol_entropy <= 0:
-            raise ValueError("tolerances must be positive")
+        # an infinite tolerance certifies every start, a nan none
+        if not (0 < self.tol_grad < np.inf and 0 < self.tol_entropy < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -188,55 +193,49 @@ def _row_norms(z: np.ndarray) -> np.ndarray:
 
 
 class _Objective(NamedTuple):
-    """An energy/step pair over (R, d) stacks of unit rows.
+    """One evaluation over (R, d) stacks of unit rows.
 
-    energy(x) gives the (R,) entropies S and an (R, k) cache. step(x, S,
-    cache) gives, from the entropies and cache of the same rows, the (R, d)
-    directions the walk steps against, the (R,) tangent-gradient norms and
-    the (R,) Newton decrements, inf on a row not shown to be in the basin of
-    a local minimum (every row, for a gradient step); it may overwrite the
-    cache. overlaps(x) gives each row's largest |<z|psi>|. Each row is
-    independent of the others, so a row rounds the same in a stack of any
-    height. The rows are psi itself where basis is None, and otherwise the
-    real magnitudes m = |x| of the coordinates x of psi = x @ basis, whose
+    evaluate(x) gives the (R,) entropies, the (R, d) directions the walk
+    steps against, the (R,) tangent-gradient norms and the (R,) Newton
+    decrements, inf on a row not shown to be in the basin of a local
+    minimum (every row, for a gradient step); its outputs are fresh arrays.
+    overlaps(x) gives each row's largest |<z|psi>|. Each row is independent
+    of the others, so a row rounds the same in a stack of any height. The
+    rows are psi itself where basis is None, and otherwise the real
+    magnitudes m = |x| of the coordinates x of psi = x @ basis, whose
     phases the walk fixes at its start. row_bytes counts the largest
-    complex temporary and the cache, for the coset pair at each of the
-    TRAJECTORY_POINTS points of a row's trajectory stack.
+    complex temporary and the weights with their logs, for the coset pair
+    at each of the TRAJECTORY_POINTS points of a row's trajectory stack.
     """
 
-    energy: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    step: Callable[[np.ndarray, np.ndarray, np.ndarray],
-                   tuple[np.ndarray, np.ndarray, np.ndarray]]
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     overlaps: Callable[[np.ndarray], np.ndarray]
     basis: np.ndarray | None
     row_bytes: int
 
 
 def _transform_objective(frame: CoherentFrame) -> _Objective:
-    """pure_state_entropy and entropy_gradient in psi; the cache is the amplitudes."""
+    """pure_state_entropy and entropy_gradient in psi, from one analysis of each row."""
     d = frame.group.order
 
-    def energy(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(psi: np.ndarray):
         c = pure_amplitudes(frame, psi)
         q = np.abs(c)
         q *= q
-        return _entropy_sum(q, frame.haar_weight), c
-
-    def step(psi: np.ndarray, entropies: np.ndarray, c: np.ndarray):
         grad = _amplitude_gradient(frame, psi, c)
-        return grad, _row_norms(grad), np.full(len(psi), np.inf)
+        return _entropy_sum(q, frame.haar_weight), grad, _row_norms(grad), np.full(len(psi), np.inf)
 
     def overlaps(psi: np.ndarray) -> np.ndarray:
         return np.maximum.reduce(np.abs(pure_amplitudes(frame, psi)), axis=-1)
 
-    return _Objective(energy, step, overlaps, None, 32 * d * d)
+    return _Objective(evaluate, overlaps, None, 32 * d * d)
 
 
 def _coset_objective(frame: CoherentFrame) -> _Objective:
     """The entropy and its escort step in the magnitudes m = |x| of the coset coordinates.
 
-    The cache is q = m^2 and log q (of the least normal float where q is
-    0). The step is d_a = m_a - q_a / max_b m_b = m_a (1 - m_a / max_b m_b),
+    It reads q = m^2 and log q (of the least normal float where q is 0).
+    The step is d_a = m_a - q_a / max_b m_b = m_a (1 - m_a / max_b m_b),
     whose full step is q_a / max_b m_b; a step s <= FIRST_STEP = 1 leads to
     (1 - s) m + s q / max m, so m stays nonnegative. With
     r_a = -(log q_a + S^W), the tangent gradient is g_a = r_a m_a and the
@@ -248,19 +247,14 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
     vectors = coset_basis(frame).vectors
     d = frame.group.order
 
-    def energy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        cache = np.empty((len(m), 2 * d))
-        q, logs = cache[:, :d], cache[:, d:]
-        np.multiply(m, m, out=q)
-        np.maximum(q, _LEAST_Q, out=logs)
+    def evaluate(m: np.ndarray):
+        q = m * m
+        logs = np.maximum(q, _LEAST_Q)
         np.log(logs, out=logs)
         # q log q := 0 at and below the threshold, as in entropy._entropy_sum
         terms = np.where(q > ZERO_LOG_THRESHOLD, q * logs, 0.0)
-        return -np.add.reduce(terms, axis=-1), cache
-
-    def step(m: np.ndarray, entropies: np.ndarray, cache: np.ndarray):
-        q, logs = cache[:, :d], cache[:, d:]
-        rate = -logs
+        entropies = -np.add.reduce(terms, axis=-1)
+        rate = np.negative(logs, out=logs)
         rate -= entropies[:, None]
         curvature = rate - 2.0
         basin = np.logical_and.reduce((curvature > CURVATURE_FLOOR) | (q >= 0.5), axis=-1)
@@ -270,12 +264,12 @@ def _coset_objective(frame: CoherentFrame) -> _Objective:
         decrements = np.where(basin, np.add.reduce(rate / curvature, axis=-1), np.inf)
         direction = q / np.maximum.reduce(m, axis=-1)[:, None]
         np.subtract(m, direction, out=direction)
-        return direction, np.sqrt(np.add.reduce(rate, axis=-1)), decrements
+        return entropies, direction, np.sqrt(np.add.reduce(rate, axis=-1)), decrements
 
     def overlaps(m: np.ndarray) -> np.ndarray:
         return np.maximum.reduce(m, axis=-1)
 
-    return _Objective(energy, step, overlaps, vectors, 32 * d * TRAJECTORY_POINTS)
+    return _Objective(evaluate, overlaps, vectors, 32 * d * TRAJECTORY_POINTS)
 
 
 def _objective(frame: CoherentFrame) -> _Objective:
@@ -284,12 +278,6 @@ def _objective(frame: CoherentFrame) -> _Objective:
     Both give the same entropy and tangent gradient up to rounding.
     """
     return _coset_objective(frame) if frame.lagrangian else _transform_objective(frame)
-
-
-def _evaluate(objective: _Objective, x: np.ndarray):
-    """The energy of the rows x, then their step: (entropies, directions, norms, decrements)."""
-    energy, cache = objective.energy(x)
-    return (energy, *objective.step(x, energy, cache))
 
 
 def _descend_rows(
@@ -324,12 +312,10 @@ def _descend_rows(
     # iterations, certificates, halvings and gradient norms
     stopped = []
     if basis is not None and FIRST_STEP == 1.0:  # the full escort step is the escort map
-        walking = _walk_trajectories(objective, index, x, config, stopped)
+        _walk_trajectories(objective, index, x, config, stopped)
     else:
         counts = np.zeros(len(x), dtype=np.int64)
-        walking = (index, x, *_evaluate(objective, x), counts, counts.copy())
-    if walking is not None:
-        _walk_ticks(objective, walking, config, stopped)
+        _walk_ticks(objective, index, x, counts, counts.copy(), config, stopped)
     places, *parts = zip(*stopped)
     order = np.argsort(np.concatenate(places))
     x, energies, iterations, converged, halvings, grad_norms = (
@@ -344,7 +330,7 @@ def _descend_rows(
 def _walk_trajectories(
     objective: _Objective, index: np.ndarray, m: np.ndarray, config: MinimizerConfig,
     stopped: list,
-) -> tuple[np.ndarray, ...] | None:
+) -> None:
     """The coset walk's full steps, read chunk by chunk off closed-form escort trajectories.
 
     While no trial needs a halving, k full steps from weights q = m^2 lead
@@ -352,19 +338,19 @@ def _walk_trajectories(
     every walking row, the point it stands on and its next
     TRAJECTORY_POINTS - 1 iterates, built in logs as
     log q_k = 2^k log q - logsumexp_a(2^k log q) (an exact zero, log q =
-    -inf, stays one) with m_k = exp(log q_k / 2), and runs the objective's
-    energy and step once on the (TRAJECTORY_POINTS * R, d) stack, so the
-    certificate has one implementation. Each row's first event is
-    then read off the stack in descend's order: a plateau of PLATEAU_STEPS
-    ends the row on the point that completes it; at each point the max_iters
-    budget is tested, then the certificate; then the next point must be
-    strictly lower. A row with no event before the chunk's last point starts
-    the next chunk there, with its log q carried over.
+    -inf, stays one) with m_k = exp(log q_k / 2), and evaluates the
+    (TRAJECTORY_POINTS * R, d) stack once, so the certificate has one
+    implementation. Each row's first event is then read off the stack in
+    descend's order: a plateau of PLATEAU_STEPS ends the row on the point
+    that completes it; at each point the max_iters budget is tested, then
+    the certificate; then the next point must be strictly lower. A row with
+    no event before the chunk's last point starts the next chunk there,
+    with its log q carried over.
 
     Stopped rows are appended to `stopped`. A row whose next point is not
-    lower needs a halving: it is returned, with its place, point, entropy,
-    step, gradient norm, decrement, iterations and plateau count, for
-    `_walk_ticks`, which starts it at the full step; None if there is none.
+    lower needs a halving: it leaves the stack with its place, point,
+    iterations and plateau count, and once the stack is empty all such rows
+    go to `_walk_ticks` together, which starts them at the full step.
     """
     K = TRAJECTORY_POINTS
     ticks = np.arange(K)
@@ -384,7 +370,7 @@ def _walk_trajectories(
         points = np.exp(0.5 * trajectory)
         points[0] = m  # the point each row stands on, bit for bit
         flat = points.reshape(K * rows, d)
-        energy, direction, norms, decrements = _evaluate(objective, flat)
+        energy, _, norms, decrements = objective.evaluate(flat)
         energies = energy.reshape(K, rows)
         counts = iterations + ticks[:, None]  # accepted steps at each point
         spent = counts >= max_iters
@@ -413,27 +399,27 @@ def _walk_trajectories(
         halve = ~stop & (at < K - 1)
         if halve.any():
             held = place[halve]
-            handed.append([index[halve]] + [a[held] for a in (
-                flat, energy, direction, norms, decrements, counts, plateaus)])
+            handed.append((index[halve], flat[held], counts[held], plateaus[held]))
         kept = (~stop & ~halve).nonzero()[0]
         m, logs = points[-1, kept], trajectory[-1, kept]
         iterations, plateau = counts[place[kept]], plateaus[place[kept]]
         index = index[kept]
-    return tuple(np.concatenate(part) for part in zip(*handed)) if handed else None
+    if handed:
+        _walk_ticks(objective, *(np.concatenate(part) for part in zip(*handed)), config, stopped)
 
 
 def _walk_ticks(
-    objective: _Objective, walking: tuple[np.ndarray, ...], config: MinimizerConfig,
-    stopped: list,
+    objective: _Objective, index: np.ndarray, x: np.ndarray, iterations: np.ndarray,
+    plateau: np.ndarray, config: MinimizerConfig, stopped: list,
 ) -> None:
-    """descend's rules on the walking rows, one trial per row and tick.
+    """descend's rules on the rows x, one trial per row and tick.
 
-    `walking` holds each row's place, point, entropy, step, gradient norm,
-    decrement, iterations and plateau count; every row starts at
-    FIRST_STEP with no halving. Each tick makes one trial for every row and
-    evaluates it once: its energy and, from the same cache, its step,
-    gradient norm and decrement. A row that accepts its trial keeps all
-    four, so each row carries the step of the point it stands on.
+    Each row comes with its place in the results, its iterations and its
+    plateau count, and starts at FIRST_STEP with no halving. The walk
+    evaluates the rows it is given once, then each tick makes one trial for
+    every row and evaluates it once: its entropy, step, gradient norm and
+    decrement. A row that accepts its trial keeps all four, so each row
+    carries the step of the point it stands on.
 
     The tests of the top of an iteration then run on every row, with no
     mask: a row in a line search passed them at the point it still stands
@@ -448,7 +434,7 @@ def _walk_ticks(
     compact: on a tick where rows stop, their results are appended to
     `stopped` and the arrays compressed.
     """
-    index, x, energy, direction, norms, decrements, iterations, plateau = walking
+    energy, direction, norms, decrements = objective.evaluate(x)
     rows = len(x)
     step = np.full(rows, FIRST_STEP)
     halvings = np.zeros(rows, dtype=np.int64)
@@ -470,7 +456,7 @@ def _walk_ticks(
         # spare evaluation per row), so that rows leave at one place per tick
         trial = x - step[:, None] * direction
         trial /= _row_norms(trial)[:, None]
-        trial_energy, trial_direction, trial_norms, trial_decrements = _evaluate(objective, trial)
+        trial_energy, trial_direction, trial_norms, trial_decrements = objective.evaluate(trial)
         searching = ~stationary if spent is None else ~(spent | stationary)
         better = trial_energy < energy
         better &= searching
@@ -535,9 +521,18 @@ def descend(
     unconverged: max_iters accepted steps, no step above MIN_STEP that
     lowers the entropy, and PLATEAU_STEPS accepted steps in a row that each
     drop the entropy by less than tol_entropy.
+
+    Raises ValueError unless start is a finite (|G|,) vector whose norm is
+    positive and finite.
     """
+    start = np.asarray(start, dtype=np.complex128)
+    d = frame.group.order
+    with np.errstate(over="ignore"):  # a norm that overflows is refused
+        state = start.shape == (d,) and np.isfinite(start).all() and 0 < _row_norms(start) < np.inf
+    if not state:
+        raise ValueError(f"start must be a finite ({d},) vector with a positive, finite norm")
     states, energies, iterations, converged, *_ = _descend_rows(
-        _objective(frame), np.asarray(start)[None, :], config
+        _objective(frame), start[None, :], config
     )
     return states[0], float(energies[0]), int(iterations[0]), bool(converged[0])
 
@@ -552,10 +547,10 @@ def minimize(frame: CoherentFrame, config: MinimizerConfig | None = None) -> Min
     orthonormal). Non-convergence returns the best iterate found, it does
     not raise. The restarts run as stacks of rows through descend's rules,
     in blocks sized so that each complex temporary of the frame's
-    energy/gradient pair, with its cache, stays near the shared block
-    budget: (TRAJECTORY_POINTS, rows, |G|) for the coset pair's trajectory
-    stack, (rows, |G|, |G|) for the transform pair. Each restart's overlap
-    is read here, off the walk's final rows.
+    evaluation, with the coset weights and their logs, stays near the
+    shared block budget: (TRAJECTORY_POINTS, rows, |G|) for the coset
+    pair's trajectory stack, (rows, |G|, |G|) for the transform pair. Each
+    restart's overlap is read here, off the walk's final rows.
     """
     config = config or MinimizerConfig()
     rng = np.random.default_rng(config.seed)

@@ -48,11 +48,17 @@ def smooth_state(frame, rng, floor=1e-6):
             return psi
 
 
+# an infinite tolerance would certify every start where it stands, and a
+# count that is not an integer fails later inside numpy, if at all
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MinimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        MinimizerConfig(tol_grad=-1.0)
+    for kwargs in ({"restarts": 0}, {"tol_grad": -1.0}, {"tol_grad": np.inf},
+                   {"tol_entropy": np.inf}, {"tol_grad": np.nan}, {"tol_entropy": np.nan},
+                   {"max_iters": 2.5}, {"restarts": True}, {"restarts": 4.0},
+                   {"seed": 1.0}, {"seed": False}, {"seed": "0"}):
+        with pytest.raises(ValueError):
+            MinimizerConfig(**kwargs)
+    # numpy integers pass, as they do for every index of `groups`
+    MinimizerConfig(max_iters=np.int64(7), restarts=np.int32(2), seed=np.uint8(3))
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +264,8 @@ def test_coset_pair_matches_transform_pair_on_workload_frames(rng):
         x = psis @ V.conj().T
         m = np.abs(x)
         phases = np.divide(x, m, out=np.ones_like(x), where=m > 0)
-        energy, cache = objective.energy(m)
+        energy, direction, norms, decrements = objective.evaluate(m)
         assert np.abs(energy - pure_state_entropy(frame, psis)).max() <= 1e-14
-        direction, norms, decrements = objective.step(m, energy, cache)
         assert np.array_equal(objective.overlaps(m), m.max(axis=-1))
         for row, psi in enumerate(psis):
             want_direction, gradient, decrement = escort_step(frame, psi, energy[row])
@@ -400,6 +405,27 @@ def test_descend_stops_on_exhausted_step(rng, monkeypatch):
     assert np.array_equal(state, start / np.linalg.norm(start))
 
 
+# a start must be a state up to its norm: descend refuses, before any walk,
+# what would otherwise return a NaN state or fail inside numpy
+@pytest.mark.parametrize("fiducial", ["vacuum", "random"])
+def test_descend_refuses_a_start_that_is_not_a_state(fiducial):
+    if fiducial == "vacuum":
+        frame = vacuum_frame("Z8")
+    else:
+        frame = CoherentFrame(parse_group("Z4"), random_state_vector(4, np.random.default_rng(1)))
+    d = frame.group.order
+    start = random_state_vector(d, np.random.default_rng(2))
+    nan, inf = start.copy(), start.copy()
+    nan[1], inf[0] = np.nan, np.inf
+    for bad in (np.zeros(d), nan, inf, np.full(d, 1e300), start[:-1], np.ones(d + 1),
+                np.stack([start, start]), start[None, :]):
+        with pytest.raises(ValueError, match="start"):
+            descend(frame, bad, MinimizerConfig())
+    # a start that is a state up to its norm is normalised
+    state, energy, *_ = descend(frame, 3.0 * start, MinimizerConfig())
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12) and np.isfinite(energy)
+
+
 def test_no_halvings_from_coherent_starts():
     minimize_module = sys.modules["wehrl.minimize"]
     frame = vacuum_frame("Z4", (2,))
@@ -507,13 +533,12 @@ def test_escort_step_squares_coset_weights(eps):
         q = np.full(d, eps)
         q[3] = 1.0 - (d - 1) * eps
     m = np.sqrt(q)[None, :]
-    energy, cache = objective.energy(m)
-    direction, _, decrement = objective.step(m, energy, cache)
+    energy, direction, _, decrement = objective.evaluate(m)
     trial = m - direction
     trial /= np.linalg.norm(trial)
     assert np.abs(trial[0] ** 2 - q**2 / np.sum(q**2)).max() <= 1e-15
     assert (trial >= 0).all()
-    assert objective.energy(trial)[0][0] < energy[0]
+    assert objective.evaluate(trial)[0][0] < energy[0]
     if eps is not None:  # in the basin
         assert np.isfinite(decrement).all()
 
@@ -550,19 +575,18 @@ def test_escort_walk_ends_on_the_coset_of_the_largest_start_coordinate(seed):
 # every accepted tick lowers S^W, read by the group transform off the
 # points of the escort trajectory the walk reads, until it is at rounding
 # level
-def test_escort_walk_lowers_the_entropy_on_every_accepted_tick(monkeypatch):
+def test_escort_walk_lowers_the_entropy_on_every_accepted_tick():
     minimize_module = sys.modules["wehrl.minimize"]
     stacks = []
-    evaluate = minimize_module._evaluate
-
-    def recording(objective, x):
-        stacks.append(x.copy())
-        return evaluate(objective, x)
-
-    monkeypatch.setattr(minimize_module, "_evaluate", recording)
     rng = np.random.default_rng(5)
     for frame in workload_frames()[::4]:
         objective = minimize_module._objective(frame)
+
+        def recording(x, _evaluate=objective.evaluate):
+            stacks.append(x.copy())
+            return _evaluate(x)
+
+        objective = objective._replace(evaluate=recording)
         start = random_state_vector(frame.group.order, rng)
         stacks.clear()
         _, _, iterations, converged, halvings, *_ = minimize_module._descend_rows(
@@ -634,9 +658,9 @@ def test_rows_needing_a_halving_leave_the_stack_inside_a_chunk(monkeypatch):
     handed = []
     walk_ticks = minimize_module._walk_ticks
 
-    def recording(objective, walking, config, stopped):
-        handed.append((walking[0].copy(), walking[6].copy()))  # places, iterations
-        return walk_ticks(objective, walking, config, stopped)
+    def recording(objective, index, x, iterations, plateau, config, stopped):
+        handed.append((index.copy(), iterations.copy()))
+        return walk_ticks(objective, index, x, iterations, plateau, config, stopped)
 
     monkeypatch.setattr(minimize_module, "_walk_ticks", recording)
     frame = vacuum_frame("Z4xZ2", (1, 0), (0, 1))
@@ -712,11 +736,34 @@ def test_step_reads_no_nan_where_q_is_zero():
     x = np.zeros((2, 9))
     x[0, 4] = 1.0  # a coherent state: eight exact zeros
     x[1, :2] = [0.6, 0.8]
-    energy, cache = objective.energy(x)
-    direction, norms, decrements = objective.step(x, energy, cache)
+    energy, direction, norms, decrements = objective.evaluate(x)
     assert np.isfinite(direction).all() and np.isfinite(norms).all()
     assert energy[0] == 0.0 and norms[0] == 0.0 and decrements[0] == 0.0
     assert not np.isnan(decrements[1])
+
+
+# the tick loop evaluates the rows handed to it outside the trajectory stack
+# they were read off, so the walk needs each row of the coset evaluation to
+# round bit for bit the same in a stack of any height, with exact zeros too
+def test_coset_evaluate_rounds_a_row_the_same_alone_and_in_a_stack():
+    minimize_module = sys.modules["wehrl.minimize"]
+    rng = np.random.default_rng(7)
+    frames = workload_frames()
+    assert len(frames) == 57
+    for frame in frames:
+        objective = minimize_module._objective(frame)
+        d = frame.group.order
+        psis = _random_state_stack(d, 128, rng)
+        m = np.abs(psis @ objective.basis.conj().T)
+        m[0] = 0.0
+        m[0, d // 2] = 1.0  # a coherent row: d - 1 exact zeros
+        m[1, ::2] = 0.0  # zeros on half the support
+        m[1] /= np.linalg.norm(m[1])
+        stacked = objective.evaluate(m)
+        for i in range(len(m)):
+            alone = objective.evaluate(m[i:i + 1])
+            for a, b in zip(stacked, alone):
+                assert a[i].tobytes() == b[0].tobytes()
 
 
 @pytest.mark.parametrize("fiducial", ["vacuum", "random"])
@@ -825,7 +872,7 @@ def test_minimize_analyses_the_best_state_once(monkeypatch):
 def test_descend_analyses_only_the_points_it_evaluates(monkeypatch):
     minimize_module = sys.modules["wehrl.minimize"]
     frame = CoherentFrame(parse_group("Z3xZ3"), random_state_vector(9, np.random.default_rng(2)))
-    calls = {"pure_amplitudes": 0, "energy": 0}
+    calls = {"pure_amplitudes": 0, "evaluate": 0}
     exact = minimize_module.pure_amplitudes
 
     def spy(*args, **kwargs):
@@ -835,17 +882,17 @@ def test_descend_analyses_only_the_points_it_evaluates(monkeypatch):
     objective = minimize_module._objective(frame)
     assert objective.basis is None
 
-    def energy(psi):
-        calls["energy"] += 1
-        return objective.energy(psi)
+    def evaluate(psi):
+        calls["evaluate"] += 1
+        return objective.evaluate(psi)
 
     monkeypatch.setattr(minimize_module, "pure_amplitudes", spy)
     monkeypatch.setattr(minimize_module, "_objective",
-                        lambda frame: objective._replace(energy=energy))
+                        lambda frame: objective._replace(evaluate=evaluate))
     _, _, iterations, _ = descend(frame, random_state_vector(9, np.random.default_rng(3)),
                                   MinimizerConfig(max_iters=5))
     assert iterations == 5
-    assert calls["pure_amplitudes"] == calls["energy"] >= iterations + 2
+    assert calls["pure_amplitudes"] == calls["evaluate"] >= iterations + 2
 
 
 def test_nearest_coherent_exact_point():
